@@ -28,8 +28,8 @@ pub mod stencil;
 pub use error::ApproxError;
 pub use loadopt::optimize_buffer_loads;
 pub use memo::{
-    bit_tune, build_table, choose_table_bits, input_ranges, memoize_kernel, BitTuneResult,
-    InputRange, LookupMode, MemoConfig, MemoizedVariant, TablePlacement,
+    bit_tune, build_table, choose_table_bits, input_ranges, memoize_kernel, memoize_kernel_sharing,
+    BitTuneResult, InputRange, LookupMode, MemoConfig, MemoizedVariant, TablePlacement,
 };
 pub use reduction::{approximate_reduction, approximate_reduction_group};
 pub use safety::{guard_divisions, unguarded_divisions};

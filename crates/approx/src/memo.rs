@@ -172,17 +172,26 @@ pub struct BitTuneResult {
 /// Evaluate the output quality of a candidate bit division by running the
 /// exact function on quantized-then-reconstructed inputs (no table needed —
 /// paper §3.1.3).
+///
+/// `exact` caches the function's outputs on the unquantized samples, which
+/// do not depend on the split: the first call of a [`bit_tune`] fills it
+/// (sample by sample, so a failing evaluation surfaces where it always
+/// did) and every later candidate reuses it.
 fn split_quality(
     program: &Program,
     func: &Func,
     samples: &[Vec<Scalar>],
     ranges: &[InputRange],
     split: &[u32],
+    exact: &mut Vec<f64>,
 ) -> Result<f64, ApproxError> {
     let mut err_sum = 0.0f64;
     let mut n = 0usize;
-    for sample in samples {
-        let exact = paraprox_ir::eval_func(program, func, sample)?.to_f64_lossy();
+    for (si, sample) in samples.iter().enumerate() {
+        if si == exact.len() {
+            exact.push(paraprox_ir::eval_func(program, func, sample)?.to_f64_lossy());
+        }
+        let exact = exact[si];
         let mut quantized = Vec::with_capacity(sample.len());
         for ((arg, range), &q) in sample.iter().zip(ranges).zip(split) {
             let v = arg.to_f64_lossy() as f32;
@@ -224,10 +233,11 @@ pub fn bit_tune(
         .filter(|(_, r)| !r.is_constant())
         .map(|(i, _)| i)
         .collect();
+    let mut exact = Vec::with_capacity(samples.len());
     if variable.is_empty() {
         // Function of constants only — a single-entry table.
         let split = vec![0; ranges.len()];
-        let quality = split_quality(program, func, samples, ranges, &split)?;
+        let quality = split_quality(program, func, samples, ranges, &split, &mut exact)?;
         return Ok(BitTuneResult {
             split: split.clone(),
             quality,
@@ -243,7 +253,7 @@ pub fn bit_tune(
         rem = rem.saturating_sub(1);
     }
     let mut explored = Vec::new();
-    let mut best_quality = split_quality(program, func, samples, ranges, &split)?;
+    let mut best_quality = split_quality(program, func, samples, ranges, &split, &mut exact)?;
     explored.push((split.clone(), best_quality));
 
     for _ in 0..64 {
@@ -260,7 +270,7 @@ pub fn bit_tune(
                 let mut child = split.clone();
                 child[i] -= 1;
                 child[j] += 1;
-                let q = split_quality(program, func, samples, ranges, &child)?;
+                let q = split_quality(program, func, samples, ranges, &child, &mut exact)?;
                 explored.push((child.clone(), q));
                 if best_child.as_ref().map(|(_, bq)| q > *bq).unwrap_or(true) {
                     best_child = Some((child, q));
@@ -647,6 +657,26 @@ pub fn memoize_kernel(
     kernel: KernelId,
     config: &MemoConfig,
 ) -> Result<MemoizedVariant, ApproxError> {
+    memoize_kernel_sharing(program, kernel, config, &mut None)
+}
+
+/// [`memoize_kernel`] for callers that generate several variants of one
+/// function: the table depends only on `config`'s `(func, split, ranges)`,
+/// not on its lookup mode or placement, so `table` carries it from one
+/// variant to the next. An empty slot is filled by [`build_table`] (after
+/// the applicability checks, exactly where [`memoize_kernel`] builds it);
+/// a filled slot is used as is and must have been filled for the same
+/// `(func, split, ranges)`.
+///
+/// # Errors
+///
+/// As [`memoize_kernel`].
+pub fn memoize_kernel_sharing(
+    program: &Program,
+    kernel: KernelId,
+    config: &MemoConfig,
+    table: &mut Option<Vec<f32>>,
+) -> Result<MemoizedVariant, ApproxError> {
     if config.mode == LookupMode::Linear && config.variable_inputs() != 1 {
         return Err(ApproxError::NotApplicable(
             "linear lookup requires exactly one variable input".to_string(),
@@ -660,7 +690,15 @@ pub fn memoize_kernel(
             func.params.len()
         )));
     }
-    let table = build_table(program, config)?;
+    let table = match table {
+        Some(shared) => shared.clone(),
+        None => table.insert(build_table(program, config)?).clone(),
+    };
+    assert_eq!(
+        table.len(),
+        config.table_len(),
+        "shared memo table was built for another split"
+    );
 
     let mut out = program.clone();
     let k = out.kernel_mut(kernel);
@@ -939,6 +977,70 @@ mod tests {
     }
 
     #[test]
+    fn shared_table_gives_the_same_variants_as_building_each() {
+        let mut p = Program::new();
+        let f = test_func(&mut p);
+        let mut kb = KernelBuilder::new("map");
+        let input = kb.buffer("in", Ty::F32, MemSpace::Global);
+        let gid = kb.let_("gid", KernelBuilder::global_id_x());
+        let x = kb.let_("x", kb.load(input, gid.clone()));
+        kb.store(
+            input,
+            gid,
+            Expr::Call {
+                func: f,
+                args: vec![x, Expr::f32(1.0)],
+            },
+        );
+        let kid = p.add_kernel(kb.finish());
+        let ranges = input_ranges(&training(64)).unwrap();
+        let mut slot = None;
+        let mut first_table: Option<Vec<f32>> = None;
+        for mode in [LookupMode::Nearest, LookupMode::Linear] {
+            for placement in [
+                TablePlacement::Global,
+                TablePlacement::Constant,
+                TablePlacement::Shared,
+            ] {
+                let config = MemoConfig {
+                    func: f,
+                    split: vec![7, 0],
+                    mode,
+                    placement,
+                    ranges: ranges.clone(),
+                };
+                let alone = memoize_kernel(&p, kid, &config).unwrap();
+                let shared = memoize_kernel_sharing(&p, kid, &config, &mut slot).unwrap();
+                assert_eq!(alone.program, shared.program);
+                assert_eq!(
+                    alone.table.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    shared.table.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                );
+                assert_eq!(slot.as_ref(), Some(&shared.table), "slot holds the table");
+                assert_eq!(
+                    first_table.get_or_insert(shared.table.clone()),
+                    &shared.table
+                );
+            }
+        }
+        // An inapplicable configuration is rejected before the slot is
+        // consulted or filled.
+        let mut empty = None;
+        let bad = MemoConfig {
+            func: f,
+            split: vec![7],
+            mode: LookupMode::Nearest,
+            placement: TablePlacement::Global,
+            ranges: ranges[..1].to_vec(),
+        };
+        assert!(matches!(
+            memoize_kernel_sharing(&p, kid, &bad, &mut empty),
+            Err(ApproxError::NotApplicable(_))
+        ));
+        assert!(empty.is_none());
+    }
+
+    #[test]
     fn memoized_kernel_is_fast_and_accurate_global_nearest() {
         let (quality, exact, approx) = end_to_end(LookupMode::Nearest, TablePlacement::Global);
         assert!(quality > 90.0, "quality = {quality}");
@@ -1045,7 +1147,15 @@ mod tests {
                 ranges,
             };
             let func = p.func(f).clone();
-            let q = split_quality(&p, &func, &samples, &config.ranges, &config.split).unwrap();
+            let q = split_quality(
+                &p,
+                &func,
+                &samples,
+                &config.ranges,
+                &config.split,
+                &mut Vec::new(),
+            )
+            .unwrap();
             qualities.push(q);
         }
         assert!(qualities[0] < qualities[1] && qualities[1] < qualities[2]);

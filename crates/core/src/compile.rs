@@ -3,8 +3,8 @@
 use std::collections::HashMap;
 
 use paraprox_approx::{
-    approximate_scan, approximate_stencil, bit_tune, input_ranges, memoize_kernel, ApproxError,
-    LookupMode, MemoConfig, StencilScheme, TablePlacement,
+    approximate_scan, approximate_stencil, bit_tune, input_ranges, memoize_kernel_sharing,
+    ApproxError, LookupMode, MemoConfig, StencilScheme, TablePlacement,
 };
 use paraprox_ir::{FuncId, Program, Ty};
 use paraprox_patterns::{detect, DetectOptions, KernelPatterns, LatencyTable};
@@ -190,8 +190,14 @@ fn memo_variants(
     if sites.is_empty() {
         return Ok(());
     }
-    // Bit tuning is independent of mode/placement: cache per (func, bits).
-    let mut tuned: HashMap<(FuncId, u32), MemoConfig> = HashMap::new();
+    // Bit tuning and the lookup table are independent of mode/placement:
+    // cache both per (func, bits). The table is built by the first variant
+    // that gets as far as needing it.
+    struct Tuned {
+        config: MemoConfig,
+        table: Option<Vec<f32>>,
+    }
+    let mut tuned: HashMap<(FuncId, u32), Tuned> = HashMap::new();
     for &bits in &options.memo_bits {
         for &mode in &options.memo_modes {
             for &placement in &options.memo_placements {
@@ -202,31 +208,37 @@ fn memo_variants(
                     let samples = workload
                         .training_for(func)
                         .expect("filtered to funcs with training");
-                    let base_config = match tuned.entry((func, bits)) {
-                        std::collections::hash_map::Entry::Occupied(e) => e.get().clone(),
+                    let Tuned {
+                        config: base_config,
+                        table,
+                    } = match tuned.entry((func, bits)) {
+                        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                         std::collections::hash_map::Entry::Vacant(e) => {
                             let ranges = input_ranges(samples)?;
                             let f = workload.program.func(func).clone();
                             let result = bit_tune(&workload.program, &f, samples, &ranges, bits)?;
-                            e.insert(MemoConfig {
+                            let config = MemoConfig {
                                 func,
                                 split: result.split,
                                 mode: LookupMode::Nearest,
                                 placement: TablePlacement::Global,
                                 ranges,
+                            };
+                            e.insert(Tuned {
+                                config,
+                                table: None,
                             })
-                            .clone()
                         }
                     };
                     let config = MemoConfig {
                         mode,
                         placement,
-                        ..base_config
+                        ..base_config.clone()
                     };
                     if mode == LookupMode::Linear && config.variable_inputs() != 1 {
                         continue; // linear needs a single variable input
                     }
-                    match memoize_kernel(&program, kernel, &config) {
+                    match memoize_kernel_sharing(&program, kernel, &config, table) {
                         Ok(variant) => {
                             program = variant.program;
                             let slot = pipeline.add_buffer(BufferSpec {

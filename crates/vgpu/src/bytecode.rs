@@ -1525,8 +1525,13 @@ struct CallCtx {
 }
 
 /// Per-worker executor scratch: the register-file arena, mask arena,
-/// constant-bank rows, and call stack. Reused across statements, blocks,
-/// and launches so steady-state execution allocates nothing. Registers are
+/// constant-bank rows, and call stack. A worker builds one per launch and
+/// reuses it across statements and blocks: rows and masks are allocated
+/// the first time a block touches them and only refilled afterwards, so
+/// executing an op — memory ops included, see `exec.rs` — allocates
+/// nothing once the launch's first block has run. What a launch does
+/// allocate is a constant per worker plus a constant per block (its write
+/// log); `tests/alloc_steady_state.rs` pins both. Registers are
 /// structure-of-arrays [`RegRow`]s (contiguous lane-major `u32` strips)
 /// and masks are [`LaneMask`] bitsets, so converged ops run as typed slice
 /// loops over raw bit patterns.
@@ -1847,10 +1852,10 @@ fn exec_load(
 ) -> Result<(), EvalError> {
     let dst_abs = rb + dst as usize;
     let mut out = std::mem::take(&mut s.regs[dst_abs]);
-    out.reset_filler(ctx.lanes);
     let r = ctx.do_load_into(mem, row(s, rb, idx), &s.masks[mb + m as usize], &mut out);
-    // Loads of a uniformly-typed buffer demote the row lane by lane;
+    // A load through a mixed-tag index row demotes `out` lane by lane;
     // recover the uniform tag so downstream ops can take the fast path.
+    // (The strip path leaves a converged row uniform already.)
     out.normalize();
     s.regs[dst_abs] = out;
     r

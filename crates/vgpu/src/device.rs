@@ -12,7 +12,7 @@ use crate::bytecode::{self, CompiledKernel};
 use crate::cache::Cache;
 use crate::error::LaunchError;
 use crate::exec::{self, Launch};
-use crate::profile::{DeviceProfile, ExecEngine};
+use crate::profile::{DeviceProfile, ExecEngine, ProfileError};
 use crate::stats::LaunchStats;
 
 /// A two-dimensional grid or block shape.
@@ -79,12 +79,18 @@ impl From<Scalar> for ArgValue {
     }
 }
 
+/// One device buffer: a strip of raw 32-bit patterns plus the element type
+/// every word shares (the layout [`crate::soa::RegRow`] uses for
+/// registers), so loads and stores move bits without a per-element
+/// `Scalar` round trip and an arena copy is a `memcpy` of 4 bytes per
+/// element. Stores and atomics only ever write values of type `ty`.
 #[derive(Debug)]
 pub(crate) struct BufferStorage {
     pub ty: Ty,
     pub space: MemSpace,
     pub base_addr: u64,
-    pub data: Vec<Scalar>,
+    /// Element bit patterns (`f32::to_bits`, two's complement, bool 0/1).
+    pub data: Vec<u32>,
 }
 
 impl Clone for BufferStorage {
@@ -277,10 +283,30 @@ pub struct Device {
 
 impl Device {
     /// Create a device with the given profile.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `invalid device profile: …` when
+    /// [`DeviceProfile::validate`] rejects the profile; use
+    /// [`Device::try_new`] for profiles built from outside input.
     pub fn new(profile: DeviceProfile) -> Device {
+        match Device::try_new(profile) {
+            Ok(device) => device,
+            Err(e) => panic!("invalid device profile: {e}"),
+        }
+    }
+
+    /// Create a device, rejecting a profile whose warp width or cache
+    /// geometry the simulator cannot represent.
+    ///
+    /// # Errors
+    ///
+    /// Returns what [`DeviceProfile::validate`] reports.
+    pub fn try_new(profile: DeviceProfile) -> Result<Device, ProfileError> {
+        profile.validate()?;
         let l1 = Cache::new(profile.cache.l1);
         let constant_cache = Cache::new(profile.cache.constant);
-        Device {
+        Ok(Device {
             profile,
             buffers: Vec::new(),
             next_addr: 0,
@@ -293,7 +319,7 @@ impl Device {
             approx_rate: 0.0,
             approx_seed: 0,
             refresh: exec::RefreshCounters::default(),
-        }
+        })
     }
 
     /// Set the bit-error rate of buffers placed in [`MemSpace::Approx`]:
@@ -376,39 +402,29 @@ impl Device {
     /// Allocate a zero-initialized buffer of `len` elements of `ty` in
     /// `space`.
     pub fn alloc_zeroed(&mut self, space: MemSpace, ty: Ty, len: usize) -> BufferId {
-        self.alloc_scalars(space, ty, vec![Scalar::zero(ty); len])
+        // Every type's zero (`0.0`, `0`, `false`) is the all-zero pattern.
+        self.alloc_bits(space, ty, vec![0; len])
     }
 
     /// Allocate a buffer initialized from `f32` data.
     pub fn alloc_f32(&mut self, space: MemSpace, data: &[f32]) -> BufferId {
-        self.alloc_scalars(
-            space,
-            Ty::F32,
-            data.iter().map(|&v| Scalar::F32(v)).collect(),
-        )
+        self.alloc_bits(space, Ty::F32, data.iter().map(|v| v.to_bits()).collect())
     }
 
     /// Allocate a buffer initialized from `i32` data.
     pub fn alloc_i32(&mut self, space: MemSpace, data: &[i32]) -> BufferId {
-        self.alloc_scalars(
-            space,
-            Ty::I32,
-            data.iter().map(|&v| Scalar::I32(v)).collect(),
-        )
+        self.alloc_bits(space, Ty::I32, data.iter().map(|&v| v as u32).collect())
     }
 
     /// Allocate a buffer initialized from `u32` data.
     pub fn alloc_u32(&mut self, space: MemSpace, data: &[u32]) -> BufferId {
-        self.alloc_scalars(
-            space,
-            Ty::U32,
-            data.iter().map(|&v| Scalar::U32(v)).collect(),
-        )
+        self.alloc_bits(space, Ty::U32, data.to_vec())
     }
 
-    fn alloc_scalars(&mut self, space: MemSpace, ty: Ty, data: Vec<Scalar>) -> BufferId {
+    /// Allocate a buffer of `ty` elements from their bit patterns.
+    pub(crate) fn alloc_bits(&mut self, space: MemSpace, ty: Ty, data: Vec<u32>) -> BufferId {
         let mut next = self.next_addr;
-        let id = self.alloc_scalars_at(space, ty, data, &mut next);
+        let id = self.alloc_bits_at(space, ty, data, &mut next);
         self.next_addr = next;
         id
     }
@@ -420,13 +436,18 @@ impl Device {
     /// the cache-set behavior) it would have seen running alone — jobs
     /// have private simulated caches, so overlapping address spaces are
     /// unobservable.
-    pub(crate) fn alloc_scalars_at(
+    pub(crate) fn alloc_bits_at(
         &mut self,
         space: MemSpace,
         ty: Ty,
-        data: Vec<Scalar>,
+        data: Vec<u32>,
         next_addr: &mut u64,
     ) -> BufferId {
+        // The write log names buffers by `u32`.
+        assert!(
+            self.buffers.len() < u32::MAX as usize,
+            "buffer arena is full"
+        );
         let id = BufferId(self.buffers.len());
         // Align each buffer to a 256-byte boundary so buffers never share
         // cache lines.
@@ -465,8 +486,8 @@ impl Device {
                 len: buf.data.len(),
             });
         }
-        for (slot, &v) in buf.data.iter_mut().zip(data) {
-            *slot = Scalar::F32(v);
+        for (slot, v) in buf.data.iter_mut().zip(data) {
+            *slot = v.to_bits();
         }
         Ok(())
     }
@@ -477,25 +498,14 @@ impl Device {
     ///
     /// Fails when the buffer is unknown or holds a different element type.
     pub fn read_f32(&self, id: BufferId) -> Result<Vec<f32>, LaunchError> {
-        let buf = self
-            .buffers
-            .get(id.0)
-            .ok_or(LaunchError::UnknownBuffer(id.0))?;
+        let buf = self.buffer(id)?;
         if buf.ty != Ty::F32 {
             return Err(LaunchError::BufferTypeMismatch {
                 expected: Ty::F32,
                 found: buf.ty,
             });
         }
-        buf.data
-            .iter()
-            .map(|s| {
-                s.as_f32().map_err(|_| LaunchError::BufferTypeMismatch {
-                    expected: Ty::F32,
-                    found: s.ty(),
-                })
-            })
-            .collect()
+        Ok(buf.data.iter().map(|&b| f32::from_bits(b)).collect())
     }
 
     /// Read a buffer back as `i32`s.
@@ -504,37 +514,49 @@ impl Device {
     ///
     /// Fails when the buffer is unknown or holds a different element type.
     pub fn read_i32(&self, id: BufferId) -> Result<Vec<i32>, LaunchError> {
-        let buf = self
-            .buffers
-            .get(id.0)
-            .ok_or(LaunchError::UnknownBuffer(id.0))?;
+        let buf = self.buffer(id)?;
         if buf.ty != Ty::I32 {
             return Err(LaunchError::BufferTypeMismatch {
                 expected: Ty::I32,
                 found: buf.ty,
             });
         }
-        buf.data
-            .iter()
-            .map(|s| {
-                s.as_i32().map_err(|_| LaunchError::BufferTypeMismatch {
-                    expected: Ty::I32,
-                    found: s.ty(),
-                })
-            })
-            .collect()
+        Ok(buf.data.iter().map(|&b| b as i32).collect())
     }
 
-    /// Read a buffer back as raw scalars.
+    /// Read a buffer back as scalars of its element type. Buffers are
+    /// stored as raw bit strips, so this decodes into a fresh vector.
     ///
     /// # Errors
     ///
     /// Fails when the buffer id is unknown.
-    pub fn read_scalars(&self, id: BufferId) -> Result<&[Scalar], LaunchError> {
+    pub fn read_scalars(&self, id: BufferId) -> Result<Vec<Scalar>, LaunchError> {
+        let buf = self.buffer(id)?;
+        let tag = crate::soa::tag_of_ty(buf.ty);
+        Ok(buf
+            .data
+            .iter()
+            .map(|&b| crate::soa::decode(tag, b))
+            .collect())
+    }
+
+    fn buffer(&self, id: BufferId) -> Result<&BufferStorage, LaunchError> {
         self.buffers
             .get(id.0)
-            .map(|b| b.data.as_slice())
             .ok_or(LaunchError::UnknownBuffer(id.0))
+    }
+
+    /// Read a buffer back as `f64`s ([`Scalar::to_f64_lossy`] of every
+    /// element), the form pipeline outputs take.
+    pub(crate) fn read_f64_lossy(&self, id: BufferId) -> Result<Vec<f64>, LaunchError> {
+        let buf = self.buffer(id)?;
+        let bits = buf.data.iter();
+        Ok(match buf.ty {
+            Ty::F32 => bits.map(|&b| f64::from(f32::from_bits(b))).collect(),
+            Ty::I32 => bits.map(|&b| f64::from(b as i32)).collect(),
+            Ty::U32 => bits.map(|&b| f64::from(b)).collect(),
+            Ty::Bool => bits.map(|&b| f64::from(u8::from(b != 0))).collect(),
+        })
     }
 
     /// Number of elements in a buffer.
@@ -543,10 +565,7 @@ impl Device {
     ///
     /// Fails when the buffer id is unknown.
     pub fn buffer_len(&self, id: BufferId) -> Result<usize, LaunchError> {
-        self.buffers
-            .get(id.0)
-            .map(|b| b.data.len())
-            .ok_or(LaunchError::UnknownBuffer(id.0))
+        self.buffer(id).map(|b| b.data.len())
     }
 
     /// The memory space a buffer was allocated in.
@@ -555,10 +574,7 @@ impl Device {
     ///
     /// Fails when the buffer id is unknown.
     pub fn buffer_space(&self, id: BufferId) -> Result<MemSpace, LaunchError> {
-        self.buffers
-            .get(id.0)
-            .map(|b| b.space)
-            .ok_or(LaunchError::UnknownBuffer(id.0))
+        self.buffer(id).map(|b| b.space)
     }
 
     /// An opaque marker of the current buffer arena, for
@@ -897,6 +913,41 @@ mod tests {
         let i = d.alloc_i32(MemSpace::Global, &[3, 4]);
         assert_eq!(d.read_i32(i).unwrap(), vec![3, 4]);
         assert!(d.read_f32(i).is_err());
+        // Bit strips decode back to the element type, sign and all.
+        let u = d.alloc_u32(MemSpace::Global, &[u32::MAX]);
+        let n = d.alloc_i32(MemSpace::Global, &[-1]);
+        assert_eq!(d.read_scalars(u).unwrap(), vec![Scalar::U32(u32::MAX)]);
+        assert_eq!(d.read_scalars(n).unwrap(), vec![Scalar::I32(-1)]);
+        assert_eq!(d.read_f64_lossy(u).unwrap(), vec![f64::from(u32::MAX)]);
+        assert_eq!(d.read_f64_lossy(n).unwrap(), vec![-1.0]);
+        assert_eq!(d.read_f64_lossy(b).unwrap(), vec![1.0, 2.0]);
+        let z = d.alloc_zeroed(MemSpace::Global, Ty::Bool, 2);
+        assert_eq!(d.read_scalars(z).unwrap(), vec![Scalar::Bool(false); 2]);
+    }
+
+    #[test]
+    fn degenerate_profiles_are_rejected_at_construction() {
+        let mut wide = DeviceProfile::gtx560();
+        wide.warp_width = 48;
+        assert_eq!(
+            Device::try_new(wide).unwrap_err(),
+            ProfileError::WarpWidth { width: 48 }
+        );
+        let mut no_ways = DeviceProfile::gtx560();
+        no_ways.cache.l1.ways = 0;
+        assert_eq!(
+            Device::try_new(no_ways).unwrap_err(),
+            ProfileError::CacheWays { cache: "l1" }
+        );
+        assert!(Device::try_new(DeviceProfile::core_i7_965()).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid device profile: warp width 0")]
+    fn device_new_panics_on_a_degenerate_profile() {
+        let mut p = DeviceProfile::gtx560();
+        p.warp_width = 0;
+        let _ = Device::new(p);
     }
 
     #[test]

@@ -16,12 +16,14 @@
 //! including 1 — is achieved by making every block's execution a pure
 //! function of the launch-entry state:
 //!
-//! * **Caches**: each block simulates against a private clone of the
-//!   launch-entry L1/constant cache (counters reset, so per-block hit/miss
-//!   deltas fold without double counting). After the launch the device
-//!   cache becomes the *last* block's final state — a deterministic choice
-//!   that keeps caches warm across launches — with counters advanced by
-//!   the summed per-block deltas.
+//! * **Caches**: each block simulates against the launch-entry L1/constant
+//!   cache state (counters reset, so per-block hit/miss deltas fold
+//!   without double counting): a worker owns one working pair and copies
+//!   the entry state into it before every block. After the launch the
+//!   device cache becomes the *last* block's final state — a deterministic
+//!   choice that keeps caches warm across launches, and the only block
+//!   whose caches are kept — with counters advanced by the summed
+//!   per-block deltas.
 //! * **Global memory**: each worker interprets against its own buffer
 //!   image. Global writes are logged per block (stores record the value,
 //!   atomics record the operation) and the worker's image is reverted
@@ -54,9 +56,10 @@ use paraprox_ir::{
 use crate::cache::Cache;
 use crate::device::{ArgValue, BufferStorage, Dim2};
 use crate::error::LaunchError;
-use crate::mask::LaneMask;
+use crate::mask::{LaneMask, MAX_WARP_LANES};
 use crate::pool::{self, WorkQueue};
 use crate::profile::DeviceProfile;
+use crate::soa::{decode, encode_bits, tag_of_ty, TAG_BOOL, TAG_I32, TAG_U32};
 use crate::stats::LaunchStats;
 
 /// Maximum total loop iterations (summed over all warps of all blocks,
@@ -67,32 +70,35 @@ pub(crate) const ITERATION_BUDGET: u64 = 1 << 33;
 /// Divergence masks are per-warp `u64` bitsets, shared by both engines.
 pub(crate) type Mask = LaneMask;
 
-/// Iterate warp lane-ranges that contain at least one active lane, without
-/// allocating. One shift-and-mask per warp (see [`LaneMask::warp_bits`]).
-pub(crate) fn active_warp_ranges(
-    warp_width: usize,
-    lanes: usize,
-    mask: &Mask,
-) -> impl Iterator<Item = (usize, usize)> + '_ {
-    let w = warp_width.max(1);
-    (0..lanes)
-        .step_by(w)
-        .filter(move |&start| mask.warp_bits(start, w) != 0)
-        .map(move |start| (start, (start + w).min(lanes)))
-}
-
 /// Lane-indexed values; entries for inactive lanes hold an arbitrary filler.
 pub(crate) type Lanes = Vec<Scalar>;
 
 pub(crate) const FILLER: Scalar = Scalar::I32(0);
 
-/// Read access to one lane of a lane-indexed value container. Implemented
-/// by the tree-walker's `Vec<Scalar>` and the bytecode engine's
+/// Read access to a lane-indexed value container. Implemented by the
+/// tree-walker's `Vec<Scalar>` and the bytecode engine's
 /// [`crate::soa::RegRow`], so the memory pipeline (loads, stores, atomics,
 /// coalescing/bank-conflict charging) is single-sourced across engines.
+///
+/// The `*_strip` methods offer the container's raw bit strip when all its
+/// lanes share a type; the pipeline then moves bits without decoding a
+/// `Scalar` per lane. The defaults offer nothing, which is how the
+/// tree-walking oracle always takes the per-lane path.
 pub(crate) trait LaneGet {
     /// Scalar value of lane `i`.
     fn lane(&self, i: usize) -> Scalar;
+
+    /// The row as a table of element indices: its bit strip and whether
+    /// the lanes are `i32` (`true`) or `u32`, when they are uniformly one
+    /// of the two.
+    fn index_strip(&self) -> Option<(bool, &[u32])> {
+        None
+    }
+
+    /// The row's bit strip when every lane has type `tag`.
+    fn strip_of(&self, _tag: u8) -> Option<&[u32]> {
+        None
+    }
 }
 
 impl LaneGet for Vec<Scalar> {
@@ -107,15 +113,46 @@ impl LaneGet for crate::soa::RegRow {
     fn lane(&self, i: usize) -> Scalar {
         self.get(i)
     }
+
+    #[inline]
+    fn index_strip(&self) -> Option<(bool, &[u32])> {
+        match self.uniform_tag() {
+            TAG_I32 => Some((true, self.bits())),
+            TAG_U32 => Some((false, self.bits())),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn strip_of(&self, tag: u8) -> Option<&[u32]> {
+        (self.uniform_tag() == tag).then(|| self.bits())
+    }
 }
 
-/// Write access to one lane of a lane-indexed value container.
+/// Write access to a lane-indexed value container that receives a load.
 pub(crate) trait LaneSet {
+    /// Reset every lane to [`FILLER`] ahead of per-lane
+    /// [`LaneSet::set_lane`] calls on the active lanes.
+    fn fill_filler(&mut self, lanes: usize);
+
     /// Store `v` into lane `i`.
     fn set_lane(&mut self, i: usize, v: Scalar);
+
+    /// Instead of the two calls above: prepare to receive raw `tag`-typed
+    /// bits in the lanes of `mask` (inactive lanes read as [`FILLER`]) and
+    /// return the strip to write them to. `None` when the container has no
+    /// strip form.
+    fn begin_strip(&mut self, _tag: u8, _mask: &Mask) -> Option<&mut [u32]> {
+        None
+    }
 }
 
 impl LaneSet for Vec<Scalar> {
+    fn fill_filler(&mut self, lanes: usize) {
+        self.clear();
+        self.resize(lanes, FILLER);
+    }
+
     #[inline(always)]
     fn set_lane(&mut self, i: usize, v: Scalar) {
         self[i] = v;
@@ -123,9 +160,18 @@ impl LaneSet for Vec<Scalar> {
 }
 
 impl LaneSet for crate::soa::RegRow {
+    fn fill_filler(&mut self, lanes: usize) {
+        self.reset_filler(lanes);
+    }
+
     #[inline(always)]
     fn set_lane(&mut self, i: usize, v: Scalar) {
         self.set(i, v);
+    }
+
+    #[inline]
+    fn begin_strip(&mut self, tag: u8, mask: &Mask) -> Option<&mut [u32]> {
+        Some(crate::soa::RegRow::begin_strip(self, tag, mask))
     }
 }
 
@@ -176,36 +222,27 @@ impl ScratchPool {
 
 /// One global-memory write performed by a block, recorded so the write can
 /// be (a) reverted from the worker's buffer image and (b) replayed onto the
-/// device's buffers in block order.
+/// device's buffers in block order. Twenty bytes: buffers are typed bit
+/// strips, so old and new values are raw words, and a validated element
+/// index always fits `u32` (it came from an `i32`/`u32` lane).
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum LoggedWrite {
-    Store {
-        buf: usize,
-        index: usize,
-        old: Scalar,
-        new: Scalar,
-    },
-    Atomic {
-        buf: usize,
-        index: usize,
-        op: BinOp,
-        operand: Scalar,
-        old: Scalar,
-    },
+pub(crate) struct LoggedWrite {
+    buf: u32,
+    index: u32,
+    /// Bits the element held before the write.
+    old: u32,
+    /// A store's new bits; an atomic's operand bits.
+    bits: u32,
+    /// `Some` for an atomic: replay re-applies the operation against the
+    /// accumulated value instead of overwriting.
+    op: Option<BinOp>,
 }
 
 /// Undo a block's writes on the worker's buffer image (reverse order, so
 /// overlapping writes unwind correctly).
 fn revert_writes(buffers: &mut [BufferStorage], log: &[LoggedWrite]) {
     for w in log.iter().rev() {
-        match *w {
-            LoggedWrite::Store {
-                buf, index, old, ..
-            }
-            | LoggedWrite::Atomic {
-                buf, index, old, ..
-            } => buffers[buf].data[index] = old,
-        }
+        buffers[w.buf as usize].data[w.index as usize] = w.old;
     }
 }
 
@@ -213,21 +250,15 @@ fn revert_writes(buffers: &mut [BufferStorage], log: &[LoggedWrite]) {
 /// atomics re-apply their operation against the accumulated value.
 fn replay_writes(buffers: &mut [BufferStorage], log: &[LoggedWrite]) -> Result<(), EvalError> {
     for w in log {
-        match *w {
-            LoggedWrite::Store {
-                buf, index, new, ..
-            } => buffers[buf].data[index] = new,
-            LoggedWrite::Atomic {
-                buf,
-                index,
-                op,
-                operand,
-                ..
-            } => {
-                let current = buffers[buf].data[index];
-                buffers[buf].data[index] = op.apply(current, operand)?;
+        let buf = &mut buffers[w.buf as usize];
+        let slot = &mut buf.data[w.index as usize];
+        *slot = match w.op {
+            None => w.bits,
+            Some(op) => {
+                let tag = tag_of_ty(buf.ty);
+                encode_bits(op.apply(decode(tag, *slot), decode(tag, w.bits))?)
             }
-        }
+        };
     }
     Ok(())
 }
@@ -362,9 +393,71 @@ pub(crate) fn approx_threshold(rate: f64) -> u64 {
 struct BlockOutcome {
     block: usize,
     stats: LaunchStats,
+    /// The block's exit L1 and constant cache — kept only for the last
+    /// block of a launch, whose caches become the device's.
+    caches: Option<(Cache, Cache)>,
+    log: Vec<LoggedWrite>,
+}
+
+/// One shared-memory array of a block: a typed bit strip, like
+/// [`BufferStorage`] without an address.
+struct SharedArray {
+    ty: Ty,
+    data: Vec<u32>,
+}
+
+/// Per-worker state of the memory pipeline, reused across the blocks a
+/// worker executes so that no access and no block allocates for it.
+pub(crate) struct MemScratch {
+    /// Working caches, reset from the launch-entry templates per block.
     l1: Cache,
     constant_cache: Cache,
-    log: Vec<LoggedWrite>,
+    shared: Vec<SharedArray>,
+    /// `store_order[k]` is the lane whose store is applied k-th; empty
+    /// means canonical lane order. Only the *application order* of
+    /// [`ExecCtx::do_store`] is permuted — cost accounting and atomics
+    /// are order-independent.
+    store_order: Vec<usize>,
+    /// Lane-indexed element indices the per-lane path validated, for the
+    /// charging pass that follows it.
+    resolved: Vec<u32>,
+}
+
+impl MemScratch {
+    fn new(profile: &DeviceProfile) -> MemScratch {
+        MemScratch {
+            l1: Cache::new(profile.cache.l1),
+            constant_cache: Cache::new(profile.cache.constant),
+            shared: Vec::new(),
+            store_order: Vec::new(),
+            resolved: Vec::new(),
+        }
+    }
+
+    /// Set up for one block: zeroed shared arrays and the block's store
+    /// permutation (Fisher-Yates over `0..lanes`, seeded per block so
+    /// different blocks shuffle independently).
+    fn begin_block(&mut self, launch: &Launch<'_>, block_id: usize, lanes: usize) {
+        let decls = &launch.kernel.shared;
+        self.shared.resize_with(decls.len(), || SharedArray {
+            ty: Ty::F32,
+            data: Vec::new(),
+        });
+        for (arr, decl) in self.shared.iter_mut().zip(decls) {
+            arr.ty = decl.ty;
+            arr.data.clear();
+            arr.data.resize(decl.len, 0);
+        }
+        self.store_order.clear();
+        if let Some(seed) = launch.schedule_seed {
+            let mut state = seed ^ (block_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            self.store_order.extend(0..lanes);
+            for i in (1..lanes).rev() {
+                let j = (paraprox_prng::splitmix64(&mut state) % (i as u64 + 1)) as usize;
+                self.store_order.swap(i, j);
+            }
+        }
+    }
 }
 
 /// Per-worker mutable state, reused across the blocks a worker executes.
@@ -373,9 +466,20 @@ struct Worker<'a> {
     log: Vec<LoggedWrite>,
     scratch: ScratchPool,
     bc: crate::bytecode::BcScratch,
+    mem: MemScratch,
 }
 
-impl Worker<'_> {
+impl<'a> Worker<'a> {
+    fn new(buffers: &'a mut Vec<BufferStorage>, profile: &DeviceProfile) -> Worker<'a> {
+        Worker {
+            buffers,
+            log: Vec::new(),
+            scratch: ScratchPool::default(),
+            bc: crate::bytecode::BcScratch::default(),
+            mem: MemScratch::new(profile),
+        }
+    }
+
     /// Execute one block against this worker's buffer image, revert the
     /// image, and package the outcome. `isolate` is false only for
     /// single-block launches, where writes may land directly.
@@ -388,32 +492,58 @@ impl Worker<'_> {
         iterations: &AtomicU64,
         isolate: bool,
     ) -> Result<BlockOutcome, EvalError> {
+        self.mem.l1.copy_from(l1_template);
+        self.mem.constant_cache.copy_from(cc_template);
         let result = exec_block(
             launch,
             block_id,
             self.buffers,
             isolate.then_some(&mut self.log),
-            l1_template.clone(),
-            cc_template.clone(),
             iterations,
             &mut self.scratch,
             &mut self.bc,
+            &mut self.mem,
         );
         revert_writes(self.buffers, &self.log);
         match result {
-            Ok((stats, l1, constant_cache)) => Ok(BlockOutcome {
-                block: block_id,
-                stats,
-                l1,
-                constant_cache,
-                log: std::mem::take(&mut self.log),
-            }),
+            Ok(stats) => {
+                let last = block_id + 1 == launch.grid.count();
+                let log = std::mem::take(&mut self.log);
+                // One allocation for the next block's log, not a doubling
+                // series: a launch's blocks write about the same amount.
+                self.log.reserve(log.len());
+                Ok(BlockOutcome {
+                    block: block_id,
+                    stats,
+                    caches: last.then(|| (self.mem.l1.clone(), self.mem.constant_cache.clone())),
+                    log,
+                })
+            }
             Err(e) => {
                 self.log.clear();
                 Err(e)
             }
         }
     }
+}
+
+/// Install the last block's exit caches as the launch's, with counters
+/// advanced from their entry values by the summed per-block deltas.
+fn exit_caches(
+    last: Option<BlockOutcome>,
+    entry_l1: (u64, u64),
+    entry_cc: (u64, u64),
+    stats: &LaunchStats,
+) -> (Cache, Cache) {
+    let (mut l1, mut constant_cache) = last
+        .and_then(|o| o.caches)
+        .expect("a launch's last block keeps its caches");
+    l1.set_counters(entry_l1.0 + stats.l1_hits, entry_l1.1 + stats.l1_misses);
+    constant_cache.set_counters(
+        entry_cc.0 + stats.const_hits,
+        entry_cc.1 + stats.const_misses,
+    );
+    (l1, constant_cache)
 }
 
 /// Execute every block of a launch — serially or across host workers — and
@@ -454,12 +584,7 @@ pub(crate) fn run_launch(
         // Isolation (log + revert per block, replay below) is still applied
         // for multi-block launches so the observable semantics are
         // identical to the parallel path.
-        let mut worker = Worker {
-            buffers,
-            log: Vec::new(),
-            scratch: ScratchPool::default(),
-            bc: crate::bytecode::BcScratch::default(),
-        };
+        let mut worker = Worker::new(buffers, launch.profile);
         for block_id in 0..total {
             let outcome = worker
                 .run_block(
@@ -495,12 +620,7 @@ pub(crate) fn run_launch(
                     .map(|(w, image)| {
                         s.spawn(move || {
                             refresh_image(image, buffers_src, launch.overwritten, refresh);
-                            let mut worker = Worker {
-                                buffers: image,
-                                log: Vec::new(),
-                                scratch: ScratchPool::default(),
-                                bc: crate::bytecode::BcScratch::default(),
-                            };
+                            let mut worker = Worker::new(image, launch.profile);
                             let mut done = Vec::new();
                             let mut err = None;
                             while let Some(block_id) = queue_ref.pop(w) {
@@ -550,15 +670,7 @@ pub(crate) fn run_launch(
     for outcome in &outcomes {
         replay_writes(buffers, &outcome.log).map_err(eval_err)?;
     }
-    if let Some(last) = outcomes.pop() {
-        *l1 = last.l1;
-        *constant_cache = last.constant_cache;
-    }
-    l1.set_counters(entry_l1.0 + stats.l1_hits, entry_l1.1 + stats.l1_misses);
-    constant_cache.set_counters(
-        entry_cc.0 + stats.const_hits,
-        entry_cc.1 + stats.const_misses,
-    );
+    (*l1, *constant_cache) = exit_caches(outcomes.pop(), entry_l1, entry_cc, &stats);
 
     stats.workers = workers as u64;
     stats.wall_nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -663,17 +775,7 @@ pub(crate) fn run_fused(
         for outcome in &outcomes {
             replay_writes(buffers, &outcome.log).map_err(|e| eval_err(seg, e))?;
         }
-        let last = outcomes.pop().expect("segment has at least one block");
-        let mut l1 = last.l1;
-        let mut constant_cache = last.constant_cache;
-        l1.set_counters(
-            seg.entry_l1.0 + stats.l1_hits,
-            seg.entry_l1.1 + stats.l1_misses,
-        );
-        constant_cache.set_counters(
-            seg.entry_cc.0 + stats.const_hits,
-            seg.entry_cc.1 + stats.const_misses,
-        );
+        let (l1, constant_cache) = exit_caches(outcomes.pop(), seg.entry_l1, seg.entry_cc, &stats);
         stats.workers = workers as u64;
         Ok(SegmentOutcome {
             stats,
@@ -686,12 +788,7 @@ pub(crate) fn run_fused(
     if workers == 1 {
         // Serial path: segments run back-to-back against the device's
         // buffers, each with the same isolation rules run_launch applies.
-        let mut worker = Worker {
-            buffers,
-            log: Vec::new(),
-            scratch: ScratchPool::default(),
-            bc: crate::bytecode::BcScratch::default(),
-        };
+        let mut worker = Worker::new(buffers, segs[0].launch.profile);
         for seg in &segs {
             let blocks = seg.launch.grid.count();
             let mut outcomes = Vec::with_capacity(blocks);
@@ -732,12 +829,7 @@ pub(crate) fn run_fused(
                     .map(|(w, image)| {
                         s.spawn(move || {
                             image.clone_from(buffers_src);
-                            let mut worker = Worker {
-                                buffers: image,
-                                log: Vec::new(),
-                                scratch: ScratchPool::default(),
-                                bc: crate::bytecode::BcScratch::default(),
-                            };
+                            let mut worker = Worker::new(image, segs_ref[0].launch.profile);
                             let mut done = Vec::new();
                             let mut err = None;
                             while let Some(global) = queue_ref.pop(w) {
@@ -804,44 +896,31 @@ pub(crate) fn run_fused(
     Ok(results)
 }
 
-/// Flip one bit of a scalar's 32-bit representation. Booleans carry a
-/// single logical bit, so any flip negates them.
-fn flip_bit(v: Scalar, bit: u32) -> Scalar {
-    let m = 1u32 << (bit % 32);
-    match v {
-        Scalar::F32(f) => Scalar::F32(f32::from_bits(f.to_bits() ^ m)),
-        Scalar::I32(i) => Scalar::I32(i ^ m as i32),
-        Scalar::U32(u) => Scalar::U32(u ^ m),
-        Scalar::Bool(b) => Scalar::Bool(!b),
+/// Flip one bit of a `tag`-typed 32-bit pattern. Booleans carry a single
+/// logical bit, so any flip negates them.
+fn flip_bit(bits: u32, tag: u8, bit: u32) -> u32 {
+    if tag == TAG_BOOL {
+        bits ^ 1
+    } else {
+        bits ^ (1u32 << (bit % 32))
     }
 }
 
-/// Fisher-Yates permutation of `0..lanes`, seeded per block so different
-/// blocks shuffle independently.
-fn store_permutation(seed: u64, block_id: u64, lanes: usize) -> Vec<usize> {
-    let mut state = seed ^ block_id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let mut order: Vec<usize> = (0..lanes).collect();
-    for i in (1..lanes).rev() {
-        let j = (paraprox_prng::splitmix64(&mut state) % (i as u64 + 1)) as usize;
-        order.swap(i, j);
-    }
-    order
-}
-
-/// Run a single block to completion and return its stats and final caches.
+/// Run a single block to completion and return its stats; its final
+/// caches are left in `mem`.
 #[allow(clippy::too_many_arguments)]
 fn exec_block(
     launch: &Launch<'_>,
     block_id: usize,
     buffers: &mut Vec<BufferStorage>,
     log: Option<&mut Vec<LoggedWrite>>,
-    l1: Cache,
-    constant_cache: Cache,
     iterations: &AtomicU64,
     scratch: &mut ScratchPool,
     bc: &mut crate::bytecode::BcScratch,
-) -> Result<(LaunchStats, Cache, Cache), EvalError> {
+    mem: &mut MemScratch,
+) -> Result<LaunchStats, EvalError> {
     let lanes = launch.block.count();
+    mem.begin_block(launch, block_id, lanes);
     let mut ctx = ExecCtx {
         profile: launch.profile,
         program: launch.program,
@@ -852,22 +931,12 @@ fn exec_block(
         lanes,
         buffers,
         log,
-        l1,
-        constant_cache,
+        mem,
         stats: LaunchStats::default(),
-        shared: launch
-            .kernel
-            .shared
-            .iter()
-            .map(|decl| vec![Scalar::zero(decl.ty); decl.len])
-            .collect(),
         block_x: (block_id % launch.grid.x) as i32,
         block_y: (block_id / launch.grid.x) as i32,
         iterations,
         scratch,
-        store_order: launch
-            .schedule_seed
-            .map(|seed| store_permutation(seed, block_id as u64, lanes)),
         approx_threshold: launch.approx_threshold,
         approx_rng: launch.approx_seed
             ^ (block_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -884,7 +953,7 @@ fn exec_block(
             ctx.run_block(&launch.kernel.body, &mask, &mut frame)?;
         }
     }
-    Ok((ctx.stats, ctx.l1, ctx.constant_cache))
+    Ok(ctx.stats)
 }
 
 pub(crate) struct ExecCtx<'a> {
@@ -899,20 +968,15 @@ pub(crate) struct ExecCtx<'a> {
     /// `Some` when the block must be isolated (multi-block launches):
     /// every global write is recorded for revert + ordered replay.
     pub(crate) log: Option<&'a mut Vec<LoggedWrite>>,
-    /// Block-private cache snapshots (cloned from launch-entry state).
-    pub(crate) l1: Cache,
-    pub(crate) constant_cache: Cache,
+    /// Block-private caches (reset from launch-entry state), shared
+    /// memory, and the store permutation.
+    pub(crate) mem: &'a mut MemScratch,
     pub(crate) stats: LaunchStats,
-    pub(crate) shared: Vec<Vec<Scalar>>,
     pub(crate) block_x: i32,
     pub(crate) block_y: i32,
     /// Launch-wide loop-iteration budget, shared across workers.
     pub(crate) iterations: &'a AtomicU64,
     pub(crate) scratch: &'a mut ScratchPool,
-    /// When present, `store_order[k]` is the lane whose store is applied
-    /// k-th. Only the *application order* of [`ExecCtx::do_store`] is
-    /// permuted — cost accounting and atomics are order-independent.
-    pub(crate) store_order: Option<Vec<usize>>,
     /// Flip threshold for [`MemSpace::Approx`] loads (0 = off); see
     /// [`approx_threshold`].
     pub(crate) approx_threshold: u64,
@@ -1380,6 +1444,23 @@ impl ExecCtx<'_> {
     }
 
     // ---- memory --------------------------------------------------------
+    //
+    // One pipeline for both engines. Buffers, shared arrays and (in the
+    // bytecode engine) register rows are typed `u32` bit strips, so when
+    // the index row is uniformly `i32`/`u32` — and, for a store, the value
+    // row uniformly has the buffer's type — an access gathers or scatters
+    // raw bits. Everything else (mixed-tag rows, the oracle's
+    // `Vec<Scalar>`, a permuted store order, bit-flip injection) takes the
+    // per-lane path *of the same function*.
+    //
+    // Both paths visit active lanes in the same order, check each lane's
+    // index type, then its bounds, then (stores) its value type, and stop
+    // at the first failure — so an error names the same lane and every
+    // lane before it has already written, whichever path ran. The strip
+    // path merely cannot meet a type error. Both hand the charging pass a
+    // lane-indexed `&[u32]` of validated element indices: a bounds-checked
+    // `i32`/`u32` lane's bits *are* its index, so the strip path passes
+    // the index row itself and the per-lane path a resolved copy.
 
     fn resolve_buffer(&self, mem: MemRef) -> Result<usize, EvalError> {
         match mem {
@@ -1409,15 +1490,16 @@ impl ExecCtx<'_> {
     }
 
     fn do_load(&mut self, mem: MemRef, idx: &Lanes, mask: &Mask) -> Result<Lanes, EvalError> {
-        let mut out = self.scratch.take_lanes(self.lanes, FILLER);
+        // Empty: `do_load_into` sizes and fills it.
+        let mut out = self.scratch.take_lanes(0, FILLER);
         self.do_load_into(mem, idx, mask, &mut out)?;
         Ok(out)
     }
 
-    /// Perform a load into `out`, which the caller has pre-filled with
-    /// [`FILLER`] (inactive lanes keep the filler, exactly like the
-    /// tree-walker's fresh scratch vector). Generic over the lane
-    /// containers so both engines share one memory pipeline.
+    /// Perform a load into `out`: active lanes receive the loaded values,
+    /// inactive lanes [`FILLER`] (exactly like the tree-walker's fresh
+    /// scratch vector). Generic over the lane containers so both engines
+    /// share one memory pipeline.
     pub(crate) fn do_load_into<I: LaneGet, O: LaneSet>(
         &mut self,
         mem: MemRef,
@@ -1425,151 +1507,125 @@ impl ExecCtx<'_> {
         mask: &Mask,
         out: &mut O,
     ) -> Result<(), EvalError> {
+        let mut resolved = std::mem::take(&mut self.mem.resolved);
+        let r = self.load_inner(mem, idx, mask, out, &mut resolved);
+        self.mem.resolved = resolved;
+        r
+    }
+
+    fn load_inner<I: LaneGet, O: LaneSet>(
+        &mut self,
+        mem: MemRef,
+        idx: &I,
+        mask: &Mask,
+        out: &mut O,
+        resolved: &mut Vec<u32>,
+    ) -> Result<(), EvalError> {
         match mem {
             MemRef::Shared(sid) => {
-                let len = self
+                let arr = self
+                    .mem
                     .shared
                     .get(sid.index())
-                    .map(|s| s.len())
                     .ok_or(EvalError::UnknownFunc(sid.index()))?;
-                // Values first (immutable borrow of shared).
-                for lane in mask.iter_set() {
-                    let i = Self::index_to_i64(idx.lane(lane))?;
-                    if i < 0 || i as usize >= len {
-                        return Err(EvalError::OutOfBounds { index: i, len });
-                    }
-                    out.set_lane(lane, self.shared[sid.index()][i as usize]);
-                }
-                self.charge_shared_access(idx, mask)?;
+                let tag = tag_of_ty(arr.ty);
+                let indices = gather(&arr.data, tag, idx, mask, out, resolved, NO_INJECTION)?;
+                self.charge_shared_access(indices, mask);
             }
             MemRef::Param(_) => {
                 let b = self.resolve_buffer(mem)?;
-                let space = self.buffers[b].space;
-                let base = self.buffers[b].base_addr;
-                let len = self.buffers[b].data.len();
-                let inject = space == MemSpace::Approx && self.approx_threshold > 0;
-                for lane in mask.iter_set() {
-                    let i = Self::index_to_i64(idx.lane(lane))?;
-                    if i < 0 || i as usize >= len {
-                        return Err(EvalError::OutOfBounds { index: i, len });
+                let buf = &self.buffers[b];
+                let (space, base, tag) = (buf.space, buf.base_addr, tag_of_ty(buf.ty));
+                let approx = space == MemSpace::Approx;
+                // Injection draws from the block's flip stream once per
+                // lane-load, in lane order: per-lane by nature.
+                let (threshold, rng, flips) = (
+                    self.approx_threshold,
+                    &mut self.approx_rng,
+                    &mut self.stats.bit_flips,
+                );
+                let inject = (approx && threshold > 0).then_some(|bits: u32| {
+                    if paraprox_prng::splitmix64(rng) < threshold {
+                        *flips += 1;
+                        flip_bit(bits, tag, (paraprox_prng::splitmix64(rng) % 32) as u32)
+                    } else {
+                        bits
                     }
-                    let mut v = self.buffers[b].data[i as usize];
-                    if space == MemSpace::Approx {
-                        self.stats.approx_loads += 1;
-                        if inject
-                            && paraprox_prng::splitmix64(&mut self.approx_rng)
-                                < self.approx_threshold
-                        {
-                            let bit = (paraprox_prng::splitmix64(&mut self.approx_rng) % 32) as u32;
-                            v = flip_bit(v, bit);
-                            self.stats.bit_flips += 1;
-                        }
-                    }
-                    out.set_lane(lane, v);
+                });
+                let indices = gather(&buf.data, tag, idx, mask, out, resolved, inject)?;
+                if approx {
+                    self.stats.approx_loads += mask.count() as u64;
                 }
                 match space {
                     MemSpace::Global | MemSpace::Shared => {
-                        self.charge_global_load(base, idx, mask)?;
+                        let (lat, issue) = (self.profile.mem_lat, self.profile.mem_issue);
+                        self.charge_cached_load(base, indices, mask, lat, issue);
                     }
+                    // The approximate region sits behind the same L1 as
+                    // exact global memory — cache state, transaction counts,
+                    // and hit costs are identical — but a miss goes to the
+                    // cheaper (lower-voltage) DRAM timings.
                     MemSpace::Approx => {
-                        self.charge_approx_load(base, idx, mask)?;
+                        let (lat, issue) = (self.profile.approx_lat, self.profile.approx_issue);
+                        self.charge_cached_load(base, indices, mask, lat, issue);
                     }
-                    MemSpace::Constant => {
-                        self.charge_constant_load(base, idx, mask)?;
-                    }
+                    MemSpace::Constant => self.charge_constant_load(base, indices, mask),
                 }
             }
         }
         Ok(())
     }
 
-    fn charge_shared_access<I: LaneGet>(&mut self, idx: &I, mask: &Mask) -> Result<(), EvalError> {
+    /// Bank-conflict charging for one shared-memory access. Conflict
+    /// degree: max number of *distinct word addresses* mapping to the same
+    /// bank within the warp.
+    fn charge_shared_access(&mut self, indices: &[u32], mask: &Mask) {
         const BANKS: usize = 32;
-        let (w, lanes) = (self.profile.warp_width, self.lanes);
-        for (start, end) in active_warp_ranges(w, lanes, mask) {
-            // Conflict degree: max number of *distinct word addresses*
-            // mapping to the same bank within the warp.
-            let mut per_bank: Vec<Vec<i64>> = vec![Vec::new(); BANKS];
-            for lane in start..end {
-                if mask.get(lane) {
-                    let word = Self::index_to_i64(idx.lane(lane))?;
-                    let bank = (word.rem_euclid(BANKS as i64)) as usize;
-                    if !per_bank[bank].contains(&word) {
-                        per_bank[bank].push(word);
-                    }
+        let mut words = WarpSet::new();
+        for (start, bits) in active_warps(self.profile.warp_width, self.lanes, mask) {
+            words.clear();
+            let mut per_bank = [0u8; BANKS];
+            let mut degree = 1u8;
+            for lane in set_lanes(start, bits) {
+                let word = indices[lane];
+                if words.insert(u64::from(word)) {
+                    let count = &mut per_bank[word as usize % BANKS];
+                    *count += 1;
+                    degree = degree.max(*count);
                 }
             }
-            let degree = per_bank.iter().map(|v| v.len()).max().unwrap_or(1).max(1) as u64;
+            let degree = u64::from(degree);
             self.stats.shared_accesses += 1;
             self.stats.bank_conflict_extra += degree - 1;
             self.stats.memory_cycles += self.profile.shared_lat * degree;
             self.stats.instructions += 1;
         }
-        Ok(())
     }
 
-    fn charge_global_load<I: LaneGet>(
+    /// L1-backed load costing, parametrized by the miss timings of the
+    /// backing region (exact vs approximate DRAM): one transaction per
+    /// distinct line a warp touches.
+    fn charge_cached_load(
         &mut self,
         base: u64,
-        idx: &I,
-        mask: &Mask,
-    ) -> Result<(), EvalError> {
-        let (miss_lat, miss_issue) = (self.profile.mem_lat, self.profile.mem_issue);
-        self.charge_cached_load(base, idx, mask, miss_lat, miss_issue)
-    }
-
-    /// The approximate region sits behind the same L1 as exact global
-    /// memory — cache state, transaction counts, and hit costs are
-    /// identical — but a miss goes to the cheaper (lower-voltage) DRAM
-    /// timings, so only the charged latency differs.
-    fn charge_approx_load<I: LaneGet>(
-        &mut self,
-        base: u64,
-        idx: &I,
-        mask: &Mask,
-    ) -> Result<(), EvalError> {
-        let (miss_lat, miss_issue) = (self.profile.approx_lat, self.profile.approx_issue);
-        self.charge_cached_load(base, idx, mask, miss_lat, miss_issue)
-    }
-
-    /// Shared L1-backed load costing, parametrized by the miss timings of
-    /// the backing region (exact vs approximate DRAM).
-    fn charge_cached_load<I: LaneGet>(
-        &mut self,
-        base: u64,
-        idx: &I,
+        indices: &[u32],
         mask: &Mask,
         miss_lat: u64,
         miss_issue: u64,
-    ) -> Result<(), EvalError> {
-        let line = self.l1.line() as u64;
-        let (w, lanes) = (self.profile.warp_width, self.lanes);
-        for (start, end) in active_warp_ranges(w, lanes, mask) {
-            let mut segments: Vec<u64> = Vec::new();
-            for lane in start..end {
-                if mask.get(lane) {
-                    let i = Self::index_to_i64(idx.lane(lane))?;
-                    let addr = base + (i as u64) * 4;
-                    let seg = addr / line;
-                    if !segments.contains(&seg) {
-                        segments.push(seg);
-                    }
-                }
-            }
-            let transactions = segments.len() as u64;
+    ) {
+        let mut segments = WarpSet::new();
+        for (start, bits) in active_warps(self.profile.warp_width, self.lanes, mask) {
+            segments.fill_lines(&self.mem.l1, base, indices, start, bits);
+            let transactions = segments.as_slice().len() as u64;
             self.stats.loads += 1;
             self.stats.instructions += 1;
             self.stats.load_transactions += transactions;
             self.stats.serialized_transactions += transactions.saturating_sub(1);
             let mut hits = 0u64;
-            let mut misses = 0u64;
-            for seg in segments {
-                if self.l1.access(seg * line) {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                }
+            for &seg in segments.as_slice() {
+                hits += u64::from(self.mem.l1.access_line(seg));
             }
+            let misses = transactions - hits;
             self.stats.l1_hits += hits;
             self.stats.l1_misses += misses;
             // Exposed latency once (the slowest class present), plus a
@@ -1577,60 +1633,40 @@ impl ExecCtx<'_> {
             // memory-level parallelism overlaps their latencies.
             let (base, first_issue) = if misses > 0 {
                 (miss_lat, miss_issue)
-            } else if hits > 0 {
-                (self.profile.l1_hit_lat, self.profile.l1_issue)
             } else {
-                (0, 0)
+                (self.profile.l1_hit_lat, self.profile.l1_issue)
             };
             let issue = hits * self.profile.l1_issue + misses * miss_issue;
             let exposed = base / self.profile.latency_hiding.max(1);
             self.stats.memory_cycles += exposed + issue.saturating_sub(first_issue);
         }
-        Ok(())
     }
 
-    fn charge_constant_load<I: LaneGet>(
-        &mut self,
-        base: u64,
-        idx: &I,
-        mask: &Mask,
-    ) -> Result<(), EvalError> {
-        let line = self.constant_cache.line() as u64;
-        let (w, lanes) = (self.profile.warp_width, self.lanes);
-        for (start, end) in active_warp_ranges(w, lanes, mask) {
+    fn charge_constant_load(&mut self, base: u64, indices: &[u32], mask: &Mask) {
+        let mut words = WarpSet::new();
+        for (start, bits) in active_warps(self.profile.warp_width, self.lanes, mask) {
             // The constant cache broadcasts one word per cycle: distinct
             // word addresses within a warp serialize.
-            let mut words: Vec<u64> = Vec::new();
-            for lane in start..end {
-                if mask.get(lane) {
-                    let i = Self::index_to_i64(idx.lane(lane))?;
-                    let addr = base + (i as u64) * 4;
-                    if !words.contains(&addr) {
-                        words.push(addr);
-                    }
-                }
+            words.clear();
+            for lane in set_lanes(start, bits) {
+                words.insert(base + u64::from(indices[lane]) * 4);
             }
+            let transactions = words.as_slice().len() as u64;
             self.stats.loads += 1;
             self.stats.instructions += 1;
-            self.stats.load_transactions += words.len() as u64;
-            self.stats.serialized_transactions += (words.len() as u64).saturating_sub(1);
+            self.stats.load_transactions += transactions;
+            self.stats.serialized_transactions += transactions.saturating_sub(1);
             let mut hits = 0u64;
-            let mut misses = 0u64;
-            for addr in words {
-                if self.constant_cache.access((addr / line) * line) {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                }
+            for &addr in words.as_slice() {
+                hits += u64::from(self.mem.constant_cache.access(addr));
             }
+            let misses = transactions - hits;
             self.stats.const_hits += hits;
             self.stats.const_misses += misses;
             let (base, first_issue) = if misses > 0 {
                 (self.profile.mem_lat, self.profile.mem_issue)
-            } else if hits > 0 {
-                (self.profile.const_hit_lat, self.profile.const_hit_lat)
             } else {
-                (0, 0)
+                (self.profile.const_hit_lat, self.profile.const_hit_lat)
             };
             // The constant port broadcasts one word per cycle: every
             // distinct word serializes at `const_hit_lat`; misses also pay
@@ -1639,7 +1675,6 @@ impl ExecCtx<'_> {
             let exposed = base / self.profile.latency_hiding.max(1);
             self.stats.memory_cycles += exposed + issue.saturating_sub(first_issue);
         }
-        Ok(())
     }
 
     pub(crate) fn do_store<I: LaneGet, V: LaneGet>(
@@ -1649,99 +1684,85 @@ impl ExecCtx<'_> {
         val: &V,
         mask: &Mask,
     ) -> Result<(), EvalError> {
+        let mut resolved = std::mem::take(&mut self.mem.resolved);
+        let r = self.store_inner(mem, idx, val, mask, &mut resolved);
+        self.mem.resolved = resolved;
+        r
+    }
+
+    fn store_inner<I: LaneGet, V: LaneGet>(
+        &mut self,
+        mem: MemRef,
+        idx: &I,
+        val: &V,
+        mask: &Mask,
+        resolved: &mut Vec<u32>,
+    ) -> Result<(), EvalError> {
         match mem {
             MemRef::Shared(sid) => {
-                let len = self
+                let arr = self
+                    .mem
                     .shared
-                    .get(sid.index())
-                    .map(|s| s.len())
+                    .get_mut(sid.index())
                     .ok_or(EvalError::UnknownFunc(sid.index()))?;
-                for k in 0..self.lanes {
-                    let lane = match &self.store_order {
-                        Some(order) => order[k],
-                        None => k,
-                    };
-                    if mask.get(lane) {
-                        let i = Self::index_to_i64(idx.lane(lane))?;
-                        if i < 0 || i as usize >= len {
-                            return Err(EvalError::OutOfBounds { index: i, len });
-                        }
-                        let v = val.lane(lane);
-                        let arr = &mut self.shared[sid.index()];
-                        let expected = arr[i as usize].ty();
-                        if v.ty() != expected {
-                            return Err(EvalError::TypeMismatch {
-                                expected,
-                                found: v.ty(),
-                            });
-                        }
-                        arr[i as usize] = v;
-                    }
-                }
-                self.charge_shared_access(idx, mask)?;
+                let indices = scatter(
+                    &mut arr.data,
+                    arr.ty,
+                    idx,
+                    val,
+                    mask,
+                    &self.mem.store_order,
+                    resolved,
+                    |_, _, _| {},
+                )?;
+                self.charge_shared_access(indices, mask);
                 self.stats.stores += self.warp_count(mask);
             }
             MemRef::Param(_) => {
                 let b = self.resolve_buffer(mem)?;
-                if self.buffers[b].space == MemSpace::Constant {
+                let buf = &mut self.buffers[b];
+                if buf.space == MemSpace::Constant {
                     return Err(EvalError::NotPure("store to constant memory"));
                 }
-                let base = self.buffers[b].base_addr;
-                let len = self.buffers[b].data.len();
-                let elem_ty = self.buffers[b].ty;
-                for k in 0..self.lanes {
-                    let lane = match &self.store_order {
-                        Some(order) => order[k],
-                        None => k,
-                    };
-                    if mask.get(lane) {
-                        let i = Self::index_to_i64(idx.lane(lane))?;
-                        if i < 0 || i as usize >= len {
-                            return Err(EvalError::OutOfBounds { index: i, len });
-                        }
-                        let v = val.lane(lane);
-                        if v.ty() != elem_ty {
-                            return Err(EvalError::TypeMismatch {
-                                expected: elem_ty,
-                                found: v.ty(),
-                            });
-                        }
-                        if let Some(log) = self.log.as_mut() {
-                            log.push(LoggedWrite::Store {
-                                buf: b,
-                                index: i as usize,
-                                old: self.buffers[b].data[i as usize],
-                                new: v,
-                            });
-                        }
-                        self.buffers[b].data[i as usize] = v;
-                    }
+                let (space, base) = (buf.space, buf.base_addr);
+                let mut log = self.log.as_deref_mut();
+                if let Some(log) = &mut log {
+                    log.reserve(mask.count());
                 }
+                let indices = scatter(
+                    &mut buf.data,
+                    buf.ty,
+                    idx,
+                    val,
+                    mask,
+                    &self.mem.store_order,
+                    resolved,
+                    |i, old, bits| {
+                        if let Some(log) = &mut log {
+                            log.push(LoggedWrite {
+                                buf: b as u32,
+                                index: i as u32,
+                                old,
+                                bits,
+                                op: None,
+                            });
+                        }
+                    },
+                )?;
                 // Coalescing for stores: one transaction per distinct line.
                 // Writes to the approximate region are exact (errors are a
                 // read phenomenon) but land in the cheaper DRAM.
-                let line = self.l1.line() as u64;
-                let (w, lanes) = (self.profile.warp_width, self.lanes);
-                let store_lat = if self.buffers[b].space == MemSpace::Approx {
+                let store_lat = if space == MemSpace::Approx {
                     self.profile.approx_store_lat
                 } else {
                     self.profile.store_lat
                 };
-                for (start, end) in active_warp_ranges(w, lanes, mask) {
-                    let mut segments: Vec<u64> = Vec::new();
-                    for lane in start..end {
-                        if mask.get(lane) {
-                            let i = Self::index_to_i64(idx.lane(lane))?;
-                            let addr = base + (i as u64) * 4;
-                            let seg = addr / line;
-                            if !segments.contains(&seg) {
-                                segments.push(seg);
-                            }
-                        }
-                    }
+                let mut segments = WarpSet::new();
+                for (start, bits) in active_warps(self.profile.warp_width, self.lanes, mask) {
+                    segments.fill_lines(&self.mem.l1, base, indices, start, bits);
                     self.stats.stores += 1;
                     self.stats.instructions += 1;
-                    self.stats.memory_cycles += store_lat * segments.len() as u64;
+                    self.stats.memory_cycles += store_lat * segments.as_slice().len() as u64;
                 }
             }
         }
@@ -1761,41 +1782,40 @@ impl ExecCtx<'_> {
         for lane in mask.iter_set() {
             active += 1;
             let i = Self::index_to_i64(idx.lane(lane))?;
-            match mem {
+            let (b, ty, data) = match mem {
                 MemRef::Shared(sid) => {
                     let arr = self
+                        .mem
                         .shared
                         .get_mut(sid.index())
                         .ok_or(EvalError::UnknownFunc(sid.index()))?;
-                    let len = arr.len();
-                    if i < 0 || i as usize >= len {
-                        return Err(EvalError::OutOfBounds { index: i, len });
-                    }
-                    let old = arr[i as usize];
-                    arr[i as usize] = bin.apply(old, val.lane(lane))?;
+                    (None, arr.ty, &mut arr.data)
                 }
                 MemRef::Param(_) => {
                     let b = self.resolve_buffer(mem)?;
-                    if self.buffers[b].space == MemSpace::Constant {
+                    let buf = &mut self.buffers[b];
+                    if buf.space == MemSpace::Constant {
                         return Err(EvalError::NotPure("atomic on constant memory"));
                     }
-                    let len = self.buffers[b].data.len();
-                    if i < 0 || i as usize >= len {
-                        return Err(EvalError::OutOfBounds { index: i, len });
-                    }
-                    let old = self.buffers[b].data[i as usize];
-                    let new = bin.apply(old, val.lane(lane))?;
-                    if let Some(log) = self.log.as_mut() {
-                        log.push(LoggedWrite::Atomic {
-                            buf: b,
-                            index: i as usize,
-                            op: bin,
-                            operand: val.lane(lane),
-                            old,
-                        });
-                    }
-                    self.buffers[b].data[i as usize] = new;
+                    (Some(b), buf.ty, &mut buf.data)
                 }
+            };
+            let len = data.len();
+            if i < 0 || i as usize >= len {
+                return Err(EvalError::OutOfBounds { index: i, len });
+            }
+            let tag = tag_of_ty(ty);
+            let old = data[i as usize];
+            let operand = val.lane(lane);
+            data[i as usize] = encode_bits(bin.apply(decode(tag, old), operand)?);
+            if let (Some(b), Some(log)) = (b, self.log.as_mut()) {
+                log.push(LoggedWrite {
+                    buf: b as u32,
+                    index: i as u32,
+                    old,
+                    bits: encode_bits(operand),
+                    op: Some(bin),
+                });
             }
         }
         // Atomics fully serialize across active lanes. They are also
@@ -1807,5 +1827,205 @@ impl ExecCtx<'_> {
         self.stats.memory_cycles += self.profile.atomic_lat * active;
         self.stats.instructions += self.warp_count(mask);
         Ok(())
+    }
+}
+
+/// Element index of one lane on the per-lane path: index type, then
+/// bounds.
+#[inline]
+fn lane_index<I: LaneGet>(idx: &I, lane: usize, len: usize) -> Result<usize, EvalError> {
+    let i = ExecCtx::index_to_i64(idx.lane(lane))?;
+    if i < 0 || i as usize >= len {
+        return Err(EvalError::OutOfBounds { index: i, len });
+    }
+    Ok(i as usize)
+}
+
+/// Bounds-check one lane of an index strip (`signed`: the row is `i32`).
+#[inline(always)]
+fn strip_index(bits: u32, signed: bool, len: usize) -> Result<usize, EvalError> {
+    let i = if signed {
+        i64::from(bits as i32)
+    } else {
+        i64::from(bits)
+    };
+    if i < 0 || i as usize >= len {
+        return Err(EvalError::OutOfBounds { index: i, len });
+    }
+    Ok(i as usize)
+}
+
+/// [`gather`]'s `inject` for memory that returns what was stored.
+const NO_INJECTION: Option<fn(u32) -> u32> = None;
+
+/// Load `data[idx[lane]]` (elements of type `tag`) into the active lanes
+/// of `out`, in ascending lane order; `inject`, when present, sees every
+/// loaded word and returns the word the lane receives, and keeps the
+/// access on the per-lane path. Returns the lane-indexed element indices
+/// for the charging pass: the index row's own strip, or `resolved` filled
+/// by the per-lane path.
+fn gather<'i, I: LaneGet, O: LaneSet>(
+    data: &[u32],
+    tag: u8,
+    idx: &'i I,
+    mask: &Mask,
+    out: &mut O,
+    resolved: &'i mut Vec<u32>,
+    mut inject: Option<impl FnMut(u32) -> u32>,
+) -> Result<&'i [u32], EvalError> {
+    let (lanes, len) = (mask.lanes(), data.len());
+    if let (Some((signed, ib)), None) = (idx.index_strip(), &inject) {
+        if let Some(ob) = out.begin_strip(tag, mask) {
+            let (ib, ob) = (&ib[..lanes], &mut ob[..lanes]);
+            if mask.all() {
+                for (o, &raw) in ob.iter_mut().zip(ib) {
+                    *o = data[strip_index(raw, signed, len)?];
+                }
+            } else {
+                for lane in mask.iter_set() {
+                    ob[lane] = data[strip_index(ib[lane], signed, len)?];
+                }
+            }
+            return Ok(ib);
+        }
+    }
+    resolved.resize(lanes, 0);
+    out.fill_filler(lanes);
+    for lane in mask.iter_set() {
+        let i = lane_index(idx, lane, len)?;
+        resolved[lane] = i as u32;
+        let bits = match &mut inject {
+            Some(inject) => inject(data[i]),
+            None => data[i],
+        };
+        out.set_lane(lane, decode(tag, bits));
+    }
+    Ok(resolved)
+}
+
+/// Store the active lanes of `val` to `data[idx[lane]]` (elements of type
+/// `ty`), applying lanes in `order` (empty = ascending) and reporting each
+/// write as `(index, old bits, new bits)`. Returns the lane-indexed
+/// element indices like [`gather`]. A permuted order stays per-lane: it
+/// exists to expose races, not to be fast.
+#[allow(clippy::too_many_arguments)]
+fn scatter<'i, I: LaneGet, V: LaneGet>(
+    data: &mut [u32],
+    ty: Ty,
+    idx: &'i I,
+    val: &V,
+    mask: &Mask,
+    order: &[usize],
+    resolved: &'i mut Vec<u32>,
+    mut written: impl FnMut(usize, u32, u32),
+) -> Result<&'i [u32], EvalError> {
+    let (lanes, len, tag) = (mask.lanes(), data.len(), tag_of_ty(ty));
+    if order.is_empty() {
+        if let (Some((signed, ib)), Some(vb)) = (idx.index_strip(), val.strip_of(tag)) {
+            let (ib, vb) = (&ib[..lanes], &vb[..lanes]);
+            let mut put = |lane: usize| -> Result<(), EvalError> {
+                let i = strip_index(ib[lane], signed, len)?;
+                written(i, data[i], vb[lane]);
+                data[i] = vb[lane];
+                Ok(())
+            };
+            if mask.all() {
+                (0..lanes).try_for_each(&mut put)?;
+            } else {
+                mask.iter_set().try_for_each(&mut put)?;
+            }
+            return Ok(ib);
+        }
+    }
+    resolved.resize(lanes, 0);
+    for k in 0..lanes {
+        let lane = order.get(k).copied().unwrap_or(k);
+        if mask.get(lane) {
+            let i = lane_index(idx, lane, len)?;
+            let v = val.lane(lane);
+            if v.ty() != ty {
+                return Err(EvalError::TypeMismatch {
+                    expected: ty,
+                    found: v.ty(),
+                });
+            }
+            resolved[lane] = i as u32;
+            written(i, data[i], encode_bits(v));
+            data[i] = encode_bits(v);
+        }
+    }
+    Ok(resolved)
+}
+
+/// Warps with at least one active lane, as `(first lane, lane bits)`,
+/// without allocating. One shift-and-mask per warp (see
+/// [`LaneMask::warp_bits`]).
+fn active_warps(
+    warp_width: usize,
+    lanes: usize,
+    mask: &Mask,
+) -> impl Iterator<Item = (usize, u64)> + '_ {
+    (0..lanes)
+        .step_by(warp_width)
+        .map(move |start| (start, mask.warp_bits(start, warp_width)))
+        .filter(|&(_, bits)| bits != 0)
+}
+
+/// The active lanes of one warp, ascending, from its [`active_warps`] bits.
+fn set_lanes(start: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let lane = start + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            lane
+        })
+    })
+}
+
+/// The distinct values (line tags, word addresses) one warp touched, in
+/// first-touch order — the order the cache then sees them in. A warp has
+/// at most [`MAX_WARP_LANES`] lanes, so the set lives on the stack.
+struct WarpSet {
+    items: [u64; MAX_WARP_LANES],
+    len: usize,
+}
+
+impl WarpSet {
+    fn new() -> WarpSet {
+        WarpSet {
+            items: [0; MAX_WARP_LANES],
+            len: 0,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Add `v`; returns whether it was new.
+    #[inline]
+    fn insert(&mut self, v: u64) -> bool {
+        let seen = &self.items[..self.len];
+        // Neighbouring lanes usually touch the same line.
+        if seen.last() == Some(&v) || seen.contains(&v) {
+            return false;
+        }
+        self.items[self.len] = v;
+        self.len += 1;
+        true
+    }
+
+    /// Become the distinct `cache` lines the active lanes (`bits`, from
+    /// lane `start`) of one warp touch: lane `l` accesses the 4-byte
+    /// element `indices[l]` of the buffer at `base`. One transaction each.
+    fn fill_lines(&mut self, cache: &Cache, base: u64, indices: &[u32], start: usize, bits: u64) {
+        self.clear();
+        for lane in set_lanes(start, bits) {
+            self.insert(cache.line_of(base + u64::from(indices[lane]) * 4));
+        }
+    }
+
+    fn as_slice(&self) -> &[u64] {
+        &self.items[..self.len]
     }
 }

@@ -92,8 +92,7 @@ fn execute_fused_inner(
         let mut next = entry_addr;
         let mut ids = Vec::with_capacity(job.pipeline.buffers.len());
         for spec in &job.pipeline.buffers {
-            let data = spec.init_scalars()?;
-            ids.push(device.alloc_scalars_at(spec.space, spec.ty, data, &mut next));
+            ids.push(device.alloc_bits_at(spec.space, spec.ty, spec.init_bits()?, &mut next));
         }
         job_ids.push(ids);
     }
@@ -207,8 +206,7 @@ fn execute_fused_inner(
     for (ji, job) in jobs.iter().enumerate() {
         let mut outputs = Vec::with_capacity(job.pipeline.outputs.len());
         for &slot in &job.pipeline.outputs {
-            let scalars = device.read_scalars(job_ids[ji][slot])?;
-            outputs.push(scalars.iter().map(|s| s.to_f64_lossy()).collect());
+            outputs.push(device.read_f64_lossy(job_ids[ji][slot])?);
         }
         runs.push(PipelineRun {
             stats: job_stats[ji],

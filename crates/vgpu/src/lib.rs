@@ -84,5 +84,5 @@ pub use device::{ArgValue, BufferId, Device, Dim2};
 pub use error::LaunchError;
 pub use fused::{execute_fused, FusedJob};
 pub use plan::{BufferInit, BufferSpec, LaunchPlan, Pipeline, PipelineRun, PlanArg};
-pub use profile::{DeviceKind, DeviceProfile, ExecEngine};
+pub use profile::{DeviceKind, DeviceProfile, ExecEngine, ProfileError};
 pub use stats::LaunchStats;

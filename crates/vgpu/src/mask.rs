@@ -15,6 +15,13 @@
 /// Bits per storage word.
 const WORD: usize = 64;
 
+/// Widest warp the device supports: a warp's bits must fit one mask word.
+/// [`crate::DeviceProfile::validate`] enforces it (and that the width is a
+/// power of two, so no warp straddles a word), which is what lets
+/// [`LaneMask::warp_bits`] and the memory pipeline's per-warp transaction
+/// sets work on fixed-size storage.
+pub(crate) const MAX_WARP_LANES: usize = WORD;
+
 /// A per-lane activity bitset for one thread block.
 ///
 /// The `Default` mask is `empty(0)` — a zero-lane placeholder used by the
@@ -87,6 +94,12 @@ impl LaneMask {
         self.words.iter().any(|&w| w != 0)
     }
 
+    /// Number of active lanes.
+    #[inline]
+    pub fn count(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
     /// Are all lanes active?
     #[inline]
     pub fn all(&self) -> bool {
@@ -132,8 +145,9 @@ impl LaneMask {
     }
 
     /// The bits of the warp starting at lane `start`, `width` lanes wide
-    /// (`width` ≤ 64 and warps never straddle a word because the profile
-    /// warp widths divide 64). Bits past the block size read as zero.
+    /// (`width` ≤ 64 and warps never straddle a word because
+    /// [`crate::DeviceProfile::validate`] only admits warp widths that
+    /// divide 64). Bits past the block size read as zero.
     #[inline]
     pub fn warp_bits(&self, start: usize, width: usize) -> u64 {
         debug_assert!(width <= WORD && start.is_multiple_of(width));
@@ -207,6 +221,8 @@ mod tests {
             assert!(f.all(), "full({lanes}) must be all");
             assert_eq!(f.any(), lanes > 0);
             assert_eq!(f.iter_set().count(), lanes);
+            assert_eq!(f.count(), lanes);
+            assert_eq!(e.count(), 0);
             assert!(!e.any());
             assert_eq!(e.all(), lanes == 0);
             assert_eq!(e.iter_set().count(), 0);

@@ -57,41 +57,24 @@ pub struct BufferSpec {
 }
 
 impl BufferSpec {
-    /// Materialize the initial contents as scalars, enforcing that a data
-    /// init's element type matches the declared buffer type — the same
-    /// checks [`Pipeline::execute`] applies, shared with the fused batch
-    /// executor.
-    pub(crate) fn init_scalars(&self) -> Result<Vec<Scalar>, LaunchError> {
-        match &self.init {
-            BufferInit::Zeroed(n) => Ok(vec![Scalar::zero(self.ty); *n]),
-            BufferInit::F32(data) => {
-                if self.ty != Ty::F32 {
-                    return Err(LaunchError::BufferTypeMismatch {
-                        expected: self.ty,
-                        found: Ty::F32,
-                    });
-                }
-                Ok(data.iter().map(|&v| Scalar::F32(v)).collect())
-            }
-            BufferInit::I32(data) => {
-                if self.ty != Ty::I32 {
-                    return Err(LaunchError::BufferTypeMismatch {
-                        expected: self.ty,
-                        found: Ty::I32,
-                    });
-                }
-                Ok(data.iter().map(|&v| Scalar::I32(v)).collect())
-            }
-            BufferInit::U32(data) => {
-                if self.ty != Ty::U32 {
-                    return Err(LaunchError::BufferTypeMismatch {
-                        expected: self.ty,
-                        found: Ty::U32,
-                    });
-                }
-                Ok(data.iter().map(|&v| Scalar::U32(v)).collect())
-            }
+    /// Materialize the initial contents as element bit patterns, enforcing
+    /// that a data init's element type matches the declared buffer type.
+    /// [`Pipeline::execute`] and the fused batch executor both allocate
+    /// through this.
+    pub(crate) fn init_bits(&self) -> Result<Vec<u32>, LaunchError> {
+        let (found, bits) = match &self.init {
+            BufferInit::Zeroed(n) => return Ok(vec![0; *n]),
+            BufferInit::F32(data) => (Ty::F32, data.iter().map(|v| v.to_bits()).collect()),
+            BufferInit::I32(data) => (Ty::I32, data.iter().map(|&v| v as u32).collect()),
+            BufferInit::U32(data) => (Ty::U32, data.clone()),
+        };
+        if self.ty != found {
+            return Err(LaunchError::BufferTypeMismatch {
+                expected: self.ty,
+                found,
+            });
         }
+        Ok(bits)
     }
 
     /// A zeroed global `f32` buffer.
@@ -225,37 +208,7 @@ impl Pipeline {
     ) -> Result<PipelineRun, LaunchError> {
         let mut ids = Vec::with_capacity(self.buffers.len());
         for spec in &self.buffers {
-            let id = match &spec.init {
-                BufferInit::Zeroed(n) => device.alloc_zeroed(spec.space, spec.ty, *n),
-                BufferInit::F32(data) => {
-                    if spec.ty != Ty::F32 {
-                        return Err(LaunchError::BufferTypeMismatch {
-                            expected: spec.ty,
-                            found: Ty::F32,
-                        });
-                    }
-                    device.alloc_f32(spec.space, data)
-                }
-                BufferInit::I32(data) => {
-                    if spec.ty != Ty::I32 {
-                        return Err(LaunchError::BufferTypeMismatch {
-                            expected: spec.ty,
-                            found: Ty::I32,
-                        });
-                    }
-                    device.alloc_i32(spec.space, data)
-                }
-                BufferInit::U32(data) => {
-                    if spec.ty != Ty::U32 {
-                        return Err(LaunchError::BufferTypeMismatch {
-                            expected: spec.ty,
-                            found: Ty::U32,
-                        });
-                    }
-                    device.alloc_u32(spec.space, data)
-                }
-            };
-            ids.push(id);
+            ids.push(device.alloc_bits(spec.space, spec.ty, spec.init_bits()?));
         }
         let mut stats = LaunchStats::default();
         for launch in &self.launches {
@@ -271,8 +224,7 @@ impl Pipeline {
         }
         let mut outputs = Vec::with_capacity(self.outputs.len());
         for &slot in &self.outputs {
-            let scalars = device.read_scalars(ids[slot])?;
-            outputs.push(scalars.iter().map(|s| s.to_f64_lossy()).collect());
+            outputs.push(device.read_f64_lossy(ids[slot])?);
         }
         Ok(PipelineRun { stats, outputs })
     }

@@ -4,6 +4,7 @@
 use paraprox_ir::{BinOp, UnOp};
 
 use crate::cache::CacheConfig;
+use crate::mask::MAX_WARP_LANES;
 
 /// Broad class of device a profile models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,6 +47,56 @@ pub(crate) fn resolve_engine(profile_engine: ExecEngine) -> ExecEngine {
     }
     profile_engine
 }
+
+/// Why a [`DeviceProfile`] cannot be simulated (see
+/// [`DeviceProfile::validate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProfileError {
+    /// The warp width is not a power of two between 1 and 64. Divergence
+    /// masks pack lanes into 64-bit words and the memory pipeline's
+    /// per-warp transaction sets hold 64 entries, so a warp must fit one
+    /// word and never straddle two.
+    WarpWidth {
+        /// The offending width.
+        width: usize,
+    },
+    /// A cache line size is zero or not a whole number of 4-byte words.
+    CacheLine {
+        /// Which cache (`"l1"` or `"constant"`).
+        cache: &'static str,
+        /// The offending line size in bytes.
+        line: usize,
+    },
+    /// A cache has zero ways.
+    CacheWays {
+        /// Which cache.
+        cache: &'static str,
+    },
+    /// A cache has zero bytes of capacity.
+    CacheBytes {
+        /// Which cache.
+        cache: &'static str,
+    },
+}
+
+impl std::fmt::Display for ProfileError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ProfileError::WarpWidth { width } => write!(
+                f,
+                "warp width {width} is not a power of two between 1 and {MAX_WARP_LANES}"
+            ),
+            ProfileError::CacheLine { cache, line } => write!(
+                f,
+                "{cache} line size of {line} bytes is not a positive multiple of 4"
+            ),
+            ProfileError::CacheWays { cache } => write!(f, "{cache} has zero ways"),
+            ProfileError::CacheBytes { cache } => write!(f, "{cache} has zero bytes"),
+        }
+    }
+}
+
+impl std::error::Error for ProfileError {}
 
 /// Machine parameters and per-instruction latencies for a simulated device.
 ///
@@ -205,6 +256,23 @@ impl DeviceProfile {
         }
     }
 
+    /// Check the machine shape the simulator's data structures rely on:
+    /// the warp width (see [`ProfileError::WarpWidth`]) and both cache
+    /// geometries. [`crate::Device::try_new`] calls this.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated condition.
+    pub fn validate(&self) -> Result<(), ProfileError> {
+        if !self.warp_width.is_power_of_two() || self.warp_width > MAX_WARP_LANES {
+            return Err(ProfileError::WarpWidth {
+                width: self.warp_width,
+            });
+        }
+        self.cache.l1.validate("l1")?;
+        self.cache.constant.validate("constant")
+    }
+
     /// Return the profile with its host-parallelism knob set (`0` = all
     /// available cores, `1` = serial).
     pub fn with_parallelism(mut self, workers: usize) -> DeviceProfile {
@@ -288,6 +356,44 @@ mod tests {
         assert_eq!(gpu.binop_lat(BinOp::Div, false), gpu.int_div_lat);
         assert_eq!(gpu.binop_lat(BinOp::Add, true), gpu.alu_lat);
         assert!(gpu.binop_lat(BinOp::Pow, true) > gpu.div_lat);
+    }
+
+    #[test]
+    fn validate_rejects_each_degenerate_shape() {
+        let gpu = DeviceProfile::gtx560();
+        assert_eq!(gpu.validate(), Ok(()));
+        assert_eq!(DeviceProfile::core_i7_965().validate(), Ok(()));
+        // Zero, non-power-of-two (48 would straddle a mask word), and
+        // wider than a per-warp transaction set.
+        for width in [0, 48, 128] {
+            let mut p = gpu.clone();
+            p.warp_width = width;
+            assert_eq!(p.validate(), Err(ProfileError::WarpWidth { width }));
+        }
+        for width in [1, 2, 4, 8, 16, 32, 64] {
+            let mut p = gpu.clone();
+            p.warp_width = width;
+            assert_eq!(p.validate(), Ok(()));
+        }
+        let mut p = gpu.clone();
+        p.cache.l1.line = 0;
+        assert_eq!(
+            p.validate(),
+            Err(ProfileError::CacheLine {
+                cache: "l1",
+                line: 0
+            })
+        );
+        let mut p = gpu.clone();
+        p.cache.constant.ways = 0;
+        assert_eq!(
+            p.validate(),
+            Err(ProfileError::CacheWays { cache: "constant" })
+        );
+        let mut p = gpu.clone();
+        p.cache.l1.bytes = 0;
+        assert_eq!(p.validate(), Err(ProfileError::CacheBytes { cache: "l1" }));
+        assert!(!p.validate().unwrap_err().to_string().is_empty());
     }
 
     #[test]

@@ -169,6 +169,31 @@ impl RegRow {
         self.bits[lane] = encode_bits(v);
     }
 
+    /// Prepare the row to receive `tag`-typed raw bits in the lanes of
+    /// `mask` and return the strip to write them to. Afterwards the row
+    /// reads exactly as if it had been reset to the filler and then
+    /// [`RegRow::set`] lane by lane: uniform `tag` under a full mask,
+    /// filler in the inactive lanes otherwise (so a partial mask over a
+    /// non-`i32` type leaves a mixed row). The caller must write every
+    /// active lane.
+    pub fn begin_strip(&mut self, tag: u8, mask: &LaneMask) -> &mut [u32] {
+        let lanes = mask.lanes();
+        if mask.all() {
+            self.bits.resize(lanes, 0);
+            self.tags.resize(lanes, 0);
+            self.uniform = tag;
+        } else {
+            self.reset_filler(lanes);
+            if tag != FILLER_TAG {
+                self.uniform = TAG_MIXED;
+                for lane in mask.iter_set() {
+                    self.tags[lane] = tag;
+                }
+            }
+        }
+        &mut self.bits
+    }
+
     /// Overwrite every lane with the same scalar.
     pub fn fill(&mut self, lanes: usize, v: Scalar) {
         self.bits.clear();

@@ -539,3 +539,398 @@ fn tree_walk_engine_never_compiles() {
     .unwrap();
     assert_eq!(d.compile_count(), 0);
 }
+
+// ---------------------------------------------------------------------------
+// Memory pipeline: strip path vs per-lane path, and error identity
+// ---------------------------------------------------------------------------
+//
+// The bytecode engine moves raw bit strips when an access's index row is
+// uniformly `i32`/`u32` (and a store's value row has the buffer's type);
+// the tree-walker never does. Every case below therefore pits the strip
+// path — or the fallback the case forces — against the per-lane oracle,
+// at 1/2/4 workers, in canonical and in permuted store order.
+
+/// Typed initial contents of one buffer.
+#[derive(Clone)]
+enum Data {
+    F32(Vec<f32>),
+    I32(Vec<i32>),
+    U32(Vec<u32>),
+}
+
+/// What a run left behind: every buffer as bit patterns, and the stats —
+/// with the two approximate-memory counters `LaunchStats` equality leaves
+/// out — or the error.
+type MemOutcome = (Vec<Vec<u32>>, Result<(LaunchStats, u64, u64), LaunchError>);
+
+#[allow(clippy::too_many_arguments)]
+fn run_mem(
+    profile: DeviceProfile,
+    seed: Option<u64>,
+    approx_rate: f64,
+    program: &Program,
+    kid: KernelId,
+    grid: Dim2,
+    block: Dim2,
+    buffers: &[(MemSpace, Data)],
+) -> MemOutcome {
+    let mut d = Device::new(profile);
+    d.set_schedule_seed(seed);
+    d.set_approx_rate(approx_rate);
+    d.set_approx_seed(0xA11CE);
+    let ids: Vec<_> = buffers
+        .iter()
+        .map(|(space, data)| match data {
+            Data::F32(v) => d.alloc_f32(*space, v),
+            Data::I32(v) => d.alloc_i32(*space, v),
+            Data::U32(v) => d.alloc_u32(*space, v),
+        })
+        .collect();
+    let args: Vec<ArgValue> = ids.iter().map(|&id| ArgValue::Buffer(id)).collect();
+    let result = d
+        .launch(program, kid, grid, block, &args)
+        .map(|s| (s, s.approx_loads, s.bit_flips));
+    let contents = ids
+        .iter()
+        .map(|&id| {
+            d.read_scalars(id)
+                .unwrap()
+                .iter()
+                .map(|s| match *s {
+                    Scalar::F32(v) => v.to_bits(),
+                    Scalar::I32(v) => v as u32,
+                    Scalar::U32(v) => v,
+                    Scalar::Bool(v) => u32::from(v),
+                })
+                .collect()
+        })
+        .collect();
+    (contents, result)
+}
+
+/// Assert that both engines at 1, 2 and 4 workers reproduce the
+/// single-worker tree-walk run, in canonical and in permuted store order
+/// (a permuted run is compared with the oracle under the same seed: which
+/// lane fails first, and what it leaves behind, depends on the order).
+/// Returns the canonical-order reference outcome per profile.
+fn assert_mem_agree(
+    program: &Program,
+    kid: KernelId,
+    grid: Dim2,
+    block: Dim2,
+    buffers: &[(MemSpace, Data)],
+    approx_rate: f64,
+) -> Vec<MemOutcome> {
+    let mut references = Vec::new();
+    for base in profiles() {
+        for seed in [None, Some(0x5EED_0DD5)] {
+            let run = |engine, workers| {
+                run_mem(
+                    base.clone().with_engine(engine).with_parallelism(workers),
+                    seed,
+                    approx_rate,
+                    program,
+                    kid,
+                    grid,
+                    block,
+                    buffers,
+                )
+            };
+            let reference = run(ExecEngine::TreeWalk, 1);
+            for engine in [ExecEngine::TreeWalk, ExecEngine::Bytecode] {
+                for workers in [1, 2, 4] {
+                    assert_eq!(
+                        run(engine, workers),
+                        reference,
+                        "{engine:?} x{workers} seed {seed:?} diverged on {}",
+                        base.name
+                    );
+                }
+            }
+            if seed.is_none() {
+                references.push(reference);
+            }
+        }
+    }
+    references
+}
+
+/// `out[tid] = in[idx[tid]]` (gather) or `out[idx[tid]] = in[tid]`
+/// (scatter), optionally under a mask that switches every third lane off.
+fn indirect_program(idx_ty: Ty, scatter: bool, divergent: bool) -> (Program, KernelId) {
+    let mut program = Program::new();
+    let mut kb = KernelBuilder::new("indirect");
+    let idx = kb.buffer("idx", idx_ty, MemSpace::Global);
+    let input = kb.buffer("in", Ty::F32, MemSpace::Global);
+    let output = kb.buffer("out", Ty::F32, MemSpace::Global);
+    let gid = kb.let_("gid", KernelBuilder::global_id_x());
+    let body = |kb: &mut KernelBuilder| {
+        let i = kb.let_("i", kb.load(idx, gid.clone()));
+        if scatter {
+            let v = kb.let_("v", kb.load(input, gid.clone()));
+            kb.store(output, i, v + Expr::f32(1.0));
+        } else {
+            let v = kb.let_("v", kb.load(input, i));
+            kb.store(output, gid.clone(), v + Expr::f32(1.0));
+        }
+    };
+    if divergent {
+        kb.if_(gid.clone().rem(Expr::i32(3)).ne_(Expr::i32(0)), body);
+    } else {
+        body(&mut kb);
+    }
+    let kid = program.add_kernel(kb.finish());
+    (program, kid)
+}
+
+/// A permutation of `0..n` that is not the identity and not monotone.
+fn shuffled(n: usize) -> Vec<i32> {
+    (0..n).map(|i| ((i * 37 + 11) % n) as i32).collect()
+}
+
+fn eval_error(outcome: &MemOutcome) -> paraprox_ir::EvalError {
+    match &outcome.1 {
+        Err(LaunchError::Eval { source, .. }) => source.clone(),
+        other => panic!("expected an evaluation error, got {other:?}"),
+    }
+}
+
+#[test]
+fn out_of_bounds_lane_is_identical_under_full_divergent_and_permuted_access() {
+    use paraprox_ir::EvalError;
+    // Lane 13 is active under the divergent mask (13 % 3 != 0), lane 12
+    // is not.
+    for (blocks, bad_gid) in [(1usize, 13usize), (3, 32 + 13), (1, 12)] {
+        let n = blocks * 32;
+        for scatter in [false, true] {
+            for divergent in [false, true] {
+                for bad in [1000i32, -1] {
+                    let (program, kid) = indirect_program(Ty::I32, scatter, divergent);
+                    let mut idx = shuffled(n);
+                    idx[bad_gid] = bad;
+                    let buffers = [
+                        (MemSpace::Global, Data::I32(idx)),
+                        (MemSpace::Global, Data::F32(mixed_inputs(n))),
+                        (MemSpace::Global, Data::F32(vec![0.0; n])),
+                    ];
+                    let refs = assert_mem_agree(
+                        &program,
+                        kid,
+                        Dim2::linear(blocks),
+                        Dim2::linear(32),
+                        &buffers,
+                        0.0,
+                    );
+                    for reference in &refs {
+                        if divergent && bad_gid % 3 == 0 {
+                            assert!(reference.1.is_ok(), "masked-off lane must not fault");
+                        } else {
+                            assert_eq!(
+                                eval_error(reference),
+                                EvalError::OutOfBounds {
+                                    index: i64::from(bad),
+                                    len: n
+                                }
+                            );
+                        }
+                    }
+                    // A single-block launch writes in place: a faulting
+                    // scatter leaves the lanes applied before it behind.
+                    if scatter && !divergent && blocks == 1 {
+                        let out = &refs[0].0[2];
+                        assert!(out.iter().any(|&b| b != 0) && out.contains(&0));
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn u32_indices_take_the_strip_path_and_fault_as_unsigned() {
+    use paraprox_ir::EvalError;
+    let n = 64;
+    for scatter in [false, true] {
+        let (program, kid) = indirect_program(Ty::U32, scatter, false);
+        let idx: Vec<u32> = shuffled(n).into_iter().map(|i| i as u32).collect();
+        let mut buffers = [
+            (MemSpace::Global, Data::U32(idx.clone())),
+            (MemSpace::Global, Data::F32(mixed_inputs(n))),
+            (MemSpace::Global, Data::F32(vec![0.0; n])),
+        ];
+        let shape = (Dim2::linear(2), Dim2::linear(32));
+        for reference in assert_mem_agree(&program, kid, shape.0, shape.1, &buffers, 0.0) {
+            assert!(reference.1.is_ok());
+            assert!(reference.0[2].iter().all(|&b| b != 0), "every lane stored");
+        }
+        // An index at or above 2^31 is a large positive index, never a
+        // negative one.
+        let mut bad = idx;
+        bad[40] = 0x8000_0005;
+        buffers[0].1 = Data::U32(bad);
+        for reference in assert_mem_agree(&program, kid, shape.0, shape.1, &buffers, 0.0) {
+            assert_eq!(
+                eval_error(&reference),
+                EvalError::OutOfBounds {
+                    index: 0x8000_0005,
+                    len: n
+                }
+            );
+        }
+    }
+}
+
+#[test]
+fn mixed_tag_rows_fall_back_and_agree_with_the_oracle() {
+    use paraprox_ir::EvalError;
+    let n = 64;
+    let shape = (Dim2::linear(2), Dim2::linear(32));
+    let io = |n: usize| {
+        [
+            (MemSpace::Global, Data::F32(mixed_inputs(n))),
+            (MemSpace::Global, Data::F32(vec![0.0; n])),
+        ]
+    };
+
+    // Index row with i32 lanes and u32 lanes: no strip, no error.
+    let mut program = Program::new();
+    let mut kb = KernelBuilder::new("mixed_index");
+    let input = kb.buffer("in", Ty::F32, MemSpace::Global);
+    let output = kb.buffer("out", Ty::F32, MemSpace::Global);
+    let gid = kb.let_("gid", KernelBuilder::global_id_x());
+    let i = kb.let_mut("i", Ty::I32, gid.clone());
+    kb.if_(KernelBuilder::thread_id_x().lt(Expr::i32(16)), |kb| {
+        kb.assign(i, gid.clone().cast(Ty::U32));
+    });
+    let v = kb.let_("v", kb.load(input, Expr::Var(i)));
+    kb.store(output, Expr::Var(i), v * Expr::f32(2.0));
+    let kid = program.add_kernel(kb.finish());
+    for reference in assert_mem_agree(&program, kid, shape.0, shape.1, &io(n), 0.0) {
+        assert!(reference.1.is_ok());
+        let want: Vec<u32> = mixed_inputs(n)
+            .iter()
+            .map(|v| (v * 2.0).to_bits())
+            .collect();
+        assert_eq!(reference.0[1], want);
+    }
+
+    // Value row uniformly of another type than the buffer: the first
+    // active lane faults.
+    let mut program = Program::new();
+    let mut kb = KernelBuilder::new("wrong_value_type");
+    let _input = kb.buffer("in", Ty::F32, MemSpace::Global);
+    let output = kb.buffer("out", Ty::F32, MemSpace::Global);
+    let gid = kb.let_("gid", KernelBuilder::global_id_x());
+    kb.store(output, gid.clone(), gid);
+    let kid = program.add_kernel(kb.finish());
+    let mismatch = EvalError::TypeMismatch {
+        expected: Ty::F32,
+        found: Ty::I32,
+    };
+    for reference in assert_mem_agree(&program, kid, shape.0, shape.1, &io(n), 0.0) {
+        assert_eq!(eval_error(&reference), mismatch);
+    }
+
+    // Value row that turns i32 from lane 20 on: lanes before it store,
+    // then the same fault. One block, so the stores land in place.
+    let mut program = Program::new();
+    let mut kb = KernelBuilder::new("mixed_value");
+    let input = kb.buffer("in", Ty::F32, MemSpace::Global);
+    let output = kb.buffer("out", Ty::F32, MemSpace::Global);
+    let gid = kb.let_("gid", KernelBuilder::global_id_x());
+    let loaded = kb.load(input, gid.clone());
+    let v = kb.let_mut("v", Ty::F32, loaded);
+    kb.if_(gid.clone().ge(Expr::i32(20)), |kb| {
+        kb.assign(v, gid.clone());
+    });
+    kb.store(output, gid, Expr::Var(v));
+    let kid = program.add_kernel(kb.finish());
+    let refs = assert_mem_agree(
+        &program,
+        kid,
+        Dim2::linear(1),
+        Dim2::linear(32),
+        &io(32),
+        0.0,
+    );
+    for reference in &refs {
+        assert_eq!(eval_error(reference), mismatch);
+    }
+    let want: Vec<u32> = mixed_inputs(32)
+        .iter()
+        .enumerate()
+        .map(|(lane, v)| if lane < 20 { v.to_bits() } else { 0 })
+        .collect();
+    assert_eq!(refs[0].0[1], want, "canonical order stores lanes 0..20");
+}
+
+#[test]
+fn crafted_bank_conflicts_have_the_expected_degree() {
+    for stride in [1i32, 2, 4, 32] {
+        let mut program = Program::new();
+        let mut kb = KernelBuilder::new("banks");
+        let input = kb.buffer("in", Ty::F32, MemSpace::Global);
+        let output = kb.buffer("out", Ty::F32, MemSpace::Global);
+        let staged = kb.shared_array("s", Ty::F32, 32 * 32);
+        let tid = kb.let_("tid", KernelBuilder::thread_id_x());
+        let slot = kb.let_("slot", tid.clone() * Expr::i32(stride));
+        let v = kb.let_("v", kb.load(input, tid.clone()));
+        kb.store(staged, slot.clone(), v);
+        kb.sync();
+        kb.store(output, tid, kb.load(staged, slot));
+        let kid = program.add_kernel(kb.finish());
+        let buffers = [
+            (MemSpace::Global, Data::F32(mixed_inputs(32))),
+            (MemSpace::Global, Data::F32(vec![0.0; 32])),
+        ];
+        let refs = assert_mem_agree(
+            &program,
+            kid,
+            Dim2::linear(1),
+            Dim2::linear(32),
+            &buffers,
+            0.0,
+        );
+        // gtx560: one 32-lane warp; lane words `tid * stride` fold onto
+        // 32 / stride banks, `stride` distinct words each. One store and
+        // one load, each serialized `stride` ways.
+        let (stats, _, _) = refs[0].1.clone().expect("launch succeeds");
+        assert_eq!(stats.shared_accesses, 2);
+        assert_eq!(stats.bank_conflict_extra, 2 * (stride as u64 - 1));
+        assert_eq!(refs[0].0[1], refs[0].0[0], "values survive the staging");
+    }
+}
+
+#[test]
+fn approx_buffers_count_and_flip_the_same_on_both_paths() {
+    let (blocks, lanes) = (8usize, 64usize);
+    let n = blocks * lanes;
+    let (program, kid) = indirect_program(Ty::I32, false, false);
+    let buffers = |space| {
+        [
+            (MemSpace::Global, Data::I32(shuffled(n))),
+            (space, Data::F32(mixed_inputs(n))),
+            (MemSpace::Global, Data::F32(vec![0.0; n])),
+        ]
+    };
+    let shape = (Dim2::linear(blocks), Dim2::linear(lanes));
+    let run =
+        |space, rate| assert_mem_agree(&program, kid, shape.0, shape.1, &buffers(space), rate);
+    let exact = run(MemSpace::Global, 0.0);
+    let rate0 = run(MemSpace::Approx, 0.0);
+    let noisy = run(MemSpace::Approx, 1e-2);
+    for ((exact, rate0), noisy) in exact.iter().zip(&rate0).zip(&noisy) {
+        // Rate 0: the strip path serves the load; contents are exact, and
+        // every lane-load of the approximate buffer is still counted.
+        assert_eq!(rate0.0, exact.0);
+        let (_, approx_loads, bit_flips) = rate0.1.clone().unwrap();
+        assert_eq!((approx_loads, bit_flips), (n as u64, 0));
+        // Rate 1e-2: injection is per-lane in both engines; the seeded
+        // stream flips the same loads whoever executes them.
+        let (_, approx_loads, bit_flips) = noisy.1.clone().unwrap();
+        assert_eq!(approx_loads, n as u64);
+        assert_eq!(bit_flips, 8, "seeded flip stream moved");
+        let differing = noisy.0[2].iter().zip(&exact.0[2]).filter(|(a, b)| a != b);
+        assert_eq!(differing.count() as u64, bit_flips);
+    }
+}

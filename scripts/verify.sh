@@ -104,4 +104,15 @@ echo "==> bench_serve --smoke (serving engine perf gate: batched >= 0.90x unbatc
 # fails verification here.
 (cd target && cargo run --release -p paraprox-bench --bin bench_serve -- --smoke)
 
+echo "==> paraprox-benchmark smokes (iter_converge, kernel_exec: outputs vs host references, simulated values repeat)"
+# The end-to-end benchmark checks every output against the apps'
+# hand-written host reference() functions and exits non-zero when any
+# simulated or counted value differs between a run's repetitions. These
+# two workloads spend their time in the virtual device's memory pipeline
+# (~3 s of repetitions each, ~5 s with set-up), so a change that breaks
+# its bit-identity fails here, not only under the tree-walking oracle.
+for workload in iter_converge kernel_exec; do
+  cargo run --release -q -p paraprox-benchmark -- --workload "$workload" --seconds 3 --trace 0
+done
+
 echo "==> verify OK"
