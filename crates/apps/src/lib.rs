@@ -292,8 +292,8 @@ mod tests {
             let mut job = app
                 .instantiate(Scale::Test, Device::new(DeviceProfile::gtx560()))
                 .unwrap_or_else(|e| panic!("{}: {e}", app.name));
-            // Exact presets minus the exact rung were admitted.
-            assert!(job.schedules().len() >= 3, "{}", app.name);
+            // The presets minus the exact rung were admitted.
+            assert_eq!(job.schedules().len(), 2, "{}", app.name);
             let out = job.run_schedule(&IterSchedule::exact(), 5).unwrap();
             let run = job.last_run().unwrap();
             assert!(run.converged, "{}: {run:?}", app.name);

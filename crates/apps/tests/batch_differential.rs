@@ -6,11 +6,13 @@
 //! cycles, and executor diagnostics that running the same (variant, seed)
 //! sequence one request at a time produces — at any device worker count
 //! and any store-schedule seed. Every one of the 13 apps is checked on a
-//! mixed exact/variant batch.
+//! mixed exact/variant batch, and on a batch mixing two approximate-memory
+//! error rates with an exact run (each job carries its own rate) next to
+//! a batch of exactly one run.
 
 use paraprox::{compile, latency_table_for, CompileOptions, Device, DeviceApp, DeviceProfile};
 use paraprox_apps::{registry, Scale};
-use paraprox_runtime::{Approximable, BatchRun, RunOutcome};
+use paraprox_runtime::{Approximable, BatchRun, EngineDiagnostics, RunOutcome};
 use paraprox_vgpu::ExecEngine;
 
 /// Bind a fresh device app for one (workers, schedule-seed) setting.
@@ -79,6 +81,20 @@ fn assert_outcomes_bit_identical(
     }
 }
 
+/// Run `runs` one request at a time; returns the outcomes and the app's
+/// cumulative executor diagnostics.
+fn one_at_a_time(app: &mut DeviceApp, runs: &[BatchRun]) -> (Vec<RunOutcome>, EngineDiagnostics) {
+    let outcomes = runs
+        .iter()
+        .map(|r| match r.variant {
+            Some(v) => app.run_variant(v, r.seed),
+            None => app.run_exact(r.seed),
+        })
+        .map(|out| out.expect("sequential run must succeed"))
+        .collect();
+    (outcomes, app.engine_diagnostics())
+}
+
 #[test]
 fn all_apps_batched_execution_is_bit_identical_to_sequential() {
     let profile = DeviceProfile::gtx560();
@@ -102,15 +118,7 @@ fn all_apps_batched_execution_is_bit_identical_to_sequential() {
         // the default single-worker device.
         let mut seq_app = bind(&app, &compiled, &profile, 1, None);
         let runs = batch_runs(&usable, &seeds);
-        let reference: Vec<RunOutcome> = runs
-            .iter()
-            .map(|r| match r.variant {
-                Some(v) => seq_app.run_variant(v, r.seed),
-                None => seq_app.run_exact(r.seed),
-            })
-            .map(|out| out.expect("sequential run must succeed"))
-            .collect();
-        let seq_diag = seq_app.engine_diagnostics();
+        let (reference, seq_diag) = one_at_a_time(&mut seq_app, &runs);
 
         for workers in [1usize, 2, 4] {
             for schedule_seed in [None, Some(9u64)] {
@@ -147,4 +155,62 @@ fn all_apps_batched_execution_is_bit_identical_to_sequential() {
             }
         }
     }
+}
+
+#[test]
+fn mixed_rate_and_single_run_batches_are_bit_identical_to_sequential() {
+    const RATES: [f64; 2] = [1e-3, 5e-2];
+    let mut injected = 0;
+    for profile in [DeviceProfile::gtx560(), DeviceProfile::core_i7_965()] {
+        for app in registry() {
+            let workload = (app.build)(Scale::Test, 0);
+            let compiled = compile(
+                &workload,
+                &latency_table_for(&profile),
+                &CompileOptions::default(),
+            )
+            .expect("compile must succeed");
+            let bind_approx = |workers| {
+                bind(&app, &compiled, &profile, workers, None).with_approx_memory(&compiled, &RATES)
+            };
+            let mut seq_app = bind_approx(1);
+            let rungs = seq_app.variant_count();
+            if rungs < compiled.variants.len() + RATES.len() {
+                continue; // no tolerant buffer, so no approximate-memory rung
+            }
+            // The two rates, then exact, then the first rate again.
+            let mixed: Vec<BatchRun> = [Some(rungs - 2), Some(rungs - 1), None, Some(rungs - 2)]
+                .into_iter()
+                .zip(200u64..)
+                .map(|(variant, seed)| BatchRun { variant, seed })
+                .collect();
+            let single = [BatchRun {
+                variant: Some(rungs - 1),
+                seed: 300,
+            }];
+            let (mixed_ref, _) = one_at_a_time(&mut seq_app, &mixed);
+            let (single_ref, seq_diag) = one_at_a_time(&mut seq_app, &single);
+            injected += seq_diag.bit_flips;
+
+            for workers in [1usize, 2] {
+                let setting = format!("{} x{workers}", profile.name);
+                let mut batched = bind_approx(workers);
+                let got = batched.run_batch(&mixed).expect("mixed-rate batch");
+                assert_outcomes_bit_identical(app.spec.name, &setting, &mixed_ref, &got);
+                let got = batched.run_batch(&single).expect("batch of one");
+                assert_outcomes_bit_identical(app.spec.name, &setting, &single_ref, &got);
+                let diag = batched.engine_diagnostics();
+                assert_eq!(
+                    (diag.approx_loads, diag.bit_flips),
+                    (seq_diag.approx_loads, seq_diag.bit_flips),
+                    "{}: approximate-memory traffic ({setting})",
+                    app.spec.name
+                );
+            }
+        }
+    }
+    assert!(
+        injected > 0,
+        "no app injected a flip in the mixed-rate batch"
+    );
 }

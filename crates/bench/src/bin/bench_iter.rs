@@ -218,7 +218,7 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"benchmark\": \"iterative_schedule_sweep\",\n  \"scale\": {:?},\n  \"profile\": \"gtx560\",\n  \"seeds\": {:?},\n  \"toq\": {TOQ},\n  \"note\": \"Loop-of-stencil-reduce jobs run to residual convergence under gated approximation schedules (stencil reach ramps, sampled residual checks, EWMA trend early-exit). Cycles are simulated device cycles summed over every stencil and residual launch; quality is the app metric comparing converged fields against the exact schedule on the same seed; speedup is exact cycles / schedule cycles.\",\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"iterative_schedule_sweep\",\n  \"scale\": {:?},\n  \"profile\": \"gtx560\",\n  \"seeds\": {:?},\n  \"toq\": {TOQ},\n  \"note\": \"Loop-of-stencil-reduce jobs run to residual convergence under gated approximation schedules (sampled residual checks, EWMA trend early-exit). Cycles are simulated device cycles summed over every stencil and residual launch; quality is the app metric comparing converged fields against the exact schedule on the same seed; speedup is exact cycles / schedule cycles.\",\n  \"results\": [\n{}\n  ]\n}}\n",
         if smoke { "test" } else { "paper" },
         seeds,
         entries.join(",\n")

@@ -15,7 +15,8 @@
 //!    and the decision trace is identical at any shard count, worker
 //!    count, or batch window.
 //! 2. **capacity**: the same seeded stream pushed closed-loop through the
-//!    single-shard unbatched engine (the pre-batching path) and through
+//!    single-shard engine at batch window 1 (the same code, one request a
+//!    batch) and through
 //!    the sharded+batched engine; the ratio is the speedup from coalescing
 //!    requests into fused multi-block launches. In `--smoke` mode a ratio
 //!    below 0.90 fails the run (perf gate — the margin absorbs wall-clock

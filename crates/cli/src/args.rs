@@ -812,7 +812,7 @@ mod tests {
                 "inspect",
                 "jacobi",
                 "--schedule",
-                "reach-ramp",
+                "trend-exit",
                 "--iters",
                 "24",
                 "--scale",
@@ -824,7 +824,7 @@ mod tests {
                 bytecode: None,
                 effects: false,
                 partition: false,
-                schedule: Some("reach-ramp".into()),
+                schedule: Some("trend-exit".into()),
                 iters: 24,
                 rungs: false,
                 test_scale: true,

@@ -170,27 +170,8 @@ impl DeviceApp {
     }
 
     fn run(&mut self, variant: Option<usize>, seed: u64) -> Result<RunOutcome, RuntimeError> {
-        let (program, pipeline, rate) = self.prepare(variant, seed)?;
-        // Each invocation gets a fresh buffer arena (and cold caches, as a
-        // new launch context would): reclaim afterwards so long tuning and
-        // deployment loops do not grow device memory without bound.
-        let mark = self.device.buffer_mark();
-        self.device.set_approx_rate(rate);
-        let result = pipeline
-            .execute(&mut self.device, &program)
-            .map_err(|e| RuntimeError(e.to_string()));
-        self.device.set_approx_rate(0.0);
-        self.device.reclaim_buffers(mark);
-        let run = result?;
-        self.absorb_stats(&run.stats);
-        Ok(RunOutcome {
-            output: run.flat_output(),
-            cycles: run.stats.total_cycles(),
-        })
-    }
-
-    fn absorb_stats(&mut self, stats: &paraprox_vgpu::LaunchStats) {
-        self.total_stats.accumulate(stats);
+        let mut outcomes = self.run_batch(&[BatchRun { variant, seed }])?;
+        Ok(outcomes.pop().expect("one run in, one outcome out"))
     }
 }
 
@@ -219,58 +200,35 @@ impl Approximable for DeviceApp {
         self.metric.quality(exact, approx)
     }
 
-    /// Fused batch execution: every run of the batch becomes one job of a
-    /// single fused device dispatch ([`paraprox_vgpu::execute_fused`]),
-    /// so the per-request launch overhead — validation, program-cache
-    /// lookups, worker-scope setup, per-worker arena clones — is paid
-    /// once per batch. Each invocation of [`DeviceApp`] starts from a
-    /// cold launch context (see [`DeviceApp::run`]'s reclaim), making
-    /// runs history-independent; the fused path preserves each job's
-    /// addresses and cache chain exactly, so outcomes are bit-identical
-    /// to the sequential path (asserted by the `batch_differential`
+    /// Every run of the batch — a lone run included — becomes one job of
+    /// a single fused device dispatch ([`paraprox_vgpu::execute_fused`]),
+    /// so worker-scope setup and per-worker image refreshes are paid once
+    /// per batch. Each job starts from a cold launch context (fresh
+    /// buffers at the same simulated addresses, private cold caches, its
+    /// own approximate-memory rate) and the device is left cold, so runs
+    /// are history-independent: outcomes are bit-identical however the
+    /// runs are grouped into batches (asserted by the `batch_differential`
     /// suite in `crates/apps`).
     fn run_batch(&mut self, runs: &[BatchRun]) -> Result<Vec<RunOutcome>, RuntimeError> {
-        if runs.len() <= 1 {
-            // Degenerate batch: the per-request path is cheaper.
-            return runs.iter().map(|r| self.run(r.variant, r.seed)).collect();
-        }
-        // The fault injector's rate is device-global, so a fused dispatch
-        // can carry at most one *distinct* nonzero error rate (jobs whose
-        // pipelines place nothing in approximate memory are unaffected by
-        // the rate). Mixed-rate batches fall back to the sequential path,
-        // which is bit-identical by the fused-path contract.
-        let rates: Vec<f64> = runs
-            .iter()
-            .filter_map(|r| match r.variant {
-                Some(v) if v >= self.variants.len() => Some(self.approx[v - self.variants.len()].1),
-                _ => None,
-            })
-            .collect();
-        let mixed = rates.windows(2).any(|w| w[0].to_bits() != w[1].to_bits());
-        if mixed {
-            return runs.iter().map(|r| self.run(r.variant, r.seed)).collect();
-        }
-        let batch_rate = rates.first().copied().unwrap_or(0.0);
-        // Bake inputs in batch order (the same input-generator call order
-        // the sequential path produces).
+        // Bake inputs in batch order, so the input generator sees the
+        // same call order however the runs are grouped.
         let mut prepared = Vec::with_capacity(runs.len());
         for r in runs {
-            let (program, pipeline, _) = self.prepare(r.variant, r.seed)?;
-            prepared.push((program, pipeline));
+            prepared.push(self.prepare(r.variant, r.seed)?);
         }
         let jobs: Vec<FusedJob<'_>> = prepared
             .iter()
-            .map(|(program, pipeline)| FusedJob { program, pipeline })
+            .map(|(program, pipeline, rate)| FusedJob {
+                program,
+                pipeline,
+                approx_rate: *rate,
+            })
             .collect();
-        self.device.set_approx_rate(batch_rate);
         let batch = execute_fused(&mut self.device, &jobs).map_err(|e| RuntimeError(e.to_string()));
-        self.device.set_approx_rate(0.0);
-        // Keep the steady-state invariant of the sequential path: the
-        // device's caches are cold after every invocation.
         self.device.flush_caches();
         let mut outcomes = Vec::with_capacity(runs.len());
         for run in batch? {
-            self.absorb_stats(&run.stats);
+            self.total_stats.accumulate(&run.stats);
             outcomes.push(RunOutcome {
                 output: run.flat_output(),
                 cycles: run.stats.total_cycles(),

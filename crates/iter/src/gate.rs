@@ -216,13 +216,16 @@ pub fn gate_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::diffusion_model;
+    use crate::testutil::{diffusion_model, reach_ramp};
     use paraprox_ir::{Expr, KernelBuilder, MemSpace, Ty};
 
     #[test]
     fn exact_and_preset_schedules_pass_the_gate() {
         let model = diffusion_model();
-        for schedule in IterSchedule::presets(20) {
+        for schedule in IterSchedule::presets(20)
+            .into_iter()
+            .chain([reach_ramp(20)])
+        {
             let stages = gate_schedule(&model, &schedule)
                 .unwrap_or_else(|e| panic!("schedule {} refused: {e}", schedule.label));
             assert_eq!(stages.len(), 1 + schedule.distinct_approxes().len());
@@ -332,11 +335,7 @@ mod tests {
 
         gate_schedule(&model, &IterSchedule::exact())
             .expect("exact schedule carries no injected error and must pass");
-        let approx = IterSchedule::presets(20)
-            .into_iter()
-            .find(|s| !s.distinct_approxes().is_empty())
-            .expect("some preset approximates");
-        let err = gate_schedule(&model, &approx).unwrap_err();
+        let err = gate_schedule(&model, &reach_ramp(20)).unwrap_err();
         match err {
             IterError::Refused { reasons, .. } => {
                 assert!(

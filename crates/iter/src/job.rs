@@ -420,12 +420,14 @@ impl Approximable for IterativeApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{diffusion_field, diffusion_model, diffusion_spec};
+    use crate::testutil::{diffusion_field, diffusion_model, diffusion_spec, reach_ramp};
     use paraprox_vgpu::DeviceProfile;
 
+    /// The presets approximate only the residual checks; the ladder
+    /// under test also carries a staged stencil ramp.
     fn app(workers: usize) -> IterativeApp {
         let device = Device::new(DeviceProfile::gtx560().with_parallelism(workers));
-        IterativeApp::new(
+        let mut app = IterativeApp::new(
             device,
             diffusion_model(),
             diffusion_spec(),
@@ -433,7 +435,10 @@ mod tests {
         )
         .unwrap()
         .with_presets()
-        .unwrap()
+        .unwrap();
+        app.add_schedule(reach_ramp(diffusion_spec().max_iters))
+            .unwrap();
+        app
     }
 
     #[test]
@@ -527,6 +532,25 @@ mod tests {
     }
 
     #[test]
+    fn tuner_rejects_a_rung_that_costs_more_than_exact() {
+        use paraprox_runtime::{Rung, Toq, Tuner};
+        let mut a = app(1);
+        let tuner = Tuner {
+            toq: Toq::paper_default(),
+            training_seeds: vec![1, 2],
+        };
+        let report = tuner.tune(&mut a).unwrap();
+        let ramp = report
+            .profiles
+            .iter()
+            .find(|p| p.label == "reach-ramp")
+            .unwrap();
+        assert!(ramp.meets_toq && ramp.speedup < 1.0, "{ramp:?}");
+        assert!(!report.backoff_ladder().contains(&Rung::Variant(ramp.index)));
+        assert!(report.chosen.is_some(), "a preset still wins: {report:?}");
+    }
+
+    #[test]
     fn unadmitted_schedule_is_reported() {
         let device = Device::new(DeviceProfile::gtx560().with_parallelism(1));
         let mut a = IterativeApp::new(
@@ -536,7 +560,7 @@ mod tests {
             Box::new(diffusion_field),
         )
         .unwrap();
-        let rogue = IterSchedule::named("reach-ramp", a.spec().max_iters).unwrap();
+        let rogue = reach_ramp(a.spec().max_iters);
         let err = a.run_schedule(&rogue, 0).unwrap_err();
         assert!(err.0.contains("not admitted"), "{err:?}");
     }

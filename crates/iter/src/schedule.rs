@@ -143,18 +143,13 @@ impl IterSchedule {
     /// - `exact` — the reference.
     /// - `sampled-check` — exact stencil; residual every 4 iterations on
     ///   a 1/8 sample.
-    /// - `reach-ramp` — row-snapped reach-1 stencil for the first half
-    ///   of the iteration budget, exact after; residual every 2
-    ///   iterations.
     /// - `trend-exit` — exact stencil, sampled checks, EWMA early exit.
-    /// - `aggressive` — ramp + sparse sampled checks + predictor.
-    pub fn presets(max_iters: u32) -> Vec<IterSchedule> {
-        let half = (max_iters / 2).max(1);
-        let predictor = PredictorSpec {
-            alpha: 0.4,
-            horizon: 6,
-            min_checks: 3,
-        };
+    ///
+    /// No preset carries a [`ReachStage`] ramp — approximating the
+    /// stencil of a convergence loop only ever cost more iterations than
+    /// it saved per iteration — so none depends on the cap today; callers
+    /// can still stage a ramp by hand.
+    pub fn presets(_max_iters: u32) -> Vec<IterSchedule> {
         vec![
             IterSchedule::exact(),
             IterSchedule {
@@ -166,45 +161,15 @@ impl IterSchedule {
                 seed: 0x17E4,
             },
             IterSchedule {
-                label: "reach-ramp".to_string(),
-                stages: vec![
-                    ReachStage {
-                        from_iter: 0,
-                        approx: Some((StencilScheme::Row, 1)),
-                    },
-                    ReachStage {
-                        from_iter: half,
-                        approx: None,
-                    },
-                ],
-                check_every: 2,
-                sample_log2: 1,
-                predictor: None,
-                seed: 0x17E4,
-            },
-            IterSchedule {
                 label: "trend-exit".to_string(),
                 stages: Vec::new(),
                 check_every: 2,
                 sample_log2: 2,
-                predictor: Some(predictor),
-                seed: 0x17E4,
-            },
-            IterSchedule {
-                label: "aggressive".to_string(),
-                stages: vec![
-                    ReachStage {
-                        from_iter: 0,
-                        approx: Some((StencilScheme::Row, 1)),
-                    },
-                    ReachStage {
-                        from_iter: half,
-                        approx: None,
-                    },
-                ],
-                check_every: 4,
-                sample_log2: 3,
-                predictor: Some(predictor),
+                predictor: Some(PredictorSpec {
+                    alpha: 0.4,
+                    horizon: 6,
+                    min_checks: 3,
+                }),
                 seed: 0x17E4,
             },
         ]
@@ -272,6 +237,7 @@ fn stage_line(from: u32, to: u32, approx: Option<(StencilScheme, u32)>) -> Strin
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::reach_ramp;
 
     #[test]
     fn exact_is_exact() {
@@ -286,7 +252,7 @@ mod tests {
     fn presets_start_exact_and_have_unique_labels() {
         let presets = IterSchedule::presets(40);
         assert!(presets[0].is_exact());
-        assert!(presets.len() >= 4);
+        assert_eq!(presets.len(), 3);
         for (i, a) in presets.iter().enumerate() {
             assert!(!a.is_exact() || i == 0, "only rung 0 may be exact");
             for b in &presets[i + 1..] {
@@ -301,7 +267,7 @@ mod tests {
 
     #[test]
     fn ramp_stages_select_by_iteration() {
-        let s = IterSchedule::named("reach-ramp", 40).unwrap();
+        let s = reach_ramp(40);
         assert_eq!(s.approx_at(0), Some((StencilScheme::Row, 1)));
         assert_eq!(s.approx_at(19), Some((StencilScheme::Row, 1)));
         assert_eq!(s.approx_at(20), None);
@@ -315,7 +281,7 @@ mod tests {
 
     #[test]
     fn describe_compresses_stages() {
-        let s = IterSchedule::named("reach-ramp", 8).unwrap();
+        let s = reach_ramp(8);
         let d = s.describe(8);
         assert!(d.contains("iters 0..4: stencil row"), "{d}");
         assert!(d.contains("iters 4..8: stencil exact"), "{d}");

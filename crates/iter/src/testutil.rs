@@ -1,12 +1,37 @@
 //! Shared fixtures for the crate's unit tests.
 
+use paraprox_approx::StencilScheme;
 use paraprox_ir::{Expr, KernelBuilder, MemSpace, Program, Scalar, Ty};
 use paraprox_prng::Rng;
 use paraprox_quality::Metric;
 use paraprox_vgpu::Dim2;
 
 use crate::model::{IterModel, ModelParts};
-use crate::schedule::ConvergenceSpec;
+use crate::schedule::{ConvergenceSpec, IterSchedule, ReachStage};
+
+/// A staged schedule no preset carries: the row-snapped reach-1 stencil
+/// for the first half of the iteration budget, exact after, residual
+/// every 2 iterations on a 1/2 sample. It costs more than the exact
+/// loop, so it also stands in for a rung the tuner must reject.
+pub(crate) fn reach_ramp(max_iters: u32) -> IterSchedule {
+    IterSchedule {
+        label: "reach-ramp".to_string(),
+        stages: vec![
+            ReachStage {
+                from_iter: 0,
+                approx: Some((StencilScheme::Row, 1)),
+            },
+            ReachStage {
+                from_iter: (max_iters / 2).max(1),
+                approx: None,
+            },
+        ],
+        check_every: 2,
+        sample_log2: 1,
+        predictor: None,
+        seed: 0x17E4,
+    }
+}
 
 /// A 5-point damped Jacobi step on a 64x8 field: enough structure for
 /// stencil detection, the full lint suite, and a converging loop. The

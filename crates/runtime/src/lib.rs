@@ -507,12 +507,19 @@ impl DeploymentConfig {
 pub struct Deployment {
     config: DeploymentConfig,
     ladder: Vec<Rung>,
-    /// Index into `ladder`; the last rung is always [`Rung::Exact`].
-    position: usize,
     /// The ladder index this deployment started at (non-zero when the
     /// static error-propagation table predicted the leading rungs would
     /// miss the TOQ for this policy's threshold).
     seeded_position: usize,
+    state: WatchdogState,
+}
+
+/// Everything serving a request can change. `Copy`, so a call that fails
+/// part-way restores its entry state.
+#[derive(Debug, Clone, Copy, Default)]
+struct WatchdogState {
+    /// Index into the ladder; the last rung is always [`Rung::Exact`].
+    position: usize,
     invocations: u64,
     /// Served requests since the last calibration check.
     since_check: u64,
@@ -561,20 +568,17 @@ impl Deployment {
                 ..config
             },
             ladder,
-            position: seeded_position,
             seeded_position,
-            invocations: 0,
-            since_check: 0,
-            checks: 0,
-            violations: 0,
-            promotions: 0,
-            clean_streak: 0,
+            state: WatchdogState {
+                position: seeded_position,
+                ..WatchdogState::default()
+            },
         }
     }
 
     /// The variant the next invocation will use (`None` = exact).
     pub fn current_variant(&self) -> Option<usize> {
-        self.ladder[self.position].variant()
+        self.ladder[self.state.position].variant()
     }
 
     /// The full back-off ladder (terminal rung is always [`Rung::Exact`]).
@@ -584,7 +588,7 @@ impl Deployment {
 
     /// Current position in the ladder (0 = most aggressive).
     pub fn position(&self) -> usize {
-        self.position
+        self.state.position
     }
 
     /// The ladder index this deployment started at. Zero unless the tune
@@ -603,27 +607,27 @@ impl Deployment {
     /// (the exact run of a check, the variant run of a shadow probe) are
     /// *not* counted: they are overhead, not served requests.
     pub fn invocations(&self) -> u64 {
-        self.invocations
+        self.state.invocations
     }
 
     /// Number of calibration checks (including shadow probes) performed.
     pub fn checks(&self) -> u64 {
-        self.checks
+        self.state.checks
     }
 
     /// Number of checks that violated the TOQ.
     pub fn violations(&self) -> u64 {
-        self.violations
+        self.state.violations
     }
 
     /// Number of re-promotions up the ladder.
     pub fn promotions(&self) -> u64 {
-        self.promotions
+        self.state.promotions
     }
 
     /// Consecutive clean checks at the current rung.
     pub fn clean_streak(&self) -> u64 {
-        self.clean_streak
+        self.state.clean_streak
     }
 
     fn promotion_enabled(&self) -> bool {
@@ -633,20 +637,21 @@ impl Deployment {
     /// Register a clean check; promote when the streak reaches the
     /// configured hysteresis threshold. Returns whether a promotion fired.
     fn record_clean(&mut self) -> bool {
-        self.clean_streak += 1;
+        self.state.clean_streak += 1;
         if self.promotion_enabled()
-            && self.position > 0
-            && self.clean_streak >= self.config.promote_after
+            && self.state.position > 0
+            && self.state.clean_streak >= self.config.promote_after
         {
-            self.position -= 1;
-            self.promotions += 1;
-            self.clean_streak = 0;
+            self.state.position -= 1;
+            self.state.promotions += 1;
+            self.state.clean_streak = 0;
             return true;
         }
         false
     }
 
-    /// Execute one invocation on the input derived from `seed`.
+    /// Execute one invocation on the input derived from `seed`: a batch
+    /// of one through [`Deployment::invoke_batch`].
     ///
     /// Every `check_every`-th *served* request is a calibration check:
     /// while serving an approximate variant, the same input is re-run
@@ -659,71 +664,15 @@ impl Deployment {
     ///
     /// # Errors
     ///
-    /// Propagates execution failures.
+    /// Propagates execution failures; a failed invocation leaves the
+    /// deployment exactly as it was.
     pub fn invoke(
         &mut self,
         app: &mut dyn Approximable,
         seed: u64,
     ) -> Result<InvokeResult, RuntimeError> {
-        self.invocations += 1;
-        self.since_check += 1;
-        let variant = self.current_variant();
-        let run = match variant {
-            Some(v) => app.run_variant(v, seed)?,
-            None => app.run_exact(seed)?,
-        };
-        let mut checked_quality = None;
-        let mut backed_off = false;
-        let mut promoted = false;
-        if self.since_check >= self.config.check_every {
-            self.since_check = 0;
-            match variant {
-                Some(_) => {
-                    // Calibration check of the served variant.
-                    self.checks += 1;
-                    let exact = app.run_exact(seed)?;
-                    let q = app.quality(&exact.output, &run.output);
-                    checked_quality = Some(q);
-                    if self.config.toq.is_met(q) {
-                        promoted = self.record_clean();
-                    } else {
-                        self.violations += 1;
-                        // The terminal rung is Exact, so this never walks
-                        // past the end: variant.is_some() implies
-                        // position < ladder.len() - 1.
-                        self.position += 1;
-                        backed_off = true;
-                        self.clean_streak = 0;
-                    }
-                }
-                None if self.promotion_enabled() && self.position > 0 => {
-                    // Serving exact: shadow-probe the next-better rung so
-                    // the deployment can climb back once quality recovers.
-                    self.checks += 1;
-                    let Rung::Variant(candidate) = self.ladder[self.position - 1] else {
-                        unreachable!("only the terminal rung is exact")
-                    };
-                    let probe = app.run_variant(candidate, seed)?;
-                    let q = app.quality(&run.output, &probe.output);
-                    checked_quality = Some(q);
-                    if self.config.toq.is_met(q) {
-                        promoted = self.record_clean();
-                    } else {
-                        self.violations += 1;
-                        self.clean_streak = 0;
-                    }
-                }
-                None => {}
-            }
-        }
-        Ok(InvokeResult {
-            output: run.output,
-            cycles: run.cycles,
-            variant,
-            checked_quality,
-            backed_off,
-            promoted,
-        })
+        let mut results = self.invoke_batch(app, &[seed])?;
+        Ok(results.pop().expect("one seed in, one result out"))
     }
 
     /// Plan the next batch of at most `available` served requests.
@@ -736,20 +685,20 @@ impl Deployment {
     /// calibration re-execution the check needs ([`Calibration`]), to run
     /// on the boundary (last) seed.
     ///
-    /// Because the plan never crosses a boundary, committing it replays
-    /// exactly the state transitions the equivalent [`Deployment::invoke`]
-    /// sequence performs — the decision trace is independent of how many
-    /// requests were available, i.e. of batch-formation timing.
+    /// Because the plan never crosses a boundary, committing it performs
+    /// exactly the state transitions serving its requests one at a time
+    /// would — the decision trace is independent of how many requests
+    /// were available, i.e. of batch-formation timing.
     pub fn plan_batch(&self, available: usize) -> BatchPlan {
-        let span = self.config.check_every - self.since_check;
+        let span = self.config.check_every - self.state.since_check;
         let len = available.min(usize::try_from(span).unwrap_or(usize::MAX));
         let variant = self.current_variant();
         let at_boundary = len as u64 >= span;
         let calibration = if at_boundary && len > 0 {
             match variant {
                 Some(_) => Some(Calibration::Exact),
-                None if self.promotion_enabled() && self.position > 0 => {
-                    let Rung::Variant(candidate) = self.ladder[self.position - 1] else {
+                None if self.promotion_enabled() && self.state.position > 0 => {
+                    let Rung::Variant(candidate) = self.ladder[self.state.position - 1] else {
                         unreachable!("only the terminal rung is exact")
                     };
                     Some(Calibration::Probe(candidate))
@@ -768,10 +717,9 @@ impl Deployment {
 
     /// Commit the outcomes of an executed batch plan: advance the
     /// invocation counters and, at a calibration boundary, drive the
-    /// back-off / clean-streak policy exactly as the equivalent
-    /// [`Deployment::invoke`] sequence would. Returns one
-    /// [`InvokeResult`] per served request; only the boundary (last)
-    /// request can carry check fields.
+    /// back-off / clean-streak policy — the only place it is written.
+    /// Returns one [`InvokeResult`] per served request; only the boundary
+    /// (last) request can carry check fields.
     ///
     /// # Errors
     ///
@@ -805,8 +753,8 @@ impl Deployment {
         if plan.len == 0 {
             return Ok(Vec::new());
         }
-        self.invocations += plan.len as u64;
-        self.since_check += plan.len as u64;
+        self.state.invocations += plan.len as u64;
+        self.state.since_check += plan.len as u64;
         let mut results: Vec<InvokeResult> = served
             .into_iter()
             .map(|run| InvokeResult {
@@ -818,91 +766,110 @@ impl Deployment {
                 promoted: false,
             })
             .collect();
-        if self.since_check >= self.config.check_every {
-            self.since_check = 0;
-            let last = results.last_mut().expect("plan.len > 0");
-            match (&plan.calibration, calibration) {
-                (Some(Calibration::Exact), Some(exact)) => {
-                    self.checks += 1;
-                    let q = app.quality(&exact.output, &last.output);
-                    last.checked_quality = Some(q);
-                    if self.config.toq.is_met(q) {
-                        last.promoted = self.record_clean();
-                    } else {
-                        self.violations += 1;
-                        self.position += 1;
+        if self.state.since_check >= self.config.check_every {
+            self.state.since_check = 0;
+            if let (Some(kind), Some(rerun)) = (plan.calibration, calibration) {
+                let last = results.last_mut().expect("plan.len > 0");
+                self.state.checks += 1;
+                // A check measures the served variant against its exact
+                // re-run; a shadow probe measures the candidate against
+                // the exact output that was served.
+                let q = match kind {
+                    Calibration::Exact => app.quality(&rerun.output, &last.output),
+                    Calibration::Probe(_) => app.quality(&last.output, &rerun.output),
+                };
+                last.checked_quality = Some(q);
+                if self.config.toq.is_met(q) {
+                    last.promoted = self.record_clean();
+                } else {
+                    self.state.violations += 1;
+                    self.state.clean_streak = 0;
+                    if kind == Calibration::Exact {
+                        // The terminal rung is Exact, so this never walks
+                        // past the end: a served variant implies
+                        // position < ladder.len() - 1.
+                        self.state.position += 1;
                         last.backed_off = true;
-                        self.clean_streak = 0;
                     }
                 }
-                (Some(Calibration::Probe(_)), Some(probe)) => {
-                    self.checks += 1;
-                    let q = app.quality(&last.output, &probe.output);
-                    last.checked_quality = Some(q);
-                    if self.config.toq.is_met(q) {
-                        last.promoted = self.record_clean();
-                    } else {
-                        self.violations += 1;
-                        self.clean_streak = 0;
-                    }
-                }
-                (None, None) => {}
-                _ => unreachable!("calibration presence validated above"),
             }
         }
         Ok(results)
     }
 
-    /// Serve `seeds` through the batched path: repeatedly plan a
-    /// rung-stable chunk, execute it (plus any calibration re-execution)
-    /// via [`Approximable::run_batch`], and commit. The returned results
-    /// — and the deployment's decision trace — are identical to invoking
-    /// each seed individually, for any `seeds.len()`.
+    /// Serve the next rung-stable chunk of `seeds`: plan it, execute its
+    /// runs — plus, on a check boundary, the calibration re-execution of
+    /// the boundary (last) seed — as one [`Approximable::run_batch`], and
+    /// commit. Returns one result per served request:
+    /// `seeds[..results.len()]` were served, the rest lie past the next
+    /// boundary and wait for the next call.
     ///
     /// # Errors
     ///
-    /// Propagates execution failures; the failing chunk is not committed.
+    /// Propagates execution failures; nothing of a failed chunk is
+    /// committed, so the deployment is exactly as it was.
+    pub fn invoke_chunk(
+        &mut self,
+        app: &mut dyn Approximable,
+        seeds: &[u64],
+    ) -> Result<Vec<InvokeResult>, RuntimeError> {
+        let plan = self.plan_batch(seeds.len());
+        let chunk = &seeds[..plan.len];
+        let mut runs: Vec<BatchRun> = chunk
+            .iter()
+            .map(|&seed| BatchRun {
+                variant: plan.variant,
+                seed,
+            })
+            .collect();
+        if let Some(c) = &plan.calibration {
+            runs.push(BatchRun {
+                variant: match c {
+                    Calibration::Exact => None,
+                    Calibration::Probe(v) => Some(*v),
+                },
+                seed: *chunk.last().expect("plan.len > 0 with calibration"),
+            });
+        }
+        let mut outcomes = app.run_batch(&runs)?;
+        if outcomes.len() != runs.len() {
+            return Err(RuntimeError(format!(
+                "run_batch returned {} outcomes for {} runs",
+                outcomes.len(),
+                runs.len()
+            )));
+        }
+        let calibration = plan
+            .calibration
+            .is_some()
+            .then(|| outcomes.pop().expect("outcome count checked above"));
+        self.commit_batch(app, &plan, outcomes, calibration)
+    }
+
+    /// Serve `seeds`, one [`Deployment::invoke_chunk`] after another. The
+    /// returned results — and the deployment's decision trace — do not
+    /// depend on how a stream of seeds is cut into successful calls.
+    ///
+    /// # Errors
+    ///
+    /// Propagates execution failures. The call is all-or-nothing: on
+    /// error no result is returned and the deployment is restored to its
+    /// state at entry, chunks committed before the failing one included.
     pub fn invoke_batch(
         &mut self,
         app: &mut dyn Approximable,
         seeds: &[u64],
     ) -> Result<Vec<InvokeResult>, RuntimeError> {
+        let entry = self.state;
         let mut out = Vec::with_capacity(seeds.len());
-        let mut rest = seeds;
-        while !rest.is_empty() {
-            let plan = self.plan_batch(rest.len());
-            let (chunk, tail) = rest.split_at(plan.len);
-            rest = tail;
-            let mut runs: Vec<BatchRun> = chunk
-                .iter()
-                .map(|&seed| BatchRun {
-                    variant: plan.variant,
-                    seed,
-                })
-                .collect();
-            if let Some(c) = &plan.calibration {
-                let boundary = *chunk.last().expect("plan.len > 0 with calibration");
-                runs.push(BatchRun {
-                    variant: match c {
-                        Calibration::Exact => None,
-                        Calibration::Probe(v) => Some(*v),
-                    },
-                    seed: boundary,
-                });
+        while out.len() < seeds.len() {
+            match self.invoke_chunk(app, &seeds[out.len()..]) {
+                Ok(results) => out.extend(results),
+                Err(e) => {
+                    self.state = entry;
+                    return Err(e);
+                }
             }
-            let mut outcomes = app.run_batch(&runs)?;
-            if outcomes.len() != runs.len() {
-                return Err(RuntimeError(format!(
-                    "run_batch returned {} outcomes for {} runs",
-                    outcomes.len(),
-                    runs.len()
-                )));
-            }
-            let cal = plan
-                .calibration
-                .is_some()
-                .then(|| outcomes.pop().expect("outcome count checked above"));
-            out.extend(self.commit_batch(app, &plan, outcomes, cal)?);
         }
         Ok(out)
     }
@@ -948,6 +915,10 @@ mod tests {
         drift_after: Option<u64>,
         /// Quality drop applied to seeds inside this window.
         drift_seeds: Option<std::ops::Range<u64>>,
+        /// Seed on which every variant run fails.
+        fail_variant_seed: Option<u64>,
+        /// Seed on which the exact run fails.
+        fail_exact_seed: Option<u64>,
         runs: u64,
     }
 
@@ -958,6 +929,8 @@ mod tests {
                 exact_cycles: 1000,
                 drift_after: None,
                 drift_seeds: None,
+                fail_variant_seed: None,
+                fail_exact_seed: None,
                 runs: 0,
             }
         }
@@ -970,8 +943,11 @@ mod tests {
         fn variant_label(&self, index: usize) -> String {
             format!("variant{index}")
         }
-        fn run_exact(&mut self, _seed: u64) -> Result<RunOutcome, RuntimeError> {
+        fn run_exact(&mut self, seed: u64) -> Result<RunOutcome, RuntimeError> {
             self.runs += 1;
+            if self.fail_exact_seed == Some(seed) {
+                return Err(RuntimeError(format!("exact run failed on seed {seed}")));
+            }
             Ok(RunOutcome {
                 output: vec![100.0],
                 cycles: self.exact_cycles,
@@ -979,6 +955,9 @@ mod tests {
         }
         fn run_variant(&mut self, index: usize, seed: u64) -> Result<RunOutcome, RuntimeError> {
             self.runs += 1;
+            if self.fail_variant_seed == Some(seed) {
+                return Err(RuntimeError(format!("variant run failed on seed {seed}")));
+            }
             let (quality, cycles) = self.variants[index];
             let mut effective = quality;
             if matches!(self.drift_after, Some(t) if self.runs > t) {
@@ -1521,6 +1500,65 @@ mod tests {
                 40,
                 window,
             );
+        }
+    }
+
+    #[test]
+    fn failed_request_leaves_the_deployment_untouched_at_every_window() {
+        let report = {
+            let mut clean = Mock::new(vec![(95.0, 200), (96.0, 500)]);
+            Tuner::paper_default().tune(&mut clean).unwrap()
+        };
+        let config = DeploymentConfig {
+            toq: Toq::paper_default(),
+            check_every: 4,
+            promote_after: 2,
+        };
+        let state = |d: &Deployment| {
+            (
+                d.invocations(),
+                d.checks(),
+                d.violations(),
+                d.promotions(),
+                d.position(),
+                d.clean_streak(),
+                d.plan_batch(100),
+            )
+        };
+        let seeds: Vec<u64> = (0..12).collect();
+        // Checks fall on seeds 3, 7 and 11. One app fails serving seed 5,
+        // mid-chunk; the other fails the calibration re-run of boundary
+        // seed 7, after the served run of the same seed succeeded.
+        for (fail_variant_seed, fail_exact_seed) in [(Some(5), None), (None, Some(7))] {
+            let failing = fail_variant_seed.or(fail_exact_seed).unwrap();
+            // Window 0 stands for `invoke`, one seed a call.
+            for window in [0usize, 1, 3, 8] {
+                let mut app = Mock::new(vec![(95.0, 200), (96.0, 500)]);
+                app.fail_variant_seed = fail_variant_seed;
+                app.fail_exact_seed = fail_exact_seed;
+                let mut deploy = Deployment::with_config(&report, config);
+                let mut failed_calls = 0;
+                for call in seeds.chunks(window.max(1)) {
+                    let before = state(&deploy);
+                    let result = if window == 0 {
+                        deploy.invoke(&mut app, call[0]).map(|r| vec![r])
+                    } else {
+                        deploy.invoke_batch(&mut app, call)
+                    };
+                    if call.contains(&failing) {
+                        assert!(result.is_err(), "seed {failing} fails (window {window})");
+                        assert_eq!(
+                            state(&deploy),
+                            before,
+                            "failed call changed the deployment (window {window})"
+                        );
+                        failed_calls += 1;
+                    } else {
+                        assert_eq!(result.unwrap().len(), call.len());
+                    }
+                }
+                assert_eq!(failed_calls, 1);
+            }
         }
     }
 

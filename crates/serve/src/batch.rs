@@ -1,28 +1,25 @@
-//! The batcher: coalesce a claimed tenant's queued requests into fused
-//! deployment batches.
+//! The batcher: serve a claimed tenant's queued requests in fused
+//! deployment chunks.
 //!
 //! A worker that claims a tenant pops up to `batch_window` consecutive
 //! requests (the tenant's FIFO order) and serves them here as one *batch*.
-//! The batch is split into rung-stable chunks by
-//! [`Deployment::plan_batch`] — a chunk never crosses a calibration
+//! The batch is cut into rung-stable chunks by
+//! [`Deployment::invoke_chunk`] — a chunk never crosses a calibration
 //! boundary, so the watchdog sees exactly the per-request sequence it
 //! would have seen — and each chunk executes through the application's
 //! [`Approximable::run_batch`], which device-backed apps fuse into a
-//! single multi-block launch over the worker-image pool. The per-request
-//! decision trace (variants served, check qualities, back-offs,
-//! re-promotions) is bit-identical to serving the same stream one request
-//! at a time; only wall-clock cost changes.
+//! single multi-block dispatch over the worker-image pool. The
+//! per-request decision trace (variants served, check qualities,
+//! back-offs, re-promotions, errors) is bit-identical whatever the
+//! window, a window of 1 included: that is the same loop over one item.
+//! Only wall-clock cost changes.
 //!
-//! A batch of one request takes the classic [`Deployment::invoke`] path,
-//! so a `batch_window` of 1 reproduces the pre-batching engine exactly —
-//! that is the baseline the benchmarks compare against.
+//! [`Approximable::run_batch`]: paraprox_runtime::Approximable::run_batch
 
 use std::sync::mpsc;
 use std::time::Instant;
 
-use paraprox_runtime::{
-    Approximable, BatchRun, Calibration, Deployment, InvokeResult, RuntimeError,
-};
+use paraprox_runtime::{Approximable, Deployment, InvokeResult, RuntimeError};
 
 use crate::engine::{Response, TenantId};
 use crate::stats::TenantStats;
@@ -45,98 +42,36 @@ pub(crate) struct BatchItem {
     pub reply: mpsc::Sender<Response>,
 }
 
-/// Serve a claimed tenant's popped requests and reply to each ticket.
-/// Returns the number of requests completed (always `items.len()`).
-pub(crate) fn serve_claimed(tenant: TenantId, core: &mut Core, items: Vec<BatchItem>) -> usize {
-    let count = items.len();
-    if count == 0 {
-        return 0;
-    }
+/// Serve a claimed tenant's popped requests (at least one) and reply to
+/// each ticket.
+pub(crate) fn serve_claimed(tenant: TenantId, core: &mut Core, items: Vec<BatchItem>) {
     core.stats.batches += 1;
-    core.stats.peak_batch = core.stats.peak_batch.max(count as u64);
-    if count == 1 {
-        serve_single(tenant, core, items.into_iter().next().expect("one item"));
-        return 1;
-    }
-    let mut rest = items.as_slice();
-    while !rest.is_empty() {
-        let plan = core.deployment.plan_batch(rest.len());
-        let (chunk, tail) = rest.split_at(plan.len);
-        rest = tail;
+    core.stats.peak_batch = core.stats.peak_batch.max(items.len() as u64);
+    let seeds: Vec<u64> = items.iter().map(|item| item.seed).collect();
+    // Requests are independent submissions, so one failing must not take
+    // its chunk-mates down: a failed chunk committed nothing, and the
+    // rest of the batch is re-served one request at a time — only a
+    // request that fails alone is answered with the error.
+    let mut width = items.len();
+    let mut done = 0;
+    while done < items.len() {
+        let offered = &seeds[done..items.len().min(done + width)];
         let started = Instant::now();
-        let outcome = run_chunk(core, &plan, chunk);
+        let outcome = core.deployment.invoke_chunk(core.app.as_mut(), offered);
         let service_nanos = started.elapsed().as_nanos() as u64;
         match outcome {
             Ok(results) => {
-                for (item, r) in chunk.iter().zip(results) {
-                    record(core, item, service_nanos, Ok(r), tenant);
+                for r in results {
+                    record(core, &items[done], service_nanos, Ok(r), tenant);
+                    done += 1;
                 }
             }
+            Err(_) if offered.len() > 1 => width = 1,
             Err(e) => {
-                // The chunk failed as a unit: every request in it gets the
-                // error, the deployment is left unchanged, and the next
-                // chunk proceeds (requests are independent submissions).
-                for item in chunk {
-                    record(core, item, service_nanos, Err(&e), tenant);
-                }
+                record(core, &items[done], service_nanos, Err(&e), tenant);
+                done += 1;
             }
         }
-    }
-    count
-}
-
-/// Execute one rung-stable chunk: served runs plus the boundary
-/// calibration re-execution, fused into a single `run_batch` call, then
-/// committed to the deployment.
-fn run_chunk(
-    core: &mut Core,
-    plan: &paraprox_runtime::BatchPlan,
-    chunk: &[BatchItem],
-) -> Result<Vec<InvokeResult>, RuntimeError> {
-    let mut runs: Vec<BatchRun> = chunk
-        .iter()
-        .map(|item| BatchRun {
-            variant: plan.variant,
-            seed: item.seed,
-        })
-        .collect();
-    if let Some(c) = &plan.calibration {
-        let boundary = chunk.last().expect("calibration implies a non-empty chunk");
-        runs.push(BatchRun {
-            variant: match c {
-                Calibration::Exact => None,
-                Calibration::Probe(v) => Some(*v),
-            },
-            seed: boundary.seed,
-        });
-    }
-    let mut outcomes = core.app.run_batch(&runs)?;
-    if outcomes.len() != runs.len() {
-        return Err(RuntimeError(format!(
-            "run_batch returned {} outcomes for {} runs",
-            outcomes.len(),
-            runs.len()
-        )));
-    }
-    let calibration = plan.calibration.as_ref().map(|_| {
-        outcomes
-            .pop()
-            .expect("calibration outcome appended to the batch")
-    });
-    core.deployment
-        .commit_batch(core.app.as_ref(), plan, outcomes, calibration)
-}
-
-/// The classic one-request path ([`Deployment::invoke`]): used for
-/// degenerate batches so a window of 1 behaves exactly like the
-/// pre-batching engine.
-fn serve_single(tenant: TenantId, core: &mut Core, item: BatchItem) {
-    let started = Instant::now();
-    let outcome = core.deployment.invoke(core.app.as_mut(), item.seed);
-    let service_nanos = started.elapsed().as_nanos() as u64;
-    match outcome {
-        Ok(r) => record(core, &item, service_nanos, Ok(r), tenant),
-        Err(e) => record(core, &item, service_nanos, Err(&e), tenant),
     }
 }
 

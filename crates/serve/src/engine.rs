@@ -32,8 +32,8 @@ pub struct ServeConfig {
     /// least 1 — one shard reproduces the pre-sharding engine.
     pub shards: usize,
     /// Maximum consecutive requests of one tenant coalesced into a single
-    /// fused batch. Clamped to at least 1; a window of 1 disables
-    /// batching (every request takes the classic per-request path).
+    /// fused batch. Clamped to at least 1: every request is then a batch
+    /// of its own, served by the same code.
     pub batch_window: usize,
     /// Target output quality enforced by every tenant's watchdog.
     pub toq: Toq,
@@ -51,7 +51,7 @@ pub struct ServeConfig {
 impl ServeConfig {
     /// Paper-flavoured defaults: TOQ 90%, check every 40th request,
     /// re-promote after 3 clean checks, a 64-deep queue, auto workers,
-    /// one shard, no batching.
+    /// one shard, a batch window of 1.
     pub fn paper_default() -> ServeConfig {
         ServeConfig {
             queue_capacity: 64,

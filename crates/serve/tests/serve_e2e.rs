@@ -14,6 +14,10 @@ struct Drifting {
     clean_quality: f64,
     drift_quality: f64,
     window: std::ops::Range<u64>,
+    /// Seed on which the variant run fails.
+    fail_variant_seed: Option<u64>,
+    /// Seed on which the exact run fails.
+    fail_exact_seed: Option<u64>,
 }
 
 impl Approximable for Drifting {
@@ -23,13 +27,19 @@ impl Approximable for Drifting {
     fn variant_label(&self, _: usize) -> String {
         "drifting".into()
     }
-    fn run_exact(&mut self, _seed: u64) -> Result<RunOutcome, RuntimeError> {
+    fn run_exact(&mut self, seed: u64) -> Result<RunOutcome, RuntimeError> {
+        if self.fail_exact_seed == Some(seed) {
+            return Err(RuntimeError(format!("exact run failed on seed {seed}")));
+        }
         Ok(RunOutcome {
             output: vec![100.0],
             cycles: 1000,
         })
     }
     fn run_variant(&mut self, _: usize, seed: u64) -> Result<RunOutcome, RuntimeError> {
+        if self.fail_variant_seed == Some(seed) {
+            return Err(RuntimeError(format!("variant run failed on seed {seed}")));
+        }
         let q = if self.window.contains(&seed) {
             self.drift_quality
         } else {
@@ -53,25 +63,37 @@ struct Decision {
     checked_quality: Option<f64>,
     backed_off: bool,
     promoted: bool,
+    error: Option<String>,
 }
 
-/// Serve `requests` seeded requests to three drifting tenants on a
-/// `shards × workers` farm coalescing up to `batch_window` requests per
-/// dispatch, and return each tenant's decision trace in sequence order.
+/// The tenants of [`run_drift_stream`] that never fail.
+const HEALTHY_TENANTS: usize = 3;
+/// The last tenant's variant run fails on this seed (mid-chunk) ...
+const FAILING_SERVED_SEED: u64 = 9;
+/// ... and its exact run on this one, which it meets as the calibration
+/// re-run of a check whose served run succeeded.
+const FAILING_CALIBRATION_SEED: u64 = 16;
+
+/// Serve `requests` seeded requests to three drifting tenants, and a
+/// fourth that also fails two of its requests, on a `shards × workers`
+/// farm coalescing up to `batch_window` requests per dispatch, and
+/// return each tenant's decision trace in sequence order.
 fn run_drift_stream(
     shards: usize,
     workers: usize,
     batch_window: usize,
     requests: u64,
 ) -> Vec<Vec<Decision>> {
-    let drifting = || Drifting {
+    let drifting = |failing: bool| Drifting {
         clean_quality: 95.0,
         drift_quality: 70.0,
         // Seeds are the request sequence numbers: drift hits requests
         // 20..35 of every tenant, then recovers.
         window: 20..35,
+        fail_variant_seed: failing.then_some(FAILING_SERVED_SEED),
+        fail_exact_seed: failing.then_some(FAILING_CALIBRATION_SEED),
     };
-    let report = Tuner::paper_default().tune(&mut drifting()).unwrap();
+    let report = Tuner::paper_default().tune(&mut drifting(false)).unwrap();
     let mut builder = Engine::builder(ServeConfig {
         queue_capacity: 1024,
         workers,
@@ -81,8 +103,11 @@ fn run_drift_stream(
         promote_after: 2,
         ..ServeConfig::paper_default()
     });
-    let tenants: Vec<TenantId> = (0..3)
-        .map(|i| builder.register(format!("tenant{i}"), Box::new(drifting()), &report))
+    let tenants: Vec<TenantId> = (0..=HEALTHY_TENANTS)
+        .map(|i| {
+            let app = Box::new(drifting(i == HEALTHY_TENANTS));
+            builder.register(format!("tenant{i}"), app, &report)
+        })
         .collect();
     let engine = builder.start();
     assert_eq!(engine.worker_count(), shards * workers);
@@ -101,13 +126,13 @@ fn run_drift_stream(
                 .into_iter()
                 .map(|ticket| {
                     let r = ticket.wait().unwrap();
-                    assert!(r.error.is_none(), "no request may fail: {:?}", r.error);
                     Decision {
                         seq: r.seq,
                         variant: r.variant,
                         checked_quality: r.checked_quality,
                         backed_off: r.backed_off,
                         promoted: r.promoted,
+                        error: r.error,
                     }
                 })
                 .collect()
@@ -120,11 +145,11 @@ fn run_drift_stream(
 #[test]
 fn drift_backs_off_and_repromotes_deterministically_across_worker_counts() {
     let requests = 60;
-    // Reference: the original single-actor path — one shard, one worker,
-    // no batching.
+    // Reference: a single actor — one shard, one worker, batch window 1.
     let reference = run_drift_stream(1, 1, 1, requests);
 
-    for trace in &reference {
+    for trace in &reference[..HEALTHY_TENANTS] {
+        assert!(trace.iter().all(|d| d.error.is_none()));
         // Per-tenant FIFO: responses arrive in submission order.
         let seqs: Vec<u64> = trace.iter().map(|d| d.seq).collect();
         assert_eq!(seqs, (0..requests).collect::<Vec<u64>>());
@@ -174,11 +199,19 @@ fn drift_backs_off_and_repromotes_deterministically_across_worker_counts() {
 /// the single-actor reference exactly — batch formation is timing-
 /// dependent (a worker pops whatever is queued, up to the window), so
 /// this asserts that *when* requests coalesce cannot leak into *what*
-/// the watchdog decides.
+/// the watchdog decides. That includes which requests fail: an erroring
+/// request is answered with its error and nothing else of its tenant's
+/// trace moves, whoever shared a chunk with it.
 #[test]
 fn decision_trace_is_identical_across_shards_workers_and_batch_windows() {
     let requests = 60;
     let reference = run_drift_stream(1, 1, 1, requests);
+    let failed: Vec<u64> = reference[HEALTHY_TENANTS]
+        .iter()
+        .filter(|d| d.error.is_some())
+        .map(|d| d.seq)
+        .collect();
+    assert_eq!(failed, [FAILING_SERVED_SEED, FAILING_CALIBRATION_SEED]);
     for shards in [1, 2, 4] {
         for workers in [1, 2, 4] {
             for window in [1, 8] {

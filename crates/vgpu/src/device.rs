@@ -153,11 +153,29 @@ pub(crate) struct ProgramHandle {
 
 impl ProgramHandle {
     /// Stable identity of the cache entry this handle points at, used to
-    /// deduplicate post-launch fusion across the segments of a fused
-    /// batch.
-    pub(crate) fn entry_id(&self) -> (u64, usize) {
+    /// deduplicate post-launch fusion across the segments of a dispatch.
+    fn entry_id(&self) -> (u64, usize) {
         (self.key, self.idx)
     }
+}
+
+/// One validated launch handed to [`Device::dispatch`]: everything of an
+/// [`exec::Launch`] the device does not fill in itself, plus the
+/// simulated cache state the launch enters with.
+pub(crate) struct PreparedLaunch<'a> {
+    pub program: &'a Program,
+    pub kernel: &'a Kernel,
+    pub grid: Dim2,
+    pub block: Dim2,
+    pub args: &'a [ArgValue],
+    /// From [`Device::program_handle`].
+    pub handle: Option<ProgramHandle>,
+    /// Bit-error rate of [`MemSpace::Approx`] loads for this launch.
+    pub approx_rate: f64,
+    /// Buffer arena indices the launch declares input-overwritten.
+    pub overwritten: &'a [usize],
+    pub l1: Cache,
+    pub constant_cache: Cache,
 }
 
 /// Per-device cache of bytecode-compiled kernels, keyed by *structural*
@@ -694,58 +712,88 @@ impl Device {
             }
             overwritten.push(id.0);
         }
-        let handle = match crate::profile::resolve_engine(self.profile.engine) {
-            ExecEngine::Bytecode => Some(self.programs.get_or_compile(program, k, &self.profile)),
-            ExecEngine::TreeWalk => None,
-        };
-        // Pick the artifact: the fused one when available, otherwise the
-        // base artifact — profiling pair frequencies on the way when this
-        // is the entry's first (fusion-enabled) launch.
-        let (compiled, profiling): (Option<&CompiledKernel>, bool) = match &handle {
-            Some(h) if !self.fusion => (Some(&h.compiled), false),
-            Some(h) => match &h.fused {
-                Some(f) => (Some(f), false),
-                None => (Some(&h.compiled), true),
-            },
-            None => (None, false),
-        };
-        let launch = Launch {
-            profile: &self.profile,
+        let launch = PreparedLaunch {
             program,
             kernel: k,
-            args,
             grid,
             block,
-            compiled,
-            schedule_seed: self.schedule_seed,
-            profile_counts: match (&handle, profiling) {
-                (Some(h), true) => Some(&h.counts[..]),
-                _ => None,
-            },
-            approx_threshold: exec::approx_threshold(self.approx_rate),
-            approx_seed: self.approx_seed,
+            args,
+            handle: self.program_handle(program, k),
+            approx_rate: self.approx_rate,
             overwritten: &overwritten,
+            l1: self.l1.clone(),
+            constant_cache: self.constant_cache.clone(),
         };
-        let result = exec::run_launch(
-            &launch,
+        let outcome = self
+            .dispatch(vec![launch])?
+            .pop()
+            .expect("one launch in, one outcome out");
+        (self.l1, self.constant_cache) = (outcome.l1, outcome.constant_cache);
+        Ok(outcome.stats)
+    }
+
+    /// Execute validated launches as one fused dispatch over the worker
+    /// pool — the only way a kernel runs on this device; a plain launch
+    /// is a dispatch of one. Picks each launch's artifact: the fused one
+    /// when available, otherwise the base artifact — profiling pair
+    /// frequencies on the way when this is the entry's first
+    /// (fusion-enabled) launch.
+    ///
+    /// After a successful profiling launch, the hot pairs are fused and
+    /// the artifact cached; every later launch of that entry dispatches
+    /// the superinstructions. Errored dispatches skip fusing (their
+    /// counts may cover only a prefix of execution). The atomic counts
+    /// are worker-count independent: the *set* of executed pcs is
+    /// deterministic, and fusion only asks which counts are non-zero.
+    pub(crate) fn dispatch(
+        &mut self,
+        launches: Vec<PreparedLaunch<'_>>,
+    ) -> Result<Vec<exec::SegmentOutcome>, LaunchError> {
+        let mut profiled: Vec<ProgramHandle> = Vec::new();
+        let segments = launches
+            .into_iter()
+            .map(|p| {
+                let (compiled, profile_counts) = match p.handle {
+                    None => (None, None),
+                    Some(h) if !self.fusion => (Some(h.compiled), None),
+                    Some(ProgramHandle { fused: Some(f), .. }) => (Some(f), None),
+                    Some(h) => {
+                        if !profiled.iter().any(|q| q.entry_id() == h.entry_id()) {
+                            profiled.push(h.clone());
+                        }
+                        (Some(h.compiled), Some(h.counts))
+                    }
+                };
+                exec::FusedSegment {
+                    launch: Launch {
+                        profile: &self.profile,
+                        program: p.program,
+                        kernel: p.kernel,
+                        args: p.args,
+                        grid: p.grid,
+                        block: p.block,
+                        compiled,
+                        schedule_seed: self.schedule_seed,
+                        profile_counts,
+                        approx_threshold: exec::approx_threshold(p.approx_rate),
+                        approx_seed: self.approx_seed,
+                        overwritten: p.overwritten,
+                    },
+                    l1: p.l1,
+                    constant_cache: p.constant_cache,
+                }
+            })
+            .collect();
+        let outcomes = exec::run_fused(
+            segments,
             &mut self.buffers,
-            &mut self.l1,
-            &mut self.constant_cache,
             &mut self.image_pool,
             &self.refresh,
-        );
-        // After a successful profiling launch, fuse the hot pairs and
-        // cache the artifact; every later launch of this entry dispatches
-        // the superinstructions. Errored launches skip fusing (their
-        // counts may cover only a prefix of execution). The atomic counts
-        // are worker-count independent: the *set* of executed pcs is
-        // deterministic, and fusion only asks which counts are non-zero.
-        if result.is_ok() && profiling {
-            if let Some(h) = &handle {
-                self.store_fused_from_counts(h);
-            }
+        )?;
+        for h in &profiled {
+            self.store_fused_from_counts(h);
         }
-        result
+        Ok(outcomes)
     }
 
     /// Validate a launch shape and argument list against a kernel's
@@ -1178,6 +1226,32 @@ mod tests {
             d.read_f32(bufs[1]).unwrap(),
             exact.read_f32(ebufs[1]).unwrap()
         );
+
+        // A fused batch refreshes through the same counters: two jobs of
+        // two buffers and 4 blocks each, on 2 workers — each fresh worker
+        // image copies the 4-buffer arena once.
+        use crate::fused::{execute_fused, FusedJob};
+        use crate::plan::{BufferSpec, LaunchPlan, Pipeline, PlanArg};
+        let mut pipeline = Pipeline::default();
+        let src = pipeline.add_buffer(BufferSpec::f32("src", vec![0.0; 64]));
+        let dst = pipeline.add_buffer(BufferSpec::zeroed_f32("dst", 64));
+        pipeline.launches.push(LaunchPlan {
+            kernel: kid,
+            grid: Dim2::linear(4),
+            block: Dim2::linear(16),
+            args: vec![PlanArg::Buffer(src), PlanArg::Buffer(dst)],
+        });
+        pipeline.outputs.push(dst);
+        let mut fused = Device::new(DeviceProfile::gtx560().with_parallelism(2));
+        let job = || FusedJob {
+            program: &program,
+            pipeline: &pipeline,
+            approx_rate: 0.0,
+        };
+        let runs = execute_fused(&mut fused, &[job(), job()]).unwrap();
+        assert_eq!(runs[1].outputs[0], vec![1.0; 64]);
+        assert_eq!(fused.image_refresh_copies(), 2 * 4);
+        assert_eq!(fused.image_refresh_skips(), 0);
     }
 
     #[test]

@@ -46,6 +46,7 @@
 //! produce identical results.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use paraprox_ir::{
@@ -306,7 +307,7 @@ pub(crate) struct Launch<'a> {
     pub block: Dim2,
     /// Compiled bytecode for the kernel; `None` selects the tree-walking
     /// oracle. Shared read-only by all workers.
-    pub compiled: Option<&'a crate::bytecode::CompiledKernel>,
+    pub compiled: Option<Arc<crate::bytecode::CompiledKernel>>,
     /// Seed for per-block store-application-order permutation (None =
     /// canonical lane order).
     pub schedule_seed: Option<u64>,
@@ -314,7 +315,7 @@ pub(crate) struct Launch<'a> {
     /// pass (bytecode engine only; indexed like `compiled`'s op stream).
     /// Atomic so concurrent pool workers can bump them racelessly — the
     /// summed counts are deterministic for any worker count.
-    pub profile_counts: Option<&'a [AtomicU64]>,
+    pub profile_counts: Option<Arc<Vec<AtomicU64>>>,
     /// Bit-flip probability for [`MemSpace::Approx`] loads, pre-scaled to
     /// a `u64` threshold (`rate * 2^64`, saturating); 0 disables
     /// injection entirely. See [`approx_threshold`].
@@ -350,7 +351,7 @@ pub(crate) struct RefreshCounters {
 fn refresh_image(
     image: &mut Vec<BufferStorage>,
     src: &[BufferStorage],
-    overwritten: &[usize],
+    overwritten: impl Fn(usize) -> bool,
     counters: &RefreshCounters,
 ) {
     if image.len() != src.len() {
@@ -364,7 +365,7 @@ fn refresh_image(
     let mut copies = 0u64;
     let mut skips = 0u64;
     for (i, (dst, s)) in image.iter_mut().zip(src).enumerate() {
-        if overwritten.contains(&i) && dst.ty == s.ty && dst.data.len() == s.data.len() {
+        if overwritten(i) && dst.ty == s.ty && dst.data.len() == s.data.len() {
             dst.space = s.space;
             dst.base_addr = s.base_addr;
             skips += 1;
@@ -480,26 +481,24 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Execute one block against this worker's buffer image, revert the
-    /// image, and package the outcome. `isolate` is false only for
-    /// single-block launches, where writes may land directly.
+    /// Execute one block of `seg` against this worker's buffer image,
+    /// revert the image, and package the outcome. `isolate` is false only
+    /// for single-block launches, where writes may land directly.
     fn run_block(
         &mut self,
-        launch: &Launch<'_>,
+        seg: &Seg<'_>,
         block_id: usize,
-        l1_template: &Cache,
-        cc_template: &Cache,
-        iterations: &AtomicU64,
         isolate: bool,
     ) -> Result<BlockOutcome, EvalError> {
-        self.mem.l1.copy_from(l1_template);
-        self.mem.constant_cache.copy_from(cc_template);
+        let launch = &seg.launch;
+        self.mem.l1.copy_from(&seg.l1_template);
+        self.mem.constant_cache.copy_from(&seg.cc_template);
         let result = exec_block(
             launch,
             block_id,
             self.buffers,
             isolate.then_some(&mut self.log),
-            iterations,
+            &seg.iterations,
             &mut self.scratch,
             &mut self.bc,
             &mut self.mem,
@@ -546,138 +545,7 @@ fn exit_caches(
     (l1, constant_cache)
 }
 
-/// Execute every block of a launch — serially or across host workers — and
-/// fold the results deterministically. This is the only entry point; the
-/// worker count comes from `PARAPROX_THREADS` /
-/// [`DeviceProfile::parallelism`] (see [`pool::resolve_workers`]).
-pub(crate) fn run_launch(
-    launch: &Launch<'_>,
-    buffers: &mut Vec<BufferStorage>,
-    l1: &mut Cache,
-    constant_cache: &mut Cache,
-    image_pool: &mut Vec<Vec<BufferStorage>>,
-    refresh: &RefreshCounters,
-) -> Result<LaunchStats, LaunchError> {
-    let started = Instant::now();
-    let total = launch.grid.count();
-    let workers = pool::resolve_workers(launch.profile.parallelism)
-        .min(total)
-        .max(1);
-    let iterations = AtomicU64::new(0);
-    let eval_err = |source: EvalError| LaunchError::Eval {
-        kernel: launch.kernel.name.clone(),
-        source,
-    };
-
-    // Per-block cache snapshots start from the launch-entry state with
-    // counters zeroed, so each block's counters are pure deltas.
-    let entry_l1 = (l1.hits(), l1.misses());
-    let entry_cc = (constant_cache.hits(), constant_cache.misses());
-    let mut l1_template = l1.clone();
-    l1_template.reset_counters();
-    let mut cc_template = constant_cache.clone();
-    cc_template.reset_counters();
-
-    let mut outcomes: Vec<BlockOutcome> = Vec::with_capacity(total);
-    if workers == 1 {
-        // Serial path: interpret directly against the device's buffers.
-        // Isolation (log + revert per block, replay below) is still applied
-        // for multi-block launches so the observable semantics are
-        // identical to the parallel path.
-        let mut worker = Worker::new(buffers, launch.profile);
-        for block_id in 0..total {
-            let outcome = worker
-                .run_block(
-                    launch,
-                    block_id,
-                    &l1_template,
-                    &cc_template,
-                    &iterations,
-                    total > 1,
-                )
-                .map_err(eval_err)?;
-            outcomes.push(outcome);
-        }
-    } else {
-        let queue = WorkQueue::new(total, workers);
-        let abort = AtomicBool::new(false);
-        let mut first_err: Option<(usize, EvalError)> = None;
-        // Per-worker buffer images come from the device's pool: a repeated
-        // launch (tuning sweep, serving loop) refreshes the retained
-        // images in place — `BufferStorage::clone_from` reuses the heap
-        // blocks — instead of cloning the arena per worker per launch.
-        if image_pool.len() < workers {
-            image_pool.resize_with(workers, Vec::new);
-        }
-        {
-            let buffers_src: &Vec<BufferStorage> = buffers;
-            let (l1_t, cc_t) = (&l1_template, &cc_template);
-            let (queue_ref, abort_ref, iters_ref) = (&queue, &abort, &iterations);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = image_pool[..workers]
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(w, image)| {
-                        s.spawn(move || {
-                            refresh_image(image, buffers_src, launch.overwritten, refresh);
-                            let mut worker = Worker::new(image, launch.profile);
-                            let mut done = Vec::new();
-                            let mut err = None;
-                            while let Some(block_id) = queue_ref.pop(w) {
-                                if abort_ref.load(Ordering::Relaxed) {
-                                    break;
-                                }
-                                match worker
-                                    .run_block(launch, block_id, l1_t, cc_t, iters_ref, true)
-                                {
-                                    Ok(outcome) => done.push(outcome),
-                                    Err(e) => {
-                                        err = Some((block_id, e));
-                                        abort_ref.store(true, Ordering::Relaxed);
-                                        break;
-                                    }
-                                }
-                            }
-                            (done, err)
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    let (done, err) = handle.join().expect("executor worker panicked");
-                    outcomes.extend(done);
-                    if let Some((block_id, e)) = err {
-                        // Deterministic-ish selection: report the failure
-                        // with the lowest block id among those observed.
-                        if first_err.as_ref().is_none_or(|(b, _)| block_id < *b) {
-                            first_err = Some((block_id, e));
-                        }
-                    }
-                }
-            });
-        }
-        if let Some((_, source)) = first_err {
-            return Err(eval_err(source));
-        }
-        outcomes.sort_by_key(|o| o.block);
-    }
-    debug_assert_eq!(outcomes.len(), total);
-
-    // Deterministic fold: stats and write logs in ascending block order.
-    let mut stats = LaunchStats::default();
-    for outcome in &outcomes {
-        stats += outcome.stats;
-    }
-    for outcome in &outcomes {
-        replay_writes(buffers, &outcome.log).map_err(eval_err)?;
-    }
-    (*l1, *constant_cache) = exit_caches(outcomes.pop(), entry_l1, entry_cc, &stats);
-
-    stats.workers = workers as u64;
-    stats.wall_nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    Ok(stats)
-}
-
-/// One segment of a fused multi-launch: an independent launch plus the
+/// One segment of a fused dispatch: an independent launch plus the
 /// simulated cache state it enters with. Segments must touch disjoint
 /// buffers (each serving request allocates its own); their simulated
 /// address spaces may overlap freely because every segment carries
@@ -688,45 +556,50 @@ pub(crate) struct FusedSegment<'a> {
     pub constant_cache: Cache,
 }
 
-/// What one fused segment finished with: its summed stats and exit
-/// caches (counters advanced past the entry values, exactly as
-/// [`run_launch`] leaves the device caches).
+/// What one segment finished with: its summed stats and exit caches
+/// (the last block's, counters advanced past the entry values).
 pub(crate) struct SegmentOutcome {
     pub stats: LaunchStats,
     pub l1: Cache,
     pub constant_cache: Cache,
 }
 
-/// Execute several independent launches as one fused dispatch over a
-/// single worker pool.
+/// A segment as the workers see it: the launch, its entry caches with
+/// counters zeroed (so each block's counters are pure deltas), and the
+/// offset of its first block in the dispatch-wide block numbering.
+struct Seg<'a> {
+    launch: Launch<'a>,
+    l1_template: Cache,
+    cc_template: Cache,
+    entry_l1: (u64, u64),
+    entry_cc: (u64, u64),
+    start: usize,
+    iterations: AtomicU64,
+}
+
+/// Execute every block of every segment — serially or across host
+/// workers — and fold the results deterministically. A single launch is
+/// a dispatch of one segment; the worker count comes from
+/// `PARAPROX_THREADS` / [`DeviceProfile::parallelism`] (see
+/// [`pool::resolve_workers`]).
 ///
-/// Semantically this is exactly `for segment { run_launch(segment) }` —
-/// every segment's buffer contents, simulated cycles, and cache
-/// statistics are bit-identical to running it alone — but the host cost
-/// is paid once per *batch*: one scope of pooled workers, one shared
-/// work queue spanning every segment's blocks, and one arena clone per
-/// worker (instead of per launch).
-///
-/// Determinism follows the [`run_launch`] argument segment-wise: each
-/// block is a pure function of its segment's entry state, and folding
-/// (stats, write replay, exit caches) happens per segment in ascending
-/// `(segment, block)` order. The iteration budget stays per-segment so a
-/// runaway kernel is charged like it would be alone.
+/// Every segment's buffer contents, simulated cycles, and cache
+/// statistics are bit-identical to dispatching it alone, but the host
+/// cost is paid once per *dispatch*: one scope of pooled workers, one
+/// shared work queue spanning every segment's blocks, and one image
+/// refresh per worker. Each block is a pure function of its segment's
+/// entry state, and folding (stats, write replay, exit caches) happens
+/// per segment in ascending `(segment, block)` order. The iteration
+/// budget stays per-segment so a runaway kernel is charged like it would
+/// be alone. On error nothing is folded: the caller's caches are never
+/// touched.
 pub(crate) fn run_fused(
     segments: Vec<FusedSegment<'_>>,
     buffers: &mut Vec<BufferStorage>,
     image_pool: &mut Vec<Vec<BufferStorage>>,
+    refresh: &RefreshCounters,
 ) -> Result<Vec<SegmentOutcome>, LaunchError> {
     let started = Instant::now();
-    struct Seg<'a> {
-        launch: Launch<'a>,
-        l1_template: Cache,
-        cc_template: Cache,
-        entry_l1: (u64, u64),
-        entry_cc: (u64, u64),
-        start: usize,
-        iterations: AtomicU64,
-    }
     let mut segs: Vec<Seg<'_>> = Vec::with_capacity(segments.len());
     let mut total = 0usize;
     for fs in segments {
@@ -751,70 +624,42 @@ pub(crate) fn run_fused(
             iterations: AtomicU64::new(0),
         });
     }
-    if segs.is_empty() {
+    let Some(first) = segs.first() else {
         return Ok(Vec::new());
-    }
-    let workers = pool::resolve_workers(segs[0].launch.profile.parallelism)
-        .min(total)
-        .max(1);
+    };
+    let profile = first.launch.profile;
+    let workers = pool::resolve_workers(profile.parallelism).min(total).max(1);
     let eval_err = |seg: &Seg<'_>, source: EvalError| LaunchError::Eval {
         kernel: seg.launch.kernel.name.clone(),
         source,
     };
-    // Fold one segment's sorted outcomes exactly like run_launch folds a
-    // whole launch.
-    let fold = |seg: &Seg<'_>,
-                outcomes: Vec<BlockOutcome>,
-                buffers: &mut Vec<BufferStorage>|
-     -> Result<SegmentOutcome, LaunchError> {
-        let mut stats = LaunchStats::default();
-        for outcome in &outcomes {
-            stats += outcome.stats;
-        }
-        let mut outcomes = outcomes;
-        for outcome in &outcomes {
-            replay_writes(buffers, &outcome.log).map_err(|e| eval_err(seg, e))?;
-        }
-        let (l1, constant_cache) = exit_caches(outcomes.pop(), seg.entry_l1, seg.entry_cc, &stats);
-        stats.workers = workers as u64;
-        Ok(SegmentOutcome {
-            stats,
-            l1,
-            constant_cache,
-        })
-    };
 
-    let mut results: Vec<SegmentOutcome> = Vec::with_capacity(segs.len());
+    let mut outcomes: Vec<(usize, BlockOutcome)> = Vec::with_capacity(total);
     if workers == 1 {
-        // Serial path: segments run back-to-back against the device's
-        // buffers, each with the same isolation rules run_launch applies.
-        let mut worker = Worker::new(buffers, segs[0].launch.profile);
-        for seg in &segs {
+        // Serial path: interpret directly against the device's buffers.
+        // Isolation (log + revert per block, replay below) is still
+        // applied to multi-block segments so the observable semantics are
+        // identical to the parallel path.
+        let mut worker = Worker::new(buffers, profile);
+        for (si, seg) in segs.iter().enumerate() {
             let blocks = seg.launch.grid.count();
-            let mut outcomes = Vec::with_capacity(blocks);
             for block_id in 0..blocks {
                 let outcome = worker
-                    .run_block(
-                        &seg.launch,
-                        block_id,
-                        &seg.l1_template,
-                        &seg.cc_template,
-                        &seg.iterations,
-                        blocks > 1,
-                    )
+                    .run_block(seg, block_id, blocks > 1)
                     .map_err(|e| eval_err(seg, e))?;
-                outcomes.push(outcome);
+                outcomes.push((si, outcome));
             }
-            results.push(fold(seg, outcomes, &mut *worker.buffers)?);
         }
     } else {
-        // Parallel path: one shared queue over every segment's blocks; a
-        // global index maps back to (segment, local block) through the
-        // segment start offsets.
+        // One shared queue over every segment's blocks; a global index
+        // maps back to (segment, local block) through the start offsets.
         let queue = WorkQueue::new(total, workers);
         let abort = AtomicBool::new(false);
         let mut first_err: Option<(usize, usize, EvalError)> = None;
-        let mut tagged: Vec<(usize, BlockOutcome)> = Vec::with_capacity(total);
+        // Per-worker buffer images come from the device's pool: a repeated
+        // dispatch (tuning sweep, serving loop) refreshes the retained
+        // images in place — `BufferStorage::clone_from` reuses the heap
+        // blocks — instead of cloning the arena per worker per dispatch.
         if image_pool.len() < workers {
             image_pool.resize_with(workers, Vec::new);
         }
@@ -828,8 +673,14 @@ pub(crate) fn run_fused(
                     .enumerate()
                     .map(|(w, image)| {
                         s.spawn(move || {
-                            image.clone_from(buffers_src);
-                            let mut worker = Worker::new(image, segs_ref[0].launch.profile);
+                            // Segments touch disjoint buffers, so a buffer
+                            // one of them overwrites unread is unobservable
+                            // to all of them.
+                            let overwritten = |i: usize| {
+                                segs_ref.iter().any(|s| s.launch.overwritten.contains(&i))
+                            };
+                            refresh_image(image, buffers_src, overwritten, refresh);
+                            let mut worker = Worker::new(image, profile);
                             let mut done = Vec::new();
                             let mut err = None;
                             while let Some(global) = queue_ref.pop(w) {
@@ -839,14 +690,7 @@ pub(crate) fn run_fused(
                                 let si = segs_ref.partition_point(|s| s.start <= global) - 1;
                                 let seg = &segs_ref[si];
                                 let block_id = global - seg.start;
-                                match worker.run_block(
-                                    &seg.launch,
-                                    block_id,
-                                    &seg.l1_template,
-                                    &seg.cc_template,
-                                    &seg.iterations,
-                                    true,
-                                ) {
+                                match worker.run_block(seg, block_id, true) {
                                     Ok(outcome) => done.push((si, outcome)),
                                     Err(e) => {
                                         err = Some((si, block_id, e));
@@ -861,7 +705,7 @@ pub(crate) fn run_fused(
                     .collect();
                 for handle in handles {
                     let (done, err) = handle.join().expect("executor worker panicked");
-                    tagged.extend(done);
+                    outcomes.extend(done);
                     if let Some((si, block_id, e)) = err {
                         // Deterministic-ish selection: lowest (segment,
                         // block) among observed failures.
@@ -878,16 +722,29 @@ pub(crate) fn run_fused(
         if let Some((si, _, source)) = first_err {
             return Err(eval_err(&segs[si], source));
         }
-        tagged.sort_by_key(|(si, o)| (*si, o.block));
-        debug_assert_eq!(tagged.len(), total);
-        let mut iter = tagged.into_iter().peekable();
-        for (si, seg) in segs.iter().enumerate() {
-            let mut outcomes = Vec::with_capacity(seg.launch.grid.count());
-            while iter.peek().is_some_and(|(s, _)| *s == si) {
-                outcomes.push(iter.next().expect("peeked").1);
-            }
-            results.push(fold(seg, outcomes, &mut *buffers)?);
+        outcomes.sort_by_key(|(si, o)| (*si, o.block));
+    }
+    debug_assert_eq!(outcomes.len(), total);
+
+    // Deterministic fold: stats and write logs in ascending (segment,
+    // block) order; each segment exits with its last block's caches.
+    let mut results: Vec<SegmentOutcome> = Vec::with_capacity(segs.len());
+    let mut outcomes = outcomes.into_iter().peekable();
+    for (si, seg) in segs.iter().enumerate() {
+        let mut stats = LaunchStats::default();
+        let mut last = None;
+        while let Some((_, outcome)) = outcomes.next_if(|(s, _)| *s == si) {
+            stats += outcome.stats;
+            replay_writes(buffers, &outcome.log).map_err(|e| eval_err(seg, e))?;
+            last = Some(outcome);
         }
+        let (l1, constant_cache) = exit_caches(last, seg.entry_l1, seg.entry_cc, &stats);
+        stats.workers = workers as u64;
+        results.push(SegmentOutcome {
+            stats,
+            l1,
+            constant_cache,
+        });
     }
     let wall = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
     for r in &mut results {
@@ -945,8 +802,11 @@ fn exec_block(
     ctx.stats.blocks = 1;
     ctx.stats.warps = lanes.div_ceil(ctx.profile.warp_width) as u64;
     ctx.stats.overhead_cycles = ctx.profile.block_overhead;
-    match launch.compiled {
-        Some(prog) => crate::bytecode::execute(&mut ctx, prog, bc, launch.profile_counts)?,
+    match &launch.compiled {
+        Some(prog) => {
+            let counts = launch.profile_counts.as_ref().map(|c| &c[..]);
+            crate::bytecode::execute(&mut ctx, prog, bc, counts)?
+        }
         None => {
             let mask = LaneMask::full(lanes);
             let mut frame = Frame::for_kernel(ctx.kernel.locals.len());

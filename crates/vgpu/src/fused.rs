@@ -1,13 +1,13 @@
 //! Fused multi-request pipeline execution: run several independent
 //! pipeline jobs as one batched dispatch over a single worker pool.
 //!
-//! A serving batcher coalesces same-`(app, rung)` requests and hands them
-//! here as [`FusedJob`]s. [`execute_fused`] executes every job's launches
-//! stage by stage — stage *s* fuses the *s*-th launch of every job that
-//! has one into a single multi-segment dispatch ([`crate::exec`]'s fused
-//! runner) — so the per-launch host overhead (launch validation,
-//! program-cache lookup, worker-scope setup, per-worker arena clone) is
-//! paid once per batch stage instead of once per request.
+//! A serving batcher coalesces same-rung requests (plus the calibration
+//! re-run a check boundary needs) and hands them here as [`FusedJob`]s; a
+//! lone request is a batch of one. [`execute_fused`] executes every
+//! job's launches stage by stage — stage *s* sends the *s*-th launch of
+//! every job that has one through a single [`Device::dispatch`] — so the
+//! worker-scope setup and per-worker image refresh are paid once per
+//! batch stage instead of once per request.
 //!
 //! # Bit-identity contract
 //!
@@ -23,19 +23,18 @@
 //! * every job carries a private cold L1/constant cache pair, threaded
 //!   across its own stages (stage *s+1* enters with the job's stage-*s*
 //!   exit state), so cache behavior never leaks between jobs;
+//! * every job carries its own approximate-memory error rate, so jobs at
+//!   different rates fuse like any others;
 //! * the device's own caches and address counter are left untouched, and
 //!   the job buffers are reclaimed before returning, so the device ends
 //!   the call exactly as it entered it.
 
-use std::collections::HashSet;
-
 use paraprox_ir::Program;
 
 use crate::cache::Cache;
-use crate::device::{ArgValue, Device, ProgramHandle};
+use crate::device::{ArgValue, BufferId, Device, PreparedLaunch};
 use crate::error::LaunchError;
-use crate::exec::{self, FusedSegment, Launch};
-use crate::plan::{Pipeline, PipelineRun, PlanArg};
+use crate::plan::{LaunchPlan, Pipeline, PipelineRun};
 use crate::stats::LaunchStats;
 
 /// One request of a fused batch: the program and pipeline to execute.
@@ -47,14 +46,10 @@ pub struct FusedJob<'a> {
     pub program: &'a Program,
     /// The pipeline to execute.
     pub pipeline: &'a Pipeline,
-}
-
-struct SegmentPrep {
-    job: usize,
-    stage: usize,
-    args: Vec<ArgValue>,
-    handle: Option<ProgramHandle>,
-    profiling: bool,
+    /// Bit-error rate of this job's [`paraprox_ir::MemSpace::Approx`]
+    /// loads, as [`Device::set_approx_rate`] defines it; the device's own
+    /// rate does not apply to fused jobs.
+    pub approx_rate: f64,
 }
 
 /// Execute `jobs` as one fused batch; returns one [`PipelineRun`] per job,
@@ -83,11 +78,8 @@ fn execute_fused_inner(
     jobs: &[FusedJob<'_>],
     entry_addr: u64,
 ) -> Result<Vec<PipelineRun>, LaunchError> {
-    if jobs.is_empty() {
-        return Ok(Vec::new());
-    }
     // Allocate every job's buffers in its own address space.
-    let mut job_ids: Vec<Vec<crate::device::BufferId>> = Vec::with_capacity(jobs.len());
+    let mut job_ids: Vec<Vec<BufferId>> = Vec::with_capacity(jobs.len());
     for job in jobs {
         let mut next = entry_addr;
         let mut ids = Vec::with_capacity(job.pipeline.buffers.len());
@@ -109,96 +101,49 @@ fn execute_fused_inner(
         .max()
         .unwrap_or(0);
     for stage in 0..max_stages {
-        // Validate, resolve arguments, and pick artifacts for every job
-        // participating in this stage. Consecutive jobs over the same
-        // program and kernel (the common batch shape) reuse the previous
-        // handle instead of re-hashing the kernel in the program cache.
-        let mut preps: Vec<SegmentPrep> = Vec::with_capacity(jobs.len());
-        for (ji, job) in jobs.iter().enumerate() {
-            let Some(lp) = job.pipeline.launches.get(stage) else {
-                continue;
-            };
-            let k = job.program.kernel(lp.kernel);
-            let args: Vec<ArgValue> = lp
-                .args
-                .iter()
-                .map(|a| match a {
-                    PlanArg::Buffer(slot) => ArgValue::Buffer(job_ids[ji][*slot]),
-                    PlanArg::Scalar(s) => ArgValue::Scalar(*s),
-                })
-                .collect();
-            device.validate_launch(k, lp.grid, lp.block, &args)?;
-            let handle = match preps.last() {
+        let staged: Vec<(usize, &LaunchPlan, Vec<ArgValue>)> = jobs
+            .iter()
+            .enumerate()
+            .filter_map(|(ji, job)| {
+                let lp = job.pipeline.launches.get(stage)?;
+                Some((ji, lp, lp.resolve_args(&job_ids[ji])))
+            })
+            .collect();
+        // Validate every participating launch before any of them runs.
+        // Consecutive jobs over the same program and kernel (the common
+        // batch shape) reuse the previous handle instead of re-hashing
+        // the kernel in the program cache.
+        let mut launches: Vec<PreparedLaunch<'_>> = Vec::with_capacity(staged.len());
+        for (ji, lp, args) in &staged {
+            let job = &jobs[*ji];
+            let kernel = job.program.kernel(lp.kernel);
+            device.validate_launch(kernel, lp.grid, lp.block, args)?;
+            let handle = match launches.last() {
                 Some(prev)
-                    if prev.stage == stage
-                        && std::ptr::eq(jobs[prev.job].program, job.program)
-                        && jobs[prev.job].pipeline.launches[stage].kernel == lp.kernel =>
+                    if std::ptr::eq(prev.program, job.program)
+                        && std::ptr::eq(prev.kernel, kernel) =>
                 {
                     prev.handle.clone()
                 }
-                _ => device.program_handle(job.program, k),
+                _ => device.program_handle(job.program, kernel),
             };
-            let profiling = matches!(&handle, Some(h) if device.fusion && h.fused.is_none());
-            preps.push(SegmentPrep {
-                job: ji,
-                stage,
+            launches.push(PreparedLaunch {
+                program: job.program,
+                kernel,
+                grid: lp.grid,
+                block: lp.block,
                 args,
                 handle,
-                profiling,
+                approx_rate: job.approx_rate,
+                overwritten: &[],
+                l1: caches[*ji].0.clone(),
+                constant_cache: caches[*ji].1.clone(),
             });
         }
-        // Build the fused segments (launch views borrowing the preps) and
-        // dispatch them as one batch.
-        let segments: Vec<FusedSegment<'_>> = preps
-            .iter()
-            .map(|p| {
-                let job = &jobs[p.job];
-                let lp = &job.pipeline.launches[stage];
-                let compiled = match &p.handle {
-                    Some(h) if !device.fusion => Some(&*h.compiled),
-                    Some(h) => match &h.fused {
-                        Some(f) => Some(&**f),
-                        None => Some(&*h.compiled),
-                    },
-                    None => None,
-                };
-                FusedSegment {
-                    launch: Launch {
-                        profile: &device.profile,
-                        program: job.program,
-                        kernel: job.program.kernel(lp.kernel),
-                        args: &p.args,
-                        grid: lp.grid,
-                        block: lp.block,
-                        compiled,
-                        schedule_seed: device.schedule_seed,
-                        profile_counts: match (&p.handle, p.profiling) {
-                            (Some(h), true) => Some(&h.counts[..]),
-                            _ => None,
-                        },
-                        approx_threshold: exec::approx_threshold(device.approx_rate),
-                        approx_seed: device.approx_seed,
-                        overwritten: &[],
-                    },
-                    l1: caches[p.job].0.clone(),
-                    constant_cache: caches[p.job].1.clone(),
-                }
-            })
-            .collect();
-        let outcomes = exec::run_fused(segments, &mut device.buffers, &mut device.image_pool)?;
-        // Fold each segment's outcome back onto its job, then build any
-        // freshly profiled fusion artifacts (once per cache entry).
-        let mut fused_done: HashSet<(u64, usize)> = HashSet::new();
-        for (p, outcome) in preps.iter().zip(outcomes) {
-            job_stats[p.job] += outcome.stats;
-            caches[p.job] = (outcome.l1, outcome.constant_cache);
-            if p.profiling {
-                if let Some(h) = &p.handle {
-                    if fused_done.insert(h.entry_id()) {
-                        device.store_fused_from_counts(h);
-                    }
-                }
-            }
+        let outcomes = device.dispatch(launches)?;
+        for ((ji, ..), outcome) in staged.iter().zip(outcomes) {
+            job_stats[*ji] += outcome.stats;
+            caches[*ji] = (outcome.l1, outcome.constant_cache);
         }
     }
 
@@ -220,7 +165,7 @@ fn execute_fused_inner(
 mod tests {
     use super::*;
     use crate::device::Dim2;
-    use crate::plan::{BufferSpec, LaunchPlan};
+    use crate::plan::{BufferSpec, LaunchPlan, PlanArg};
     use crate::profile::DeviceProfile;
     use paraprox_ir::{KernelBuilder, KernelId, MemSpace, Scalar, Ty};
 
@@ -267,13 +212,19 @@ mod tests {
         d
     }
 
-    /// Sequential reference: execute each pipeline alone with the same
-    /// flush-between-requests bracketing a serving loop applies.
-    fn sequential(d: &mut Device, program: &Program, pipes: &[Pipeline]) -> Vec<PipelineRun> {
+    /// Sequential reference: execute each pipeline alone at its own
+    /// device-global error rate, with the same flush-between-requests
+    /// bracketing a serving loop applies.
+    fn sequential(
+        d: &mut Device,
+        program: &Program,
+        pipes: &[(Pipeline, f64)],
+    ) -> Vec<PipelineRun> {
         pipes
             .iter()
-            .map(|p| {
+            .map(|(p, rate)| {
                 let mark = d.buffer_mark();
+                d.set_approx_rate(*rate);
                 let run = p.execute(d, program).expect("sequential run");
                 d.reclaim_buffers(mark);
                 run
@@ -287,25 +238,33 @@ mod tests {
 
     #[test]
     fn fused_batch_matches_sequential_at_any_worker_count() {
+        // Odd jobs keep their data in approximate memory, at two distinct
+        // error rates: every job carries its own.
         let (program, base) = two_stage(inputs(0));
-        let pipes: Vec<Pipeline> = (0..5)
+        let pipes: Vec<(Pipeline, f64)> = (0..5)
             .map(|j| {
                 let mut p = base.clone();
                 p.set_input(0, crate::plan::BufferInit::F32(inputs(j)));
-                p
+                if j % 2 == 1 {
+                    p.buffers[0] = p.buffers[0].clone().with_space(MemSpace::Approx);
+                }
+                (p, [0.0, 0.05, 0.0, 0.3, 0.0][j])
             })
             .collect();
         let mut reference_dev = device(1, None);
         let reference = sequential(&mut reference_dev, &program, &pipes);
+        assert!(reference[1].stats.bit_flips > 0 && reference[3].stats.bit_flips > 0);
+        assert_ne!(reference[1].stats.bit_flips, reference[3].stats.bit_flips);
         for workers in [1, 2, 4] {
             for seed in [None, Some(9)] {
                 let mut d = device(workers, seed);
                 let mark = d.buffer_mark();
                 let jobs: Vec<FusedJob<'_>> = pipes
                     .iter()
-                    .map(|p| FusedJob {
+                    .map(|(p, rate)| FusedJob {
                         program: &program,
                         pipeline: p,
+                        approx_rate: *rate,
                     })
                     .collect();
                 let runs = execute_fused(&mut d, &jobs).expect("fused batch");
@@ -339,6 +298,7 @@ mod tests {
         let jobs = [FusedJob {
             program: &program,
             pipeline: &base,
+            approx_rate: 0.0,
         }];
         let first = execute_fused(&mut d, &jobs).expect("first batch");
         let second = execute_fused(&mut d, &jobs).expect("second batch");
@@ -363,6 +323,7 @@ mod tests {
         let jobs = [FusedJob {
             program: &program,
             pipeline: &bad,
+            approx_rate: 0.0,
         }];
         assert!(execute_fused(&mut d, &jobs).is_err());
         assert_eq!(d.buffer_mark(), mark);

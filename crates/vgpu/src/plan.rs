@@ -8,7 +8,7 @@
 
 use paraprox_ir::{KernelId, MemSpace, Program, Scalar, Ty};
 
-use crate::device::{ArgValue, Device, Dim2};
+use crate::device::{ArgValue, BufferId, Device, Dim2};
 use crate::error::LaunchError;
 use crate::stats::LaunchStats;
 
@@ -144,6 +144,20 @@ pub struct LaunchPlan {
     pub args: Vec<PlanArg>,
 }
 
+impl LaunchPlan {
+    /// The launch's arguments with every buffer slot resolved through
+    /// `ids`, the device buffers allocated for the pipeline's table.
+    pub(crate) fn resolve_args(&self, ids: &[BufferId]) -> Vec<ArgValue> {
+        self.args
+            .iter()
+            .map(|a| match a {
+                PlanArg::Buffer(slot) => ArgValue::Buffer(ids[*slot]),
+                PlanArg::Scalar(s) => ArgValue::Scalar(*s),
+            })
+            .collect()
+    }
+}
+
 /// A full execution plan: buffers, launches, and which buffers are the
 /// observable outputs.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -212,14 +226,7 @@ impl Pipeline {
         }
         let mut stats = LaunchStats::default();
         for launch in &self.launches {
-            let args: Vec<ArgValue> = launch
-                .args
-                .iter()
-                .map(|a| match a {
-                    PlanArg::Buffer(slot) => ArgValue::Buffer(ids[*slot]),
-                    PlanArg::Scalar(s) => ArgValue::Scalar(*s),
-                })
-                .collect();
+            let args = launch.resolve_args(&ids);
             stats += device.launch(program, launch.kernel, launch.grid, launch.block, &args)?;
         }
         let mut outputs = Vec::with_capacity(self.outputs.len());
