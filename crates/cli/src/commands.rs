@@ -460,8 +460,8 @@ fn inspect_rungs(name: &str, test_scale: bool) -> Result<(), Box<dyn Error>> {
     use paraprox_runtime::Approximable;
 
     /// Bit-error rates for the appended approximate-memory rungs
-    /// (mirrors `bench_errorprop`: one plausible, one the static table
-    /// should reject).
+    /// (the rungs `tests/errorprop_suite.rs` checks: one plausible, one
+    /// the static table should reject).
     const APPROX_RATES: [f64; 2] = [1e-7, 1e-2];
     const MEASURE_SEEDS: u64 = 2;
 
@@ -894,7 +894,7 @@ fn serve(o: ServeOpts) -> Result<(), Box<dyn Error>> {
                 names[r.tenant], r.seq
             );
         }
-    });
+    })?;
     let snap = engine.shutdown();
 
     println!(

@@ -11,8 +11,8 @@
 //!
 //! * `error_bound` / `quality_floor` — a *sound* certificate (conditioned
 //!   on the modeled input ranges): the measured metric error never
-//!   exceeds the bound. `bench_errorprop` asserts this across every app
-//!   and rung.
+//!   exceeds the bound. `tests/errorprop_suite.rs` asserts this across
+//!   every app and rung.
 //! * `predicted_quality` — a *heuristic* point estimate used to prune
 //!   calibration launches and order the back-off ladder. A misprediction
 //!   costs speedup, never quality: pruned rungs are simply not measured,

@@ -137,8 +137,8 @@ impl IterSchedule {
     }
 
     /// The preset schedule ladder for a loop capped at `max_iters`,
-    /// exact rung first. These are the rungs `bench_iter` sweeps and the
-    /// CLI exposes by name:
+    /// exact rung first. These are the rungs `tests/iter_suite.rs` and
+    /// the `iter_converge` workload run, and the CLI exposes by name:
     ///
     /// - `exact` — the reference.
     /// - `sampled-check` — exact stencil; residual every 4 iterations on

@@ -13,7 +13,7 @@
 //!
 //! Determinism is part of the contract: the same seed produces the same
 //! stream on every platform and in every future version of this crate.
-//! Experiment records (`results/`, `BENCH_*.json`) depend on it.
+//! Experiment records (`results/`, EXPERIMENTS.md) depend on it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

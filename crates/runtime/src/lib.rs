@@ -141,8 +141,8 @@ pub trait Approximable {
 ///
 /// - `quality_floor` is the *sound* certificate: output quality can never
 ///   fall below it (it is `100·(1 − error_bound)` for the app's metric).
-///   Empirical error must never exceed `error_bound` — `bench_errorprop`
-///   asserts exactly that across every app × rung.
+///   Empirical error must never exceed `error_bound` —
+///   `tests/errorprop_suite.rs` asserts exactly that across every app × rung.
 /// - `predicted_quality` is the *heuristic* point estimate used for
 ///   calibration avoidance: pruning rungs from the tuning pass and
 ///   ordering the back-off ladder. It is allowed to be wrong (a pruned

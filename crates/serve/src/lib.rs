@@ -83,7 +83,5 @@ pub use drift::drift_inputs;
 pub use engine::{
     Engine, EngineBuilder, EngineSnapshot, Response, ServeConfig, SubmitError, TenantId, Ticket,
 };
-pub use loadgen::{
-    run_closed_loop, run_open_loop, LoadReport, LoadSpec, OpenLoopReport, OpenLoopSpec,
-};
+pub use loadgen::{run_closed_loop, LoadReport, LoadSpec, OpenLoopSpec};
 pub use stats::{percentile, TenantSnapshot, TenantStats};

@@ -1,4 +1,5 @@
-//! Load generators for serving experiments: closed-loop and open-loop.
+//! Load generation for serving experiments: the closed-loop driver and
+//! the open-loop arrival schedule.
 //!
 //! **Closed loop** ([`run_closed_loop`]) drives an [`Engine`] the way the
 //! paper's measurement loops drive a deployment: a fixed number of seeded
@@ -10,15 +11,13 @@
 //! resubmits. A closed loop measures *capacity*: the engine is never
 //! starved, so completed/wall-clock is saturation throughput.
 //!
-//! **Open loop** ([`run_open_loop`]) submits on a precomputed arrival
-//! schedule — exponential inter-arrival gaps drawn deterministically from
-//! a SplitMix64 stream — regardless of how fast the engine drains. The
-//! schedule depends only on `(schedule_seed, rate_rps, requests)`, never
-//! on observed service times, so two engines under comparison face the
-//! *same* offered stream. Requests the admission queue rejects are
-//! *dropped* (counted, not retried): an open-loop generator models
-//! independent outside arrivals, and sweeping `rate_rps` past capacity
-//! traces the throughput/latency saturation curve.
+//! **Open loop** ([`OpenLoopSpec::arrival_offsets_ns`]) is a precomputed
+//! arrival schedule — exponential inter-arrival gaps drawn
+//! deterministically from a SplitMix64 stream — for a driver that submits
+//! regardless of how fast the engine drains (the end-to-end benchmark's
+//! `serve_open_drift` workload). The schedule depends only on
+//! `(schedule_seed, rate_rps, requests)`, never on observed service
+//! times, so two engines under comparison face the *same* offered stream.
 //!
 //! Seeds are `seed_base + sequence`, so a run is fully described by its
 //! spec and reproducible by construction; keeping `seed_base` above the
@@ -26,10 +25,9 @@
 //! training input.
 
 use std::collections::VecDeque;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use crate::engine::{Engine, Response, SubmitError, TenantId, Ticket};
-use crate::stats::percentile;
 
 /// Shape of a closed-loop run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,17 +81,21 @@ impl LoadReport {
 /// round-robin, redeeming every ticket. `on_response` sees each response
 /// as it is redeemed (per tenant, in sequence order).
 ///
+/// # Errors
+///
+/// The first [`SubmitError`] other than `QueueFull` (an unknown tenant
+/// id, or submission racing shutdown) ends the run; tickets already
+/// admitted are abandoned, and the engine serves them as usual.
+///
 /// # Panics
 ///
-/// Panics if a tenant id is unknown, submission races shutdown, or a
-/// worker dies without replying — load generation is a harness, and
-/// harnesses want loud failures.
+/// Panics if a worker dies without replying.
 pub fn run_closed_loop(
     engine: &Engine,
     tenants: &[TenantId],
     spec: &LoadSpec,
     mut on_response: impl FnMut(&Response),
-) -> LoadReport {
+) -> Result<LoadReport, SubmitError> {
     let inflight = spec.inflight.max(1);
     let mut outstanding: VecDeque<Ticket> = VecDeque::with_capacity(inflight);
     let mut report = LoadReport {
@@ -134,7 +136,7 @@ pub fn run_closed_loop(
                             redeem_oldest(&mut outstanding, &mut report);
                         }
                     }
-                    Err(e) => panic!("submit failed: {e}"),
+                    Err(e) => return Err(e),
                 }
             }
             while outstanding.len() >= inflight {
@@ -146,7 +148,7 @@ pub fn run_closed_loop(
         redeem_oldest(&mut outstanding, &mut report);
     }
     report.wall_nanos = started.elapsed().as_nanos() as u64;
-    report
+    Ok(report)
 }
 
 /// Shape of an open-loop run.
@@ -195,100 +197,6 @@ impl OpenLoopSpec {
             })
             .collect()
     }
-}
-
-/// What an open-loop run observed.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OpenLoopReport {
-    /// Wall-clock duration of the whole run (last redemption included),
-    /// nanoseconds.
-    pub wall_nanos: u64,
-    /// Requests offered (the spec's `requests`).
-    pub offered: u64,
-    /// Requests admitted and completed.
-    pub completed: u64,
-    /// Requests dropped at admission (`QueueFull`).
-    pub dropped: u64,
-    /// Completed responses carrying an execution error.
-    pub errors: u64,
-    /// End-to-end latency of each completed request (queue wait plus
-    /// service), nanoseconds, in completion-redemption order.
-    pub latency_ns: Vec<u64>,
-}
-
-impl OpenLoopReport {
-    /// Completed requests per wall-clock second (achieved throughput; at
-    /// most the offered rate, less once the engine saturates and drops).
-    pub fn achieved_rps(&self) -> f64 {
-        if self.wall_nanos == 0 {
-            return 0.0;
-        }
-        self.completed as f64 / (self.wall_nanos as f64 / 1e9)
-    }
-
-    /// Nearest-rank latency percentile, nanoseconds.
-    pub fn latency_p(&self, p: f64) -> u64 {
-        percentile(&self.latency_ns, p)
-    }
-
-    /// Dropped / offered.
-    pub fn drop_rate(&self) -> f64 {
-        if self.offered == 0 {
-            return 0.0;
-        }
-        self.dropped as f64 / self.offered as f64
-    }
-}
-
-/// Offer `spec.requests` arrivals to the engine on the spec's
-/// deterministic schedule, round-robin across `tenants`, then redeem
-/// every admitted ticket. Submission never blocks on completions: the
-/// generator sleeps until each arrival time and submits, dropping the
-/// request if admission rejects it. Latency is measured engine-side
-/// (queue wait + service) per completed request.
-///
-/// # Panics
-///
-/// Panics if a tenant id is unknown, submission races shutdown, or a
-/// worker dies without replying.
-pub fn run_open_loop(engine: &Engine, tenants: &[TenantId], spec: &OpenLoopSpec) -> OpenLoopReport {
-    assert!(!tenants.is_empty(), "open loop needs at least one tenant");
-    let offsets = spec.arrival_offsets_ns();
-    let mut report = OpenLoopReport {
-        wall_nanos: 0,
-        offered: spec.requests,
-        completed: 0,
-        dropped: 0,
-        errors: 0,
-        latency_ns: Vec::new(),
-    };
-    let mut tickets: Vec<Ticket> = Vec::with_capacity(offsets.len());
-    let mut next_seq = vec![0u64; tenants.len()];
-    let started = Instant::now();
-    for (i, &at_ns) in offsets.iter().enumerate() {
-        let elapsed = started.elapsed().as_nanos() as u64;
-        if at_ns > elapsed {
-            std::thread::sleep(Duration::from_nanos(at_ns - elapsed));
-        }
-        let slot = i % tenants.len();
-        let seed = spec.seed_base + next_seq[slot];
-        next_seq[slot] += 1;
-        match engine.submit(tenants[slot], seed) {
-            Ok(ticket) => tickets.push(ticket),
-            Err(SubmitError::QueueFull { .. }) => report.dropped += 1,
-            Err(e) => panic!("submit failed: {e}"),
-        }
-    }
-    for ticket in tickets {
-        let response = ticket.wait().expect("worker must reply");
-        report.completed += 1;
-        report.errors += u64::from(response.error.is_some());
-        report
-            .latency_ns
-            .push(response.queue_nanos + response.service_nanos);
-    }
-    report.wall_nanos = started.elapsed().as_nanos() as u64;
-    report
 }
 
 #[cfg(test)]
@@ -342,7 +250,8 @@ mod tests {
         let load = run_closed_loop(&engine, &[a, b], &spec, |r| {
             assert_eq!(r.output, vec![r.seed as f64]);
             seen.push((r.tenant, r.seq, r.seed));
-        });
+        })
+        .unwrap();
         assert_eq!(load.completed, 50);
         assert_eq!(load.errors, 0);
         assert!(load.throughput_rps() > 0.0);
@@ -354,6 +263,20 @@ mod tests {
         assert!(seen.iter().all(|x| x.2 == 1000 + x.1));
         let snap = engine.shutdown();
         assert_eq!(snap.tenants[0].served + snap.tenants[1].served, 50);
+    }
+
+    #[test]
+    fn closed_loop_reports_an_unknown_tenant_instead_of_panicking() {
+        let report = Tuner::paper_default().tune(&mut Echo).unwrap();
+        let mut builder = Engine::builder(ServeConfig::paper_default());
+        let a = builder.register("a", Box::new(Echo), &report);
+        let engine = builder.start();
+        // Tenant `a` is admitted before the unregistered id is offered;
+        // its abandoned ticket must not wedge shutdown.
+        let load = run_closed_loop(&engine, &[a, a + 1], &LoadSpec::new(4), |_| {});
+        assert_eq!(load, Err(SubmitError::UnknownTenant(a + 1)));
+        let snap = engine.shutdown();
+        assert_eq!(snap.tenants[0].served, 1);
     }
 
     #[test]
@@ -377,104 +300,5 @@ mod tests {
             ..spec
         };
         assert_ne!(other.arrival_offsets_ns(), a);
-    }
-
-    #[test]
-    fn open_loop_completes_offered_load_below_capacity() {
-        let report = Tuner::paper_default().tune(&mut Echo).unwrap();
-        let mut builder = Engine::builder(ServeConfig {
-            queue_capacity: 64,
-            workers: 2,
-            ..ServeConfig::paper_default()
-        });
-        let a = builder.register("a", Box::new(Echo), &report);
-        let b = builder.register("b", Box::new(Echo), &report);
-        let engine = builder.start();
-        // Echo is near-instant: 2k rps is far below capacity, so nothing
-        // should be dropped.
-        let spec = OpenLoopSpec::new(40, 2_000.0);
-        let load = run_open_loop(&engine, &[a, b], &spec);
-        assert_eq!(load.offered, 40);
-        assert_eq!(load.completed, 40);
-        assert_eq!(load.dropped, 0);
-        assert_eq!(load.errors, 0);
-        assert_eq!(load.drop_rate(), 0.0);
-        assert_eq!(load.latency_ns.len(), 40);
-        assert!(load.achieved_rps() > 0.0);
-        assert!(load.latency_p(99.0) >= load.latency_p(50.0));
-        let snap = engine.shutdown();
-        assert_eq!(snap.tenants[0].served + snap.tenants[1].served, 40);
-    }
-
-    #[test]
-    fn open_loop_drops_rather_than_blocking_when_the_queue_is_full() {
-        // A gate the test never opens until after submission: with a
-        // 2-deep queue, an instantaneous burst must drop the overflow
-        // instead of retrying (open-loop semantics).
-        use std::sync::mpsc;
-        struct Gated {
-            gate: mpsc::Receiver<()>,
-        }
-        impl Approximable for Gated {
-            fn variant_count(&self) -> usize {
-                0
-            }
-            fn variant_label(&self, _: usize) -> String {
-                unreachable!()
-            }
-            fn run_exact(&mut self, _: u64) -> Result<RunOutcome, RuntimeError> {
-                self.gate.recv().map_err(|e| RuntimeError(e.to_string()))?;
-                Ok(RunOutcome {
-                    output: vec![1.0],
-                    cycles: 1,
-                })
-            }
-            fn run_variant(&mut self, _: usize, _: u64) -> Result<RunOutcome, RuntimeError> {
-                unreachable!()
-            }
-            fn quality(&self, _: &[f64], _: &[f64]) -> f64 {
-                100.0
-            }
-        }
-        let (gate_tx, gate_rx) = mpsc::channel();
-        let report = Tuner::paper_default()
-            .tune(&mut Gated {
-                gate: {
-                    let (tx, rx) = mpsc::channel();
-                    for _ in 0..10 {
-                        tx.send(()).unwrap();
-                    }
-                    rx
-                },
-            })
-            .unwrap();
-        let mut builder = Engine::builder(ServeConfig {
-            queue_capacity: 2,
-            workers: 1,
-            ..ServeConfig::paper_default()
-        });
-        let id = builder.register("gated", Box::new(Gated { gate: gate_rx }), &report);
-        let engine = builder.start();
-        // Effectively-infinite rate: all 10 arrivals are due immediately,
-        // but only 2 fit the admission budget while the worker is gated.
-        let spec = OpenLoopSpec::new(10, 1e12);
-        let handle = std::thread::spawn({
-            move || {
-                for _ in 0..10 {
-                    // Feed the gate until the run's admitted requests have
-                    // all been served (extra sends are never received).
-                    if gate_tx.send(()).is_err() {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            }
-        });
-        let load = run_open_loop(&engine, &[id], &spec);
-        assert_eq!(load.completed + load.dropped, 10);
-        assert!(load.dropped > 0, "burst over a 2-deep queue must drop");
-        assert!(load.drop_rate() > 0.0);
-        engine.shutdown();
-        let _ = handle.join();
     }
 }

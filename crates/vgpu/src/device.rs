@@ -280,8 +280,7 @@ pub struct Device {
     /// per-block (see [`Device::set_schedule_seed`]).
     pub(crate) schedule_seed: Option<u64>,
     /// Profile-guided superinstruction fusion for the bytecode engine
-    /// (default on; disabled by the `PARAPROX_NO_FUSE` environment
-    /// variable or [`Device::set_fusion`]).
+    /// (default on; disabled by [`Device::set_fusion`]).
     pub(crate) fusion: bool,
     /// Per-worker buffer images, retained across launches so a serving
     /// loop reuses the allocations instead of cloning the arena per
@@ -332,7 +331,7 @@ impl Device {
             constant_cache,
             programs: ProgramCache::default(),
             schedule_seed: None,
-            fusion: fusion_from_env(),
+            fusion: true,
             image_pool: Vec::new(),
             approx_rate: 0.0,
             approx_seed: 0,
@@ -370,10 +369,10 @@ impl Device {
     }
 
     /// Enable or disable profile-guided superinstruction fusion for the
-    /// bytecode engine. The default comes from the `PARAPROX_NO_FUSE`
-    /// environment variable (set it non-empty and not `0` to disable).
-    /// Fusion never changes results: fused and unfused execution are
-    /// bit-identical in buffers, simulated cycles, and cache statistics.
+    /// bytecode engine (on by default). Fusion never changes results:
+    /// fused and unfused execution are bit-identical in buffers,
+    /// simulated cycles, and cache statistics
+    /// (`vgpu/tests/fusion.rs`).
     pub fn set_fusion(&mut self, on: bool) {
         self.fusion = on;
     }
@@ -876,14 +875,14 @@ impl Device {
     }
 
     /// Look up (or compile) the bytecode artifact for `kernel` of
-    /// `program` under the device's resolved engine. `None` means the
+    /// `program` under the profile's engine. `None` means the
     /// tree-walking engine is active.
     pub(crate) fn program_handle(
         &mut self,
         program: &Program,
         k: &Kernel,
     ) -> Option<ProgramHandle> {
-        match crate::profile::resolve_engine(self.profile.engine) {
+        match self.profile.engine {
             ExecEngine::Bytecode => Some(self.programs.get_or_compile(program, k, &self.profile)),
             ExecEngine::TreeWalk => None,
         }
@@ -925,19 +924,6 @@ fn kernel_reads_param(k: &Kernel, pi: usize) -> bool {
         }
     });
     reads
-}
-
-/// Fusion default from the environment: `PARAPROX_NO_FUSE` set to a
-/// non-empty value other than `0` disables fusion (same trim/ignore idiom
-/// as `PARAPROX_ENGINE`/`PARAPROX_THREADS`).
-fn fusion_from_env() -> bool {
-    match std::env::var("PARAPROX_NO_FUSE") {
-        Ok(v) => {
-            let t = v.trim();
-            t.is_empty() || t == "0"
-        }
-        Err(_) => true,
-    }
 }
 
 #[cfg(test)]

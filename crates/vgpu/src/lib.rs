@@ -18,8 +18,8 @@
 //! environment variable); results, simulated cycles, and cache statistics
 //! are bit-identical for every worker count.
 //!
-//! Two execution engines are available (see [`ExecEngine`] and the
-//! `PARAPROX_ENGINE` environment variable): the default *bytecode* engine
+//! Two execution engines are available (see [`ExecEngine`] and
+//! [`DeviceProfile::with_engine`]): the default *bytecode* engine
 //! compiles each kernel once to a register-machine instruction stream
 //! (cached per device, shared across launches and pool workers), and the
 //! *tree-walking* engine interprets the AST directly and serves as the

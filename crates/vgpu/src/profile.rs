@@ -33,21 +33,6 @@ pub enum ExecEngine {
     TreeWalk,
 }
 
-/// Resolve the engine for a launch: the `PARAPROX_ENGINE` environment
-/// variable (`bytecode` or `tree`/`treewalk`/`tree-walk`, case-insensitive)
-/// overrides the profile's [`DeviceProfile::engine`] knob; unrecognized
-/// values are ignored.
-pub(crate) fn resolve_engine(profile_engine: ExecEngine) -> ExecEngine {
-    if let Ok(v) = std::env::var("PARAPROX_ENGINE") {
-        match v.trim().to_ascii_lowercase().as_str() {
-            "bytecode" => return ExecEngine::Bytecode,
-            "tree" | "treewalk" | "tree-walk" => return ExecEngine::TreeWalk,
-            _ => {}
-        }
-    }
-    profile_engine
-}
-
 /// Why a [`DeviceProfile`] cannot be simulated (see
 /// [`DeviceProfile::validate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,9 +170,9 @@ pub struct DeviceProfile {
     /// time, never simulated cycles.
     pub parallelism: usize,
     /// Which interpreter executes launches (bytecode by default; the
-    /// tree-walking oracle for differential testing). The
-    /// `PARAPROX_ENGINE` environment variable overrides this knob. Results
-    /// are bit-identical for either engine.
+    /// tree-walking oracle for differential testing, selected with
+    /// [`DeviceProfile::with_engine`]). Results are bit-identical for
+    /// either engine (`apps/tests/engine_equivalence.rs`).
     pub engine: ExecEngine,
 }
 

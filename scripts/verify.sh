@@ -1,20 +1,17 @@
 #!/usr/bin/env bash
 # Full local verification, in the order it runs:
 #   1. check_lint_fixtures.sh (every error-severity lint has fixtures)
-#   2. cargo fmt --check
-#   3. cargo build --release
-#   4. cargo test -q (tier-1, root package)
-#   5. cargo test --workspace -q
-#   6. cargo clippy --workspace --all-targets -D warnings
-#   7. paraprox-cli analyze --json on all 13 apps
-#   8. bench_interp --smoke (engine bit-identity, geomean >= 1.0x)
-#   9. bench_approxmem --smoke
-#  10. bench_errorprop --smoke
-#  11. paraprox-cli inspect --schedule on every preset of both iterative apps
-#  12. bench_iter --smoke (best schedule >= 1.3x within TOQ)
-#  13. paraprox-cli serve on both profiles (drift, back-off, re-promotion)
-#  14. bench_serve --smoke (batched >= 0.90x window 1)
-#  15. paraprox-benchmark smokes: iter_converge, kernel_exec, serve_open_drift
+#   2. check_docs.sh (every file, bin, workload and subcommand the docs cite exists)
+#   3. cargo fmt --check
+#   4. cargo build --release
+#   5. cargo test -q (tier-1, root package)
+#   6. cargo test --workspace -q (every invariant is asserted here)
+#   7. cargo clippy --workspace --all-targets -D warnings
+#   8. paraprox-cli analyze --json on all 13 apps
+#   9. paraprox-cli inspect --schedule on every preset of both iterative apps
+#  10. paraprox-cli serve on both profiles (drift, back-off, re-promotion)
+#  11. paraprox-benchmark smokes: iter_converge, kernel_exec, serve_open_drift
+#      (the only place a host timing is taken; none is gated here)
 # Everything runs offline (the workspace has no external dependencies),
 # so this works in sandboxed CI.
 #
@@ -27,6 +24,9 @@ echo "==> check_lint_fixtures (every error-severity lint has a fixture pair)"
 # negative fixture marker in crates/analysis/tests/lints.rs, so an
 # error-severity lint can never ship untested in either direction.
 scripts/check_lint_fixtures.sh
+
+echo "==> check_docs (every path, bin, workload and CLI subcommand the docs cite resolves)"
+scripts/check_docs.sh
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -60,29 +60,6 @@ for app in "Black" "Quasi" "Gamma" "Box" "HotSpot" "Convolution" "Gaussian" "Mea
   esac
 done
 
-echo "==> bench_interp --smoke (engine bit-identity + perf gate: geomean >= 1.0x)"
-# bench_interp --smoke exits non-zero when the bytecode engine's geomean
-# host speedup over the tree-walker drops below parity, so an interpreter
-# performance regression fails verification here.
-(cd target && cargo run --release -p paraprox-bench --bin bench_interp -- --smoke)
-
-echo "==> bench_approxmem --smoke (tolerant auto-placement lint-clean + rate-0 bit-identity)"
-# bench_approxmem --smoke exits non-zero when the partition-driven
-# auto-placement trips the approx-placement lint on any app, or when the
-# approximate placement at rate 0 is not bit-identical to the all-exact
-# run — either would mean the criticality partition or the injection
-# path regressed.
-(cd target && cargo run --release -p paraprox-bench --bin bench_approxmem -- --smoke)
-
-echo "==> bench_errorprop --smoke (static bounds sound on all apps, >= 1 app prunes calibration)"
-# bench_errorprop --smoke exits non-zero when any measured rung error
-# exceeds its static error-propagation bound (a soundness violation of
-# the abstract interpreter), when a static prune would lose a rung that
-# dynamic tuning deploys, or when no app prunes at least one rung before
-# measurement — the analysis must stay sound *and* keep paying for
-# itself in skipped calibration launches.
-(cd target && cargo run --release -p paraprox-bench --bin bench_errorprop -- --smoke)
-
 echo "==> paraprox-cli inspect-schedule smoke (iterative apps: every preset admitted by the gate)"
 # inspect --schedule prints the per-iteration plan and then runs the
 # static-analysis gate under the loop's launch contexts; it exits
@@ -94,28 +71,12 @@ for app in jacobi sobel; do
   done
 done
 
-echo "==> bench_iter --smoke (iterative loops: exact converges + replays bit-identical, best schedule >= 1.3x within TOQ)"
-# bench_iter --smoke exits non-zero when the exact convergence loop hits
-# the iteration cap, when replaying a schedule on the same seed is not
-# bit-identical, or when no approximate schedule reaches 1.3x fewer
-# cycles than the exact loop within the default 90% TOQ.
-(cd target && cargo run --release -p paraprox-bench --bin bench_iter -- --smoke)
-
 echo "==> paraprox-cli serve smoke (drift -> back-off -> re-promotion, both profiles)"
 for dev in gpu cpu; do
   cargo run --release -q -p paraprox-cli -- serve --device "$dev" --scale test \
     --requests 40 --drift-at 10 --drift-len 12 --check-every 4 --promote-after 2 \
     --shards 2 --batch-window 8
 done
-
-echo "==> bench_serve --smoke (serving engine perf gate: batched >= 0.90x window 1)"
-# bench_serve --smoke exits non-zero when the sharded engine's
-# closed-loop throughput at batch window 8 drops below 0.90x of the
-# single-shard window-1 baseline (the same code, one request a batch) on
-# the same seeded stream — headroom for wall-clock noise on small hosts,
-# while a real serving-path performance regression still fails
-# verification here.
-(cd target && cargo run --release -p paraprox-bench --bin bench_serve -- --smoke)
 
 echo "==> paraprox-benchmark smokes (iter_converge, kernel_exec, serve_open_drift: outputs vs host references, simulated values repeat)"
 # The end-to-end benchmark checks every output against the apps'

@@ -8,6 +8,7 @@ use paraprox_apps::{iter_registry, IterApp, Scale};
 use paraprox_ir::{Expr, KernelBuilder, MemSpace, Program, Ty};
 use paraprox_iter::{gate_schedule, IterError, IterModel, IterSchedule, ModelParts, ReachStage};
 use paraprox_quality::Metric;
+use paraprox_runtime::Approximable;
 use paraprox_vgpu::{ArgValue, Device, DeviceProfile, Dim2, ExecEngine};
 
 /// Run one convergence loop and return the converged field as raw bits.
@@ -129,6 +130,49 @@ fn schedule_seed_is_part_of_the_schedule_identity() {
         second.residual.to_bits(),
         "different sampling seeds must observe different residual estimates"
     );
+}
+
+/// On the deployment seed, warm job and all: the exact loop converges
+/// before the iteration cap, a second run of it on the same job returns
+/// the same bits (pooled images and cached programs carry no state into
+/// the next loop), and some preset holds 90 % converged-field quality at
+/// 1.3x fewer simulated cycles or better. Cycles are simulated, so the
+/// floor is an exact threshold, not a timing.
+#[test]
+fn exact_converges_replays_and_a_preset_clears_the_speedup_floor() {
+    const SEED: u64 = 1000;
+    for app in iter_registry() {
+        let mut job = app
+            .instantiate(Scale::Test, Device::new(DeviceProfile::gtx560()))
+            .unwrap_or_else(|e| panic!("{}: {e}", app.name));
+        let exact = job.run_schedule(&IterSchedule::exact(), SEED).unwrap();
+        assert!(
+            job.last_run().unwrap().converged,
+            "{}: exact loop hit the iteration cap",
+            app.name
+        );
+        let replay = job.run_schedule(&IterSchedule::exact(), SEED).unwrap();
+        let bits = |out: &[f64]| out.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(
+            bits(&exact.output),
+            bits(&replay.output),
+            "{}: exact replay on the same job diverged",
+            app.name
+        );
+
+        let mut best = 0.0f64;
+        for schedule in job.schedules().to_vec() {
+            let out = job.run_schedule(&schedule, SEED).unwrap();
+            if job.quality(&exact.output, &out.output) >= 90.0 {
+                best = best.max(exact.cycles as f64 / out.cycles.max(1) as f64);
+            }
+        }
+        assert!(
+            best >= 1.3,
+            "{}: no preset reached 1.3x within 90% TOQ (best {best:.2}x)",
+            app.name
+        );
+    }
 }
 
 /// A stencil whose block communicates through one shared slot with no
