@@ -55,8 +55,9 @@ use crate::exec::{ExecCtx, FILLER, ITERATION_BUDGET};
 use crate::mask::LaneMask;
 use crate::profile::DeviceProfile;
 use crate::soa::{
-    bin_fast, bin_fast_eligible, bin_needs_divisor_scan, cast_fast, cmp_fast, cmp_one, has_zero,
-    tag_of_ty, tag_ty, un_fast, un_fast_eligible, RegRow, TAG_BOOL, TAG_MIXED,
+    bin_fast_eligible, bin_needs_divisor_scan, bin_strip, cast_strip, cmp_refine, cmp_strip,
+    has_active_zero, split_by, tag_of_ty, tag_ty, un_fast_eligible, un_strip, RegRow, TAG_BOOL,
+    TAG_I32, TAG_MIXED,
 };
 
 /// Operand encodings at or above this value index the constant bank;
@@ -1533,8 +1534,8 @@ struct CallCtx {
 /// allocate is a constant per worker plus a constant per block (its write
 /// log); `tests/alloc_steady_state.rs` pins both. Registers are
 /// structure-of-arrays [`RegRow`]s (contiguous lane-major `u32` strips)
-/// and masks are [`LaneMask`] bitsets, so converged ops run as typed slice
-/// loops over raw bit patterns.
+/// and masks are [`LaneMask`] bitsets, so ops run as typed slice loops over
+/// raw bit patterns, a mask word at a time.
 #[derive(Default)]
 pub(crate) struct BcScratch {
     /// Register rows, stacked per frame window.
@@ -1548,9 +1549,9 @@ pub(crate) struct BcScratch {
     bank: Vec<RegRow>,
     /// In-flight call frames.
     calls: Vec<CallCtx>,
-    /// Recycled `u32` strip the typed full-mask loops write into before
-    /// the destination row adopts it.
-    fast: Vec<u32>,
+    /// Recycled `u32` strip the in-place loop step swaps its row's bits
+    /// through.
+    strip: Vec<u32>,
 }
 
 /// Resolve an operand to its lane row (bank or register-window slot).
@@ -1562,151 +1563,166 @@ fn row(s: &BcScratch, base: usize, r: u16) -> &RegRow {
     }
 }
 
-/// Apply a unary op. Converged uniform rows take the typed strip loop
-/// (autovectorizable, infallible by [`un_fast_eligible`]); everything else
-/// falls back to the per-lane scalar path with the tree-walker's exact
-/// lane order, so error identity and position match the oracle.
-fn apply_unary(
-    op: UnOp,
-    va: &RegRow,
-    mask: &LaneMask,
+// ---- row operations --------------------------------------------------
+//
+// Every ALU and control op has one typed strip path, which takes the lane
+// mask as an argument (`soa.rs`), and the per-lane `Scalar` path below it.
+// The strip path is taken whenever it cannot fail: each operand's *active*
+// lanes carry one tag, the operands agree, and the op is infallible on that
+// type. What is left for the per-lane path is the oracle's error cases (and
+// rows whose active lanes really do differ in type), visited in ascending
+// lane order so the first failing lane is the one the oracle reports. Each
+// op that takes it bumps `fallback` (`LaunchStats::lane_fallback_ops`).
+
+/// The per-lane path of a value-producing op: `value(lane)` on the lanes
+/// of `mask` in ascending order, filler on the others.
+fn per_lane(
     out: &mut RegRow,
-    fast: &mut Vec<u32>,
+    mask: &LaneMask,
+    fallback: &mut u64,
+    value: impl Fn(usize) -> Result<Scalar, EvalError>,
 ) -> Result<(), EvalError> {
-    let ta = va.uniform_tag();
-    if mask.all() && ta != TAG_MIXED && un_fast_eligible(op, ta) {
-        un_fast(op, ta, fast, va.bits());
-        out.adopt_uniform(fast, ta);
-        return Ok(());
-    }
-    let lanes = mask.lanes();
-    out.reset_filler(lanes);
-    if mask.all() {
-        for lane in 0..lanes {
-            out.set(lane, op.apply(va.get(lane))?);
-        }
-    } else {
-        for lane in mask.iter_set() {
-            out.set(lane, op.apply(va.get(lane))?);
-        }
+    *fallback += 1;
+    out.reset_filler(mask.lanes());
+    for lane in mask.iter_set() {
+        out.set(lane, value(lane)?);
     }
     out.normalize();
     Ok(())
 }
 
-/// Apply a binary op; typed fast path on converged equal-tag uniform rows
-/// (with a zero-divisor pre-scan where integer division could trap).
+/// Apply a unary op to the lanes of `mask`; the others read as filler.
+fn apply_unary(
+    op: UnOp,
+    va: &RegRow,
+    mask: &LaneMask,
+    out: &mut RegRow,
+    fallback: &mut u64,
+) -> Result<(), EvalError> {
+    if let Some(ta) = va.active_tag(mask).filter(|&t| un_fast_eligible(op, t)) {
+        un_strip(op, ta, out.begin_strip(ta, mask), va.bits(), mask);
+        return Ok(());
+    }
+    per_lane(out, mask, fallback, |lane| op.apply(va.get(lane)))
+}
+
+/// The tag both operands of a binary op carry on every active lane, when
+/// `op` over it cannot fail: the typed tables, plus no active zero divisor
+/// where integer division could trap.
+fn bin_strip_tag(op: BinOp, va: &RegRow, vb: &RegRow, mask: &LaneMask) -> Option<u8> {
+    let ta = va.active_tag(mask)?;
+    (vb.active_tag(mask) == Some(ta)
+        && bin_fast_eligible(op, ta)
+        && !(bin_needs_divisor_scan(op, ta) && has_active_zero(vb.bits(), mask)))
+    .then_some(ta)
+}
+
+/// Apply a binary op to the lanes of `mask`; the others read as filler.
 fn apply_binary(
     op: BinOp,
     va: &RegRow,
     vb: &RegRow,
     mask: &LaneMask,
     out: &mut RegRow,
-    fast: &mut Vec<u32>,
+    fallback: &mut u64,
 ) -> Result<(), EvalError> {
-    let ta = va.uniform_tag();
-    if mask.all()
-        && ta != TAG_MIXED
-        && ta == vb.uniform_tag()
-        && bin_fast_eligible(op, ta)
-        && !(bin_needs_divisor_scan(op, ta) && has_zero(vb.bits()))
-    {
-        bin_fast(op, ta, fast, va.bits(), vb.bits());
-        out.adopt_uniform(fast, ta);
+    if let Some(ta) = bin_strip_tag(op, va, vb, mask) {
+        bin_strip(
+            op,
+            ta,
+            out.begin_strip(ta, mask),
+            va.bits(),
+            vb.bits(),
+            mask,
+        );
         return Ok(());
     }
-    let lanes = mask.lanes();
-    out.reset_filler(lanes);
-    if mask.all() {
-        for lane in 0..lanes {
-            out.set(lane, op.apply(va.get(lane), vb.get(lane))?);
-        }
-    } else {
-        for lane in mask.iter_set() {
-            out.set(lane, op.apply(va.get(lane), vb.get(lane))?);
-        }
-    }
-    out.normalize();
-    Ok(())
+    per_lane(out, mask, fallback, |lane| {
+        op.apply(va.get(lane), vb.get(lane))
+    })
 }
 
-/// Apply a comparison; the typed loop covers every converged equal-tag
-/// case (comparisons are infallible on equal types).
+/// Apply a comparison to the lanes of `mask` (infallible on equal types);
+/// the others read as filler.
 fn apply_cmp(
     op: CmpOp,
     va: &RegRow,
     vb: &RegRow,
     mask: &LaneMask,
     out: &mut RegRow,
-    fast: &mut Vec<u32>,
+    fallback: &mut u64,
 ) -> Result<(), EvalError> {
-    let ta = va.uniform_tag();
-    if mask.all() && ta != TAG_MIXED && ta == vb.uniform_tag() {
-        cmp_fast(op, ta, fast, va.bits(), vb.bits());
-        out.adopt_uniform(fast, TAG_BOOL);
+    if let Some(ta) = va
+        .active_tag(mask)
+        .filter(|&t| vb.active_tag(mask) == Some(t))
+    {
+        cmp_strip(
+            op,
+            ta,
+            out.begin_strip(TAG_BOOL, mask),
+            va.bits(),
+            vb.bits(),
+            mask,
+        );
         return Ok(());
     }
-    let lanes = mask.lanes();
-    out.reset_filler(lanes);
-    if mask.all() {
-        for lane in 0..lanes {
-            out.set(lane, op.apply(va.get(lane), vb.get(lane))?);
-        }
-    } else {
-        for lane in mask.iter_set() {
-            out.set(lane, op.apply(va.get(lane), vb.get(lane))?);
-        }
-    }
-    out.normalize();
-    Ok(())
+    per_lane(out, mask, fallback, |lane| {
+        op.apply(va.get(lane), vb.get(lane))
+    })
 }
 
-/// Apply a cast (always infallible); typed loop on any converged uniform
-/// source row.
-fn apply_cast(ty: Ty, va: &RegRow, mask: &LaneMask, out: &mut RegRow, fast: &mut Vec<u32>) {
-    let ta = va.uniform_tag();
-    if mask.all() && ta != TAG_MIXED {
-        cast_fast(ty, ta, fast, va.bits());
-        out.adopt_uniform(fast, tag_of_ty(ty));
+/// Cast the lanes of `mask` (never an error; the `Result` is the shared
+/// per-lane path's); the others read as filler.
+fn apply_cast(
+    ty: Ty,
+    va: &RegRow,
+    mask: &LaneMask,
+    out: &mut RegRow,
+    fallback: &mut u64,
+) -> Result<(), EvalError> {
+    if let Some(ta) = va.active_tag(mask) {
+        cast_strip(
+            ty,
+            ta,
+            out.begin_strip(tag_of_ty(ty), mask),
+            va.bits(),
+            mask,
+        );
+        return Ok(());
+    }
+    per_lane(out, mask, fallback, |lane| Ok(va.get(lane).cast(ty)))
+}
+
+/// Overwrite the lanes of `mask` in `dst` with `src`'s (`SelMerge`, masked
+/// `StoreLocal`, `RetWrite`); the others keep their value.
+fn merge_masked(dst: &mut RegRow, src: &RegRow, mask: &LaneMask, fallback: &mut u64) {
+    if let Some(tag) = src.active_tag(mask) {
+        dst.merge_strip(tag, src.bits(), mask);
         return;
     }
-    let lanes = mask.lanes();
-    out.reset_filler(lanes);
-    if mask.all() {
-        for lane in 0..lanes {
-            out.set(lane, va.get(lane).cast(ty));
-        }
-    } else {
-        for lane in mask.iter_set() {
-            out.set(lane, va.get(lane).cast(ty));
-        }
+    *fallback += 1;
+    for lane in mask.iter_set() {
+        dst.set(lane, src.get(lane));
     }
-    out.normalize();
+    dst.normalize();
 }
 
-/// Split `m` by the boolean `cond` row into `t`/`f`, visiting lanes in
-/// order so `as_bool` type errors surface at the same lane the tree-walker
-/// reports. Uniform-bool condition rows skip the per-lane decode.
+/// Split `m` by the boolean `cond` row into `t`/`f`. A non-bool active
+/// lane is the oracle's `as_bool` type error, found in lane order.
 fn split_mask(
     cond: &RegRow,
     m: &LaneMask,
     t: &mut LaneMask,
     f: &mut LaneMask,
-    lanes: usize,
+    fallback: &mut u64,
 ) -> Result<(), EvalError> {
-    t.reset_empty(lanes);
-    f.reset_empty(lanes);
-    if cond.uniform_tag() == TAG_BOOL {
-        let bits = cond.bits();
-        for lane in m.iter_set() {
-            if bits[lane] != 0 {
-                t.set(lane, true);
-            } else {
-                f.set(lane, true);
-            }
-        }
+    if cond.active_tag(m) == Some(TAG_BOOL) {
+        split_by(cond.bits(), m, t, f);
         return Ok(());
     }
+    *fallback += 1;
+    t.reset_empty(m.lanes());
+    f.reset_empty(m.lanes());
     for lane in m.iter_set() {
         if cond.get(lane).as_bool()? {
             t.set(lane, true);
@@ -1738,15 +1754,13 @@ fn exec_unary(
     ctx.charge_compute(ctx.profile.unop_lat(op), &s.masks[mb + m as usize]);
     let dst_abs = rb + dst as usize;
     let mut out = std::mem::take(&mut s.regs[dst_abs]);
-    let mut fast = std::mem::take(&mut s.fast);
     let r = apply_unary(
         op,
         row(s, rb, a),
         &s.masks[mb + m as usize],
         &mut out,
-        &mut fast,
+        &mut ctx.stats.lane_fallback_ops,
     );
-    s.fast = fast;
     s.regs[dst_abs] = out;
     r
 }
@@ -1769,16 +1783,14 @@ fn exec_binary(
     ctx.charge_compute(ctx.profile.binop_lat(op, float), &s.masks[mb + m as usize]);
     let dst_abs = rb + dst as usize;
     let mut out = std::mem::take(&mut s.regs[dst_abs]);
-    let mut fast = std::mem::take(&mut s.fast);
     let r = apply_binary(
         op,
         row(s, rb, a),
         row(s, rb, b),
         &s.masks[mb + m as usize],
         &mut out,
-        &mut fast,
+        &mut ctx.stats.lane_fallback_ops,
     );
-    s.fast = fast;
     s.regs[dst_abs] = out;
     r
 }
@@ -1798,16 +1810,14 @@ fn exec_cmp(
     ctx.charge_compute(ctx.profile.alu_lat, &s.masks[mb + m as usize]);
     let dst_abs = rb + dst as usize;
     let mut out = std::mem::take(&mut s.regs[dst_abs]);
-    let mut fast = std::mem::take(&mut s.fast);
     let r = apply_cmp(
         op,
         row(s, rb, a),
         row(s, rb, b),
         &s.masks[mb + m as usize],
         &mut out,
-        &mut fast,
+        &mut ctx.stats.lane_fallback_ops,
     );
-    s.fast = fast;
     s.regs[dst_abs] = out;
     r
 }
@@ -1826,17 +1836,15 @@ fn exec_cast(
     ctx.charge_compute(ctx.profile.alu_lat, &s.masks[mb + m as usize]);
     let dst_abs = rb + dst as usize;
     let mut out = std::mem::take(&mut s.regs[dst_abs]);
-    let mut fast = std::mem::take(&mut s.fast);
-    apply_cast(
+    let r = apply_cast(
         ty,
         row(s, rb, a),
         &s.masks[mb + m as usize],
         &mut out,
-        &mut fast,
+        &mut ctx.stats.lane_fallback_ops,
     );
-    s.fast = fast;
     s.regs[dst_abs] = out;
-    Ok(())
+    r
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -1854,8 +1862,8 @@ fn exec_load(
     let mut out = std::mem::take(&mut s.regs[dst_abs]);
     let r = ctx.do_load_into(mem, row(s, rb, idx), &s.masks[mb + m as usize], &mut out);
     // A load through a mixed-tag index row demotes `out` lane by lane;
-    // recover the uniform tag so downstream ops can take the fast path.
-    // (The strip path leaves a converged row uniform already.)
+    // recover the uniform tag where the lanes agree after all. (The strip
+    // path leaves a converged row uniform already.)
     out.normalize();
     s.regs[dst_abs] = out;
     r
@@ -1884,10 +1892,10 @@ fn exec_store(
 /// then-half is empty. The caller owns the branch charge and the jump.
 #[allow(clippy::too_many_arguments)]
 fn do_if_split(
+    ctx: &mut ExecCtx<'_>,
     s: &mut BcScratch,
     rb: usize,
     mb: usize,
-    lanes: usize,
     m: u16,
     cond: u16,
     t: u16,
@@ -1900,7 +1908,7 @@ fn do_if_split(
         &s.masks[mb + m as usize],
         &mut tm,
         &mut fm,
-        lanes,
+        &mut ctx.stats.lane_fallback_ops,
     );
     let t_empty = !tm.any();
     s.masks[mb + t as usize] = tm;
@@ -1909,40 +1917,28 @@ fn do_if_split(
     Ok(t_empty)
 }
 
-/// The loop-variable update `i = i OP amount`; `amt` is `None` for the
-/// self-aliasing `i OP= i` form. Typed strip loop when the loop mask is
-/// converged and both rows share a uniform tag.
+/// The loop-variable update `i = i OP amount` on the lanes of `lm`, in
+/// place; `amt` is `None` for the self-aliasing `i OP= i` form.
 fn step_loop(
     op: BinOp,
     current: &mut RegRow,
     amt: Option<&RegRow>,
     lm: &LaneMask,
-    fast: &mut Vec<u32>,
-    lanes: usize,
+    scratch: &mut Vec<u32>,
+    fallback: &mut u64,
 ) -> Result<(), EvalError> {
-    let ct = current.uniform_tag();
-    let at = amt.map_or(ct, |a| a.uniform_tag());
-    if lm.all()
-        && ct != TAG_MIXED
-        && ct == at
-        && bin_fast_eligible(op, ct)
-        && !(bin_needs_divisor_scan(op, ct)
-            && has_zero(amt.map_or_else(|| current.bits(), |a| a.bits())))
-    {
-        {
-            let a_bits = current.bits();
-            let b_bits = amt.map_or(a_bits, |a| a.bits());
-            bin_fast(op, ct, fast, a_bits, b_bits);
-        }
-        current.adopt_uniform(fast, ct);
+    if let Some(ct) = bin_strip_tag(op, current, amt.unwrap_or(current), lm) {
+        // The active lanes keep their tag, so only their bits move.
+        current.update_strip(scratch, |out, bits| {
+            bin_strip(op, ct, out, bits, amt.map_or(bits, |a| a.bits()), lm)
+        });
         return Ok(());
     }
-    for lane in 0..lanes {
-        if lm.get(lane) {
-            let x = current.get(lane);
-            let y = amt.map_or(x, |a| a.get(lane));
-            current.set(lane, op.apply(x, y)?);
-        }
+    *fallback += 1;
+    for lane in lm.iter_set() {
+        let x = current.get(lane);
+        let y = amt.map_or(x, |a| a.get(lane));
+        current.set(lane, op.apply(x, y)?);
     }
     current.normalize();
     Ok(())
@@ -1975,20 +1971,24 @@ fn fill_bank(ctx: &ExecCtx<'_>, prog: &CompiledKernel, s: &mut BcScratch) -> Res
                     })
                 }
             },
+            // One value per block, except the thread coordinates: lanes
+            // are numbered row-major over the block.
             BankEntry::Special(sp) => {
-                bank_row.reset_filler(lanes);
-                for lane in 0..lanes {
-                    let v = match sp {
-                        Special::ThreadIdX => (lane % ctx.block.x) as i32,
-                        Special::ThreadIdY => (lane / ctx.block.x) as i32,
-                        Special::BlockIdX => ctx.block_x,
-                        Special::BlockIdY => ctx.block_y,
-                        Special::BlockDimX => ctx.block.x as i32,
-                        Special::BlockDimY => ctx.block.y as i32,
-                        Special::GridDimX => ctx.grid.x as i32,
-                        Special::GridDimY => ctx.grid.y as i32,
-                    };
-                    bank_row.set(lane, Scalar::I32(v));
+                // (32-bit: the division is per lane per block.)
+                let width = ctx.block.x as u32;
+                match sp {
+                    Special::ThreadIdX => {
+                        bank_row.fill_with(lanes, TAG_I32, |lane| lane as u32 % width)
+                    }
+                    Special::ThreadIdY => {
+                        bank_row.fill_with(lanes, TAG_I32, |lane| lane as u32 / width)
+                    }
+                    Special::BlockIdX => bank_row.fill(lanes, Scalar::I32(ctx.block_x)),
+                    Special::BlockIdY => bank_row.fill(lanes, Scalar::I32(ctx.block_y)),
+                    Special::BlockDimX => bank_row.fill(lanes, Scalar::I32(ctx.block.x as i32)),
+                    Special::BlockDimY => bank_row.fill(lanes, Scalar::I32(ctx.block.y as i32)),
+                    Special::GridDimX => bank_row.fill(lanes, Scalar::I32(ctx.grid.x as i32)),
+                    Special::GridDimY => bank_row.fill(lanes, Scalar::I32(ctx.grid.y as i32)),
                 }
             }
         }
@@ -2071,16 +2071,7 @@ pub(crate) fn execute(
                 let warps = ctx.warp_count(mask);
                 ctx.stats.compute_cycles += lat * warps;
                 ctx.stats.instructions += count * warps;
-                let out = &mut s.regs[reg_base + *dst as usize];
-                if mask.all() {
-                    out.fill(lanes, *value);
-                } else {
-                    out.reset_filler(lanes);
-                    for lane in mask.iter_set() {
-                        out.set(lane, *value);
-                    }
-                    out.normalize();
-                }
+                s.regs[reg_base + *dst as usize].fill_masked(*value, mask);
             }
             Op::GuardInit { local, var } => {
                 if !s.init[reg_base + *local as usize] {
@@ -2103,13 +2094,12 @@ pub(crate) fn execute(
                     s.init[dst_abs] = true;
                 } else {
                     let mut out = std::mem::take(&mut s.regs[dst_abs]);
-                    let src_row = row(s, reg_base, *src);
-                    let mask = &s.masks[mask_base + *m as usize];
-                    if mask.all() {
-                        out.copy_from(src_row);
-                    } else {
-                        out.copy_masked_from(src_row, mask);
-                    }
+                    merge_masked(
+                        &mut out,
+                        row(s, reg_base, *src),
+                        &s.masks[mask_base + *m as usize],
+                        &mut ctx.stats.lane_fallback_ops,
+                    );
                     s.regs[dst_abs] = out;
                 }
             }
@@ -2121,7 +2111,7 @@ pub(crate) fn execute(
                 skip_t,
             } => {
                 ctx.charge_compute(ctx.profile.alu_lat, &s.masks[mask_base + *m as usize]);
-                if do_if_split(s, reg_base, mask_base, lanes, *m, *cond, *t, *f)? {
+                if do_if_split(ctx, s, reg_base, mask_base, *m, *cond, *t, *f)? {
                     pc = *skip_t as usize;
                     continue;
                 }
@@ -2141,7 +2131,7 @@ pub(crate) fn execute(
                 skip_t,
             } => {
                 ctx.charge_compute(ctx.profile.alu_lat, &s.masks[mask_base + *m as usize]);
-                let t_empty = do_if_split(s, reg_base, mask_base, lanes, *m, *cond, *t, *f)?;
+                let t_empty = do_if_split(ctx, s, reg_base, mask_base, *m, *cond, *t, *f)?;
                 s.regs[reg_base + *dst as usize].reset_filler(lanes);
                 if t_empty {
                     pc = *skip_t as usize;
@@ -2151,7 +2141,12 @@ pub(crate) fn execute(
             Op::SelMerge { m, dst, src } => {
                 let dst_abs = reg_base + *dst as usize;
                 let mut out = std::mem::take(&mut s.regs[dst_abs]);
-                out.copy_masked_from(row(s, reg_base, *src), &s.masks[mask_base + *m as usize]);
+                merge_masked(
+                    &mut out,
+                    row(s, reg_base, *src),
+                    &s.masks[mask_base + *m as usize],
+                    &mut ctx.stats.lane_fallback_ops,
+                );
                 s.regs[dst_abs] = out;
             }
             Op::SelElse { f, skip } => {
@@ -2189,18 +2184,16 @@ pub(crate) fn execute(
                 let mut lm = std::mem::take(&mut s.masks[mask_base + *ml as usize]);
                 let current = &s.regs[local_abs];
                 let bnd = row(s, reg_base, *bound);
-                let ct = current.uniform_tag();
                 let mut err = None;
-                if ct != TAG_MIXED && ct == bnd.uniform_tag() {
+                if let Some(ct) = current
+                    .active_tag(&lm)
+                    .filter(|&t| bnd.active_tag(&lm) == Some(t))
+                {
                     // Equal-tag comparisons are infallible: refine the mask
-                    // with the typed comparator, no per-lane decode.
-                    let (ca, cb) = (current.bits(), bnd.bits());
-                    for lane in 0..lanes {
-                        if lm.get(lane) && !cmp_one(*cmp, ct, ca[lane], cb[lane]) {
-                            lm.set(lane, false);
-                        }
-                    }
+                    // with the typed comparator, a mask word at a time.
+                    cmp_refine(*cmp, ct, &mut lm, current.bits(), bnd.bits());
                 } else {
+                    ctx.stats.lane_fallback_ops += 1;
                     for lane in 0..lanes {
                         if lm.get(lane) {
                             match cmp
@@ -2259,17 +2252,16 @@ pub(crate) fn execute(
                 }
                 let alias = *amount & BANK_FLAG == 0 && *amount == *local;
                 let mut current = std::mem::take(&mut s.regs[local_abs]);
-                let mut fast = std::mem::take(&mut s.fast);
-                let r = {
-                    let lm = &s.masks[mask_base + *ml as usize];
-                    let amt = if alias {
-                        None
-                    } else {
-                        Some(row(s, reg_base, *amount))
-                    };
-                    step_loop(*op, &mut current, amt, lm, &mut fast, lanes)
-                };
-                s.fast = fast;
+                let mut strip = std::mem::take(&mut s.strip);
+                let r = step_loop(
+                    *op,
+                    &mut current,
+                    (!alias).then(|| row(s, reg_base, *amount)),
+                    &s.masks[mask_base + *ml as usize],
+                    &mut strip,
+                    &mut ctx.stats.lane_fallback_ops,
+                );
+                s.strip = strip;
                 s.regs[local_abs] = current;
                 r?;
                 pc = *head as usize;
@@ -2317,12 +2309,14 @@ pub(crate) fn execute(
                 let ret_abs = reg_base + (meta.frame.n_locals + meta.frame.n_params) as usize;
                 let mut retv = std::mem::take(&mut s.regs[ret_abs]);
                 let mut returned = std::mem::take(&mut s.masks[mask_base + 1]);
-                let src_row = row(s, reg_base, *src);
-                for lane in s.masks[mask_base + *m as usize].iter_set() {
-                    returned.set(lane, true);
-                    retv.set(lane, src_row.get(lane));
-                }
-                retv.normalize();
+                let mask = &s.masks[mask_base + *m as usize];
+                returned.or_assign(mask);
+                merge_masked(
+                    &mut retv,
+                    row(s, reg_base, *src),
+                    mask,
+                    &mut ctx.stats.lane_fallback_ops,
+                );
                 s.regs[ret_abs] = retv;
                 s.masks[mask_base + 1] = returned;
             }
@@ -2470,7 +2464,7 @@ pub(crate) fn execute(
                 ctx.stats.fusions_hit += 1;
                 exec_cmp(ctx, s, reg_base, mask_base, *m, *op, *dst, *a, *b)?;
                 ctx.charge_compute(ctx.profile.alu_lat, &s.masks[mask_base + *m as usize]);
-                if do_if_split(s, reg_base, mask_base, lanes, *m, *dst, *t, *f)? {
+                if do_if_split(ctx, s, reg_base, mask_base, *m, *dst, *t, *f)? {
                     pc = *skip_t as usize;
                 } else {
                     pc += 2;

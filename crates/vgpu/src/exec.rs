@@ -57,7 +57,7 @@ use paraprox_ir::{
 use crate::cache::Cache;
 use crate::device::{ArgValue, BufferStorage, Dim2};
 use crate::error::LaunchError;
-use crate::mask::{LaneMask, MAX_WARP_LANES};
+use crate::mask::{set_bits, LaneMask, MAX_WARP_LANES};
 use crate::pool::{self, WorkQueue};
 use crate::profile::DeviceProfile;
 use crate::soa::{decode, encode_bits, tag_of_ty, TAG_BOOL, TAG_I32, TAG_U32};
@@ -1832,14 +1832,8 @@ fn active_warps(
 }
 
 /// The active lanes of one warp, ascending, from its [`active_warps`] bits.
-fn set_lanes(start: usize, mut bits: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        (bits != 0).then(|| {
-            let lane = start + bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            lane
-        })
-    })
+fn set_lanes(start: usize, bits: u64) -> impl Iterator<Item = usize> {
+    set_bits(bits).map(move |bit| start + bit)
 }
 
 /// The distinct values (line tags, word addresses) one warp touched, in

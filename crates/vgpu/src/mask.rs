@@ -12,8 +12,8 @@
 //! whole words against the full pattern and the final partial word against
 //! the tail pattern.
 
-/// Bits per storage word.
-const WORD: usize = 64;
+/// Bits (lanes) per storage word.
+pub(crate) const WORD: usize = 64;
 
 /// Widest warp the device supports: a warp's bits must fit one mask word.
 /// [`crate::DeviceProfile::validate`] enforces it (and that the width is a
@@ -36,11 +36,54 @@ pub struct LaneMask {
 /// (all ones when `lanes` is a multiple of 64).
 #[inline]
 fn tail_pattern(lanes: usize) -> u64 {
-    let rem = lanes % WORD;
-    if rem == 0 {
-        u64::MAX
+    full_word(match lanes % WORD {
+        0 => WORD,
+        rem => rem,
+    })
+}
+
+/// The word with its low `n` bits set (`1 <= n <= 64`): what a storage
+/// word covering `n` lanes holds when every one of them is active.
+#[inline(always)]
+pub(crate) fn full_word(n: usize) -> u64 {
+    debug_assert!((1..=WORD).contains(&n));
+    u64::MAX >> (WORD - n)
+}
+
+/// The set bit positions of one storage word, ascending.
+#[inline(always)]
+pub(crate) fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
+}
+
+/// One byte per lane of a mask byte (eight lanes): byte `k` of the result
+/// is `0xFF` where bit `k` of `m` is set and `0` elsewhere, so per-lane
+/// byte strips (the type tags) can be tested and rewritten eight lanes at
+/// a time with plain `u64` logic.
+#[inline(always)]
+pub(crate) fn byte_lanes(m: u8) -> u64 {
+    // Copy `m` into every byte and keep bit `k` in byte `k`; a byte that
+    // kept its bit is at least 1 and at most 0x80, so adding 0x7F carries
+    // into its top bit and never out of it.
+    let kept = u64::from(m).wrapping_mul(0x0101_0101_0101_0101) & 0x8040_2010_0804_0201;
+    ((kept + 0x7F7F_7F7F_7F7F_7F7F) >> 7 & 0x0101_0101_0101_0101) * 0xFF
+}
+
+/// The bits of `live` (a storage word covering `n` lanes) whose position
+/// satisfies `keep`. A fully active word takes the straight loop over its
+/// `n` lanes, anything else visits its set bits only.
+#[inline(always)]
+pub(crate) fn pack_word(live: u64, n: usize, keep: impl Fn(usize) -> bool) -> u64 {
+    if live == full_word(n) {
+        (0..n).fold(0, |acc, bit| acc | u64::from(keep(bit)) << bit)
     } else {
-        (1u64 << rem) - 1
+        set_bits(live).fold(0, |acc, bit| acc | u64::from(keep(bit)) << bit)
     }
 }
 
@@ -144,6 +187,65 @@ impl LaneMask {
         }
     }
 
+    /// `self |= other` — e.g. "returned lanes gain the returning mask".
+    pub fn or_assign(&mut self, other: &LaneMask) {
+        debug_assert_eq!(self.lanes, other.lanes);
+        for (w, o) in self.words.iter_mut().zip(&other.words) {
+            *w |= o;
+        }
+    }
+
+    /// Eight lanes of the mask: lane `8 * j + k` in bit `k` (see
+    /// [`byte_lanes`]).
+    #[inline(always)]
+    pub(crate) fn byte(&self, j: usize) -> u8 {
+        (self.words[j / 8] >> (j % 8 * 8)) as u8
+    }
+
+    /// The active lanes as the strip loops want them: each maximal run of
+    /// fully active storage words as one [`Span::Run`] of lanes (the whole
+    /// block, under the all-ones mask), every other word with an active
+    /// lane as a [`Span::Word`]. Ascending, so a loop over the spans
+    /// visits active lanes in lane order.
+    #[inline]
+    pub(crate) fn spans(&self) -> impl Iterator<Item = Span> + '_ {
+        let (lanes, words) = (self.lanes, &self.words[..]);
+        let is_full = move |w: usize| words[w] == full_word((lanes - w * WORD).min(WORD));
+        let mut w = 0;
+        std::iter::from_fn(move || {
+            while w < words.len() && words[w] == 0 {
+                w += 1;
+            }
+            if w == words.len() {
+                return None;
+            }
+            let first = w;
+            if !is_full(w) {
+                w += 1;
+                return Some(Span::Word(first * WORD, words[first]));
+            }
+            while w < words.len() && is_full(w) {
+                w += 1;
+            }
+            Some(Span::Run(first * WORD..(w * WORD).min(lanes)))
+        })
+    }
+
+    /// Refine the mask a storage word at a time: `keep(first, n, live)`
+    /// sees the word holding lanes `first..first + n` and returns the bits
+    /// of `live` that stay active (see [`pack_word`]). Words with no active
+    /// lane are skipped; a returned bit outside `live` is ignored.
+    #[inline(always)]
+    pub(crate) fn refine_words(&mut self, mut keep: impl FnMut(usize, usize, u64) -> u64) {
+        let lanes = self.lanes;
+        for (w, word) in self.words.iter_mut().enumerate() {
+            if *word != 0 {
+                let first = w * WORD;
+                *word &= keep(first, (lanes - first).min(WORD), *word);
+            }
+        }
+    }
+
     /// The bits of the warp starting at lane `start`, `width` lanes wide
     /// (`width` ≤ 64 and warps never straddle a word because
     /// [`crate::DeviceProfile::validate`] only admits warp widths that
@@ -182,6 +284,17 @@ impl LaneMask {
             current: self.words.first().copied().unwrap_or(0),
         }
     }
+}
+
+/// One step of [`LaneMask::spans`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Span {
+    /// These lanes are all active: whole storage words, so the range
+    /// starts on a word boundary.
+    Run(std::ops::Range<usize>),
+    /// The storage word starting at this lane, with these bits active
+    /// (some, not all): visit them with [`set_bits`].
+    Word(usize, u64),
 }
 
 /// Iterator over the set lane indices of a [`LaneMask`].
@@ -300,5 +413,143 @@ mod tests {
         assert_eq!(c.lanes(), 3);
         assert!(!c.any());
         assert_eq!(LaneMask::default(), LaneMask::empty(0));
+        let mut d = LaneMask::empty(65);
+        d.set(1, true);
+        d.or_assign(&b);
+        assert_eq!(d.iter_set().collect::<Vec<_>>(), vec![1, 3, 64]);
+    }
+
+    #[test]
+    fn byte_lanes_spreads_every_mask_byte() {
+        for m in 0..=u8::MAX {
+            let want = (0..8).fold(0u64, |acc, k| {
+                acc | if m >> k & 1 != 0 { 0xFF << (8 * k) } else { 0 }
+            });
+            assert_eq!(byte_lanes(m), want, "m={m:#010b}");
+        }
+        let mut m = LaneMask::empty(100);
+        for lane in [0, 9, 63, 64, 99] {
+            m.set(lane, true);
+        }
+        let bytes: Vec<u8> = (0..13).map(|j| m.byte(j)).collect();
+        for lane in 0..100 {
+            assert_eq!(bytes[lane / 8] >> (lane % 8) & 1 != 0, m.get(lane));
+        }
+        assert_eq!(bytes[12] >> 4, 0, "bits past the last lane stay zero");
+    }
+
+    #[test]
+    fn word_helpers() {
+        assert_eq!(full_word(1), 1);
+        assert_eq!(full_word(8), 0xFF);
+        assert_eq!(full_word(64), u64::MAX);
+        assert_eq!(set_bits(0).count(), 0);
+        assert_eq!(
+            set_bits(1 | 1 << 5 | 1 << 63).collect::<Vec<_>>(),
+            vec![0, 5, 63]
+        );
+        // Both arms of `pack_word` keep exactly the live bits that satisfy
+        // the predicate, and never ask about a lane past `n`.
+        for n in [1usize, 8, 36, 64] {
+            for live in [full_word(n), full_word(n) & 0xAAAA_AAAA_AAAA_AAAA, 1, 0] {
+                let got = pack_word(live, n, |bit| {
+                    assert!(bit < n);
+                    bit % 3 != 0
+                });
+                let want = (0..n)
+                    .filter(|bit| live >> bit & 1 != 0 && bit % 3 != 0)
+                    .fold(0u64, |acc, bit| acc | 1 << bit);
+                assert_eq!(got, want, "n={n} live={live:#x}");
+            }
+        }
+    }
+
+    /// The lane counts of the row-state tests (the CPU profile's 8-lane
+    /// warp, one exact word, a ragged tail, several words), each under
+    /// the mask shapes a launch produces.
+    fn shaped_masks() -> Vec<LaneMask> {
+        let mut out = Vec::new();
+        for lanes in [8usize, 64, 100, 128, 256] {
+            let shapes: [&dyn Fn(usize) -> bool; 7] = [
+                &|_| false,
+                &|l| l == lanes / 2,
+                &|l| l != lanes / 3,
+                &|_| true,
+                &|l| l < 64,
+                &|l| l < lanes * 2 / 3,
+                &|l| l >= 64 && l % 7 != 0 || l >= 128,
+            ];
+            for active in shapes {
+                let mut m = LaneMask::empty(lanes);
+                for lane in (0..lanes).filter(|&l| active(l)) {
+                    m.set(lane, true);
+                }
+                out.push(m);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn spans_cover_exactly_the_active_lanes_in_order() {
+        for lanes in [8usize, 64, 100, 128, 256] {
+            let full = LaneMask::full(lanes);
+            assert_eq!(full.spans().collect::<Vec<_>>(), vec![Span::Run(0..lanes)]);
+            assert_eq!(LaneMask::empty(lanes).spans().count(), 0);
+        }
+        for (i, m) in shaped_masks().into_iter().enumerate() {
+            let lanes = m.lanes();
+            let mut seen = Vec::new();
+            for span in m.spans() {
+                match span {
+                    Span::Run(r) => {
+                        assert!(r.start % WORD == 0 && !r.is_empty());
+                        seen.extend(r);
+                    }
+                    Span::Word(first, bits) => {
+                        assert!(first % WORD == 0 && bits != 0);
+                        assert_ne!(bits, full_word((lanes - first).min(WORD)));
+                        seen.extend(set_bits(bits).map(|b| first + b));
+                    }
+                }
+            }
+            let want: Vec<usize> = m.iter_set().collect();
+            assert_eq!(seen, want, "lanes={lanes} shape={i}");
+        }
+        // Adjacent full words coalesce; a partial word splits the run.
+        let mut m = LaneMask::full(256);
+        m.set(130, false);
+        assert_eq!(
+            m.spans().collect::<Vec<_>>(),
+            vec![
+                Span::Run(0..128),
+                Span::Word(128, !(1 << 2)),
+                Span::Run(192..256)
+            ]
+        );
+    }
+
+    #[test]
+    fn refine_words_matches_the_per_lane_loop() {
+        for (i, mut m) in shaped_masks().into_iter().enumerate() {
+            let lanes = m.lanes();
+            let keep = |lane: usize| lane % 5 != 2;
+            let mut want = m.clone();
+            for lane in 0..lanes {
+                if want.get(lane) && !keep(lane) {
+                    want.set(lane, false);
+                }
+            }
+            let mut seen = 0;
+            m.refine_words(|first, n, live| {
+                assert!(live != 0 && first % WORD == 0 && first + n <= lanes);
+                assert_eq!(n, (lanes - first).min(WORD));
+                seen += live.count_ones() as usize;
+                // Bits outside `live` (here: all of them) are ignored.
+                pack_word(full_word(n), n, |bit| keep(first + bit))
+            });
+            assert_eq!(m, want, "lanes={lanes} shape={i}");
+            assert!(seen >= want.count());
+        }
     }
 }

@@ -3,23 +3,32 @@
 //! The tree-walking oracle evaluates `Vec<Scalar>` lane vectors: one enum
 //! per lane, matched per lane per op. The bytecode engine instead keeps
 //! each virtual register as a [`RegRow`] — a contiguous lane-major strip
-//! of raw 32-bit patterns plus a type tag. Almost every row is *uniform*
-//! (all lanes the same type), so the tag is one byte for the whole row and
-//! an op over two uniform rows of equal tag runs as a tight slice loop
-//! over `u32` bit patterns (`f32::from_bits`/`to_bits` are free bitcasts),
-//! which LLVM autovectorizes. Per-lane tags are materialized only for the
-//! rare *mixed* rows produced by divergent writes, and those fall back to
-//! the exact per-lane `Scalar` path so error identity and position match
-//! the oracle bit for bit.
+//! of raw 32-bit patterns plus a type tag. A converged row is *uniform*
+//! (all lanes the same type, one tag byte for the whole row); a row written
+//! under a partial lane mask holds the filler (`i32` zero) in its inactive
+//! lanes and is *mixed* unless the written type is `i32` too, with per-lane
+//! tags.
 //!
-//! The typed loops below mirror `BinOp::apply`/`UnOp::apply`/
-//! `CmpOp::apply`/`Scalar::cast` exactly; a property test cross-checks
-//! every opcode against the scalar implementations over adversarial
-//! values (NaN, -0.0, `i32::MIN`, shift overflow, ...).
+//! Every typed loop below takes the lane mask as an argument: it runs over
+//! the `u32` bit patterns (`f32::from_bits`/`to_bits` are free bitcasts)
+//! span by span ([`LaneMask::spans`]): a run of fully active 64-lane mask
+//! words — the whole block, under the all-ones mask — as one straight
+//! slice loop LLVM autovectorizes, any other word over its set bits only,
+//! so an inactive lane is never computed (its filler zero would trap an
+//! integer division) and never written. What makes an op eligible is the
+//! tag of its operands' *active* lanes ([`RegRow::active_tag`]), so the
+//! mixed rows a divergent region produces stay on the typed loops; the
+//! per-lane `Scalar` path is left to the bytecode engine's error cases.
+//!
+//! The typed loops mirror `BinOp::apply`/`UnOp::apply`/`CmpOp::apply`/
+//! `Scalar::cast` exactly; property tests cross-check every opcode against
+//! the scalar implementations over adversarial values (NaN, -0.0,
+//! `i32::MIN`, shift overflow, ...) and every mask shape against the
+//! per-lane row writes.
 
 use paraprox_ir::{BinOp, CmpOp, Scalar, Ty, UnOp};
 
-use crate::mask::LaneMask;
+use crate::mask::{byte_lanes, pack_word, set_bits, LaneMask, Span};
 
 /// Row tag: every lane is `f32`.
 pub const TAG_F32: u8 = 0;
@@ -172,10 +181,10 @@ impl RegRow {
     /// Prepare the row to receive `tag`-typed raw bits in the lanes of
     /// `mask` and return the strip to write them to. Afterwards the row
     /// reads exactly as if it had been reset to the filler and then
-    /// [`RegRow::set`] lane by lane: uniform `tag` under a full mask,
-    /// filler in the inactive lanes otherwise (so a partial mask over a
-    /// non-`i32` type leaves a mixed row). The caller must write every
-    /// active lane.
+    /// [`RegRow::set`] lane by lane and normalized: uniform `tag` under a
+    /// full mask, filler in the inactive lanes otherwise (so a partial mask
+    /// over a non-`i32` type leaves a mixed row). The caller must write
+    /// every active lane.
     pub fn begin_strip(&mut self, tag: u8, mask: &LaneMask) -> &mut [u32] {
         let lanes = mask.lanes();
         if mask.all() {
@@ -184,14 +193,17 @@ impl RegRow {
             self.uniform = tag;
         } else {
             self.reset_filler(lanes);
-            if tag != FILLER_TAG {
+            if tag != FILLER_TAG && mask.any() {
                 self.uniform = TAG_MIXED;
-                for lane in mask.iter_set() {
-                    self.tags[lane] = tag;
-                }
+                set_active_tags(&mut self.tags, tag, mask);
             }
         }
         &mut self.bits
+    }
+
+    /// Write `v` into the lanes of `mask` and the filler everywhere else.
+    pub fn fill_masked(&mut self, v: Scalar, mask: &LaneMask) {
+        fill_active(self.begin_strip(tag_of(v), mask), encode_bits(v), mask);
     }
 
     /// Overwrite every lane with the same scalar.
@@ -202,36 +214,58 @@ impl RegRow {
         self.uniform = tag_of(v);
     }
 
-    /// Adopt a fully-written bit strip with a uniform tag, recycling the
-    /// swapped-out allocation into `scratch`.
-    pub fn adopt_uniform(&mut self, scratch: &mut Vec<u32>, tag: u8) {
-        std::mem::swap(&mut self.bits, scratch);
-        self.tags.resize(self.bits.len(), 0);
+    /// Overwrite every lane with `tag`-typed bits, `bit_of(lane)` each.
+    pub fn fill_with(&mut self, lanes: usize, tag: u8, bit_of: impl FnMut(usize) -> u32) {
+        self.bits.clear();
+        self.bits.extend((0..lanes).map(bit_of));
+        self.tags.resize(lanes, 0);
         self.uniform = tag;
     }
 
-    /// Become a copy of `other`, reusing allocations.
+    /// Become a copy of `other`, reusing allocations. (The tag strip is
+    /// only read on mixed rows, so a uniform row copies none.)
     pub fn copy_from(&mut self, other: &RegRow) {
         self.bits.clear();
         self.bits.extend_from_slice(&other.bits);
         self.tags.clear();
-        self.tags.extend_from_slice(&other.tags);
+        if other.uniform == TAG_MIXED {
+            self.tags.extend_from_slice(&other.tags);
+        } else {
+            self.tags.resize(other.bits.len(), 0);
+        }
         self.uniform = other.uniform;
     }
 
-    /// Copy the active lanes of `other` into `self` (inactive lanes keep
-    /// their current value).
-    pub fn copy_masked_from(&mut self, other: &RegRow, mask: &LaneMask) {
-        if self.uniform != TAG_MIXED && self.uniform == other.uniform {
-            for lane in mask.iter_set() {
-                self.bits[lane] = other.bits[lane];
-            }
-        } else {
-            for lane in mask.iter_set() {
-                self.set(lane, other.get(lane));
-            }
-            self.normalize();
+    /// Overwrite the lanes of `mask` with the `tag`-typed bits `src` holds
+    /// for them; inactive lanes keep their value. Afterwards the row reads
+    /// exactly as if every active lane had been [`RegRow::set`] and the row
+    /// normalized.
+    pub fn merge_strip(&mut self, tag: u8, src: &[u32], mask: &LaneMask) {
+        map1(&mut self.bits, src, mask, |x| x);
+        if self.uniform == tag || !mask.any() {
+            return;
         }
+        if mask.all() {
+            self.uniform = tag;
+            return;
+        }
+        if self.uniform != TAG_MIXED {
+            self.tags.fill(self.uniform);
+            self.uniform = TAG_MIXED;
+        }
+        set_active_tags(&mut self.tags, tag, mask);
+        self.normalize();
+    }
+
+    /// Rewrite the bits of the lanes of `mask` in place, the row's tags
+    /// staying as they are: `write(out, current)` receives the current bits
+    /// twice, `out` to overwrite at the active lanes and `current` to read.
+    /// `scratch` is the recycled strip the two swap through.
+    pub fn update_strip(&mut self, scratch: &mut Vec<u32>, write: impl FnOnce(&mut [u32], &[u32])) {
+        scratch.clear();
+        scratch.extend_from_slice(&self.bits);
+        write(scratch, &self.bits);
+        std::mem::swap(&mut self.bits, scratch);
     }
 
     /// Re-establish the uniform tag after per-lane writes if every lane
@@ -259,12 +293,137 @@ impl RegRow {
             mask.iter_set().next().map(|lane| self.ty_at(lane))
         }
     }
+
+    /// The one tag every lane of `mask` carries, or `None` when the active
+    /// lanes disagree. A uniform row answers without looking at the mask; a
+    /// mixed row's tags are read eight lanes at a time. (With no active
+    /// lane any answer is vacuously right; it is the filler's tag.)
+    #[inline]
+    pub fn active_tag(&self, mask: &LaneMask) -> Option<u8> {
+        if self.uniform != TAG_MIXED {
+            return Some(self.uniform);
+        }
+        let Some(first) = mask.iter_set().next() else {
+            return Some(FILLER_TAG);
+        };
+        let tag = self.tags[first];
+        let want = tag_lanes(tag);
+        let differing = tags_by_eight(&self.tags, mask).fold(0, |differing, (tags, active)| {
+            differing | (tags ^ want) & active
+        });
+        (differing == 0).then_some(tag)
+    }
+}
+
+/// Eight lanes' worth of `tag`, one byte each.
+#[inline(always)]
+fn tag_lanes(tag: u8) -> u64 {
+    u64::from(tag) * 0x0101_0101_0101_0101
+}
+
+/// A tag strip eight lanes at a time: the tags packed one per byte (zero
+/// past the last lane), with `0xFF` in the bytes of the active lanes.
+#[inline(always)]
+fn tags_by_eight<'a>(tags: &'a [u8], mask: &'a LaneMask) -> impl Iterator<Item = (u64, u64)> + 'a {
+    let (body, tail) = tags[..mask.lanes()].as_chunks::<8>();
+    let mut last = [0; 8];
+    last[..tail.len()].copy_from_slice(tail);
+    body.iter()
+        .copied()
+        .chain((!tail.is_empty()).then_some(last))
+        .enumerate()
+        .map(|(j, eight)| (u64::from_le_bytes(eight), byte_lanes(mask.byte(j))))
+}
+
+/// `tags[lane] = tag` on the active lanes, eight lanes at a time; the
+/// others keep theirs.
+fn set_active_tags(tags: &mut [u8], tag: u8, mask: &LaneMask) {
+    let want = tag_lanes(tag);
+    let merged = |eight: [u8; 8], j: usize| {
+        let active = byte_lanes(mask.byte(j));
+        (u64::from_le_bytes(eight) & !active | want & active).to_le_bytes()
+    };
+    let (body, tail) = tags[..mask.lanes()].as_chunks_mut::<8>();
+    for (j, eight) in body.iter_mut().enumerate() {
+        *eight = merged(*eight, j);
+    }
+    if !tail.is_empty() {
+        let mut last = [0; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        tail.copy_from_slice(&merged(last, body.len())[..tail.len()]);
+    }
+}
+
+/// Does `pred` hold on every active lane of `strip`?
+#[inline(always)]
+fn all_active(strip: &[u32], mask: &LaneMask, pred: impl Fn(u32) -> bool) -> bool {
+    mask.spans().all(|span| match span {
+        // No early exit inside a run: the loop is short and vectorizes.
+        Span::Run(r) => strip[r].iter().fold(true, |all, &x| all & pred(x)),
+        Span::Word(first, bits) => set_bits(bits).all(|i| pred(strip[first + i])),
+    })
+}
+
+/// `out[lane] = v` on the active lanes.
+#[inline(always)]
+fn fill_active(out: &mut [u32], v: u32, mask: &LaneMask) {
+    for span in mask.spans() {
+        match span {
+            Span::Run(r) => out[r].fill(v),
+            Span::Word(first, bits) => {
+                for i in set_bits(bits) {
+                    out[first + i] = v;
+                }
+            }
+        }
+    }
+}
+
+/// `out[lane] = f(a[lane])` on the active lanes; the others are neither
+/// computed nor written.
+#[inline(always)]
+fn map1(out: &mut [u32], a: &[u32], mask: &LaneMask, f: impl Fn(u32) -> u32) {
+    for span in mask.spans() {
+        match span {
+            Span::Run(r) => {
+                for (o, &x) in out[r.clone()].iter_mut().zip(&a[r]) {
+                    *o = f(x);
+                }
+            }
+            Span::Word(first, bits) => {
+                for i in set_bits(bits) {
+                    out[first + i] = f(a[first + i]);
+                }
+            }
+        }
+    }
+}
+
+/// `out[lane] = f(a[lane], b[lane])` on the active lanes; the others are
+/// neither computed nor written.
+#[inline(always)]
+fn map2(out: &mut [u32], a: &[u32], b: &[u32], mask: &LaneMask, f: impl Fn(u32, u32) -> u32) {
+    for span in mask.spans() {
+        match span {
+            Span::Run(r) => {
+                for ((o, &x), &y) in out[r.clone()].iter_mut().zip(&a[r.clone()]).zip(&b[r]) {
+                    *o = f(x, y);
+                }
+            }
+            Span::Word(first, bits) => {
+                for i in set_bits(bits) {
+                    out[first + i] = f(a[first + i], b[first + i]);
+                }
+            }
+        }
+    }
 }
 
 /// Can `op` over two equal-typed operands of `tag` take the typed loop?
-/// Integer `Div`/`Rem` additionally require a zero-divisor pre-scan
-/// ([`has_zero`]); everything not listed is unsupported for the type and
-/// must take the scalar path (which raises the oracle's error).
+/// Integer `Div`/`Rem` additionally require a zero-divisor pre-scan of the
+/// active lanes ([`has_active_zero`]); everything not listed is
+/// unsupported for the type and must take the scalar path (which raises
+/// the oracle's error).
 pub fn bin_fast_eligible(op: BinOp, tag: u8) -> bool {
     match tag {
         TAG_F32 => !matches!(
@@ -282,27 +441,21 @@ pub fn bin_needs_divisor_scan(op: BinOp, tag: u8) -> bool {
     matches!(tag, TAG_I32 | TAG_U32) && matches!(op, BinOp::Div | BinOp::Rem)
 }
 
-/// Any zero bit-pattern in the strip (used as the divisor pre-scan)?
-pub fn has_zero(bits: &[u32]) -> bool {
-    bits.contains(&0)
+/// Any zero bit-pattern in an active lane of the strip (the divisor
+/// pre-scan; a zero in an inactive lane is the filler and divides nothing)?
+pub fn has_active_zero(bits: &[u32], mask: &LaneMask) -> bool {
+    !all_active(bits, mask, |x| x != 0)
 }
 
-macro_rules! lanes2 {
-    ($out:ident, $a:ident, $b:ident, |$x:ident, $y:ident| $body:expr) => {{
-        $out.clear();
-        $out.extend($a.iter().zip($b.iter()).map(|(&$x, &$y)| $body));
-    }};
-}
-
-/// Typed full-width binary loop. Caller must have checked
-/// [`bin_fast_eligible`] (and [`has_zero`] when
+/// Typed binary loop over the active lanes of `out`. Caller must have
+/// checked [`bin_fast_eligible`] (and [`has_active_zero`] when
 /// [`bin_needs_divisor_scan`]); semantics match `BinOp::apply` bit for
 /// bit.
-pub fn bin_fast(op: BinOp, tag: u8, out: &mut Vec<u32>, a: &[u32], b: &[u32]) {
+pub fn bin_strip(op: BinOp, tag: u8, out: &mut [u32], a: &[u32], b: &[u32], mask: &LaneMask) {
     use BinOp::*;
     macro_rules! f32_op {
         (|$x:ident, $y:ident| $body:expr) => {
-            lanes2!(out, a, b, |xb, yb| {
+            map2(out, a, b, mask, |xb, yb| {
                 let $x = f32::from_bits(xb);
                 let $y = f32::from_bits(yb);
                 ($body).to_bits()
@@ -311,7 +464,7 @@ pub fn bin_fast(op: BinOp, tag: u8, out: &mut Vec<u32>, a: &[u32], b: &[u32]) {
     }
     macro_rules! i32_op {
         (|$x:ident, $y:ident| $body:expr) => {
-            lanes2!(out, a, b, |xb, yb| {
+            map2(out, a, b, mask, |xb, yb| {
                 let $x = xb as i32;
                 let $y = yb as i32;
                 ($body) as u32
@@ -320,7 +473,7 @@ pub fn bin_fast(op: BinOp, tag: u8, out: &mut Vec<u32>, a: &[u32], b: &[u32]) {
     }
     macro_rules! u32_op {
         (|$x:ident, $y:ident| $body:expr) => {
-            lanes2!(out, a, b, |$x, $y| $body)
+            map2(out, a, b, mask, |$x, $y| $body)
         };
     }
     match tag {
@@ -387,18 +540,13 @@ pub fn un_fast_eligible(op: UnOp, tag: u8) -> bool {
     }
 }
 
-/// Typed full-width unary loop; semantics match `UnOp::apply`.
-pub fn un_fast(op: UnOp, tag: u8, out: &mut Vec<u32>, a: &[u32]) {
+/// Typed unary loop over the active lanes of `out`; semantics match
+/// `UnOp::apply`.
+pub fn un_strip(op: UnOp, tag: u8, out: &mut [u32], a: &[u32], mask: &LaneMask) {
     use UnOp::*;
-    macro_rules! map1 {
-        (|$x:ident| $body:expr) => {{
-            out.clear();
-            out.extend(a.iter().map(|&$x| $body));
-        }};
-    }
     macro_rules! f32_un {
         (|$x:ident| $body:expr) => {
-            map1!(|xb| {
+            map1(out, a, mask, |xb| {
                 let $x = f32::from_bits(xb);
                 ($body).to_bits()
             })
@@ -418,79 +566,112 @@ pub fn un_fast(op: UnOp, tag: u8, out: &mut Vec<u32>, a: &[u32]) {
             Not => unreachable!("ineligible f32 op"),
         },
         TAG_I32 => match op {
-            Neg => map1!(|x| (x as i32).wrapping_neg() as u32),
-            Not => map1!(|x| !(x as i32) as u32),
-            Abs => map1!(|x| (x as i32).wrapping_abs() as u32),
+            Neg => map1(out, a, mask, |x| (x as i32).wrapping_neg() as u32),
+            Not => map1(out, a, mask, |x| !(x as i32) as u32),
+            Abs => map1(out, a, mask, |x| (x as i32).wrapping_abs() as u32),
             _ => unreachable!("ineligible i32 op"),
         },
         TAG_U32 => match op {
-            Not => map1!(|x| !x),
+            Not => map1(out, a, mask, |x| !x),
             _ => unreachable!("ineligible u32 op"),
         },
         _ => match op {
-            Not => map1!(|x| x ^ 1),
+            Not => map1(out, a, mask, |x| x ^ 1),
             _ => unreachable!("ineligible bool op"),
         },
     }
 }
 
-/// Typed full-width comparison loop (always infallible on equal tags);
-/// output tag is always bool. Semantics match `CmpOp::apply`.
-pub fn cmp_fast(op: CmpOp, tag: u8, out: &mut Vec<u32>, a: &[u32], b: &[u32]) {
-    use CmpOp::*;
-    macro_rules! cmp_as {
-        ($dec:expr) => {{
-            let dec = $dec;
-            match op {
-                Lt => lanes2!(out, a, b, |x, y| u32::from(dec(x) < dec(y))),
-                Le => lanes2!(out, a, b, |x, y| u32::from(dec(x) <= dec(y))),
-                Gt => lanes2!(out, a, b, |x, y| u32::from(dec(x) > dec(y))),
-                Ge => lanes2!(out, a, b, |x, y| u32::from(dec(x) >= dec(y))),
-                Eq => lanes2!(out, a, b, |x, y| u32::from(dec(x) == dec(y))),
-                Ne => lanes2!(out, a, b, |x, y| u32::from(dec(x) != dec(y))),
-            }
-        }};
-    }
-    match tag {
-        TAG_F32 => cmp_as!(f32::from_bits),
-        TAG_I32 => cmp_as!(|v: u32| v as i32),
-        TAG_U32 => cmp_as!(|v: u32| v),
-        _ => cmp_as!(|v: u32| v != 0),
-    }
+/// One typed comparison loop per `(op, tag)`: `$run!(|x, y| test)` receives
+/// the comparison of two bit patterns as a `bool` expression.
+macro_rules! cmp_dispatch {
+    ($op:expr, $tag:expr, $run:ident) => {{
+        macro_rules! cmp_as {
+            ($dec:expr) => {{
+                let dec = $dec;
+                match $op {
+                    CmpOp::Lt => $run!(|x, y| dec(x) < dec(y)),
+                    CmpOp::Le => $run!(|x, y| dec(x) <= dec(y)),
+                    CmpOp::Gt => $run!(|x, y| dec(x) > dec(y)),
+                    CmpOp::Ge => $run!(|x, y| dec(x) >= dec(y)),
+                    CmpOp::Eq => $run!(|x, y| dec(x) == dec(y)),
+                    CmpOp::Ne => $run!(|x, y| dec(x) != dec(y)),
+                }
+            }};
+        }
+        match $tag {
+            TAG_F32 => cmp_as!(f32::from_bits),
+            TAG_I32 => cmp_as!(|v: u32| v as i32),
+            TAG_U32 => cmp_as!(|v: u32| v),
+            _ => cmp_as!(|v: u32| v != 0),
+        }
+    }};
 }
 
-/// One typed comparison (infallible on equal tags); semantics match
-/// `CmpOp::apply(..).as_bool()`. Used by the loop-test refinement, where
-/// the result feeds a mask bit instead of a row.
-#[inline(always)]
-pub fn cmp_one(op: CmpOp, tag: u8, x: u32, y: u32) -> bool {
-    use CmpOp::*;
-    macro_rules! cmp_with {
-        ($dec:expr) => {{
-            let dec = $dec;
-            match op {
-                Lt => dec(x) < dec(y),
-                Le => dec(x) <= dec(y),
-                Gt => dec(x) > dec(y),
-                Ge => dec(x) >= dec(y),
-                Eq => dec(x) == dec(y),
-                Ne => dec(x) != dec(y),
-            }
-        }};
+/// Typed comparison loop over the active lanes of `out` (always
+/// infallible on equal tags); output tag is always bool. Semantics match
+/// `CmpOp::apply`.
+pub fn cmp_strip(op: CmpOp, tag: u8, out: &mut [u32], a: &[u32], b: &[u32], mask: &LaneMask) {
+    macro_rules! run {
+        (|$x:ident, $y:ident| $test:expr) => {
+            map2(out, a, b, mask, |$x, $y| u32::from($test))
+        };
     }
-    match tag {
-        TAG_F32 => cmp_with!(f32::from_bits),
-        TAG_I32 => cmp_with!(|v: u32| v as i32),
-        TAG_U32 => cmp_with!(|v: u32| v),
-        _ => cmp_with!(|v: u32| v != 0),
-    }
+    cmp_dispatch!(op, tag, run)
 }
 
-/// Typed full-width cast loop (casts are always infallible); semantics
-/// match `Scalar::cast`. `tag` is the (uniform) source tag.
-pub fn cast_fast(ty: Ty, tag: u8, out: &mut Vec<u32>, a: &[u32]) {
-    out.clear();
-    out.extend(a.iter().map(|&x| encode_bits(decode(tag, x).cast(ty))));
+/// The loop-test refinement: drop from `mask` every active lane where
+/// `a OP b` is false (infallible on equal tags; semantics match
+/// `CmpOp::apply(..).as_bool()`). The result feeds mask bits instead of a
+/// row, a mask word at a time.
+pub fn cmp_refine(op: CmpOp, tag: u8, mask: &mut LaneMask, a: &[u32], b: &[u32]) {
+    macro_rules! run {
+        (|$x:ident, $y:ident| $test:expr) => {
+            mask.refine_words(|first, n, live| {
+                let (a, b) = (&a[first..first + n], &b[first..first + n]);
+                pack_word(live, n, |i| {
+                    let ($x, $y) = (a[i], b[i]);
+                    $test
+                })
+            })
+        };
+    }
+    cmp_dispatch!(op, tag, run)
+}
+
+/// Split `mask` by a bool-typed condition strip into the lanes where it is
+/// true (`t`) and the rest (`f`), a mask word at a time.
+pub fn split_by(cond: &[u32], mask: &LaneMask, t: &mut LaneMask, f: &mut LaneMask) {
+    t.copy_from(mask);
+    t.refine_words(|first, n, live| {
+        let cond = &cond[first..first + n];
+        pack_word(live, n, |i| cond[i] != 0)
+    });
+    f.copy_from(mask);
+    f.and_not_assign(t);
+}
+
+/// Typed cast loop over the active lanes of `out` (casts are always
+/// infallible); semantics match `Scalar::cast`. `tag` is the source tag.
+pub fn cast_strip(ty: Ty, tag: u8, out: &mut [u32], a: &[u32], mask: &LaneMask) {
+    // One loop per (source, target) pair, so the two `match`es on the
+    // types are resolved outside it.
+    macro_rules! to {
+        ($ty:expr) => {
+            match tag {
+                TAG_F32 => map1(out, a, mask, |x| encode_bits(decode(TAG_F32, x).cast($ty))),
+                TAG_I32 => map1(out, a, mask, |x| encode_bits(decode(TAG_I32, x).cast($ty))),
+                TAG_U32 => map1(out, a, mask, |x| encode_bits(decode(TAG_U32, x).cast($ty))),
+                _ => map1(out, a, mask, |x| encode_bits(decode(TAG_BOOL, x).cast($ty))),
+            }
+        };
+    }
+    match ty {
+        Ty::F32 => to!(Ty::F32),
+        Ty::I32 => to!(Ty::I32),
+        Ty::U32 => to!(Ty::U32),
+        Ty::Bool => to!(Ty::Bool),
+    }
 }
 
 #[cfg(test)]
@@ -536,6 +717,8 @@ mod tests {
 
     const ALL_TAGS: [u8; 4] = [TAG_F32, TAG_I32, TAG_U32, TAG_BOOL];
 
+    const FILLER_VALUE: Scalar = Scalar::I32(0);
+
     const ALL_BIN: [BinOp; 13] = [
         BinOp::Add,
         BinOp::Sub,
@@ -552,8 +735,32 @@ mod tests {
         BinOp::Shr,
     ];
 
+    const ALL_UN: [UnOp; 10] = [
+        UnOp::Neg,
+        UnOp::Not,
+        UnOp::Exp,
+        UnOp::Log,
+        UnOp::Sqrt,
+        UnOp::Rsqrt,
+        UnOp::Sin,
+        UnOp::Cos,
+        UnOp::Abs,
+        UnOp::Floor,
+    ];
+
+    const ALL_CMP: [CmpOp; 6] = [
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+        CmpOp::Eq,
+        CmpOp::Ne,
+    ];
+
+    const ALL_TYS: [Ty; 4] = [Ty::F32, Ty::I32, Ty::U32, Ty::Bool];
+
     #[test]
-    fn bin_fast_matches_scalar_apply() {
+    fn bin_strip_matches_scalar_apply() {
         for tag in ALL_TAGS {
             for op in ALL_BIN {
                 if !bin_fast_eligible(op, tag) {
@@ -567,17 +774,13 @@ mod tests {
                     );
                     continue;
                 }
-                let cases = pairs(tag);
-                let (a, b): (Vec<u32>, Vec<u32>) = cases.iter().copied().unzip();
                 let skip_zero_div = bin_needs_divisor_scan(op, tag);
-                let (a, b): (Vec<u32>, Vec<u32>) = a
-                    .iter()
-                    .zip(&b)
-                    .filter(|&(_, &y)| !(skip_zero_div && y == 0))
-                    .map(|(&x, &y)| (x, y))
+                let (a, b): (Vec<u32>, Vec<u32>) = pairs(tag)
+                    .into_iter()
+                    .filter(|&(_, y)| !(skip_zero_div && y == 0))
                     .unzip();
-                let mut out = Vec::new();
-                bin_fast(op, tag, &mut out, &a, &b);
+                let mut out = vec![0; a.len()];
+                bin_strip(op, tag, &mut out, &a, &b, &LaneMask::full(a.len()));
                 for ((&x, &y), &got) in a.iter().zip(&b).zip(&out) {
                     let want = op
                         .apply(decode(tag, x), decode(tag, y))
@@ -593,19 +796,7 @@ mod tests {
     }
 
     #[test]
-    fn un_fast_matches_scalar_apply() {
-        const ALL_UN: [UnOp; 10] = [
-            UnOp::Neg,
-            UnOp::Not,
-            UnOp::Exp,
-            UnOp::Log,
-            UnOp::Sqrt,
-            UnOp::Rsqrt,
-            UnOp::Sin,
-            UnOp::Cos,
-            UnOp::Abs,
-            UnOp::Floor,
-        ];
+    fn un_strip_matches_scalar_apply() {
         for tag in ALL_TAGS {
             for op in ALL_UN {
                 let a = edge_bits(tag);
@@ -616,8 +807,8 @@ mod tests {
                     );
                     continue;
                 }
-                let mut out = Vec::new();
-                un_fast(op, tag, &mut out, &a);
+                let mut out = vec![0; a.len()];
+                un_strip(op, tag, &mut out, &a, &LaneMask::full(a.len()));
                 for (&x, &got) in a.iter().zip(&out) {
                     let want = op.apply(decode(tag, x)).unwrap();
                     assert_eq!(got, encode_bits(want), "{op:?}/{tag} on {x:#x}");
@@ -627,27 +818,21 @@ mod tests {
     }
 
     #[test]
-    fn cmp_fast_matches_scalar_apply() {
-        const ALL_CMP: [CmpOp; 6] = [
-            CmpOp::Lt,
-            CmpOp::Le,
-            CmpOp::Gt,
-            CmpOp::Ge,
-            CmpOp::Eq,
-            CmpOp::Ne,
-        ];
+    fn cmp_strip_matches_scalar_apply() {
         for tag in ALL_TAGS {
             for op in ALL_CMP {
                 let (a, b): (Vec<u32>, Vec<u32>) = pairs(tag).into_iter().unzip();
-                let mut out = Vec::new();
-                cmp_fast(op, tag, &mut out, &a, &b);
-                for ((&x, &y), &got) in a.iter().zip(&b).zip(&out) {
+                let mut out = vec![0; a.len()];
+                cmp_strip(op, tag, &mut out, &a, &b, &LaneMask::full(a.len()));
+                let mut kept = LaneMask::full(a.len());
+                cmp_refine(op, tag, &mut kept, &a, &b);
+                for (lane, ((&x, &y), &got)) in a.iter().zip(&b).zip(&out).enumerate() {
                     let want = op.apply(decode(tag, x), decode(tag, y)).unwrap();
                     assert_eq!(got, encode_bits(want), "{op:?}/{tag} on ({x:#x}, {y:#x})");
                     assert_eq!(
-                        cmp_one(op, tag, x, y),
+                        kept.get(lane),
                         want == Scalar::Bool(true),
-                        "cmp_one {op:?}/{tag} on ({x:#x}, {y:#x})"
+                        "cmp_refine {op:?}/{tag} on ({x:#x}, {y:#x})"
                     );
                 }
             }
@@ -655,12 +840,12 @@ mod tests {
     }
 
     #[test]
-    fn cast_fast_matches_scalar_cast() {
+    fn cast_strip_matches_scalar_cast() {
         for tag in ALL_TAGS {
-            for ty in [Ty::F32, Ty::I32, Ty::U32, Ty::Bool] {
+            for ty in ALL_TYS {
                 let a = edge_bits(tag);
-                let mut out = Vec::new();
-                cast_fast(ty, tag, &mut out, &a);
+                let mut out = vec![0; a.len()];
+                cast_strip(ty, tag, &mut out, &a, &LaneMask::full(a.len()));
                 for (&x, &got) in a.iter().zip(&out) {
                     let want = decode(tag, x).cast(ty);
                     assert_eq!(got, encode_bits(want), "cast {tag}->{ty:?} on {x:#x}");
@@ -687,8 +872,248 @@ mod tests {
         m.set(2, true);
         assert_eq!(r.first_ty(&m), Some(Ty::F32));
         let mut dst = RegRow::new(4);
-        dst.copy_masked_from(&r, &m);
+        dst.merge_strip(TAG_F32, r.bits(), &m);
         assert_eq!(dst.get(2), Scalar::F32(2.0));
         assert_eq!(dst.get(1), Scalar::I32(0));
+    }
+
+    // ---- row state under every mask shape --------------------------------
+
+    /// The mask shapes a launch produces, over the block sizes that stress
+    /// the word loop: the CPU profile's 8-lane warp, one exact word, a
+    /// ragged tail (`lanes % 64 != 0`) and several words.
+    fn mask_shapes() -> Vec<(String, LaneMask)> {
+        let mut out = Vec::new();
+        for lanes in [8usize, 64, 100, 128, 256] {
+            let from = |name: &str, active: &dyn Fn(usize) -> bool| {
+                let mut m = LaneMask::empty(lanes);
+                for lane in (0..lanes).filter(|&l| active(l)) {
+                    m.set(lane, true);
+                }
+                (format!("{name}/{lanes}"), m)
+            };
+            out.push(from("empty", &|_| false));
+            out.push(from("one lane", &|l| l == lanes / 2));
+            out.push(from("all but one", &|l| l != lanes / 3));
+            out.push(from("full", &|_| true));
+            out.push(from("first word only", &|l| l < 64));
+            out.push(from("ragged guard", &|l| l < lanes * 2 / 3));
+            out.push(from("every third", &|l| l % 3 == 1));
+        }
+        out
+    }
+
+    /// The row the per-lane path leaves: filler, then `set` per active lane
+    /// in ascending order, then `normalize`.
+    fn per_lane_row(mask: &LaneMask, value: impl Fn(usize) -> Scalar) -> RegRow {
+        let mut r = RegRow::new(0);
+        r.reset_filler(mask.lanes());
+        for lane in mask.iter_set() {
+            r.set(lane, value(lane));
+        }
+        r.normalize();
+        r
+    }
+
+    fn assert_same_row(got: &RegRow, want: &RegRow, what: &str) {
+        assert_eq!(got.bits(), want.bits(), "{what}: bits");
+        assert_eq!(
+            got.uniform_tag(),
+            want.uniform_tag(),
+            "{what}: uniform-versus-mixed status"
+        );
+        for lane in 0..want.bits().len() {
+            assert_eq!(
+                got.tag_at(lane),
+                want.tag_at(lane),
+                "{what}: tag of lane {lane}"
+            );
+        }
+    }
+
+    /// An operand row as a divergent region leaves it: `tag`-typed edge
+    /// values in the active lanes, filler elsewhere. `salt` varies which
+    /// value a lane gets, `no_zero` keeps zero out of the active lanes (an
+    /// integer divisor), so every zero divisor sits in an inactive lane.
+    fn operand(tag: u8, mask: &LaneMask, salt: usize, no_zero: bool) -> RegRow {
+        let vals: Vec<u32> = edge_bits(tag)
+            .into_iter()
+            .filter(|&v| !(no_zero && v == 0))
+            .collect();
+        per_lane_row(mask, |lane| {
+            decode(
+                tag,
+                vals[(lane * 7 + lane / vals.len() + salt) % vals.len()],
+            )
+        })
+    }
+
+    #[test]
+    fn masked_strips_leave_the_row_the_per_lane_path_leaves() {
+        for (shape, mask) in mask_shapes() {
+            let mut out = RegRow::new(3); // stale size and contents
+            out.set(1, Scalar::Bool(true));
+            for tag in ALL_TAGS {
+                for op in ALL_BIN.into_iter().filter(|&op| bin_fast_eligible(op, tag)) {
+                    let a = operand(tag, &mask, 0, false);
+                    let b = operand(tag, &mask, 3, bin_needs_divisor_scan(op, tag));
+                    assert_eq!(
+                        a.active_tag(&mask).filter(|_| mask.any()),
+                        mask.any().then_some(tag)
+                    );
+                    assert!(!(bin_needs_divisor_scan(op, tag) && has_active_zero(b.bits(), &mask)));
+                    bin_strip(
+                        op,
+                        tag,
+                        out.begin_strip(tag, &mask),
+                        a.bits(),
+                        b.bits(),
+                        &mask,
+                    );
+                    let want = per_lane_row(&mask, |l| op.apply(a.get(l), b.get(l)).unwrap());
+                    assert_same_row(&out, &want, &format!("{op:?}/{tag} under {shape}"));
+                }
+                for op in ALL_UN.into_iter().filter(|&op| un_fast_eligible(op, tag)) {
+                    let a = operand(tag, &mask, 1, false);
+                    un_strip(op, tag, out.begin_strip(tag, &mask), a.bits(), &mask);
+                    let want = per_lane_row(&mask, |l| op.apply(a.get(l)).unwrap());
+                    assert_same_row(&out, &want, &format!("{op:?}/{tag} under {shape}"));
+                }
+                for op in ALL_CMP {
+                    let (a, b) = (operand(tag, &mask, 2, false), operand(tag, &mask, 5, false));
+                    cmp_strip(
+                        op,
+                        tag,
+                        out.begin_strip(TAG_BOOL, &mask),
+                        a.bits(),
+                        b.bits(),
+                        &mask,
+                    );
+                    let want = per_lane_row(&mask, |l| op.apply(a.get(l), b.get(l)).unwrap());
+                    assert_same_row(&out, &want, &format!("{op:?}/{tag} under {shape}"));
+                    // The same comparison as a mask refinement and, read
+                    // back as a condition, as a branch split.
+                    let mut kept = mask.clone();
+                    cmp_refine(op, tag, &mut kept, a.bits(), b.bits());
+                    let (mut t, mut f) = (LaneMask::empty(1), LaneMask::empty(1));
+                    split_by(want.bits(), &mask, &mut t, &mut f);
+                    for lane in 0..mask.lanes() {
+                        let holds = mask.get(lane) && want.get(lane) == Scalar::Bool(true);
+                        assert_eq!(
+                            kept.get(lane),
+                            holds,
+                            "refine {op:?}/{tag} {shape} lane {lane}"
+                        );
+                        assert_eq!(
+                            t.get(lane),
+                            holds,
+                            "split t {op:?}/{tag} {shape} lane {lane}"
+                        );
+                        assert_eq!(
+                            f.get(lane),
+                            mask.get(lane) && !holds,
+                            "split f {shape} lane {lane}"
+                        );
+                    }
+                }
+                for ty in ALL_TYS {
+                    let a = operand(tag, &mask, 4, false);
+                    cast_strip(
+                        ty,
+                        tag,
+                        out.begin_strip(tag_of_ty(ty), &mask),
+                        a.bits(),
+                        &mask,
+                    );
+                    let want = per_lane_row(&mask, |l| a.get(l).cast(ty));
+                    assert_same_row(&out, &want, &format!("cast {tag}->{ty:?} under {shape}"));
+                }
+                let v = decode(tag, edge_bits(tag)[3]);
+                out.fill_masked(v, &mask);
+                assert_same_row(
+                    &out,
+                    &per_lane_row(&mask, |_| v),
+                    &format!("fill {tag} under {shape}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_strips_leave_the_row_the_per_lane_path_leaves() {
+        let shapes = mask_shapes();
+        for (shape, mask) in &shapes {
+            // Destinations in every state a register can be in: filler,
+            // uniform of each type, and mixed by an earlier divergent write
+            // under another mask of the same width.
+            let mut dsts = vec![per_lane_row(mask, |_| FILLER_VALUE)];
+            for tag in ALL_TAGS {
+                dsts.push(operand(tag, &LaneMask::full(mask.lanes()), 6, false));
+                for (_, earlier) in shapes.iter().filter(|(_, m)| m.lanes() == mask.lanes()) {
+                    dsts.push(operand(tag, earlier, 8, false));
+                }
+            }
+            for dst in &dsts {
+                for tag in ALL_TAGS {
+                    let src = operand(tag, mask, 9, false);
+                    let mut want = dst.clone();
+                    for lane in mask.iter_set() {
+                        want.set(lane, src.get(lane));
+                    }
+                    want.normalize();
+                    let mut got = dst.clone();
+                    got.merge_strip(tag, src.bits(), mask);
+                    assert_same_row(&got, &want, &format!("merge {tag} under {shape}"));
+                }
+                // The loop step: same tag in, same tag out, bits only.
+                if let Some(tag) = dst
+                    .active_tag(mask)
+                    .filter(|&t| bin_fast_eligible(BinOp::Add, t))
+                {
+                    let amt = operand(tag, mask, 2, false);
+                    let mut want = dst.clone();
+                    for lane in mask.iter_set() {
+                        want.set(
+                            lane,
+                            BinOp::Add.apply(dst.get(lane), amt.get(lane)).unwrap(),
+                        );
+                    }
+                    want.normalize();
+                    let (mut got, mut scratch) = (dst.clone(), vec![7; 3]);
+                    got.update_strip(&mut scratch, |out, bits| {
+                        bin_strip(BinOp::Add, tag, out, bits, amt.bits(), mask)
+                    });
+                    assert_same_row(&got, &want, &format!("step {tag} under {shape}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn active_tag_reads_only_active_lanes() {
+        let lanes = 100;
+        let mut narrow = LaneMask::empty(lanes);
+        for lane in 10..70 {
+            narrow.set(lane, true);
+        }
+        let row = operand(TAG_F32, &narrow, 0, false);
+        assert_eq!(row.uniform_tag(), TAG_MIXED);
+        assert_eq!(row.active_tag(&narrow), Some(TAG_F32));
+        let mut one = LaneMask::empty(lanes);
+        one.set(69, true);
+        assert_eq!(row.active_tag(&one), Some(TAG_F32));
+        one.set(70, true); // a filler lane joins: the lanes disagree
+        assert_eq!(row.active_tag(&one), None);
+        assert_eq!(row.active_tag(&LaneMask::full(lanes)), None);
+        let mut outside = LaneMask::empty(lanes);
+        outside.set(3, true);
+        outside.set(99, true);
+        assert_eq!(row.active_tag(&outside), Some(TAG_I32));
+        assert_eq!(row.active_tag(&LaneMask::empty(lanes)), Some(TAG_I32));
+        // An inactive zero is no divisor; an active one is.
+        assert!(!has_active_zero(row.bits(), &LaneMask::empty(lanes)));
+        assert!(has_active_zero(row.bits(), &outside));
+        let ones = vec![1; lanes];
+        assert!(!has_active_zero(&ones, &LaneMask::full(lanes)));
     }
 }

@@ -61,6 +61,12 @@ pub struct LaunchStats {
     /// Fused superinstructions executed. Zero on the tree-walking engine
     /// and on unfused bytecode; excluded from equality.
     pub fusions_hit: u64,
+    /// ALU and control ops of the bytecode engine that left their typed
+    /// strip loop for the per-lane `Scalar` path: the error cases and rows
+    /// whose active lanes differ in type. Zero on the tree-walking engine
+    /// and on every well-typed kernel; a host-side diagnostic excluded from
+    /// equality like `ops_dispatched`. Nothing reads it to choose a path.
+    pub lane_fallback_ops: u64,
     /// Lane-loads served from buffers placed in [`MemSpace::Approx`]
     /// (per lane, not per warp). Placement diagnostic: excluded from
     /// equality, like `wall_nanos`.
@@ -73,9 +79,10 @@ pub struct LaunchStats {
 }
 
 /// Equality covers every *simulated* counter; `wall_nanos`, `workers`,
-/// `ops_dispatched`, `fusions_hit`, `approx_loads`, and `bit_flips` are
-/// diagnostics (the middle two depend on the engine and fusion state, the
-/// last two on buffer placement, not on the simulated machine) and
+/// `ops_dispatched`, `fusions_hit`, `lane_fallback_ops`, `approx_loads`, and
+/// `bit_flips` are diagnostics (the middle three depend on the engine and
+/// fusion state, the last two on buffer placement, not on the simulated
+/// machine) and
 /// deliberately ignored, so stats from runs at different parallelism
 /// levels or engines compare equal iff the simulation agreed.
 impl PartialEq for LaunchStats {
@@ -162,6 +169,7 @@ impl LaunchStats {
         self.workers = self.workers.max(rhs.workers);
         self.ops_dispatched += rhs.ops_dispatched;
         self.fusions_hit += rhs.fusions_hit;
+        self.lane_fallback_ops += rhs.lane_fallback_ops;
         self.approx_loads += rhs.approx_loads;
         self.bit_flips += rhs.bit_flips;
     }
@@ -186,7 +194,11 @@ impl fmt::Display for LaunchStats {
             self.loads,
             self.l1_hit_rate() * 100.0,
             self.serialization_overhead() * 100.0,
-        )
+        )?;
+        if self.lane_fallback_ops > 0 {
+            write!(f, " lane_fallback={}", self.lane_fallback_ops)?;
+        }
+        Ok(())
     }
 }
 
@@ -245,6 +257,7 @@ mod tests {
             fusions_hit: 21,
             approx_loads: 22,
             bit_flips: 23,
+            lane_fallback_ops: 24,
         };
         a += a;
         assert_eq!(a.compute_cycles, 2);
@@ -256,6 +269,7 @@ mod tests {
         assert_eq!(a.fusions_hit, 42);
         assert_eq!(a.approx_loads, 44);
         assert_eq!(a.bit_flips, 46);
+        assert_eq!(a.lane_fallback_ops, 48);
     }
 
     #[test]
@@ -268,6 +282,7 @@ mod tests {
             workers: 4,
             ops_dispatched: 100,
             fusions_hit: 20,
+            lane_fallback_ops: 2,
             approx_loads: 7,
             bit_flips: 1,
             ..Default::default()
@@ -277,6 +292,7 @@ mod tests {
             workers: 2,
             ops_dispatched: 50,
             fusions_hit: 3,
+            lane_fallback_ops: 5,
             approx_loads: 9,
             bit_flips: 4,
             ..Default::default()
@@ -287,6 +303,7 @@ mod tests {
         assert_eq!(total.workers, 4); // max, not 8
         assert_eq!(total.ops_dispatched, 200);
         assert_eq!(total.fusions_hit, 26);
+        assert_eq!(total.lane_fallback_ops, 12);
         assert_eq!(total.approx_loads, 25);
         assert_eq!(total.bit_flips, 9);
         // The two accumulated stats compare equal to the original despite
@@ -308,6 +325,7 @@ mod tests {
             workers: 8,
             ops_dispatched: 123,
             fusions_hit: 45,
+            lane_fallback_ops: 3,
             approx_loads: 6,
             bit_flips: 2,
             ..Default::default()
@@ -322,6 +340,12 @@ mod tests {
 
     #[test]
     fn display_is_nonempty() {
-        assert!(!LaunchStats::default().to_string().is_empty());
+        let quiet = LaunchStats::default().to_string();
+        assert!(!quiet.is_empty() && !quiet.contains("lane_fallback"));
+        let fell_back = LaunchStats {
+            lane_fallback_ops: 3,
+            ..Default::default()
+        };
+        assert!(fell_back.to_string().ends_with(" lane_fallback=3"));
     }
 }

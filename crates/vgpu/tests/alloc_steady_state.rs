@@ -7,7 +7,9 @@
 //! per *block*, and does not move when the same launch executes eight
 //! times the warps or five times the memory operations per block — on the
 //! strip path and on the per-lane fallback (permuted store order,
-//! bit-flip injection) alike.
+//! bit-flip injection) alike — nor when the lanes diverge: the same kernel
+//! under a ragged guard and per-lane trip counts, where every op runs
+//! under a partial mask, allocates what its converged launch allocates.
 //!
 //! This file holds exactly one `#[test]`, so nothing else allocates while
 //! it counts.
@@ -48,7 +50,11 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// `out[gid] = sum(in[clamp(gid + k)] for k in -radius..=radius)`: a 1-D
-/// box stencil whose loads per thread are a launch argument.
+/// box stencil whose loads per thread are a launch argument. Two more
+/// arguments make it diverge without changing the program: only threads
+/// with `gid < limit` run (a ragged guard), and thread `gid` takes
+/// `gid % vary` extra taps (a per-lane trip count). `limit = n, vary = 1`
+/// is the converged stencil.
 fn stencil_program() -> (Program, KernelId) {
     let mut program = Program::new();
     let mut kb = KernelBuilder::new("box");
@@ -56,34 +62,40 @@ fn stencil_program() -> (Program, KernelId) {
     let output = kb.buffer("out", Ty::F32, MemSpace::Global);
     let n = kb.scalar("n", Ty::I32);
     let radius = kb.scalar("radius", Ty::I32);
+    let limit = kb.scalar("limit", Ty::I32);
+    let vary = kb.scalar("vary", Ty::I32);
     let gid = kb.let_("gid", KernelBuilder::global_id_x());
-    let acc = kb.let_mut("acc", Ty::F32, Expr::f32(0.0));
-    kb.for_up(
-        "k",
-        Expr::i32(0) - radius.clone(),
-        radius + Expr::i32(1),
-        Expr::i32(1),
-        |kb, k| {
-            let j = (gid.clone() + k)
-                .max(Expr::i32(0))
-                .min(n.clone() - Expr::i32(1));
-            let v = kb.load(input, j);
-            kb.assign(acc, Expr::Var(acc) + v);
-        },
-    );
-    kb.store(output, gid, Expr::Var(acc));
+    kb.if_(gid.clone().lt(limit), |kb| {
+        let acc = kb.let_mut("acc", Ty::F32, Expr::f32(0.0));
+        kb.for_up(
+            "k",
+            Expr::i32(0) - radius.clone(),
+            radius + Expr::i32(1) + gid.clone().rem(vary),
+            Expr::i32(1),
+            |kb, k| {
+                let j = (gid.clone() + k)
+                    .max(Expr::i32(0))
+                    .min(n.clone() - Expr::i32(1));
+                let v = kb.load(input, j);
+                kb.assign(acc, Expr::Var(acc) + v);
+            },
+        );
+        kb.store(output, gid.clone(), Expr::Var(acc));
+    });
     let kid = program.add_kernel(kb.finish());
     (program, kid)
 }
 
 /// Allocations of the second launch of the stencil over `blocks` blocks
-/// of `lanes` threads.
+/// of `lanes` threads, converged or — `divergent` — with the last third of
+/// the last block guarded off and up to two extra taps per lane.
 fn second_launch_allocations(
     blocks: usize,
     lanes: usize,
     radius: i32,
     workers: usize,
     fallback: bool,
+    divergent: bool,
 ) -> u64 {
     let (program, kid) = stencil_program();
     let profile = DeviceProfile::gtx560()
@@ -108,6 +120,8 @@ fn second_launch_allocations(
         ArgValue::Buffer(output),
         ArgValue::Scalar(Scalar::I32(n as i32)),
         ArgValue::Scalar(Scalar::I32(radius)),
+        ArgValue::Scalar(Scalar::I32(if divergent { n - lanes / 3 } else { n } as i32)),
+        ArgValue::Scalar(Scalar::I32(if divergent { 3 } else { 1 })),
     ];
     let shape = (Dim2::linear(blocks), Dim2::linear(lanes));
     let first = d.launch(&program, kid, shape.0, shape.1, &args).unwrap();
@@ -116,11 +130,13 @@ fn second_launch_allocations(
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(d.compile_count(), 1, "the second launch runs cached code");
     assert_eq!(first.loads, second.loads);
-    assert_eq!(
-        second.loads,
-        (blocks * lanes.div_ceil(32)) as u64 * (2 * radius as u64 + 1),
-        "one load per warp per tap"
-    );
+    let converged_loads = (blocks * lanes.div_ceil(32)) as u64 * (2 * radius as u64 + 1);
+    if divergent {
+        assert!(second.loads > converged_loads, "some warps take extra taps");
+        assert_eq!(second.lane_fallback_ops, 0, "divergence is no fallback");
+    } else {
+        assert_eq!(second.loads, converged_loads, "one load per warp per tap");
+    }
     allocations
 }
 
@@ -131,14 +147,29 @@ fn second_launch_allocates_per_block_not_per_access() {
             let blocks = 16;
             // 16 blocks x 1 warp x 3 loads, against 8x the warps and then
             // also 5.7x the loads per warp.
-            let small = second_launch_allocations(blocks, 32, 1, workers, fallback);
-            let wide = second_launch_allocations(blocks, 256, 1, workers, fallback);
-            let deep = second_launch_allocations(blocks, 256, 8, workers, fallback);
-            println!("workers {workers} fallback {fallback}: {small} {wide} {deep}");
+            let count = |blocks, lanes, radius, divergent| {
+                second_launch_allocations(blocks, lanes, radius, workers, fallback, divergent)
+            };
+            let small = count(blocks, 32, 1, false);
+            let wide = count(blocks, 256, 1, false);
+            let deep = count(blocks, 256, 8, false);
+            // The same launches with every op under a partial mask.
+            let ragged = count(blocks, 256, 1, true);
+            let ragged_deep = count(blocks, 256, 8, true);
+            println!(
+                "workers {workers} fallback {fallback}: {small} {wide} {deep}, \
+                 divergent {ragged} {ragged_deep}"
+            );
             // Per launch: the launch's own containers plus one scratch
             // set (register file, caches, masks) per worker that ran.
             let per_worker = 64u64;
-            for (name, count) in [("small", small), ("wide", wide), ("deep", deep)] {
+            for (name, count) in [
+                ("small", small),
+                ("wide", wide),
+                ("deep", deep),
+                ("ragged", ragged),
+                ("ragged deep", ragged_deep),
+            ] {
                 assert!(
                     count <= per_worker * workers as u64 + 2 * blocks as u64,
                     "{name} launch (workers {workers}, fallback {fallback}) made {count} \
@@ -148,14 +179,15 @@ fn second_launch_allocates_per_block_not_per_access() {
             // 24x the executed memory operations (2176 warp-loads against
             // 48) must not show. The only slack: a second worker sets up
             // its scratch only if the first leaves it a block to run.
-            let spread = small.max(wide).max(deep) - small.min(wide).min(deep);
+            let all = [small, wide, deep, ragged, ragged_deep];
+            let spread = all.iter().max().unwrap() - all.iter().min().unwrap();
             assert!(
                 spread <= per_worker * (workers as u64 - 1),
-                "allocations follow the work: {small} / {wide} / {deep} \
+                "allocations follow the work or the divergence: {all:?} \
                  (workers {workers}, fallback {fallback})"
             );
             // Twice the blocks cost at most a constant per extra block.
-            let doubled = second_launch_allocations(2 * blocks, 32, 1, workers, fallback);
+            let doubled = count(2 * blocks, 32, 1, false);
             assert!(
                 doubled <= small + 2 * blocks as u64 + per_worker * (workers as u64 - 1),
                 "{doubled} allocations for {} blocks, {small} for {blocks}",

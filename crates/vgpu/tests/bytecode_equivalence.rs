@@ -934,3 +934,767 @@ fn approx_buffers_count_and_flip_the_same_on_both_paths() {
         assert_eq!(differing.count() as u64, bit_flips);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Partial-mask matrix: masked typed strips against the per-lane oracle
+// ---------------------------------------------------------------------------
+//
+// The bytecode engine runs every ALU and control op as a typed strip loop
+// that takes the lane mask as an argument; the tree-walker evaluates one
+// `Scalar` per active lane. The kernels below put every op class — unary,
+// binary, compare, cast, select, loop step — for every operand type under
+// (a) a ragged last block, (b) per-lane trip counts and (c) a nested `if`
+// inside a loop inside a device function with early `return`, on a block
+// wide enough for several mask words with a ragged tail. Each is launched
+// twice per device (the second launch runs the fused program when fusion
+// is on) under both engines, 1/2/4 workers, canonical and permuted store
+// order, fused and unfused, and compared with the single-worker tree-walk.
+
+/// Two launches' outcomes, each on freshly allocated buffers.
+type TwoLaunches = Vec<(Vec<Vec<u32>>, Result<LaunchStats, LaunchError>)>;
+
+#[allow(clippy::too_many_arguments)]
+fn launch_twice(
+    profile: DeviceProfile,
+    seed: Option<u64>,
+    fusion: bool,
+    program: &Program,
+    kid: KernelId,
+    grid: Dim2,
+    block: Dim2,
+    buffers: &[Data],
+    scalars: &[Scalar],
+    falls_back: bool,
+) -> TwoLaunches {
+    let bytecode = profile.engine == ExecEngine::Bytecode;
+    let mut d = Device::new(profile);
+    d.set_schedule_seed(seed);
+    d.set_fusion(fusion);
+    (0..2)
+        .map(|_| {
+            let ids: Vec<_> = buffers
+                .iter()
+                .map(|data| match data {
+                    Data::F32(v) => d.alloc_f32(MemSpace::Global, v),
+                    Data::I32(v) => d.alloc_i32(MemSpace::Global, v),
+                    Data::U32(v) => d.alloc_u32(MemSpace::Global, v),
+                })
+                .collect();
+            let mut args: Vec<ArgValue> = ids.iter().map(|&id| ArgValue::Buffer(id)).collect();
+            args.extend(scalars.iter().map(|&s| ArgValue::Scalar(s)));
+            let result = d.launch(program, kid, grid, block, &args);
+            if let Ok(stats) = &result {
+                // The per-lane path is the error path: a well-typed kernel
+                // never takes it, however its lanes diverge; one whose
+                // active lanes differ in type must.
+                assert_eq!(stats.lane_fallback_ops > 0, falls_back && bytecode);
+                assert_eq!(stats.ops_dispatched > 0, bytecode);
+            }
+            let contents = ids
+                .iter()
+                .map(|&id| {
+                    let scalars = d.read_scalars(id).unwrap();
+                    scalars.iter().map(|&s| scalar_bits(s)).collect()
+                })
+                .collect();
+            (contents, result)
+        })
+        .collect()
+}
+
+fn scalar_bits(s: Scalar) -> u32 {
+    match s {
+        Scalar::F32(v) => v.to_bits(),
+        Scalar::I32(v) => v as u32,
+        Scalar::U32(v) => v,
+        Scalar::Bool(v) => u32::from(v),
+    }
+}
+
+/// Assert that both engines × 1/2/4 workers × fused and unfused reproduce
+/// the single-worker tree-walk run on both launches, in canonical and in
+/// permuted store order. Returns the canonical reference per profile.
+fn assert_masked_agree(
+    program: &Program,
+    kid: KernelId,
+    grid: Dim2,
+    block: Dim2,
+    buffers: &[Data],
+    scalars: &[Scalar],
+    falls_back: bool,
+) -> Vec<TwoLaunches> {
+    let mut references = Vec::new();
+    for base in profiles() {
+        for seed in [None, Some(0x5EED_0DD5)] {
+            let run = |engine, workers, fusion| {
+                launch_twice(
+                    base.clone().with_engine(engine).with_parallelism(workers),
+                    seed,
+                    fusion,
+                    program,
+                    kid,
+                    grid,
+                    block,
+                    buffers,
+                    scalars,
+                    falls_back,
+                )
+            };
+            let reference = run(ExecEngine::TreeWalk, 1, true);
+            assert_eq!(
+                reference[0], reference[1],
+                "launches differ on {}",
+                base.name
+            );
+            for engine in [ExecEngine::TreeWalk, ExecEngine::Bytecode] {
+                for workers in [1, 2, 4] {
+                    for fusion in [true, false] {
+                        assert_eq!(
+                            run(engine, workers, fusion),
+                            reference,
+                            "{engine:?} x{workers} fusion {fusion} seed {seed:?} diverged on {}",
+                            base.name
+                        );
+                    }
+                }
+            }
+            if seed.is_none() {
+                references.push(reference);
+            }
+        }
+    }
+    references
+}
+
+/// A small literal of type `ty` (`Bool` has none here).
+fn lit(ty: Ty, v: i32) -> Expr {
+    match ty {
+        Ty::F32 => Expr::f32(v as f32 * 0.75),
+        Ty::I32 => Expr::i32(v),
+        Ty::U32 => Expr::u32(v as u32),
+        Ty::Bool => unreachable!("no bool literals in the matrix"),
+    }
+}
+
+fn bin(op: paraprox_ir::BinOp, a: Expr, b: Expr) -> Expr {
+    Expr::Binary(op, Box::new(a), Box::new(b))
+}
+
+fn not(a: Expr) -> Expr {
+    Expr::Unary(paraprox_ir::UnOp::Not, Box::new(a))
+}
+
+/// Every binary op the typed tables admit for `ty`, applied as
+/// `acc OP rhs`; integer divisors and shift counts are made safe, so the
+/// kernel is error-free under any mask.
+fn fold_binary_ops(ty: Ty, acc: Expr, x: &Expr, k: &Expr) -> Expr {
+    use paraprox_ir::BinOp::*;
+    let ops: &[paraprox_ir::BinOp] = match ty {
+        Ty::F32 => &[Add, Mul, Sub, Div, Rem, Pow, Min, Max],
+        _ => &[Add, Mul, Sub, Div, Rem, And, Or, Xor, Shl, Shr, Min, Max],
+    };
+    ops.iter().fold(acc, |acc, &op| {
+        let rhs = match (op, ty) {
+            (Div | Rem, Ty::F32) => x.clone() + k.clone() + Expr::f32(1.25),
+            (Pow, _) => Expr::f32(0.5),
+            (Div | Rem, _) => x.clone() | lit(ty, 1),
+            (Shl | Shr, _) => k.clone() & lit(ty, 7),
+            (Min, _) => lit(ty, 1000),
+            (Max, Ty::U32) => lit(ty, 3),
+            (Max, _) => lit(ty, -1000),
+            _ => x.clone() + k.clone(),
+        };
+        bin(op, acc, rhs)
+    })
+}
+
+/// Every unary op the typed tables admit for `ty`, folded over `x`.
+fn fold_unary_ops(ty: Ty, x: &Expr) -> Expr {
+    match ty {
+        Ty::F32 => {
+            let t = (x.clone().abs() + Expr::f32(0.5)).sqrt().log().exp();
+            let u = (-x.clone()).sin() + x.clone().cos() + x.clone().floor();
+            t + u + (x.clone().abs() + Expr::f32(1.0)).rsqrt()
+        }
+        Ty::I32 => (-x.clone()).abs() + not(x.clone()),
+        _ => not(x.clone()),
+    }
+}
+
+/// The device function of case (c): a per-lane trip count, a nested `if`
+/// inside the loop, and an early `return` inside that.
+fn early_return_in_loop(program: &mut Program, ty: Ty) -> paraprox_ir::FuncId {
+    let mut fb = FuncBuilder::new("walk", ty);
+    let x = fb.scalar("x", ty);
+    let g = fb.scalar("g", Ty::I32);
+    let r = fb.let_mut("r", ty, x.clone());
+    fb.for_up(
+        "j",
+        Expr::i32(0),
+        g.clone().rem(Expr::i32(3)) + Expr::i32(1),
+        Expr::i32(1),
+        |fb, j| {
+            fb.if_(j.clone().eq_(g.clone().rem(Expr::i32(2))), |fb| {
+                fb.if_(x.clone().gt(lit(ty, 2)), |fb| {
+                    fb.ret(Expr::Var(r) * lit(ty, 3));
+                });
+                fb.assign(r, Expr::Var(r) + j.clone().cast(ty));
+            });
+            fb.assign(r, Expr::Var(r) + lit(ty, 1));
+        },
+    );
+    fb.ret(Expr::Var(r).min(lit(ty, 500)));
+    program.add_func(fb.finish())
+}
+
+/// The matrix kernel for operand type `ty`: `out` receives the value
+/// chain, `flags` the bool chain. Arguments: `in`, `out`, `flags`, `n`.
+fn masked_ops_program(ty: Ty) -> (Program, KernelId) {
+    let mut program = Program::new();
+    let walk = early_return_in_loop(&mut program, ty);
+    let mut kb = KernelBuilder::new("masked_ops");
+    let input = kb.buffer("in", ty, MemSpace::Global);
+    let output = kb.buffer("out", ty, MemSpace::Global);
+    let flags = kb.buffer("flags", Ty::I32, MemSpace::Global);
+    let n = kb.scalar("n", Ty::I32);
+    let gid = kb.let_("gid", KernelBuilder::global_id_x());
+    // (a) the ragged guard: the last block runs everything below under a
+    // mask that ends mid-word.
+    kb.if_(gid.clone().lt(n), |kb| {
+        let x = kb.let_("x", kb.load(input, gid.clone()));
+        let acc = kb.let_mut("acc", ty, x.clone());
+        // (b) per-lane trip count, with both arms of a branch inside.
+        kb.for_loop(
+            "k",
+            Expr::i32(0),
+            LoopCond::Le(gid.clone().rem(Expr::i32(5))),
+            LoopStep::Add(Expr::i32(1)),
+            |kb, k| {
+                let kt = kb.let_("kt", k.clone().cast(ty));
+                kb.if_else(
+                    k.rem(Expr::i32(2)).eq_(Expr::i32(0)),
+                    |kb| kb.assign(acc, fold_binary_ops(ty, Expr::Var(acc), &x, &kt)),
+                    |kb| kb.assign(acc, Expr::Var(acc) + fold_unary_ops(ty, &x)),
+                );
+            },
+        );
+        // Compares of `ty` operands, then bool operands under every bool
+        // op and compare.
+        let b = kb.let_mut("b", Ty::Bool, x.clone().lt(lit(ty, 1)));
+        kb.assign(b, Expr::Var(b) ^ x.clone().le(Expr::Var(acc)));
+        kb.assign(b, Expr::Var(b) | x.clone().gt(Expr::Var(acc)));
+        kb.assign(b, Expr::Var(b) & not(x.clone().ge(lit(ty, 2))));
+        kb.assign(b, Expr::Var(b) ^ x.clone().eq_(Expr::Var(acc)));
+        kb.assign(b, Expr::Var(b).ne_(x.clone().ne_(lit(ty, 0))));
+        kb.assign(b, Expr::Var(b).lt(x.clone().gt(lit(ty, 0))) | Expr::Var(b));
+        // Casts through every type and back.
+        let round = kb.let_(
+            "round",
+            Expr::Var(acc)
+                .cast(Ty::F32)
+                .cast(Ty::I32)
+                .cast(Ty::U32)
+                .cast(ty),
+        );
+        let as_bool = kb.let_("as_bool", Expr::Var(acc).cast(Ty::Bool));
+        // Select, both arms under complementary partial masks.
+        let y = kb.let_mut(
+            "y",
+            ty,
+            Expr::Var(b).select(round + x.clone(), Expr::Var(acc) - x.clone()),
+        );
+        // Loop steps on a `ty`-typed loop variable with a per-lane bound:
+        // `+=` and `*=` up, `-=` down (stopping short of an unsigned wrap),
+        // then (integers) `<<=` up and `>>=` down.
+        let bound = kb.let_(
+            "bound",
+            (gid.clone().rem(Expr::i32(7)) + Expr::i32(2)).cast(ty),
+        );
+        kb.for_loop(
+            "up",
+            lit(ty, 1),
+            LoopCond::Lt(bound.clone()),
+            LoopStep::Add(lit(ty, 2)),
+            |kb, j| kb.assign(y, Expr::Var(y) + j),
+        );
+        kb.for_loop(
+            "dbl",
+            lit(ty, 2),
+            LoopCond::Le(bound.clone() * lit(ty, 4)),
+            LoopStep::Mul(lit(ty, 2)),
+            |kb, j| kb.assign(y, Expr::Var(y) - j),
+        );
+        kb.for_loop(
+            "down",
+            bound.clone() * lit(ty, 2),
+            LoopCond::Gt(lit(ty, 3)),
+            LoopStep::Sub(lit(ty, 3)),
+            |kb, j| kb.assign(y, Expr::Var(y) + j),
+        );
+        if ty != Ty::F32 {
+            kb.for_loop(
+                "shl",
+                lit(ty, 1),
+                LoopCond::Lt(bound.clone() * lit(ty, 8)),
+                LoopStep::Shl(lit(ty, 1)),
+                |kb, j| kb.assign(y, Expr::Var(y) ^ j),
+            );
+            kb.for_loop(
+                "shr",
+                bound * lit(ty, 16),
+                LoopCond::Ge(lit(ty, 1)),
+                LoopStep::Shr(lit(ty, 1)),
+                |kb, j| kb.assign(y, Expr::Var(y) + j),
+            );
+        }
+        // (c) the device function, called under the ragged mask.
+        let walked = Expr::Call {
+            func: walk,
+            args: vec![x, gid.clone()],
+        };
+        kb.store(output, gid.clone(), Expr::Var(y) + walked);
+        kb.store(
+            flags,
+            gid,
+            Expr::Var(b).cast(Ty::I32) + as_bool.cast(Ty::I32) * Expr::i32(2),
+        );
+    });
+    let kid = program.add_kernel(kb.finish());
+    (program, kid)
+}
+
+/// Inputs of type `ty` with sign changes, zeros and magnitude spread.
+fn typed_inputs(ty: Ty, n: usize) -> Data {
+    let ints = (0..n).map(|i| ((i * 37 + 11) % 23) as i32 - 9);
+    match ty {
+        Ty::F32 => Data::F32(mixed_inputs(n)),
+        Ty::I32 => Data::I32(ints.collect()),
+        _ => Data::U32(ints.map(|v| v.unsigned_abs() * 3).collect()),
+    }
+}
+
+fn zeros(ty: Ty, n: usize) -> Data {
+    match ty {
+        Ty::F32 => Data::F32(vec![0.0; n]),
+        Ty::I32 => Data::I32(vec![0; n]),
+        _ => Data::U32(vec![0; n]),
+    }
+}
+
+#[test]
+fn partial_mask_matrix_matches_tree_walker() {
+    // 96 lanes: two mask words, the second ragged; 230 of the 288 lanes
+    // pass the guard, so the last block's mask ends inside its first word.
+    let (grid, block, n) = (Dim2::linear(3), Dim2::linear(96), 230usize);
+    let total = 3 * 96;
+    for ty in [Ty::F32, Ty::I32, Ty::U32] {
+        let (program, kid) = masked_ops_program(ty);
+        let buffers = [
+            typed_inputs(ty, total),
+            zeros(ty, total),
+            zeros(Ty::I32, total),
+        ];
+        let refs = assert_masked_agree(
+            &program,
+            kid,
+            grid,
+            block,
+            &buffers,
+            &[Scalar::I32(n as i32)],
+            false,
+        );
+        for reference in &refs {
+            let (contents, result) = &reference[0];
+            assert!(result.is_ok(), "{ty:?} matrix kernel failed: {result:?}");
+            assert!(contents[1][..n].iter().any(|&b| b != 0));
+            assert!(contents[2][..n].iter().any(|&b| b != 0));
+            assert!(
+                contents[1][n..]
+                    .iter()
+                    .chain(&contents[2][n..])
+                    .all(|&b| b == 0),
+                "a guarded-off lane stored"
+            );
+        }
+    }
+}
+
+/// `out[gid] = x OP d` under `if d != 0`, with `d` loaded under the full
+/// mask (so the inactive lanes hold the data's own zeros, not filler) or
+/// recomputed under the guard (so they hold filler).
+fn guarded_division(ty: Ty, op: paraprox_ir::BinOp, recompute: bool) -> (Program, KernelId) {
+    let mut program = Program::new();
+    let mut kb = KernelBuilder::new("guarded_division");
+    let input = kb.buffer("in", ty, MemSpace::Global);
+    let divisors = kb.buffer("d", ty, MemSpace::Global);
+    let output = kb.buffer("out", ty, MemSpace::Global);
+    let gid = kb.let_("gid", KernelBuilder::global_id_x());
+    let x = kb.let_("x", kb.load(input, gid.clone()));
+    let d = kb.let_("d", kb.load(divisors, gid.clone()));
+    kb.if_(d.clone().ne_(lit(ty, 0)), |kb| {
+        let divisor = if recompute {
+            d.clone() * lit(ty, 1)
+        } else {
+            d.clone()
+        };
+        kb.store(output, gid.clone(), bin(op, x.clone(), divisor));
+    });
+    let kid = program.add_kernel(kb.finish());
+    (program, kid)
+}
+
+#[test]
+fn zero_divisor_on_an_inactive_lane_divides_nothing() {
+    use paraprox_ir::BinOp;
+    let (grid, block, total) = (Dim2::linear(2), Dim2::linear(96), 192usize);
+    for ty in [Ty::I32, Ty::U32] {
+        for op in [BinOp::Div, BinOp::Rem] {
+            for recompute in [false, true] {
+                let (program, kid) = guarded_division(ty, op, recompute);
+                // Every fourth lane's divisor is zero; `i32::MIN / -1` and
+                // friends ride along on the active lanes.
+                let divisor = |i: usize| match (i.is_multiple_of(4), (i % 5) as i32 - 2) {
+                    (true, _) => 0,
+                    (false, 0) => -1,
+                    (false, d) => d,
+                };
+                let (xs, ds) = match ty {
+                    Ty::I32 => {
+                        let mut xs: Vec<i32> = (0..total).map(|i| i as i32 * 7 - 400).collect();
+                        xs[3] = i32::MIN;
+                        (Data::I32(xs), Data::I32((0..total).map(divisor).collect()))
+                    }
+                    _ => (
+                        Data::U32((0..total).map(|i| i as u32 * 7 + 1).collect()),
+                        Data::U32((0..total).map(|i| divisor(i).unsigned_abs()).collect()),
+                    ),
+                };
+                let buffers = [xs, ds, zeros(ty, total)];
+                for reference in
+                    assert_masked_agree(&program, kid, grid, block, &buffers, &[], false)
+                {
+                    let (contents, result) = &reference[0];
+                    assert!(result.is_ok(), "{ty:?} {op:?}: {result:?}");
+                    let (xs, ds) = (&contents[0], &contents[1]);
+                    for (i, (&x, &d)) in xs.iter().zip(ds).enumerate() {
+                        let want = match (d, ty, op) {
+                            (0, _, _) => 0,
+                            (_, Ty::I32, BinOp::Div) => (x as i32).wrapping_div(d as i32) as u32,
+                            (_, Ty::I32, _) => (x as i32).wrapping_rem(d as i32) as u32,
+                            (_, _, BinOp::Div) => x / d,
+                            _ => x % d,
+                        };
+                        assert_eq!(contents[2][i], want, "{ty:?} {op:?} lane {i}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Expect every engine to raise `want` (and the oracle's buffers).
+fn assert_masked_error(
+    program: &Program,
+    kid: KernelId,
+    block: Dim2,
+    buffers: &[Data],
+    want: paraprox_ir::EvalError,
+) {
+    for reference in assert_masked_agree(program, kid, Dim2::linear(1), block, buffers, &[], false)
+    {
+        match &reference[0].1 {
+            Err(LaunchError::Eval { source, .. }) => assert_eq!(*source, want),
+            other => panic!("expected {want:?}, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn first_failing_active_lane_decides_the_error() {
+    use paraprox_ir::{BinOp, EvalError};
+    let lanes = 96usize;
+    // Odd lanes divide. The divisor row is `i32` except one lane turned
+    // `u32` (an operand type mismatch there) and holds zeros where `zeros`
+    // says: whichever failing lane is lower decides the error, and a
+    // failing even lane decides nothing.
+    let run = |zero_lanes: &[usize],
+               u32_lane: Option<usize>,
+               op: BinOp,
+               want: Option<EvalError>| {
+        let mut program = Program::new();
+        let mut kb = KernelBuilder::new("first_failure");
+        let divisors = kb.buffer("d", Ty::I32, MemSpace::Global);
+        let output = kb.buffer("out", Ty::I32, MemSpace::Global);
+        let tid = kb.let_("tid", KernelBuilder::thread_id_x());
+        let d = kb.let_mut("d", Ty::I32, kb.load(divisors, tid.clone()));
+        if let Some(lane) = u32_lane {
+            kb.if_(tid.clone().eq_(Expr::i32(lane as i32)), |kb| {
+                kb.assign(d, Expr::Var(d).cast(Ty::U32));
+            });
+        }
+        kb.if_(tid.clone().rem(Expr::i32(2)).eq_(Expr::i32(1)), |kb| {
+            kb.store(
+                output,
+                tid.clone(),
+                bin(op, tid.clone() + Expr::i32(100), Expr::Var(d)),
+            );
+        });
+        let kid = program.add_kernel(kb.finish());
+        let mut ds = vec![3; lanes];
+        for &lane in zero_lanes {
+            ds[lane] = 0;
+        }
+        let buffers = [Data::I32(ds), Data::I32(vec![0; lanes])];
+        match want {
+            Some(want) => assert_masked_error(&program, kid, Dim2::linear(lanes), &buffers, want),
+            None => {
+                for reference in assert_masked_agree(
+                    &program,
+                    kid,
+                    Dim2::linear(1),
+                    Dim2::linear(lanes),
+                    &buffers,
+                    &[],
+                    false,
+                ) {
+                    assert!(reference[0].1.is_ok());
+                }
+            }
+        }
+    };
+    let mismatch = EvalError::OperandTypeMismatch {
+        lhs: Ty::I32,
+        rhs: Ty::U32,
+    };
+    for op in [BinOp::Div, BinOp::Rem] {
+        run(&[4, 70], None, op, None);
+        run(&[5, 71], None, op, Some(EvalError::DivisionByZero));
+        run(&[9], Some(71), op, Some(EvalError::DivisionByZero));
+        run(&[71], Some(9), op, Some(mismatch.clone()));
+        run(&[8], Some(71), op, Some(mismatch.clone()));
+        run(&[71], Some(8), op, Some(EvalError::DivisionByZero));
+    }
+}
+
+#[test]
+fn local_written_narrow_and_read_wide_fails_at_the_oracles_lane() {
+    use paraprox_ir::EvalError;
+    let lanes = 96usize;
+    // `v` is first written on lanes 8..20 (f32 there, filler elsewhere).
+    // Reading it on those lanes or fewer stays on the strips and succeeds;
+    // reading it on lanes 8.. meets the `i32` filler at lane 20, before
+    // the `u32` that lane 70 of `w` would object to.
+    let build = |read_from: i32, read_to: i32| {
+        let mut program = Program::new();
+        let mut kb = KernelBuilder::new("narrow_then_wide");
+        let input = kb.buffer("in", Ty::F32, MemSpace::Global);
+        let output = kb.buffer("out", Ty::F32, MemSpace::Global);
+        let tid = kb.let_("tid", KernelBuilder::thread_id_x());
+        let x = kb.let_("x", kb.load(input, tid.clone()));
+        kb.if_(tid.clone().ge(Expr::i32(8)), |kb| {
+            let mut v = None;
+            kb.if_(tid.clone().lt(Expr::i32(20)), |kb| {
+                v = Some(kb.let_("v", x.clone() * Expr::f32(2.0)));
+            });
+            let v = v.unwrap();
+            let w = kb.let_mut("w", Ty::F32, x.clone() + Expr::f32(1.0));
+            kb.if_(tid.clone().eq_(Expr::i32(70)), |kb| {
+                kb.assign(w, tid.clone().cast(Ty::U32));
+            });
+            let reads = tid.clone().ge(Expr::i32(read_from)) & tid.clone().lt(Expr::i32(read_to));
+            kb.if_(reads, |kb| {
+                kb.store(output, tid.clone(), -(v.clone() * Expr::Var(w)).abs());
+            });
+        });
+        let kid = program.add_kernel(kb.finish());
+        (program, kid)
+    };
+    let buffers = [Data::F32(mixed_inputs(lanes)), Data::F32(vec![0.0; lanes])];
+    let (program, kid) = build(10, 18);
+    for reference in assert_masked_agree(
+        &program,
+        kid,
+        Dim2::linear(1),
+        Dim2::linear(lanes),
+        &buffers,
+        &[],
+        false,
+    ) {
+        assert!(reference[0].1.is_ok());
+        let stored = reference[0].0[1].iter().filter(|&&b| b != 0).count();
+        assert_eq!(stored, 8);
+    }
+    let (program, kid) = build(8, 96);
+    assert_masked_error(
+        &program,
+        kid,
+        Dim2::linear(lanes),
+        &buffers,
+        EvalError::OperandTypeMismatch {
+            lhs: Ty::I32,
+            rhs: Ty::F32,
+        },
+    );
+
+    // Inactive lanes never leak: a cast reads `v` on every lane, legally
+    // (lane by lane — the types differ), and must find the filler's zero
+    // outside 8..20 whatever the register held before.
+    let mut program = Program::new();
+    let mut kb = KernelBuilder::new("narrow_then_cast");
+    let input = kb.buffer("in", Ty::F32, MemSpace::Global);
+    let output = kb.buffer("out", Ty::I32, MemSpace::Global);
+    let tid = kb.let_("tid", KernelBuilder::thread_id_x());
+    let x = kb.let_("x", kb.load(input, tid.clone()));
+    let busy = kb.let_("busy", (x.clone() * Expr::f32(3.0) + Expr::f32(7.0)).abs());
+    let mut v = None;
+    kb.if_(
+        tid.clone().ge(Expr::i32(8)) & tid.clone().lt(Expr::i32(20)),
+        |kb| v = Some(kb.let_("v", x.clone() * busy + Expr::f32(40.0))),
+    );
+    kb.store(output, tid, v.unwrap().cast(Ty::I32));
+    let kid = program.add_kernel(kb.finish());
+    let cast_buffers = [Data::F32(mixed_inputs(lanes)), Data::I32(vec![-1; lanes])];
+    for reference in assert_masked_agree(
+        &program,
+        kid,
+        Dim2::linear(1),
+        Dim2::linear(lanes),
+        &cast_buffers,
+        &[],
+        true,
+    ) {
+        assert!(reference[0].1.is_ok());
+        for (lane, &got) in reference[0].0[1].iter().enumerate() {
+            assert_eq!(got != 0, (8..20).contains(&lane), "lane {lane}: {got:#x}");
+        }
+    }
+
+    // The same for the control ops: a condition, a loop bound and a loop
+    // step amount first written on lanes 8..20 and consumed on lanes 8..
+    let control = |which: usize| {
+        let mut program = Program::new();
+        let mut kb = KernelBuilder::new("narrow_then_wide_control");
+        let input = kb.buffer("in", Ty::F32, MemSpace::Global);
+        let output = kb.buffer("out", Ty::F32, MemSpace::Global);
+        let tid = kb.let_("tid", KernelBuilder::thread_id_x());
+        let x = kb.let_("x", kb.load(input, tid.clone()));
+        kb.if_(tid.clone().ge(Expr::i32(8)), |kb| {
+            let (mut c, mut bound) = (None, None);
+            kb.if_(tid.clone().lt(Expr::i32(20)), |kb| {
+                c = Some(kb.let_("c", x.clone().gt(Expr::f32(0.0))));
+                bound = Some(kb.let_("bound", x.clone().abs() + Expr::f32(2.0)));
+            });
+            let (c, bound) = (c.unwrap(), bound.unwrap());
+            let acc = kb.let_mut("acc", Ty::F32, x.clone());
+            match which {
+                0 => kb.if_(c, |kb| kb.assign(acc, Expr::Var(acc) + Expr::f32(1.0))),
+                1 => kb.assign(acc, c.select(Expr::Var(acc), x.clone())),
+                2 => kb.for_loop(
+                    "f",
+                    Expr::f32(0.0),
+                    LoopCond::Lt(bound),
+                    LoopStep::Add(Expr::f32(1.0)),
+                    |kb, f| kb.assign(acc, Expr::Var(acc) + f),
+                ),
+                _ => kb.for_loop(
+                    "f",
+                    Expr::f32(0.0),
+                    LoopCond::Lt(Expr::f32(2.0)),
+                    LoopStep::Add(bound),
+                    |kb, f| kb.assign(acc, Expr::Var(acc) + f),
+                ),
+            }
+            kb.store(output, tid.clone(), Expr::Var(acc));
+        });
+        let kid = program.add_kernel(kb.finish());
+        (program, kid)
+    };
+    let not_bool = EvalError::TypeMismatch {
+        expected: Ty::Bool,
+        found: Ty::I32,
+    };
+    let f32_vs_filler = EvalError::OperandTypeMismatch {
+        lhs: Ty::F32,
+        rhs: Ty::I32,
+    };
+    for (which, want) in [
+        (0, not_bool.clone()),
+        (1, not_bool),
+        (2, f32_vs_filler.clone()),
+        (3, f32_vs_filler),
+    ] {
+        let (program, kid) = control(which);
+        assert_masked_error(&program, kid, Dim2::linear(lanes), &buffers, want);
+    }
+}
+
+#[test]
+fn active_lanes_of_two_types_go_lane_by_lane_and_agree() {
+    // `i` is `u32` on the first 40 lanes of each block and `i32` on the
+    // rest: no op over it has one active tag, none is an error. Every op
+    // class meets the row — and counts as a per-lane fallback.
+    let lanes = 96usize;
+    let mut program = Program::new();
+    let mut kb = KernelBuilder::new("two_types");
+    let output = kb.buffer("out", Ty::F32, MemSpace::Global);
+    let flags = kb.buffer("flags", Ty::I32, MemSpace::Global);
+    let tid = kb.let_("tid", KernelBuilder::thread_id_x());
+    let gid = kb.let_("gid", KernelBuilder::global_id_x());
+    let i = kb.let_mut("i", Ty::I32, gid.clone() + Expr::i32(1));
+    kb.if_(tid.clone().lt(Expr::i32(40)), |kb| {
+        kb.assign(i, Expr::Var(i).cast(Ty::U32));
+    });
+    kb.if_(tid.rem(Expr::i32(5)).ne_(Expr::i32(0)), |kb| {
+        let twice = kb.let_("twice", Expr::Var(i) + Expr::Var(i));
+        let inverted = kb.let_("inverted", not(Expr::Var(i)));
+        let less = kb.let_("less", Expr::Var(i).lt(twice.clone()));
+        let wide = kb.let_("wide", twice.clone().cast(Ty::F32));
+        let acc = kb.let_mut(
+            "acc",
+            Ty::F32,
+            less.clone().select(wide, inverted.clone().cast(Ty::F32)),
+        );
+        // A loop whose variable, bound and step amount are all the mixed
+        // row: one trip per lane.
+        kb.for_loop(
+            "j",
+            Expr::Var(i),
+            LoopCond::Lt(twice.clone()),
+            LoopStep::Add(Expr::Var(i)),
+            |kb, j| kb.assign(acc, Expr::Var(acc) + j.cast(Ty::F32)),
+        );
+        // A select whose arms differ in type per lane group merges lane
+        // by lane too.
+        let either = kb.let_("either", less.select(twice, inverted));
+        kb.store(output, gid.clone(), Expr::Var(acc) + either.cast(Ty::F32));
+        kb.store(flags, gid, Expr::Var(i).cast(Ty::I32));
+    });
+    let kid = program.add_kernel(kb.finish());
+    let buffers = [
+        Data::F32(vec![0.0; 2 * lanes]),
+        Data::I32(vec![0; 2 * lanes]),
+    ];
+    for reference in assert_masked_agree(
+        &program,
+        kid,
+        Dim2::linear(2),
+        Dim2::linear(lanes),
+        &buffers,
+        &[],
+        true,
+    ) {
+        let (contents, result) = &reference[0];
+        assert!(result.is_ok(), "{result:?}");
+        for (lane, (&out, &flag)) in contents[0].iter().zip(&contents[1]).enumerate() {
+            let active = !(lane % lanes).is_multiple_of(5);
+            let i = lane as u32 + 1;
+            let want = if active {
+                (5.0 * i as f32).to_bits()
+            } else {
+                0
+            };
+            assert_eq!(out, want, "lane {lane}");
+            assert_eq!(flag, if active { i } else { 0 });
+        }
+    }
+}
