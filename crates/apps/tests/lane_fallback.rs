@@ -2,14 +2,15 @@
 //! ever leaves them.
 //!
 //! Every ALU and control op of the bytecode engine runs as a typed strip
-//! loop that takes the lane mask as an argument; the per-lane `Scalar`
-//! path behind it is the error path. `LaunchStats::lane_fallback_ops`
-//! counts the ops that took it, so it must read zero on every pipeline the
-//! applications can produce — exact and every compiled variant, one-shot
-//! and iterative, on both profiles — however their lanes diverge, and
-//! non-zero on a kernel whose active lanes really do differ in type. An op
-//! that reintroduces a per-lane fallback on well-typed rows fails here,
-//! not in a timing.
+//! loop that takes the lane mask as an argument, and every load and store
+//! moves raw words over the mask's spans; the per-lane `Scalar` path behind
+//! them is the error path. `LaunchStats::lane_fallback_ops` counts the ops
+//! that took it and `LaunchStats::mem_fallback_ops` the loads and stores,
+//! so both must read zero on every pipeline the applications can produce —
+//! exact and every compiled variant, one-shot and iterative, on both
+//! profiles — however their lanes diverge, and non-zero on a kernel whose
+//! active lanes really do differ in type. An op that reintroduces a
+//! per-lane fallback on well-typed rows fails here, not in a timing.
 
 use paraprox::{compile, latency_table_for, CompileOptions};
 use paraprox_apps::{iter_registry, registry, Scale};
@@ -44,9 +45,11 @@ fn no_app_leaves_the_typed_strips_and_a_mixed_tag_kernel_does() {
                     Ok(run) => {
                         assert!(run.stats.ops_dispatched > 0);
                         assert_eq!(
-                            run.stats.lane_fallback_ops, 0,
-                            "{} `{label}` on {}: an op took the per-lane path",
-                            app.spec.name, profile.name
+                            (run.stats.lane_fallback_ops, run.stats.mem_fallback_ops),
+                            (0, 0),
+                            "{} `{label}` on {}: an op or access took the per-lane path",
+                            app.spec.name,
+                            profile.name
                         );
                         ran += 1;
                     }
@@ -68,11 +71,12 @@ fn no_app_leaves_the_typed_strips_and_a_mixed_tag_kernel_does() {
             for rung in 0..job.variant_count() {
                 job.run_variant(rung, 7).expect("preset schedule runs");
             }
-            assert!(job.total_stats().ops_dispatched > 0);
+            let stats = job.total_stats();
+            assert!(stats.ops_dispatched > 0);
             assert_eq!(
-                job.total_stats().lane_fallback_ops,
-                0,
-                "{} on {}: an op took the per-lane path",
+                (stats.lane_fallback_ops, stats.mem_fallback_ops),
+                (0, 0),
+                "{} on {}: an op or access took the per-lane path",
                 app.name,
                 profile.name
             );
@@ -80,7 +84,8 @@ fn no_app_leaves_the_typed_strips_and_a_mixed_tag_kernel_does() {
 
         // The mixed-tag fixture of `vgpu/tests/bytecode_equivalence.rs`: an
         // index row whose lanes are `i32` and `u32`, here also cast, so an
-        // ALU op meets active lanes of two types and must go lane by lane.
+        // ALU op, the load and the store meet active lanes of two types and
+        // must go lane by lane.
         let mut program = Program::new();
         let mut kb = KernelBuilder::new("mixed_index");
         let input = kb.buffer("in", Ty::F32, MemSpace::Global);
@@ -108,6 +113,9 @@ fn no_app_leaves_the_typed_strips_and_a_mixed_tag_kernel_does() {
                 )
                 .expect("mixed lanes are not an error");
             assert_eq!(stats.lane_fallback_ops > 0, falls_back, "{engine:?}");
+            // One load and one store in each of the two blocks.
+            let per_lane_accesses = if falls_back { 2 * 2 } else { 0 };
+            assert_eq!(stats.mem_fallback_ops, per_lane_accesses, "{engine:?}");
             let want: Vec<f32> = data.iter().enumerate().map(|(i, v)| v * i as f32).collect();
             assert_eq!(device.read_f32(out).unwrap(), want);
         }

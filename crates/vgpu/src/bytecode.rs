@@ -1860,11 +1860,9 @@ fn exec_load(
 ) -> Result<(), EvalError> {
     let dst_abs = rb + dst as usize;
     let mut out = std::mem::take(&mut s.regs[dst_abs]);
+    // The strip path leaves `out` in its final form; the per-lane gather
+    // normalizes it.
     let r = ctx.do_load_into(mem, row(s, rb, idx), &s.masks[mb + m as usize], &mut out);
-    // A load through a mixed-tag index row demotes `out` lane by lane;
-    // recover the uniform tag where the lanes agree after all. (The strip
-    // path leaves a converged row uniform already.)
-    out.normalize();
     s.regs[dst_abs] = out;
     r
 }

@@ -57,7 +57,7 @@ use paraprox_ir::{
 use crate::cache::Cache;
 use crate::device::{ArgValue, BufferStorage, Dim2};
 use crate::error::LaunchError;
-use crate::mask::{set_bits, LaneMask, MAX_WARP_LANES};
+use crate::mask::{set_bits, LaneMask, Span, MAX_WARP_LANES};
 use crate::pool::{self, WorkQueue};
 use crate::profile::DeviceProfile;
 use crate::soa::{decode, encode_bits, tag_of_ty, TAG_BOOL, TAG_I32, TAG_U32};
@@ -81,23 +81,29 @@ pub(crate) const FILLER: Scalar = Scalar::I32(0);
 /// [`crate::soa::RegRow`], so the memory pipeline (loads, stores, atomics,
 /// coalescing/bank-conflict charging) is single-sourced across engines.
 ///
-/// The `*_strip` methods offer the container's raw bit strip when all its
-/// lanes share a type; the pipeline then moves bits without decoding a
-/// `Scalar` per lane. The defaults offer nothing, which is how the
-/// tree-walking oracle always takes the per-lane path.
+/// The `*_strip` methods offer the container's raw bit strip when the
+/// lanes of the access's mask share a type (inactive lanes may hold
+/// anything: the pipeline never reads them); the pipeline then moves bits
+/// without decoding a `Scalar` per lane. The defaults offer nothing, which
+/// is how the tree-walking oracle always takes the per-lane path.
 pub(crate) trait LaneGet {
+    /// Whether the container has a strip form at all. The oracle's
+    /// `Vec<Scalar>` has none, so the per-lane path is its only path and
+    /// never counts as a fallback.
+    const STRIPS: bool = false;
+
     /// Scalar value of lane `i`.
     fn lane(&self, i: usize) -> Scalar;
 
     /// The row as a table of element indices: its bit strip and whether
-    /// the lanes are `i32` (`true`) or `u32`, when they are uniformly one
+    /// the active lanes are `i32` (`true`) or `u32`, when they are all one
     /// of the two.
-    fn index_strip(&self) -> Option<(bool, &[u32])> {
+    fn index_strip(&self, _mask: &Mask) -> Option<(bool, &[u32])> {
         None
     }
 
-    /// The row's bit strip when every lane has type `tag`.
-    fn strip_of(&self, _tag: u8) -> Option<&[u32]> {
+    /// The row's bit strip when every active lane has type `tag`.
+    fn strip_of(&self, _tag: u8, _mask: &Mask) -> Option<&[u32]> {
         None
     }
 }
@@ -110,14 +116,16 @@ impl LaneGet for Vec<Scalar> {
 }
 
 impl LaneGet for crate::soa::RegRow {
+    const STRIPS: bool = true;
+
     #[inline(always)]
     fn lane(&self, i: usize) -> Scalar {
         self.get(i)
     }
 
     #[inline]
-    fn index_strip(&self) -> Option<(bool, &[u32])> {
-        match self.uniform_tag() {
+    fn index_strip(&self, mask: &Mask) -> Option<(bool, &[u32])> {
+        match self.active_tag(mask)? {
             TAG_I32 => Some((true, self.bits())),
             TAG_U32 => Some((false, self.bits())),
             _ => None,
@@ -125,8 +133,8 @@ impl LaneGet for crate::soa::RegRow {
     }
 
     #[inline]
-    fn strip_of(&self, tag: u8) -> Option<&[u32]> {
-        (self.uniform_tag() == tag).then(|| self.bits())
+    fn strip_of(&self, tag: u8, mask: &Mask) -> Option<&[u32]> {
+        (self.active_tag(mask) == Some(tag)).then(|| self.bits())
     }
 }
 
@@ -139,7 +147,11 @@ pub(crate) trait LaneSet {
     /// Store `v` into lane `i`.
     fn set_lane(&mut self, i: usize, v: Scalar);
 
-    /// Instead of the two calls above: prepare to receive raw `tag`-typed
+    /// After the [`LaneSet::set_lane`] calls: recover the container's
+    /// compact form where the lanes agree after all.
+    fn normalize(&mut self) {}
+
+    /// Instead of the calls above: prepare to receive raw `tag`-typed
     /// bits in the lanes of `mask` (inactive lanes read as [`FILLER`]) and
     /// return the strip to write them to. `None` when the container has no
     /// strip form.
@@ -168,6 +180,10 @@ impl LaneSet for crate::soa::RegRow {
     #[inline(always)]
     fn set_lane(&mut self, i: usize, v: Scalar) {
         self.set(i, v);
+    }
+
+    fn normalize(&mut self) {
+        crate::soa::RegRow::normalize(self);
     }
 
     #[inline]
@@ -1307,11 +1323,12 @@ impl ExecCtx<'_> {
     //
     // One pipeline for both engines. Buffers, shared arrays and (in the
     // bytecode engine) register rows are typed `u32` bit strips, so when
-    // the index row is uniformly `i32`/`u32` — and, for a store, the value
-    // row uniformly has the buffer's type — an access gathers or scatters
-    // raw bits. Everything else (mixed-tag rows, the oracle's
-    // `Vec<Scalar>`, a permuted store order, bit-flip injection) takes the
-    // per-lane path *of the same function*.
+    // the index row's active lanes are all `i32` or all `u32` — and, for a
+    // store, the value row's active lanes have the buffer's type — an
+    // access gathers or scatters raw bits under any mask. Everything else
+    // (active lanes of two types, the oracle's `Vec<Scalar>`, a permuted
+    // store order, bit-flip injection) takes the per-lane path *of the same
+    // function*.
     //
     // Both paths visit active lanes in the same order, check each lane's
     // index type, then its bounds, then (stores) its value type, and stop
@@ -1389,8 +1406,18 @@ impl ExecCtx<'_> {
                     .get(sid.index())
                     .ok_or(EvalError::UnknownFunc(sid.index()))?;
                 let tag = tag_of_ty(arr.ty);
-                let indices = gather(&arr.data, tag, idx, mask, out, resolved, NO_INJECTION)?;
-                self.charge_shared_access(indices, mask);
+                let fallback = &mut self.stats.mem_fallback_ops;
+                let indices = gather(
+                    &arr.data,
+                    tag,
+                    idx,
+                    mask,
+                    out,
+                    resolved,
+                    NO_INJECTION,
+                    fallback,
+                )?;
+                charge_shared(&mut self.stats, self.profile, indices, mask);
             }
             MemRef::Param(_) => {
                 let b = self.resolve_buffer(mem)?;
@@ -1399,10 +1426,11 @@ impl ExecCtx<'_> {
                 let approx = space == MemSpace::Approx;
                 // Injection draws from the block's flip stream once per
                 // lane-load, in lane order: per-lane by nature.
-                let (threshold, rng, flips) = (
+                let (threshold, rng, flips, fallback) = (
                     self.approx_threshold,
                     &mut self.approx_rng,
                     &mut self.stats.bit_flips,
+                    &mut self.stats.mem_fallback_ops,
                 );
                 let inject = (approx && threshold > 0).then_some(|bits: u32| {
                     if paraprox_prng::splitmix64(rng) < threshold {
@@ -1412,7 +1440,7 @@ impl ExecCtx<'_> {
                         bits
                     }
                 });
-                let indices = gather(&buf.data, tag, idx, mask, out, resolved, inject)?;
+                let indices = gather(&buf.data, tag, idx, mask, out, resolved, inject, fallback)?;
                 if approx {
                     self.stats.approx_loads += mask.count() as u64;
                 }
@@ -1434,32 +1462,6 @@ impl ExecCtx<'_> {
             }
         }
         Ok(())
-    }
-
-    /// Bank-conflict charging for one shared-memory access. Conflict
-    /// degree: max number of *distinct word addresses* mapping to the same
-    /// bank within the warp.
-    fn charge_shared_access(&mut self, indices: &[u32], mask: &Mask) {
-        const BANKS: usize = 32;
-        let mut words = WarpSet::new();
-        for (start, bits) in active_warps(self.profile.warp_width, self.lanes, mask) {
-            words.clear();
-            let mut per_bank = [0u8; BANKS];
-            let mut degree = 1u8;
-            for lane in set_lanes(start, bits) {
-                let word = indices[lane];
-                if words.insert(u64::from(word)) {
-                    let count = &mut per_bank[word as usize % BANKS];
-                    *count += 1;
-                    degree = degree.max(*count);
-                }
-            }
-            let degree = u64::from(degree);
-            self.stats.shared_accesses += 1;
-            self.stats.bank_conflict_extra += degree - 1;
-            self.stats.memory_cycles += self.profile.shared_lat * degree;
-            self.stats.instructions += 1;
-        }
     }
 
     /// L1-backed load costing, parametrized by the miss timings of the
@@ -1574,8 +1576,9 @@ impl ExecCtx<'_> {
                     &self.mem.store_order,
                     resolved,
                     |_, _, _| {},
+                    &mut self.stats.mem_fallback_ops,
                 )?;
-                self.charge_shared_access(indices, mask);
+                charge_shared(&mut self.stats, self.profile, indices, mask);
                 self.stats.stores += self.warp_count(mask);
             }
             MemRef::Param(_) => {
@@ -1608,6 +1611,7 @@ impl ExecCtx<'_> {
                             });
                         }
                     },
+                    &mut self.stats.mem_fallback_ops,
                 )?;
                 // Coalescing for stores: one transaction per distinct line.
                 // Writes to the approximate region are exact (errors are a
@@ -1721,9 +1725,12 @@ const NO_INJECTION: Option<fn(u32) -> u32> = None;
 /// Load `data[idx[lane]]` (elements of type `tag`) into the active lanes
 /// of `out`, in ascending lane order; `inject`, when present, sees every
 /// loaded word and returns the word the lane receives, and keeps the
-/// access on the per-lane path. Returns the lane-indexed element indices
-/// for the charging pass: the index row's own strip, or `resolved` filled
-/// by the per-lane path.
+/// access on the per-lane path. Any other access whose index row's active
+/// lanes are all `i32` or all `u32` moves raw words span by span; the rest
+/// go lane by lane and count in `fallback`. Returns the lane-indexed
+/// element indices for the charging pass: the index row's own strip, or
+/// `resolved` filled by the per-lane path.
+#[allow(clippy::too_many_arguments)]
 fn gather<'i, I: LaneGet, O: LaneSet>(
     data: &[u32],
     tag: u8,
@@ -1732,22 +1739,31 @@ fn gather<'i, I: LaneGet, O: LaneSet>(
     out: &mut O,
     resolved: &'i mut Vec<u32>,
     mut inject: Option<impl FnMut(u32) -> u32>,
+    fallback: &mut u64,
 ) -> Result<&'i [u32], EvalError> {
     let (lanes, len) = (mask.lanes(), data.len());
-    if let (Some((signed, ib)), None) = (idx.index_strip(), &inject) {
-        if let Some(ob) = out.begin_strip(tag, mask) {
-            let (ib, ob) = (&ib[..lanes], &mut ob[..lanes]);
-            if mask.all() {
-                for (o, &raw) in ob.iter_mut().zip(ib) {
-                    *o = data[strip_index(raw, signed, len)?];
+    if inject.is_none() {
+        if let Some((signed, ib)) = idx.index_strip(mask) {
+            if let Some(ob) = out.begin_strip(tag, mask) {
+                let ib = &ib[..lanes];
+                for span in mask.spans() {
+                    match span {
+                        Span::Run(r) => {
+                            for (o, &raw) in ob[r.clone()].iter_mut().zip(&ib[r]) {
+                                *o = data[strip_index(raw, signed, len)?];
+                            }
+                        }
+                        Span::Word(first, bits) => {
+                            for lane in set_lanes(first, bits) {
+                                ob[lane] = data[strip_index(ib[lane], signed, len)?];
+                            }
+                        }
+                    }
                 }
-            } else {
-                for lane in mask.iter_set() {
-                    ob[lane] = data[strip_index(ib[lane], signed, len)?];
-                }
+                return Ok(ib);
             }
-            return Ok(ib);
         }
+        *fallback += u64::from(I::STRIPS);
     }
     resolved.resize(lanes, 0);
     out.fill_filler(lanes);
@@ -1760,14 +1776,18 @@ fn gather<'i, I: LaneGet, O: LaneSet>(
         };
         out.set_lane(lane, decode(tag, bits));
     }
+    out.normalize();
     Ok(resolved)
 }
 
 /// Store the active lanes of `val` to `data[idx[lane]]` (elements of type
 /// `ty`), applying lanes in `order` (empty = ascending) and reporting each
-/// write as `(index, old bits, new bits)`. Returns the lane-indexed
-/// element indices like [`gather`]. A permuted order stays per-lane: it
-/// exists to expose races, not to be fast.
+/// write as `(index, old bits, new bits)`. In ascending order, an access
+/// whose index row is eligible as for [`gather`] and whose value row's
+/// active lanes all have type `ty` moves raw words span by span; the rest
+/// go lane by lane and count in `fallback`. A permuted order stays
+/// per-lane and counts nothing: it exists to expose races, not to be
+/// fast. Returns the lane-indexed element indices like [`gather`].
 #[allow(clippy::too_many_arguments)]
 fn scatter<'i, I: LaneGet, V: LaneGet>(
     data: &mut [u32],
@@ -1778,10 +1798,11 @@ fn scatter<'i, I: LaneGet, V: LaneGet>(
     order: &[usize],
     resolved: &'i mut Vec<u32>,
     mut written: impl FnMut(usize, u32, u32),
+    fallback: &mut u64,
 ) -> Result<&'i [u32], EvalError> {
     let (lanes, len, tag) = (mask.lanes(), data.len(), tag_of_ty(ty));
     if order.is_empty() {
-        if let (Some((signed, ib)), Some(vb)) = (idx.index_strip(), val.strip_of(tag)) {
+        if let (Some((signed, ib)), Some(vb)) = (idx.index_strip(mask), val.strip_of(tag, mask)) {
             let (ib, vb) = (&ib[..lanes], &vb[..lanes]);
             let mut put = |lane: usize| -> Result<(), EvalError> {
                 let i = strip_index(ib[lane], signed, len)?;
@@ -1789,13 +1810,15 @@ fn scatter<'i, I: LaneGet, V: LaneGet>(
                 data[i] = vb[lane];
                 Ok(())
             };
-            if mask.all() {
-                (0..lanes).try_for_each(&mut put)?;
-            } else {
-                mask.iter_set().try_for_each(&mut put)?;
+            for span in mask.spans() {
+                match span {
+                    Span::Run(mut r) => r.try_for_each(&mut put)?,
+                    Span::Word(first, bits) => set_lanes(first, bits).try_for_each(&mut put)?,
+                }
             }
             return Ok(ib);
         }
+        *fallback += u64::from(I::STRIPS);
     }
     resolved.resize(lanes, 0);
     for k in 0..lanes {
@@ -1834,6 +1857,74 @@ fn active_warps(
 /// The active lanes of one warp, ascending, from its [`active_warps`] bits.
 fn set_lanes(start: usize, bits: u64) -> impl Iterator<Item = usize> {
     set_bits(bits).map(move |bit| start + bit)
+}
+
+/// Shared-memory banks; consecutive 4-byte words sit in consecutive banks.
+const BANKS: usize = 32;
+
+/// Bank-conflict charging for one shared-memory access, lane `l` touching
+/// word `indices[l]`. Conflict degree: max number of *distinct word
+/// addresses* mapping to the same bank within the warp.
+fn charge_shared(stats: &mut LaunchStats, profile: &DeviceProfile, indices: &[u32], mask: &Mask) {
+    let mut banks = BankWords::new();
+    for (start, bits) in active_warps(profile.warp_width, mask.lanes(), mask) {
+        let degree = banks.degree(indices, start, bits);
+        stats.shared_accesses += 1;
+        stats.bank_conflict_extra += degree - 1;
+        stats.memory_cycles += profile.shared_lat * degree;
+        stats.instructions += 1;
+    }
+}
+
+/// The distinct words one warp touched, chained per bank: a lane's word is
+/// looked up only among the words its own bank has seen, so a warp costs
+/// O(lanes × degree) — one probe a lane when conflict-free — where one
+/// set of all its words would cost O(distinct²). Lives on the stack like
+/// [`WarpSet`]; a chain link is a word's slot, [`BankWords::END`] ends it.
+struct BankWords {
+    head: [u8; BANKS],
+    next: [u8; MAX_WARP_LANES],
+    words: [u32; MAX_WARP_LANES],
+}
+
+impl BankWords {
+    const END: u8 = u8::MAX;
+
+    fn new() -> BankWords {
+        BankWords {
+            head: [Self::END; BANKS],
+            next: [Self::END; MAX_WARP_LANES],
+            words: [0; MAX_WARP_LANES],
+        }
+    }
+
+    /// The conflict degree of the warp whose active lanes are `bits` from
+    /// lane `start`: the most distinct words any one bank serves (1 for a
+    /// conflict-free or broadcast access).
+    #[inline]
+    fn degree(&mut self, indices: &[u32], start: usize, bits: u64) -> u64 {
+        self.head = [Self::END; BANKS];
+        let (mut len, mut degree) = (0, 1);
+        for lane in set_lanes(start, bits) {
+            let word = indices[lane];
+            let bank = word as usize % BANKS;
+            // Walk the bank's chain; `depth` ends one past its length when
+            // the word is new to it.
+            let (mut k, mut depth) = (self.head[bank], 1);
+            while k != Self::END && self.words[k as usize] != word {
+                k = self.next[k as usize];
+                depth += 1;
+            }
+            if k == Self::END {
+                self.words[len] = word;
+                self.next[len] = self.head[bank];
+                self.head[bank] = len as u8;
+                len += 1;
+                degree = degree.max(depth);
+            }
+        }
+        degree
+    }
 }
 
 /// The distinct values (line tags, word addresses) one warp touched, in
@@ -1881,5 +1972,172 @@ impl WarpSet {
 
     fn as_slice(&self) -> &[u64] {
         &self.items[..self.len]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    type Charge = fn(&mut LaunchStats, &DeviceProfile, &[u32], &Mask);
+
+    /// The bank-conflict charge before the per-bank chains, kept as the
+    /// reference: one flat set of the warp's distinct words, searched
+    /// linearly, and a per-bank count of the words it admits.
+    fn charge_shared_reference(
+        stats: &mut LaunchStats,
+        profile: &DeviceProfile,
+        indices: &[u32],
+        mask: &Mask,
+    ) {
+        charge_by(stats, profile, indices, mask, true);
+    }
+
+    /// A wrong charge: every active lane counts in its bank, repeated words
+    /// included.
+    fn charge_by_lanes(
+        stats: &mut LaunchStats,
+        profile: &DeviceProfile,
+        indices: &[u32],
+        mask: &Mask,
+    ) {
+        charge_by(stats, profile, indices, mask, false);
+    }
+
+    fn charge_by(
+        stats: &mut LaunchStats,
+        profile: &DeviceProfile,
+        indices: &[u32],
+        mask: &Mask,
+        distinct: bool,
+    ) {
+        let mut words = Vec::new();
+        for (start, bits) in active_warps(profile.warp_width, mask.lanes(), mask) {
+            words.clear();
+            let mut per_bank = [0u64; BANKS];
+            let mut degree = 1;
+            for lane in set_lanes(start, bits) {
+                let word = indices[lane];
+                if !distinct || !words.contains(&word) {
+                    words.push(word);
+                    let count = &mut per_bank[word as usize % BANKS];
+                    *count += 1;
+                    degree = degree.max(*count);
+                }
+            }
+            stats.shared_accesses += 1;
+            stats.bank_conflict_extra += degree - 1;
+            stats.memory_cycles += profile.shared_lat * degree;
+            stats.instructions += 1;
+        }
+    }
+
+    /// Word strips for `lanes` lanes: the adversarial shapes, then random
+    /// ones over small and large word ranges.
+    fn strips(lanes: usize) -> Vec<(String, Vec<u32>)> {
+        let lane_words = |f: &dyn Fn(u32) -> u32| (0..lanes as u32).map(f).collect::<Vec<_>>();
+        let mut out = vec![
+            ("broadcast".to_string(), lane_words(&|_| 7)),
+            ("all-distinct".to_string(), lane_words(&|l| l)),
+            ("stride 32".to_string(), lane_words(&|l| l * 32)),
+            (
+                "repeated words in one bank".to_string(),
+                lane_words(&|l| (l % 4) * 32 + 5),
+            ),
+            (
+                "repeated words in every bank".to_string(),
+                lane_words(&|l| l % 48 * 3),
+            ),
+        ];
+        for k in [2u32, 4, 8, 16, 32] {
+            out.push((format!("{k}-way"), lane_words(&|l| l * k)));
+        }
+        let mut state = 0x5EED;
+        for range in [2u64, 40, 1024, 1 << 20] {
+            for draw in 0..4 {
+                let words = (0..lanes)
+                    .map(|_| (paraprox_prng::splitmix64(&mut state) % range) as u32)
+                    .collect();
+                out.push((format!("random < {range} #{draw}"), words));
+            }
+        }
+        out
+    }
+
+    /// Full, ragged (a guard ending mid-warp plus holes) and single-lane
+    /// masks over `lanes` lanes.
+    fn masks(lanes: usize) -> Vec<(String, LaneMask)> {
+        let mut ragged = LaneMask::empty(lanes);
+        for lane in (0..lanes * 2 / 3).filter(|l| l % 7 != 3) {
+            ragged.set(lane, true);
+        }
+        let mut out = vec![
+            ("full".to_string(), LaneMask::full(lanes)),
+            ("ragged".to_string(), ragged),
+        ];
+        for lane in [0, lanes / 2 + 1, lanes - 1] {
+            let mut single = LaneMask::empty(lanes);
+            single.set(lane, true);
+            out.push((format!("lane {lane} alone"), single));
+        }
+        out
+    }
+
+    /// The cases on which `charge` and the reference charge differently,
+    /// and how many of all cases the reference charges a conflict in.
+    fn disagreements(charge: Charge) -> (Vec<String>, usize) {
+        let (mut bad, mut conflicted) = (Vec::new(), 0);
+        for width in [8usize, 32, 64] {
+            let mut profile = DeviceProfile::gtx560();
+            profile.warp_width = width;
+            for lanes in [64usize, 100, 256] {
+                for (mask_name, mask) in masks(lanes) {
+                    for (strip_name, strip) in strips(lanes) {
+                        let (mut got, mut want) = (LaunchStats::default(), LaunchStats::default());
+                        charge(&mut got, &profile, &strip, &mask);
+                        charge_shared_reference(&mut want, &profile, &strip, &mask);
+                        let charged = |s: &LaunchStats| {
+                            (
+                                s.shared_accesses,
+                                s.bank_conflict_extra,
+                                s.memory_cycles,
+                                s.instructions,
+                            )
+                        };
+                        if charged(&got) != charged(&want) || got != want {
+                            bad.push(format!(
+                                "warp {width}, {lanes} lanes, {mask_name}, {strip_name}: \
+                                 {:?} != {:?}",
+                                charged(&got),
+                                charged(&want)
+                            ));
+                        }
+                        conflicted += usize::from(want.bank_conflict_extra > 0);
+                    }
+                }
+            }
+        }
+        (bad, conflicted)
+    }
+
+    #[test]
+    fn per_bank_chains_charge_exactly_what_the_flat_set_charged() {
+        let (bad, conflicted) = disagreements(charge_shared);
+        assert!(
+            bad.is_empty(),
+            "{} cases differ:\n{}",
+            bad.len(),
+            bad.join("\n")
+        );
+        assert!(conflicted > 100, "only {conflicted} cases have a conflict");
+        // The comparison bites: counting lanes instead of distinct words
+        // over-charges a broadcast and every repeated word.
+        let (bad, _) = disagreements(charge_by_lanes);
+        for shape in ["broadcast", "repeated words in one bank", "random < 40"] {
+            assert!(
+                bad.iter().any(|case| case.contains(shape)),
+                "a lane-counting charge passes on `{shape}`"
+            );
+        }
     }
 }

@@ -67,6 +67,14 @@ pub struct LaunchStats {
     /// and on every well-typed kernel; a host-side diagnostic excluded from
     /// equality like `ops_dispatched`. Nothing reads it to choose a path.
     pub lane_fallback_ops: u64,
+    /// The memory twin of `lane_fallback_ops`: loads and stores of the
+    /// bytecode engine that moved their lanes one `Scalar` at a time
+    /// because the index or value row's active lanes differ in type (or
+    /// are of the wrong type, the error case). `Approx` injection and a
+    /// permuted store order are per-lane by design and not counted. Zero on
+    /// the tree-walking engine and on every well-typed kernel; excluded
+    /// from equality like its twin.
+    pub mem_fallback_ops: u64,
     /// Lane-loads served from buffers placed in [`MemSpace::Approx`]
     /// (per lane, not per warp). Placement diagnostic: excluded from
     /// equality, like `wall_nanos`.
@@ -79,12 +87,12 @@ pub struct LaunchStats {
 }
 
 /// Equality covers every *simulated* counter; `wall_nanos`, `workers`,
-/// `ops_dispatched`, `fusions_hit`, `lane_fallback_ops`, `approx_loads`, and
-/// `bit_flips` are diagnostics (the middle three depend on the engine and
-/// fusion state, the last two on buffer placement, not on the simulated
-/// machine) and
-/// deliberately ignored, so stats from runs at different parallelism
-/// levels or engines compare equal iff the simulation agreed.
+/// `ops_dispatched`, `fusions_hit`, `lane_fallback_ops`, `mem_fallback_ops`,
+/// `approx_loads`, and `bit_flips` are diagnostics (the middle four depend
+/// on the engine and fusion state, the last two on buffer placement, not on
+/// the simulated machine) and deliberately ignored, so stats from runs at
+/// different parallelism levels or engines compare equal iff the
+/// simulation agreed.
 impl PartialEq for LaunchStats {
     fn eq(&self, other: &LaunchStats) -> bool {
         self.compute_cycles == other.compute_cycles
@@ -170,6 +178,7 @@ impl LaunchStats {
         self.ops_dispatched += rhs.ops_dispatched;
         self.fusions_hit += rhs.fusions_hit;
         self.lane_fallback_ops += rhs.lane_fallback_ops;
+        self.mem_fallback_ops += rhs.mem_fallback_ops;
         self.approx_loads += rhs.approx_loads;
         self.bit_flips += rhs.bit_flips;
     }
@@ -197,6 +206,9 @@ impl fmt::Display for LaunchStats {
         )?;
         if self.lane_fallback_ops > 0 {
             write!(f, " lane_fallback={}", self.lane_fallback_ops)?;
+        }
+        if self.mem_fallback_ops > 0 {
+            write!(f, " mem_fallback={}", self.mem_fallback_ops)?;
         }
         Ok(())
     }
@@ -258,6 +270,7 @@ mod tests {
             approx_loads: 22,
             bit_flips: 23,
             lane_fallback_ops: 24,
+            mem_fallback_ops: 25,
         };
         a += a;
         assert_eq!(a.compute_cycles, 2);
@@ -270,6 +283,7 @@ mod tests {
         assert_eq!(a.approx_loads, 44);
         assert_eq!(a.bit_flips, 46);
         assert_eq!(a.lane_fallback_ops, 48);
+        assert_eq!(a.mem_fallback_ops, 50);
     }
 
     #[test]
@@ -283,6 +297,7 @@ mod tests {
             ops_dispatched: 100,
             fusions_hit: 20,
             lane_fallback_ops: 2,
+            mem_fallback_ops: 3,
             approx_loads: 7,
             bit_flips: 1,
             ..Default::default()
@@ -293,6 +308,7 @@ mod tests {
             ops_dispatched: 50,
             fusions_hit: 3,
             lane_fallback_ops: 5,
+            mem_fallback_ops: 1,
             approx_loads: 9,
             bit_flips: 4,
             ..Default::default()
@@ -304,6 +320,7 @@ mod tests {
         assert_eq!(total.ops_dispatched, 200);
         assert_eq!(total.fusions_hit, 26);
         assert_eq!(total.lane_fallback_ops, 12);
+        assert_eq!(total.mem_fallback_ops, 5);
         assert_eq!(total.approx_loads, 25);
         assert_eq!(total.bit_flips, 9);
         // The two accumulated stats compare equal to the original despite
@@ -326,6 +343,7 @@ mod tests {
             ops_dispatched: 123,
             fusions_hit: 45,
             lane_fallback_ops: 3,
+            mem_fallback_ops: 4,
             approx_loads: 6,
             bit_flips: 2,
             ..Default::default()
@@ -341,11 +359,17 @@ mod tests {
     #[test]
     fn display_is_nonempty() {
         let quiet = LaunchStats::default().to_string();
-        assert!(!quiet.is_empty() && !quiet.contains("lane_fallback"));
+        assert!(!quiet.is_empty() && !quiet.contains("fallback"));
         let fell_back = LaunchStats {
             lane_fallback_ops: 3,
             ..Default::default()
         };
         assert!(fell_back.to_string().ends_with(" lane_fallback=3"));
+        let mem = LaunchStats {
+            lane_fallback_ops: 3,
+            mem_fallback_ops: 2,
+            ..Default::default()
+        };
+        assert!(mem.to_string().ends_with(" lane_fallback=3 mem_fallback=2"));
     }
 }

@@ -10,6 +10,10 @@
 //! bit-flip injection) alike — nor when the lanes diverge: the same kernel
 //! under a ragged guard and per-lane trip counts, where every op runs
 //! under a partial mask, allocates what its converged launch allocates.
+//! The iterative driver's residual kernel (a guarded gather, then a
+//! shared-memory halving tree whose every level stores under a partial
+//! mask) stays under the same one-worker ceiling and allocates the same
+//! whether its guard is ragged or not.
 //!
 //! This file holds exactly one `#[test]`, so nothing else allocates while
 //! it counts.
@@ -140,6 +144,111 @@ fn second_launch_allocations(
     allocations
 }
 
+/// The residual reduction of `paraprox-iter` (`add_residual_kernel`):
+/// lane `t < count` contributes `|next[j] - cur[j]|` for
+/// `j = (mul * t + off) & mask`, and each block folds its lanes through a
+/// double-buffered shared-memory halving tree into one partial.
+fn residual_program(lanes: usize) -> (Program, KernelId) {
+    let mut program = Program::new();
+    let mut kb = KernelBuilder::new("residual");
+    let cur = kb.buffer("cur", Ty::F32, MemSpace::Global);
+    let next = kb.buffer("next", Ty::F32, MemSpace::Global);
+    let partials = kb.buffer("partials", Ty::F32, MemSpace::Global);
+    let mul = kb.scalar("mul", Ty::I32);
+    let off = kb.scalar("off", Ty::I32);
+    let mask = kb.scalar("mask", Ty::I32);
+    let count = kb.scalar("count", Ty::I32);
+    let s_a = kb.shared_array("s_a", Ty::F32, lanes);
+    let s_b = kb.shared_array("s_b", Ty::F32, lanes);
+    let tid = kb.let_("tid", KernelBuilder::thread_id_x());
+    let t = kb.let_("t", KernelBuilder::global_id_x());
+    let d = kb.let_mut("d", Ty::F32, Expr::f32(0.0));
+    kb.if_(t.clone().lt(count), |kb| {
+        let idx = kb.let_("idx", (mul * t.clone() + off) & mask);
+        let a = kb.load(cur, idx.clone());
+        let b = kb.load(next, idx);
+        kb.assign(d, (b - a).abs());
+    });
+    kb.store(s_a, tid.clone(), Expr::Var(d));
+    kb.sync();
+    let mut stride = lanes / 2;
+    while stride >= 1 {
+        let s = Expr::i32(stride as i32);
+        kb.if_else(
+            tid.clone().lt(s.clone()),
+            |kb| {
+                let lo = kb.load(s_a, tid.clone());
+                let hi = kb.load(s_a, tid.clone() + s.clone());
+                kb.store(s_b, tid.clone(), lo + hi);
+            },
+            |kb| {
+                let v = kb.load(s_a, tid.clone());
+                kb.store(s_b, tid.clone(), v);
+            },
+        );
+        kb.sync();
+        let v = kb.load(s_b, tid.clone());
+        kb.store(s_a, tid.clone(), v);
+        kb.sync();
+        stride /= 2;
+    }
+    kb.if_(tid.eq_(Expr::i32(0)), |kb| {
+        let total = kb.load(s_a, Expr::i32(0));
+        kb.store(partials, KernelBuilder::block_id_x(), total);
+    });
+    let kid = program.add_kernel(kb.finish());
+    (program, kid)
+}
+
+/// Allocations of the second single-worker launch of the residual kernel
+/// over `blocks` blocks of 64 lanes, every lane counted or — `divergent` —
+/// the last third of the last block guarded off, with a sampled
+/// permutation's stride so neighbouring lanes read distant elements.
+fn residual_allocations(blocks: usize, fallback: bool, divergent: bool) -> u64 {
+    let lanes = 64;
+    let (program, kid) = residual_program(lanes);
+    let profile = DeviceProfile::gtx560()
+        .with_engine(ExecEngine::Bytecode)
+        .with_parallelism(1);
+    let mut d = Device::new(profile);
+    let n = blocks * lanes;
+    let field = |k: usize| (0..n).map(|i| ((i * k) % 23) as f32).collect::<Vec<_>>();
+    let space = if fallback {
+        d.set_approx_rate(1e-3);
+        d.set_schedule_seed(Some(7));
+        MemSpace::Approx
+    } else {
+        MemSpace::Global
+    };
+    let cur = d.alloc_f32(space, &field(3));
+    let next = d.alloc_f32(space, &field(5));
+    let partials = d.alloc_zeroed(MemSpace::Global, Ty::F32, blocks);
+    let count = if divergent { n - lanes / 3 } else { n };
+    let args = [
+        ArgValue::Buffer(cur),
+        ArgValue::Buffer(next),
+        ArgValue::Buffer(partials),
+        ArgValue::Scalar(Scalar::I32(37)),
+        ArgValue::Scalar(Scalar::I32(11)),
+        ArgValue::Scalar(Scalar::I32(n as i32 - 1)),
+        ArgValue::Scalar(Scalar::I32(count as i32)),
+    ];
+    let shape = (Dim2::linear(blocks), Dim2::linear(lanes));
+    let first = d.launch(&program, kid, shape.0, shape.1, &args).unwrap();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let second = d.launch(&program, kid, shape.0, shape.1, &args).unwrap();
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(d.compile_count(), 1, "the second launch runs cached code");
+    assert_eq!(first.shared_accesses, second.shared_accesses);
+    assert_eq!(
+        (second.lane_fallback_ops, second.mem_fallback_ops),
+        (0, 0),
+        "the tree's partial masks are no fallback"
+    );
+    assert!(second.shared_accesses > 0);
+    allocations
+}
+
 #[test]
 fn second_launch_allocates_per_block_not_per_access() {
     for workers in [1usize, 2] {
@@ -193,6 +302,20 @@ fn second_launch_allocates_per_block_not_per_access() {
                 "{doubled} allocations for {} blocks, {small} for {blocks}",
                 2 * blocks
             );
+            // The residual tree on one worker (a second one's scratch set-up
+            // depends on the schedule): under the same ceiling, and the same
+            // count whether its guard is ragged or not.
+            if workers == 1 {
+                let converged = residual_allocations(blocks, fallback, false);
+                let ragged = residual_allocations(blocks, fallback, true);
+                println!("fallback {fallback}: residual {converged}, divergent {ragged}");
+                assert_eq!(converged, ragged, "fallback {fallback}");
+                assert!(
+                    converged <= per_worker + 2 * blocks as u64,
+                    "residual launch (fallback {fallback}) made {converged} allocations \
+                     for {blocks} blocks"
+                );
+            }
         }
     }
 }

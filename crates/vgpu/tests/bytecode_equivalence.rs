@@ -544,9 +544,9 @@ fn tree_walk_engine_never_compiles() {
 // Memory pipeline: strip path vs per-lane path, and error identity
 // ---------------------------------------------------------------------------
 //
-// The bytecode engine moves raw bit strips when an access's index row is
-// uniformly `i32`/`u32` (and a store's value row has the buffer's type);
-// the tree-walker never does. Every case below therefore pits the strip
+// The bytecode engine moves raw bit strips when an access's index row's
+// active lanes are all `i32` or all `u32` (and a store's value row's have
+// the buffer's type); the tree-walker never does. Every case below therefore pits the strip
 // path — or the fallback the case forces — against the per-lane oracle,
 // at 1/2/4 workers, in canonical and in permuted store order.
 
@@ -1695,6 +1695,246 @@ fn active_lanes_of_two_types_go_lane_by_lane_and_agree() {
             };
             assert_eq!(out, want, "lane {lane}");
             assert_eq!(flag, if active { i } else { 0 });
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Partial-mask memory: loads and stores on the masked strips
+// ---------------------------------------------------------------------------
+//
+// A load or store takes the strip path when its index row's *active* lanes
+// are all `i32` or all `u32` and (stores) its value row's active lanes all
+// have the buffer's type, whatever the inactive lanes hold — so an `f32`
+// row written under a guard, which is mixed (`i32` filler outside it),
+// stays on the strips. The cases below pit that against the per-lane
+// oracle under ragged and divergent masks, with `assert_mem_agree`'s
+// engines × 1/2/4 workers × canonical and permuted store order, and count
+// the bytecode engine's memory fallbacks: zero on every eligible access.
+
+/// `LaunchStats::mem_fallback_ops` of a successful single-worker bytecode
+/// run on the GPU profile.
+fn mem_fallbacks(
+    program: &Program,
+    kid: KernelId,
+    shape: (Dim2, Dim2),
+    buffers: &[(MemSpace, Data)],
+    approx_rate: f64,
+    seed: Option<u64>,
+) -> u64 {
+    let profile = DeviceProfile::gtx560().with_engine(ExecEngine::Bytecode);
+    let (_, result) = run_mem(
+        profile,
+        seed,
+        approx_rate,
+        program,
+        kid,
+        shape.0,
+        shape.1,
+        buffers,
+    );
+    result.expect("launch succeeds").0.mem_fallback_ops
+}
+
+/// (a) An `f32` row computed under the ragged guard `gid < limit`, stored
+/// to global memory (`out`) and to shared memory, which is read back under
+/// the full mask (`staged`); (b) a `u32` index row computed under
+/// `gid % 3 != 0`, loaded and stored through (`perm`, a bijection on
+/// `0..total`).
+fn partial_mask_memory_program(lanes: usize, limit: i32, total: u32) -> (Program, KernelId) {
+    let mut program = Program::new();
+    let mut kb = KernelBuilder::new("partial_mask_memory");
+    let input = kb.buffer("in", Ty::F32, MemSpace::Global);
+    let out = kb.buffer("out", Ty::F32, MemSpace::Global);
+    let staged = kb.buffer("staged", Ty::F32, MemSpace::Global);
+    let perm = kb.buffer("perm", Ty::F32, MemSpace::Global);
+    let s = kb.shared_array("s", Ty::F32, lanes);
+    let tid = kb.let_("tid", KernelBuilder::thread_id_x());
+    let gid = kb.let_("gid", KernelBuilder::global_id_x());
+    kb.if_(gid.clone().lt(Expr::i32(limit)), |kb| {
+        let x = kb.let_(
+            "x",
+            kb.load(input, gid.clone()) * Expr::f32(2.0) + Expr::f32(1.0),
+        );
+        kb.store(out, gid.clone(), x.clone());
+        kb.store(s, tid.clone(), x);
+    });
+    kb.sync();
+    kb.store(staged, gid.clone(), kb.load(s, tid));
+    kb.if_(gid.clone().rem(Expr::i32(3)).ne_(Expr::i32(0)), |kb| {
+        let j = kb.let_(
+            "j",
+            (gid.clone().cast(Ty::U32) * Expr::u32(7) + Expr::u32(3)).rem(Expr::u32(total)),
+        );
+        let v = kb.let_("v", kb.load(input, j.clone()));
+        kb.store(perm, j, v - Expr::f32(0.5));
+    });
+    let kid = program.add_kernel(kb.finish());
+    (program, kid)
+}
+
+#[test]
+fn guarded_f32_stores_and_partial_u32_indices_take_the_strips() {
+    // Three 96-lane blocks: two mask words each, the second ragged; the
+    // guard ends inside the last block's first word.
+    let (lanes, blocks, limit) = (96usize, 3usize, 230usize);
+    let total = lanes * blocks;
+    let (program, kid) = partial_mask_memory_program(lanes, limit as i32, total as u32);
+    let input = mixed_inputs(total);
+    let buffers = [
+        (MemSpace::Global, Data::F32(input.clone())),
+        (MemSpace::Global, Data::F32(vec![0.0; total])),
+        (MemSpace::Global, Data::F32(vec![0.0; total])),
+        (MemSpace::Global, Data::F32(vec![0.0; total])),
+    ];
+    let shape = (Dim2::linear(blocks), Dim2::linear(lanes));
+    let guarded: Vec<u32> = (0..total)
+        .map(|g| {
+            if g < limit {
+                (input[g] * 2.0 + 1.0).to_bits()
+            } else {
+                0
+            }
+        })
+        .collect();
+    let mut permuted = vec![0; total];
+    for g in (0..total).filter(|g| g % 3 != 0) {
+        let j = (g * 7 + 3) % total;
+        permuted[j] = (input[j] - 0.5).to_bits();
+    }
+    for reference in assert_mem_agree(&program, kid, shape.0, shape.1, &buffers, 0.0) {
+        assert!(reference.1.is_ok(), "{:?}", reference.1);
+        assert_eq!(reference.0[1], guarded, "global store under the guard");
+        assert_eq!(reference.0[2], guarded, "shared store under the guard");
+        assert_eq!(reference.0[3], permuted, "u32 index under a partial mask");
+    }
+    for seed in [None, Some(0x5EED_0DD5)] {
+        assert_eq!(
+            mem_fallbacks(&program, kid, shape, &buffers, 0.0, seed),
+            0,
+            "seed {seed:?}"
+        );
+    }
+}
+
+/// `out[idx[gid]] = v` under `gid % 3 != 0`, where `v` is `in[gid]` except
+/// on lane `mistyped`, which holds its `i32` lane id.
+fn mistyped_scatter_program(mistyped: Option<i32>) -> (Program, KernelId) {
+    let mut program = Program::new();
+    let mut kb = KernelBuilder::new("mistyped_scatter");
+    let idx = kb.buffer("idx", Ty::I32, MemSpace::Global);
+    let input = kb.buffer("in", Ty::F32, MemSpace::Global);
+    let output = kb.buffer("out", Ty::F32, MemSpace::Global);
+    let gid = kb.let_("gid", KernelBuilder::global_id_x());
+    let i = kb.let_("i", kb.load(idx, gid.clone()));
+    let v = kb.let_mut("v", Ty::F32, kb.load(input, gid.clone()));
+    if let Some(lane) = mistyped {
+        kb.if_(gid.clone().eq_(Expr::i32(lane)), |kb| {
+            kb.assign(v, gid.clone());
+        });
+    }
+    kb.if_(gid.rem(Expr::i32(3)).ne_(Expr::i32(0)), |kb| {
+        kb.store(output, i, Expr::Var(v));
+    });
+    let kid = program.add_kernel(kb.finish());
+    (program, kid)
+}
+
+#[test]
+fn out_of_bounds_and_mistyped_lanes_under_a_partial_mask_fail_at_the_oracles_lane() {
+    use paraprox_ir::EvalError;
+    // One block, so a faulting store leaves the lanes applied before it in
+    // place. Lanes 12 and 39 are inactive (multiples of 3), 13, 40 and 70
+    // active.
+    let n = 96usize;
+    let shape = (Dim2::linear(1), Dim2::linear(n));
+    let mismatch = EvalError::TypeMismatch {
+        expected: Ty::F32,
+        found: Ty::I32,
+    };
+    for bad in [1000i32, -1] {
+        let oob = EvalError::OutOfBounds {
+            index: i64::from(bad),
+            len: n,
+        };
+        for (bad_lane, mistyped, want) in [
+            // Inactive faults only: the strip path, no error.
+            (12, None, None),
+            (12, Some(39), None),
+            // An active out-of-bounds lane on the strip path.
+            (13, None, Some(oob.clone())),
+            // Active lanes of two types go lane by lane; the lower failing
+            // lane decides.
+            (13, Some(40), Some(oob.clone())),
+            (70, Some(40), Some(mismatch.clone())),
+            (12, Some(40), Some(mismatch.clone())),
+        ] {
+            let (program, kid) = mistyped_scatter_program(mistyped);
+            let mut idx = shuffled(n);
+            idx[bad_lane] = bad;
+            let buffers = [
+                (MemSpace::Global, Data::I32(idx)),
+                (MemSpace::Global, Data::F32(mixed_inputs(n))),
+                (MemSpace::Global, Data::F32(vec![0.0; n])),
+            ];
+            let refs = assert_mem_agree(&program, kid, shape.0, shape.1, &buffers, 0.0);
+            for reference in &refs {
+                match &want {
+                    None => assert!(reference.1.is_ok(), "{:?}", reference.1),
+                    Some(want) => assert_eq!(
+                        &eval_error(reference),
+                        want,
+                        "bad lane {bad_lane}, mistyped {mistyped:?}"
+                    ),
+                }
+            }
+            match want {
+                None => assert_eq!(mem_fallbacks(&program, kid, shape, &buffers, 0.0, None), 0),
+                // Active lanes below the first active fault were stored, in
+                // canonical order.
+                Some(_) => {
+                    let active_bad = Some(bad_lane).filter(|l| l % 3 != 0);
+                    let first_fault = active_bad.into_iter().chain(mistyped.map(|m| m as usize));
+                    let first_fault = first_fault.min().expect("the case faults");
+                    let out = &refs[0].0[2];
+                    let stored = out.iter().filter(|&&b| b != 0).count();
+                    let active_below = (0..first_fault).filter(|l| l % 3 != 0).count();
+                    assert_eq!(stored, active_below, "bad lane {bad_lane}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn approx_injection_and_permuted_stores_under_a_partial_mask_agree() {
+    // Every third lane is off; the approximate buffer is read under that
+    // mask at rate 1e-2 (per lane by nature), and the schedule seed of
+    // `assert_mem_agree` permutes the stores. Neither counts as a fallback.
+    let (blocks, lanes) = (8usize, 64usize);
+    let n = blocks * lanes;
+    let shape = (Dim2::linear(blocks), Dim2::linear(lanes));
+    let active = (0..n).filter(|g| g % 3 != 0).count() as u64;
+    for scatter in [false, true] {
+        let (program, kid) = indirect_program(Ty::I32, scatter, true);
+        let buffers = [
+            (MemSpace::Global, Data::I32(shuffled(n))),
+            (MemSpace::Approx, Data::F32(mixed_inputs(n))),
+            (MemSpace::Global, Data::F32(vec![0.0; n])),
+        ];
+        for reference in assert_mem_agree(&program, kid, shape.0, shape.1, &buffers, 1e-2) {
+            let (_, approx_loads, bit_flips) = reference.1.clone().expect("launch succeeds");
+            assert_eq!(approx_loads, active, "scatter {scatter}");
+            assert!(bit_flips > 0, "scatter {scatter}: no flip at 1e-2");
+        }
+        for seed in [None, Some(0x5EED_0DD5)] {
+            for rate in [0.0, 1e-2] {
+                assert_eq!(
+                    mem_fallbacks(&program, kid, shape, &buffers, rate, seed),
+                    0,
+                    "scatter {scatter}, seed {seed:?}, rate {rate}"
+                );
+            }
         }
     }
 }

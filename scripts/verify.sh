@@ -7,10 +7,12 @@
 #   5. cargo test -q (tier-1, root package)
 #   6. cargo test --workspace -q (every invariant is asserted here)
 #   7. cargo clippy --workspace --all-targets -D warnings
-#   8. paraprox-cli analyze --json on all 13 apps
-#   9. paraprox-cli inspect --schedule on every preset of both iterative apps
-#  10. paraprox-cli serve on both profiles (drift, back-off, re-promotion)
-#  11. paraprox-benchmark smokes: iter_converge, kernel_exec, serve_open_drift
+#   8. the 14 experiment bins of scripts/run_all_experiments.sh regenerate
+#      results/*.txt byte-identically (~5 s)
+#   9. paraprox-cli analyze --json on all 13 apps
+#  10. paraprox-cli inspect --schedule on every preset of both iterative apps
+#  11. paraprox-cli serve on both profiles (drift, back-off, re-promotion)
+#  12. paraprox-benchmark smokes: iter_converge, kernel_exec, serve_open_drift
 #      (the only place a host timing is taken; none is gated here)
 # Everything runs offline (the workspace has no external dependencies),
 # so this works in sandboxed CI.
@@ -42,6 +44,19 @@ cargo test --workspace -q
 
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> experiment outputs (every table, figure and ablation regenerates results/*.txt byte-identically)"
+# Every experiment is deterministic (seeded inputs, simulated cycles), so
+# a change that moves any simulated number, or any printed digit, shows
+# here as a differing file; regenerate with scripts/run_all_experiments.sh
+# only when the change means to move it.
+fresh="$(mktemp -d)"
+trap 'rm -rf "$fresh"' EXIT
+scripts/run_all_experiments.sh "$fresh" >/dev/null
+if ! diff -r results "$fresh" >&2; then
+  echo "FAIL: an experiment output differs from results/ (diff above)" >&2
+  exit 1
+fi
 
 echo "==> paraprox-cli analyze smoke (13 apps, test scale, JSON partition gate)"
 # Machine-readable pass over every app: the analyze command itself exits
