@@ -336,7 +336,7 @@ impl Prop<'_> {
             }
             Expr::Call { func, args } => {
                 let vals: Vec<Aval> = args.iter().map(|a| self.eval(a)).collect();
-                let mut v = self.eval_func(*func, vals);
+                let mut v = self.call_func(*func, vals);
                 for inj in self.injections {
                     if let Injection::Call { func: ifunc, abs } = inj {
                         if ifunc == func {
@@ -350,7 +350,7 @@ impl Prop<'_> {
     }
 
     /// Abstractly interpret a device function body under argument values.
-    fn eval_func(&mut self, func: FuncId, args: Vec<Aval>) -> Aval {
+    fn call_func(&mut self, func: FuncId, args: Vec<Aval>) -> Aval {
         self.steps += 1;
         if self.exhausted {
             return Aval::new(VRange::top(), f64::INFINITY);

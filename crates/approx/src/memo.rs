@@ -20,11 +20,17 @@
 //! (§4.4.2, Figure 16); the shared placement emits a cooperative staging
 //! loop at kernel entry, so its copy-in overhead is *measured*, not
 //! assumed.
+//!
+//! Both the table and every bit-tuning candidate are computed by a
+//! [`RowEvaluator`]: one virtual-device launch evaluates the function on
+//! a whole batch of argument rows, one lane per row, on the same engine
+//! the memoized kernel is measured on.
 
 use paraprox_ir::{
-    Expr, Func, FuncId, KernelId, LocalDecl, MemRef, MemSpace, Param, Program, Scalar, Stmt, Ty,
-    VarId,
+    EvalError, Expr, FuncId, KernelBuilder, KernelId, LocalDecl, MemRef, MemSpace, Param, Program,
+    Scalar, Stmt, Ty, VarId,
 };
+use paraprox_vgpu::{ArgValue, Device, DeviceProfile, Dim2, LaunchError};
 
 use crate::error::ApproxError;
 
@@ -169,49 +175,203 @@ pub struct BitTuneResult {
     pub explored: Vec<(Vec<u32>, f64)>,
 }
 
+/// Lanes per block of a [`RowEvaluator`] launch.
+const ROW_BLOCK: usize = 256;
+
+/// Evaluates one pure device function on batches of argument rows: a
+/// wrapper kernel `out[row] = f(a0[row], …)` added to a copy of the
+/// program, launched once per batch with one lane per row on a private
+/// virtual device.
+///
+/// The device is kept across batches, so the wrapper is compiled and
+/// fusion-profiled once for every batch of one evaluator. Its simulated
+/// cycles are discarded: the profile cannot change a value. Values are
+/// those of the bytecode engine, which the differential suites hold
+/// bit-identical to `paraprox_ir`'s pure evaluator, the test reference.
+struct RowEvaluator {
+    device: Device,
+    program: Program,
+    kernel: KernelId,
+    params: Vec<Ty>,
+    ret: Ty,
+}
+
+impl RowEvaluator {
+    fn new(program: &Program, func: FuncId) -> RowEvaluator {
+        let f = program.func(func);
+        let params: Vec<Ty> = f.params.iter().map(Param::ty).collect();
+        let mut kb = KernelBuilder::new(&format!("{}__rows", f.name));
+        // A `bool` column is `u32` 0/1, compared `!= 0` into the argument.
+        let columns: Vec<MemRef> = params
+            .iter()
+            .enumerate()
+            .map(|(i, &ty)| {
+                let column_ty = if ty == Ty::Bool { Ty::U32 } else { ty };
+                kb.buffer(&format!("a{i}"), column_ty, MemSpace::Global)
+            })
+            .collect();
+        let out = kb.buffer("out", f.ret, MemSpace::Global);
+        let row = kb.let_("row", KernelBuilder::global_id_x());
+        let args = columns
+            .iter()
+            .zip(&params)
+            .map(|(&column, &ty)| {
+                let v = kb.load(column, row.clone());
+                if ty == Ty::Bool {
+                    v.ne_(Expr::u32(0))
+                } else {
+                    v
+                }
+            })
+            .collect();
+        kb.store(out, row, Expr::Call { func, args });
+        let ret = f.ret;
+        let mut program = program.clone();
+        let kernel = program.add_kernel(kb.finish());
+        RowEvaluator {
+            device: Device::new(DeviceProfile::gtx560().with_parallelism(1)),
+            program,
+            kernel,
+            params,
+            ret,
+        }
+    }
+
+    /// The function's value on each of `rows` argument rows; `arg(row, i)`
+    /// is argument `i` of `row`, which must have parameter `i`'s type.
+    ///
+    /// # Errors
+    ///
+    /// An argument of the wrong type is [`EvalError::TypeMismatch`]; an
+    /// evaluation error is the one the *lowest* failing row raises, as a
+    /// loop over the rows would have met it first.
+    fn eval(
+        &mut self,
+        rows: usize,
+        arg: impl Fn(usize, usize) -> Scalar,
+    ) -> Result<Vec<Scalar>, ApproxError> {
+        if rows == 0 {
+            return Ok(Vec::new());
+        }
+        // Pad to a whole number of blocks with copies of row 0, which can
+        // only fail where row 0 itself does.
+        let block = rows.min(ROW_BLOCK);
+        let lanes = rows.next_multiple_of(block);
+        let mut columns = vec![Vec::with_capacity(lanes); self.params.len()];
+        for row in (0..rows).chain(std::iter::repeat_n(0, lanes - rows)) {
+            for (i, (column, &ty)) in columns.iter_mut().zip(&self.params).enumerate() {
+                column.push(match (ty, arg(row, i)) {
+                    (Ty::F32, Scalar::F32(v)) => v.to_bits(),
+                    (Ty::I32, Scalar::I32(v)) => v as u32,
+                    (Ty::U32, Scalar::U32(v)) => v,
+                    (Ty::Bool, Scalar::Bool(v)) => u32::from(v),
+                    (expected, v) => {
+                        return Err(EvalError::TypeMismatch {
+                            expected,
+                            found: v.ty(),
+                        }
+                        .into())
+                    }
+                });
+            }
+        }
+        let mark = self.device.buffer_mark();
+        let mut args: Vec<ArgValue> = columns
+            .iter()
+            .zip(&self.params)
+            .map(|(bits, &ty)| {
+                let id = match ty {
+                    Ty::F32 => {
+                        let values: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+                        self.device.alloc_f32(MemSpace::Global, &values)
+                    }
+                    Ty::I32 => {
+                        let values: Vec<i32> = bits.iter().map(|&b| b as i32).collect();
+                        self.device.alloc_i32(MemSpace::Global, &values)
+                    }
+                    Ty::U32 | Ty::Bool => self.device.alloc_u32(MemSpace::Global, bits),
+                };
+                ArgValue::Buffer(id)
+            })
+            .collect();
+        let out = self.device.alloc_zeroed(MemSpace::Global, self.ret, lanes);
+        args.push(ArgValue::Buffer(out));
+        let launch = |device: &mut Device, grid: usize, block: usize| {
+            device.launch(
+                &self.program,
+                self.kernel,
+                Dim2::linear(grid),
+                Dim2::linear(block),
+                &args,
+            )
+        };
+        let result = match launch(&mut self.device, lanes / block, block) {
+            // Lanes of a block fail in program order, not row order: re-run
+            // one row per block, in ascending blocks, to find the first row.
+            Err(LaunchError::Eval { .. }) if block > 1 => launch(&mut self.device, rows, 1),
+            other => other,
+        }
+        .map_err(|e| match e {
+            LaunchError::Eval { source, .. } => ApproxError::Eval(source),
+            other => panic!("row-evaluation launch is well-formed by construction: {other}"),
+        })
+        .map(|_| {
+            let mut values = self
+                .device
+                .read_scalars(out)
+                .expect("the output buffer was just allocated");
+            values.truncate(rows);
+            values
+        });
+        self.device.reclaim_buffers(mark);
+        result
+    }
+}
+
+/// The argument of type `ty` that stands for representative value `rep`.
+fn arg_of(ty: Ty, rep: f32) -> Scalar {
+    match ty {
+        Ty::F32 => Scalar::F32(rep),
+        Ty::I32 => Scalar::I32(rep.round() as i32),
+        Ty::U32 => Scalar::U32(rep.round() as u32),
+        Ty::Bool => Scalar::Bool(rep != 0.0),
+    }
+}
+
 /// Evaluate the output quality of a candidate bit division by running the
 /// exact function on quantized-then-reconstructed inputs (no table needed —
-/// paper §3.1.3).
+/// paper §3.1.3): one launch over the quantized samples.
 ///
-/// `exact` caches the function's outputs on the unquantized samples, which
-/// do not depend on the split: the first call of a [`bit_tune`] fills it
-/// (sample by sample, so a failing evaluation surfaces where it always
-/// did) and every later candidate reuses it.
+/// `exact` holds the function's outputs on the unquantized samples, which
+/// do not depend on the split. [`bit_tune`] evaluates them once, before any
+/// quantized pass, so a sample the function cannot evaluate fails there.
 fn split_quality(
-    program: &Program,
-    func: &Func,
+    rows: &mut RowEvaluator,
     samples: &[Vec<Scalar>],
     ranges: &[InputRange],
     split: &[u32],
-    exact: &mut Vec<f64>,
+    exact: &[f64],
 ) -> Result<f64, ApproxError> {
+    let approx = rows.eval(samples.len(), |row, i| {
+        let (arg, range, q) = (samples[row][i], ranges[i], split[i]);
+        if arg.ty() == Ty::Bool {
+            return arg;
+        }
+        let v = arg.to_f64_lossy() as f32;
+        arg_of(arg.ty(), range.rep_of(range.level_of(v, q), q))
+    })?;
     let mut err_sum = 0.0f64;
-    let mut n = 0usize;
-    for (si, sample) in samples.iter().enumerate() {
-        if si == exact.len() {
-            exact.push(paraprox_ir::eval_func(program, func, sample)?.to_f64_lossy());
-        }
-        let exact = exact[si];
-        let mut quantized = Vec::with_capacity(sample.len());
-        for ((arg, range), &q) in sample.iter().zip(ranges).zip(split) {
-            let v = arg.to_f64_lossy() as f32;
-            let rep = range.rep_of(range.level_of(v, q), q);
-            quantized.push(match arg.ty() {
-                Ty::F32 => Scalar::F32(rep),
-                Ty::I32 => Scalar::I32(rep.round() as i32),
-                Ty::U32 => Scalar::U32(rep.round() as u32),
-                Ty::Bool => *arg,
-            });
-        }
-        let approx = paraprox_ir::eval_func(program, func, &quantized)?.to_f64_lossy();
+    for (&exact, approx) in exact.iter().zip(approx) {
         let denom = exact.abs().max(1e-9);
-        err_sum += ((approx - exact).abs() / denom).min(1.0);
-        n += 1;
+        err_sum += ((approx.to_f64_lossy() - exact).abs() / denom).min(1.0);
     }
-    Ok(100.0 * (1.0 - err_sum / n as f64))
+    Ok(100.0 * (1.0 - err_sum / samples.len() as f64))
 }
 
 /// Steepest-ascent hill climbing over bit divisions (paper §3.1.3).
+///
+/// The exact outputs are evaluated once, up front; every candidate split is
+/// then one device launch over its quantized samples.
 ///
 /// # Errors
 ///
@@ -219,7 +379,7 @@ fn split_quality(
 /// evaluated on them.
 pub fn bit_tune(
     program: &Program,
-    func: &Func,
+    func: FuncId,
     samples: &[Vec<Scalar>],
     ranges: &[InputRange],
     total_bits: u32,
@@ -227,17 +387,32 @@ pub fn bit_tune(
     if samples.is_empty() {
         return Err(ApproxError::NoTrainingData);
     }
+    let arity = program.func(func).params.len();
+    for found in samples.iter().map(Vec::len).chain([ranges.len()]) {
+        if found != arity {
+            return Err(EvalError::ArityMismatch {
+                expected: arity,
+                found,
+            }
+            .into());
+        }
+    }
+    let mut rows = RowEvaluator::new(program, func);
+    let exact: Vec<f64> = rows
+        .eval(samples.len(), |row, i| samples[row][i])?
+        .into_iter()
+        .map(Scalar::to_f64_lossy)
+        .collect();
     let variable: Vec<usize> = ranges
         .iter()
         .enumerate()
         .filter(|(_, r)| !r.is_constant())
         .map(|(i, _)| i)
         .collect();
-    let mut exact = Vec::with_capacity(samples.len());
     if variable.is_empty() {
         // Function of constants only — a single-entry table.
         let split = vec![0; ranges.len()];
-        let quality = split_quality(program, func, samples, ranges, &split, &mut exact)?;
+        let quality = split_quality(&mut rows, samples, ranges, &split, &exact)?;
         return Ok(BitTuneResult {
             split: split.clone(),
             quality,
@@ -253,7 +428,7 @@ pub fn bit_tune(
         rem = rem.saturating_sub(1);
     }
     let mut explored = Vec::new();
-    let mut best_quality = split_quality(program, func, samples, ranges, &split, &mut exact)?;
+    let mut best_quality = split_quality(&mut rows, samples, ranges, &split, &exact)?;
     explored.push((split.clone(), best_quality));
 
     for _ in 0..64 {
@@ -270,7 +445,7 @@ pub fn bit_tune(
                 let mut child = split.clone();
                 child[i] -= 1;
                 child[j] += 1;
-                let q = split_quality(program, func, samples, ranges, &child, &mut exact)?;
+                let q = split_quality(&mut rows, samples, ranges, &child, &exact)?;
                 explored.push((child.clone(), q));
                 if best_child.as_ref().map(|(_, bq)| q > *bq).unwrap_or(true) {
                     best_child = Some((child, q));
@@ -306,7 +481,7 @@ pub fn bit_tune(
 /// Propagates training-evaluation failures from [`bit_tune`].
 pub fn choose_table_bits(
     program: &Program,
-    func: &Func,
+    func: FuncId,
     samples: &[Vec<Scalar>],
     ranges: &[InputRange],
     toq_percent: f64,
@@ -340,13 +515,16 @@ pub fn choose_table_bits(
 }
 
 /// Populate the lookup table: evaluate the function at every combination of
-/// quantization-level representatives (paper §3.1.3).
+/// quantization-level representatives (paper §3.1.3), all `2^Q` addresses
+/// in one device launch.
 ///
 /// Input 0 occupies the most-significant address bits.
 ///
 /// # Errors
 ///
-/// Fails when the function cannot be evaluated or does not return `f32`.
+/// Fails when the function does not return `f32`, when the split or the
+/// ranges do not match its arity, or when it cannot be evaluated; an
+/// evaluation error is the one at the lowest failing address.
 pub fn build_table(program: &Program, config: &MemoConfig) -> Result<Vec<f32>, ApproxError> {
     let func = program.func(config.func);
     if func.ret != Ty::F32 {
@@ -355,31 +533,39 @@ pub fn build_table(program: &Program, config: &MemoConfig) -> Result<Vec<f32>, A
             func.name, func.ret
         )));
     }
-    let len = config.table_len();
-    let mut table = Vec::with_capacity(len);
-    for addr in 0..len {
-        // Decode levels, input 0 in the most significant bits.
-        let mut args = Vec::with_capacity(config.split.len());
-        let mut shift: u32 = config.total_bits();
-        for ((&q, range), param) in config.split.iter().zip(&config.ranges).zip(&func.params) {
-            shift -= q;
-            let level = if q == 0 {
-                0
-            } else {
-                ((addr >> shift) & ((1usize << q) - 1)) as u32
-            };
-            let rep = range.rep_of(level, q);
-            args.push(match param.ty() {
-                Ty::F32 => Scalar::F32(rep),
-                Ty::I32 => Scalar::I32(rep.round() as i32),
-                Ty::U32 => Scalar::U32(rep.round() as u32),
-                Ty::Bool => Scalar::Bool(rep != 0.0),
-            });
+    let arity = func.params.len();
+    if config.split.len() != arity || config.ranges.len() != arity {
+        return Err(EvalError::ArityMismatch {
+            expected: arity,
+            found: config.split.len().min(config.ranges.len()),
         }
-        let out = paraprox_ir::eval_func(program, func, &args)?;
-        table.push(out.as_f32().map_err(ApproxError::Eval)?);
+        .into());
     }
-    Ok(table)
+    // Decode levels, input 0 in the most significant bits.
+    let mut shift = config.total_bits();
+    let inputs: Vec<(u32, u32, InputRange, Ty)> = config
+        .split
+        .iter()
+        .zip(&config.ranges)
+        .zip(&func.params)
+        .map(|((&q, &range), param)| {
+            shift -= q;
+            (shift, q, range, param.ty())
+        })
+        .collect();
+    let mut rows = RowEvaluator::new(program, config.func);
+    rows.eval(config.table_len(), |addr, i| {
+        let (shift, q, range, ty) = inputs[i];
+        let level = if q == 0 {
+            0
+        } else {
+            ((addr >> shift) & ((1usize << q) - 1)) as u32
+        };
+        arg_of(ty, range.rep_of(level, q))
+    })?
+    .into_iter()
+    .map(|v| v.as_f32().map_err(ApproxError::Eval))
+    .collect()
 }
 
 /// A memoized kernel variant: rewritten program plus the table to bind.
@@ -839,8 +1025,7 @@ mod tests {
         let f = test_func(&mut p);
         let samples = training(64);
         let ranges = input_ranges(&samples).unwrap();
-        let func = p.func(f).clone();
-        let result = bit_tune(&p, &func, &samples, &ranges, 10).unwrap();
+        let result = bit_tune(&p, f, &samples, &ranges, 10).unwrap();
         assert_eq!(result.split[1], 0, "constant input must get 0 bits");
         assert_eq!(result.split[0], 10);
         assert!(result.quality > 90.0, "quality = {}", result.quality);
@@ -863,8 +1048,7 @@ mod tests {
             })
             .collect();
         let ranges = input_ranges(&samples).unwrap();
-        let func = p.func(f).clone();
-        let result = bit_tune(&p, &func, &samples, &ranges, 8).unwrap();
+        let result = bit_tune(&p, f, &samples, &ranges, 8).unwrap();
         assert!(
             result.split[0] > result.split[1],
             "expected more bits for the sensitive input, got {:?}",
@@ -894,14 +1078,71 @@ mod tests {
         let table = build_table(&p, &config).unwrap();
         assert_eq!(table.len(), 64);
         let func = p.func(f).clone();
-        for lvl in [0u32, 17, 63] {
-            let rep = ranges[0].rep_of(lvl, 6);
+        for (lvl, &entry) in table.iter().enumerate() {
+            let rep = ranges[0].rep_of(lvl as u32, 6);
             let exact = paraprox_ir::eval_func(&p, &func, &[Scalar::F32(rep), Scalar::F32(1.0)])
                 .unwrap()
                 .as_f32()
                 .unwrap();
-            assert!((table[lvl as usize] - exact).abs() < 1e-6);
+            assert_eq!(entry.to_bits(), exact.to_bits(), "level {lvl}");
         }
+    }
+
+    #[test]
+    fn evaluation_errors_stay_errors_at_the_lowest_failing_row() {
+        // `f(d) = 6 / d` in i32 over d ∈ [-3.5, 3.5] at 3 bits: the
+        // representatives of levels 3 and 4 round to 0.
+        let mut p = Program::new();
+        let mut fb = FuncBuilder::new("divides", Ty::F32);
+        let d = fb.scalar("d", Ty::I32);
+        fb.ret((Expr::i32(6) / d).cast(Ty::F32));
+        let f = p.add_func(fb.finish());
+        let config = MemoConfig {
+            func: f,
+            split: vec![3],
+            mode: LookupMode::Nearest,
+            placement: TablePlacement::Global,
+            ranges: vec![InputRange {
+                min: -3.5,
+                max: 3.5,
+            }],
+        };
+        assert_eq!(
+            build_table(&p, &config),
+            Err(ApproxError::Eval(EvalError::DivisionByZero))
+        );
+
+        // Rows fail in different statements: row 3 in the first, row 1 by
+        // running off the end. The lowest row's error wins, as a per-row
+        // loop meets it first — not the one the block hits first.
+        let mut fb = FuncBuilder::new("two_faults", Ty::F32);
+        let k = fb.scalar("k", Ty::I32);
+        let early = fb.let_("early", Expr::i32(1) / (k.clone() - Expr::i32(3)));
+        fb.if_(k.ne_(Expr::i32(1)), |fb| fb.ret(early.cast(Ty::F32)));
+        let g = p.add_func(fb.finish());
+        let samples: Vec<Vec<Scalar>> = (0..8).map(|k| vec![Scalar::I32(k)]).collect();
+        let lowest = ApproxError::Eval(EvalError::MissingReturn("two_faults".to_string()));
+        let mut rows = RowEvaluator::new(&p, g);
+        let evaluated = rows.eval(samples.len(), |row, i| samples[row][i]);
+        assert_eq!(evaluated.unwrap_err(), lowest);
+        let ranges = input_ranges(&samples).unwrap();
+        assert_eq!(bit_tune(&p, g, &samples, &ranges, 4).unwrap_err(), lowest);
+        // A sample of the wrong type or arity is the pure evaluator's error.
+        let mismatched = vec![vec![Scalar::I32(1)], vec![Scalar::F32(1.0)]];
+        assert_eq!(
+            bit_tune(&p, g, &mismatched, &ranges, 4),
+            Err(ApproxError::Eval(EvalError::TypeMismatch {
+                expected: Ty::I32,
+                found: Ty::F32
+            }))
+        );
+        assert_eq!(
+            bit_tune(&p, g, &[vec![]], &ranges, 4),
+            Err(ApproxError::Eval(EvalError::ArityMismatch {
+                expected: 1,
+                found: 0
+            }))
+        );
     }
 
     /// Build a map kernel calling the function, memoize it, and execute
@@ -1109,15 +1350,14 @@ mod tests {
         let f = test_func(&mut p);
         let samples = training(64);
         let ranges = input_ranges(&samples).unwrap();
-        let func = p.func(f).clone();
         // A modest target: some small size qualifies.
-        let (bits, tuned) = choose_table_bits(&p, &func, &samples, &ranges, 97.0, 3, 14).unwrap();
+        let (bits, tuned) = choose_table_bits(&p, f, &samples, &ranges, 97.0, 3, 14).unwrap();
         assert!(tuned.quality >= 97.0);
         assert!((3..=14).contains(&bits));
         // Minimality: one bit fewer must miss the target (unless already at
         // the minimum).
         if bits > 3 {
-            let smaller = bit_tune(&p, &func, &samples, &ranges, bits - 1).unwrap();
+            let smaller = bit_tune(&p, f, &samples, &ranges, bits - 1).unwrap();
             assert!(
                 smaller.quality < 97.0,
                 "bits-1 quality {} should miss",
@@ -1125,8 +1365,7 @@ mod tests {
             );
         }
         // An unreachable target returns the max size.
-        let (bits_hi, tuned_hi) =
-            choose_table_bits(&p, &func, &samples, &ranges, 100.0, 3, 6).unwrap();
+        let (bits_hi, tuned_hi) = choose_table_bits(&p, f, &samples, &ranges, 100.0, 3, 6).unwrap();
         assert_eq!(bits_hi, 6);
         assert!(tuned_hi.quality < 100.0);
     }
@@ -1146,16 +1385,15 @@ mod tests {
                 placement: TablePlacement::Global,
                 ranges,
             };
-            let func = p.func(f).clone();
-            let q = split_quality(
-                &p,
-                &func,
-                &samples,
-                &config.ranges,
-                &config.split,
-                &mut Vec::new(),
-            )
-            .unwrap();
+            let mut rows = RowEvaluator::new(&p, f);
+            let exact: Vec<f64> = rows
+                .eval(samples.len(), |row, i| samples[row][i])
+                .unwrap()
+                .into_iter()
+                .map(Scalar::to_f64_lossy)
+                .collect();
+            let q =
+                split_quality(&mut rows, &samples, &config.ranges, &config.split, &exact).unwrap();
             qualities.push(q);
         }
         assert!(qualities[0] < qualities[1] && qualities[1] < qualities[2]);

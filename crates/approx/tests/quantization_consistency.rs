@@ -149,7 +149,7 @@ fn predicted_quality_matches_measured() {
         let samples: Vec<Vec<Scalar>> = seed_vals.iter().map(|&v| vec![Scalar::F32(v)]).collect();
         let f = program.func(func).clone();
         let tuned =
-            paraprox_approx::bit_tune(&program, &f, &samples, &[range], q).expect("bit tune");
+            paraprox_approx::bit_tune(&program, func, &samples, &[range], q).expect("bit tune");
         let config = MemoConfig {
             func,
             split: tuned.split.clone(),

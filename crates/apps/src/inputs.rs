@@ -42,24 +42,28 @@ pub fn permutation(rng: &mut Rng, n: usize) -> Vec<i32> {
 /// their neighbors by less than 10%.
 pub fn smooth_image(rng: &mut Rng, w: usize, h: usize) -> Vec<f32> {
     // Random low frequencies and phases.
-    let waves: Vec<(f32, f32, f32, f32, f32)> = (0..4)
-        .map(|_| {
-            (
-                rng.random_range(0.01f32..0.08), // fx
-                rng.random_range(0.01f32..0.08), // fy
-                rng.random_range(0.0f32..std::f32::consts::TAU),
-                rng.random_range(0.0f32..std::f32::consts::TAU),
-                rng.random_range(0.2f32..1.0), // amplitude
-            )
-        })
-        .collect();
+    let waves: [(f32, f32, f32, f32, f32); 4] = std::array::from_fn(|_| {
+        (
+            rng.random_range(0.01f32..0.08), // fx
+            rng.random_range(0.01f32..0.08), // fy
+            rng.random_range(0.0f32..std::f32::consts::TAU),
+            rng.random_range(0.0f32..std::f32::consts::TAU),
+            rng.random_range(0.2f32..1.0), // amplitude
+        )
+    });
     let amp_total: f32 = waves.iter().map(|wv| wv.4).sum();
     let mut img = Vec::with_capacity(w * h);
+    // Each wave is separable: its sine depends on the column only and its
+    // cosine on the row only, so each is computed once per column or row.
+    let sin_x: Vec<[f32; 4]> = (0..w)
+        .map(|x| waves.map(|(fx, _, px, _, _)| (x as f32 * fx + px).sin()))
+        .collect();
     for y in 0..h {
-        for x in 0..w {
+        let cos_y = waves.map(|(_, fy, _, py, _)| (y as f32 * fy + py).cos());
+        for sin in &sin_x {
             let mut v = 0.0f32;
-            for &(fx, fy, px, py, a) in &waves {
-                v += a * ((x as f32 * fx + px).sin() + (y as f32 * fy + py).cos());
+            for ((wave, sin), cos) in waves.iter().zip(sin).zip(cos_y) {
+                v += wave.4 * (sin + cos);
             }
             // Normalize to [0,1], add mild noise, scale to [0,255].
             let norm = (v / (2.0 * amp_total) + 0.5).clamp(0.0, 1.0);
@@ -127,6 +131,50 @@ mod tests {
         let under_10 = diffs.iter().filter(|&&d| d < 10.0).count();
         let frac = under_10 as f64 / diffs.len() as f64;
         assert!(frac > 0.7, "only {:.0}% of pixels are local", frac * 100.0);
+    }
+
+    /// `smooth_image` as a direct per-pixel loop, 8 transcendentals per
+    /// pixel: the reference the tabulated version must match bit for bit.
+    fn smooth_image_per_pixel(rng: &mut Rng, w: usize, h: usize) -> Vec<f32> {
+        let waves: Vec<(f32, f32, f32, f32, f32)> = (0..4)
+            .map(|_| {
+                (
+                    rng.random_range(0.01f32..0.08),
+                    rng.random_range(0.01f32..0.08),
+                    rng.random_range(0.0f32..std::f32::consts::TAU),
+                    rng.random_range(0.0f32..std::f32::consts::TAU),
+                    rng.random_range(0.2f32..1.0),
+                )
+            })
+            .collect();
+        let amp_total: f32 = waves.iter().map(|wv| wv.4).sum();
+        let mut img = Vec::with_capacity(w * h);
+        for y in 0..h {
+            for x in 0..w {
+                let mut v = 0.0f32;
+                for &(fx, fy, px, py, a) in &waves {
+                    v += a * ((x as f32 * fx + px).sin() + (y as f32 * fy + py).cos());
+                }
+                let norm = (v / (2.0 * amp_total) + 0.5).clamp(0.0, 1.0);
+                let noise = rng.random_range(-0.01f32..0.01);
+                img.push(((norm + noise).clamp(0.0, 1.0)) * 255.0);
+            }
+        }
+        img
+    }
+
+    #[test]
+    fn tabulated_smooth_image_is_bit_identical_to_the_per_pixel_loop() {
+        for seed in [0u64, 4, 17, 0x5EED] {
+            for (w, h) in [(1, 1), (64, 64), (37, 11), (8, 96)] {
+                let bits = |img: Vec<f32>| img.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(smooth_image(&mut rng(seed), w, h)),
+                    bits(smooth_image_per_pixel(&mut rng(seed), w, h)),
+                    "seed {seed}, {w}x{h}"
+                );
+            }
+        }
     }
 
     #[test]

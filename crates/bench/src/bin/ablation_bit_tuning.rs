@@ -13,17 +13,16 @@
 
 use paraprox_approx::{bit_tune, input_ranges};
 use paraprox_apps::{black_scholes, Scale};
-use paraprox_ir::{Expr, FuncBuilder, Program, Scalar, Ty};
+use paraprox_ir::{Expr, FuncBuilder, FuncId, Program, Scalar, Ty};
 
-fn skewed_program() -> (Program, paraprox_ir::Func, Vec<Vec<Scalar>>) {
+fn skewed_program() -> (Program, FuncId, Vec<Vec<Scalar>>) {
     // g(a, b) = exp(4a) + b/50 : `a` deserves nearly all the bits.
     let mut p = Program::new();
     let mut fb = FuncBuilder::new("skewed", Ty::F32);
     let a = fb.scalar("a", Ty::F32);
     let b = fb.scalar("b", Ty::F32);
     fb.ret((a * Expr::f32(4.0)).exp() + b * Expr::f32(0.02));
-    let id = p.add_func(fb.finish());
-    let f = p.func(id).clone();
+    let f = p.add_func(fb.finish());
     let samples: Vec<Vec<Scalar>> = (0..256)
         .map(|i| {
             let t = i as f32 / 255.0;
@@ -39,7 +38,7 @@ fn main() {
         // Skewed-sensitivity function.
         let (p, f, samples) = skewed_program();
         let ranges = input_ranges(&samples).expect("ranges");
-        let tuned = bit_tune(&p, &f, &samples, &ranges, bits).expect("tune");
+        let tuned = bit_tune(&p, f, &samples, &ranges, bits).expect("tune");
         let even_quality = tuned.explored[0].1; // the root node IS the even split
         println!(
             "skewed    {bits:>2} bits: even split {:?} -> {:6.2}%   tuned {:?} -> {:6.2}%  ({:+.2} points)",
@@ -55,9 +54,8 @@ fn main() {
     let workload = black_scholes::build(Scale::Paper, 0);
     let (func, samples) = workload.memo_training.first().expect("training");
     let ranges = input_ranges(samples).expect("ranges");
-    let f = workload.program.func(*func).clone();
     for bits in [9u32, 12, 15] {
-        let tuned = bit_tune(&workload.program, &f, samples, &ranges, bits).expect("tune");
+        let tuned = bit_tune(&workload.program, *func, samples, &ranges, bits).expect("tune");
         println!(
             "bs_call   {bits:>2} bits: even split {:?} -> {:6.2}%   tuned {:?} -> {:6.2}%  ({:+.2} points, {} nodes)",
             tuned.explored[0].0,

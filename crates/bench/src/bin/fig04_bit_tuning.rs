@@ -14,7 +14,7 @@ fn main() {
     let workload = black_scholes::build(Scale::Paper, 0);
     let (func, samples) = workload.memo_training.first().expect("training data");
     let ranges = input_ranges(samples).expect("ranges");
-    let f = workload.program.func(*func).clone();
+    let f = workload.program.func(*func);
     println!(
         "Figure 4: bit tuning for `{}` with a 32768-entry table (15 bits)\n",
         f.name
@@ -29,7 +29,7 @@ fn main() {
             if r.is_constant() { "  <- constant" } else { "" }
         );
     }
-    let result = bit_tune(&workload.program, &f, samples, &ranges, 15).expect("bit tune");
+    let result = bit_tune(&workload.program, *func, samples, &ranges, 15).expect("bit tune");
     println!("\nexplored nodes (split of 15 bits -> output quality):");
     for (split, quality) in &result.explored {
         let marker = if *split == result.split {
@@ -55,7 +55,7 @@ fn main() {
     // On our uniform CUDA-SDK-style input ranges the 15-bit even split is
     // already locally optimal; at 12 bits the climb moves a bit from T to
     // X, the analogue of the paper's (5,6,4) selection.
-    let result12 = bit_tune(&workload.program, &f, samples, &ranges, 12).expect("bit tune");
+    let result12 = bit_tune(&workload.program, *func, samples, &ranges, 12).expect("bit tune");
     println!(
         "\nat 12 bits: even {:?} ({:.2}%) -> tuned {:?} ({:.2}%)",
         result12.explored[0].0, result12.explored[0].1, result12.split, result12.quality

@@ -85,8 +85,7 @@ pub fn force_memo(
         .first()
         .expect("workload has training data");
     let ranges = input_ranges(samples).expect("nonempty training");
-    let f = workload.program.func(*func).clone();
-    let tuned = bit_tune(&workload.program, &f, samples, &ranges, bits).expect("bit tuning");
+    let tuned = bit_tune(&workload.program, *func, samples, &ranges, bits).expect("bit tuning");
     let config = MemoConfig {
         func: *func,
         split: tuned.split,

@@ -215,8 +215,7 @@ fn memo_variants(
                         std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
                         std::collections::hash_map::Entry::Vacant(e) => {
                             let ranges = input_ranges(samples)?;
-                            let f = workload.program.func(func).clone();
-                            let result = bit_tune(&workload.program, &f, samples, &ranges, bits)?;
+                            let result = bit_tune(&workload.program, func, samples, &ranges, bits)?;
                             let config = MemoConfig {
                                 func,
                                 split: result.split,

@@ -300,10 +300,11 @@ fn variant_static_quality(
     workload: &Workload,
     patterns: &[KernelPatterns],
     launches: &[LaunchModel],
+    initial_slots: &[SlotState],
     variant: &Variant,
 ) -> StaticQuality {
     let injections = variant_injections(workload, patterns, variant);
-    let mut slots = slot_states(workload);
+    let mut slots = initial_slots.to_vec();
     let diags = propagate(&workload.program, launches, &mut slots, &injections);
     let refusals: Vec<String> = diags
         .iter()
@@ -351,9 +352,10 @@ pub fn static_quality(
     variants: &[Variant],
 ) -> Vec<StaticQuality> {
     let launches = launch_models(workload);
+    let slots = slot_states(workload);
     variants
         .iter()
-        .map(|v| variant_static_quality(workload, patterns, &launches, v))
+        .map(|v| variant_static_quality(workload, patterns, &launches, &slots, v))
         .collect()
 }
 

@@ -1,12 +1,16 @@
-//! A pure evaluator for device functions.
+//! A pure evaluator for device functions: the independent reference for
+//! the differential tests.
 //!
-//! Paraprox's bit tuning and lookup-table population need to evaluate a
-//! candidate function on training inputs *outside* any kernel launch. This
-//! evaluator executes a [`Func`] body with scalar arguments and no device
-//! state; any construct that would touch device state (loads, thread
-//! specials, atomics, barriers) is rejected with [`EvalError::NotPure`] —
-//! which doubles as a dynamic cross-check of the static purity analysis in
-//! `paraprox-patterns`.
+//! This evaluator executes a [`Func`] body on one row of scalar arguments
+//! with no device state; any construct that would touch device state
+//! (loads, thread specials, atomics, barriers) is rejected with
+//! [`EvalError::NotPure`]. It shares nothing with the virtual device's
+//! interpreter but the operator semantics ([`crate::BinOp::apply`],
+//! [`crate::UnOp::apply`], [`Scalar::cast`]), so the differential suites
+//! compare the two: `paraprox-vgpu`'s `tests/differential.rs` on generated
+//! functions, and the root `tests/memo_suite.rs` on every memo table and
+//! bit-tuning candidate, which production code evaluates on the device.
+//! No production code calls it; `scripts/verify.sh` enforces that.
 
 use crate::error::EvalError;
 use crate::expr::Expr;

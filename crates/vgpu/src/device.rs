@@ -296,6 +296,9 @@ pub struct Device {
     /// Worker-image refresh accounting (see
     /// [`Device::image_refresh_copies`]).
     refresh: exec::RefreshCounters,
+    /// Host workers per dispatch, resolved once from `PARAPROX_THREADS`
+    /// and [`DeviceProfile::parallelism`] when the device is created.
+    workers: usize,
 }
 
 impl Device {
@@ -323,6 +326,7 @@ impl Device {
         profile.validate()?;
         let l1 = Cache::new(profile.cache.l1);
         let constant_cache = Cache::new(profile.cache.constant);
+        let workers = crate::pool::resolve_workers(profile.parallelism);
         Ok(Device {
             profile,
             buffers: Vec::new(),
@@ -336,6 +340,7 @@ impl Device {
             approx_rate: 0.0,
             approx_seed: 0,
             refresh: exec::RefreshCounters::default(),
+            workers,
         })
     }
 
@@ -785,6 +790,7 @@ impl Device {
             .collect();
         let outcomes = exec::run_fused(
             segments,
+            self.workers,
             &mut self.buffers,
             &mut self.image_pool,
             &self.refresh,

@@ -58,7 +58,7 @@ use crate::cache::Cache;
 use crate::device::{ArgValue, BufferStorage, Dim2};
 use crate::error::LaunchError;
 use crate::mask::{set_bits, LaneMask, Span, MAX_WARP_LANES};
-use crate::pool::{self, WorkQueue};
+use crate::pool::WorkQueue;
 use crate::profile::DeviceProfile;
 use crate::soa::{decode, encode_bits, tag_of_ty, TAG_BOOL, TAG_I32, TAG_U32};
 use crate::stats::LaunchStats;
@@ -593,11 +593,10 @@ struct Seg<'a> {
     iterations: AtomicU64,
 }
 
-/// Execute every block of every segment — serially or across host
-/// workers — and fold the results deterministically. A single launch is
-/// a dispatch of one segment; the worker count comes from
-/// `PARAPROX_THREADS` / [`DeviceProfile::parallelism`] (see
-/// [`pool::resolve_workers`]).
+/// Execute every block of every segment — serially or across up to
+/// `workers` host workers (the device's count, resolved once by
+/// [`crate::pool::resolve_workers`]) — and fold the results
+/// deterministically. A single launch is a dispatch of one segment.
 ///
 /// Every segment's buffer contents, simulated cycles, and cache
 /// statistics are bit-identical to dispatching it alone, but the host
@@ -611,6 +610,7 @@ struct Seg<'a> {
 /// touched.
 pub(crate) fn run_fused(
     segments: Vec<FusedSegment<'_>>,
+    workers: usize,
     buffers: &mut Vec<BufferStorage>,
     image_pool: &mut Vec<Vec<BufferStorage>>,
     refresh: &RefreshCounters,
@@ -644,7 +644,7 @@ pub(crate) fn run_fused(
         return Ok(Vec::new());
     };
     let profile = first.launch.profile;
-    let workers = pool::resolve_workers(profile.parallelism).min(total).max(1);
+    let workers = workers.min(total).max(1);
     let eval_err = |seg: &Seg<'_>, source: EvalError| LaunchError::Eval {
         kernel: seg.launch.kernel.name.clone(),
         source,

@@ -117,10 +117,10 @@ pub(crate) fn default_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// Resolve the worker count for a launch: the `PARAPROX_THREADS`
-/// environment variable (if set to a positive integer) overrides the
-/// profile's `parallelism` knob; `0` in either place means "all available
-/// cores".
+/// Resolve a device's worker count, once, when it is created: the
+/// `PARAPROX_THREADS` environment variable (if set to a positive integer)
+/// overrides the profile's `parallelism` knob; `0` in either place means
+/// "all available cores".
 pub(crate) fn resolve_workers(profile_parallelism: usize) -> usize {
     if let Ok(v) = std::env::var("PARAPROX_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {

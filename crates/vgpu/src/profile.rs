@@ -165,9 +165,10 @@ pub struct DeviceProfile {
     pub shared_mem_bytes: usize,
     /// Host worker threads used to execute independent blocks concurrently.
     /// `0` means "all available cores"; `1` forces serial execution. The
-    /// `PARAPROX_THREADS` environment variable overrides this knob. Results
-    /// are bit-identical for every setting — this only affects wall-clock
-    /// time, never simulated cycles.
+    /// `PARAPROX_THREADS` environment variable overrides this knob; both are
+    /// read once, when a [`crate::Device`] is created. Results are
+    /// bit-identical for every setting — this only affects wall-clock time,
+    /// never simulated cycles.
     pub parallelism: usize,
     /// Which interpreter executes launches (bytecode by default; the
     /// tree-walking oracle for differential testing, selected with

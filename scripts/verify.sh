@@ -2,17 +2,18 @@
 # Full local verification, in the order it runs:
 #   1. check_lint_fixtures.sh (every error-severity lint has fixtures)
 #   2. check_docs.sh (every file, bin, workload and subcommand the docs cite exists)
-#   3. cargo fmt --check
-#   4. cargo build --release
-#   5. cargo test -q (tier-1, root package)
-#   6. cargo test --workspace -q (every invariant is asserted here)
-#   7. cargo clippy --workspace --all-targets -D warnings
-#   8. the 14 experiment bins of scripts/run_all_experiments.sh regenerate
+#   3. eval_func guard (the pure evaluator is named only by tests)
+#   4. cargo fmt --check
+#   5. cargo build --release
+#   6. cargo test -q (tier-1, root package)
+#   7. cargo test --workspace -q (every invariant is asserted here)
+#   8. cargo clippy --workspace --all-targets -D warnings
+#   9. the 14 experiment bins of scripts/run_all_experiments.sh regenerate
 #      results/*.txt byte-identically (~5 s)
-#   9. paraprox-cli analyze --json on all 13 apps
-#  10. paraprox-cli inspect --schedule on every preset of both iterative apps
-#  11. paraprox-cli serve on both profiles (drift, back-off, re-promotion)
-#  12. paraprox-benchmark smokes: iter_converge, kernel_exec, serve_open_drift
+#  10. paraprox-cli analyze --json on all 13 apps
+#  11. paraprox-cli inspect --schedule on every preset of both iterative apps
+#  12. paraprox-cli serve on both profiles (drift, back-off, re-promotion)
+#  13. paraprox-benchmark smokes: iter_converge, kernel_exec, serve_open_drift
 #      (the only place a host timing is taken; none is gated here)
 # Everything runs offline (the workspace has no external dependencies),
 # so this works in sandboxed CI.
@@ -29,6 +30,21 @@ scripts/check_lint_fixtures.sh
 
 echo "==> check_docs (every path, bin, workload and CLI subcommand the docs cite resolves)"
 scripts/check_docs.sh
+
+echo "==> eval_func guard (the pure evaluator is a test reference, not a production path)"
+# Memo tables and bit tuning evaluate functions on the virtual device; the
+# pure evaluator paraprox_ir::eval_func is the independent reference the
+# differential suites hold it to. No crate source may name it above its
+# first #[cfg(test)], except its definition and the `pub use` exporting it.
+guard=0
+for f in $(find crates/*/src -name '*.rs' | sort); do
+  [ "$f" = crates/ir/src/eval.rs ] && continue
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nw eval_func | grep -v ':pub use ' >&2; then
+    echo "FAIL: $f names eval_func outside its tests (lines above)" >&2
+    guard=1
+  fi
+done
+[ "$guard" -eq 0 ]
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
