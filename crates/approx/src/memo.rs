@@ -183,8 +183,8 @@ const ROW_BLOCK: usize = 256;
 /// program, launched once per batch with one lane per row on a private
 /// virtual device.
 ///
-/// The device is kept across batches, so the wrapper is compiled and
-/// fusion-profiled once for every batch of one evaluator. Its simulated
+/// The device is kept across batches, so the wrapper is compiled once for
+/// every batch of one evaluator. Its simulated
 /// cycles are discarded: the profile cannot change a value. Values are
 /// those of the bytecode engine, which the differential suites hold
 /// bit-identical to `paraprox_ir`'s pure evaluator, the test reference.

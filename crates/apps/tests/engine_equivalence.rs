@@ -1,7 +1,7 @@
 //! Whole-application differential test: every benchmark pipeline must
 //! produce bit-identical outputs, simulated cycles, and cache statistics
-//! under the bytecode engine and the tree-walking oracle, on both device
-//! profiles, serial and block-parallel.
+//! under the bytecode engine (superinstructions included) and the
+//! tree-walking oracle, on both device profiles, serial and block-parallel.
 //!
 //! This is the broad-coverage counterpart to the targeted kernels in
 //! `paraprox-vgpu`'s `bytecode_equivalence` suite: the 13 applications
@@ -45,6 +45,7 @@ fn assert_bit_identical(app: &str, setting: &str, reference: &PipelineRun, got: 
 }
 
 fn check_profile(base: DeviceProfile) {
+    let (mut apps, mut fused) = (0, 0);
     for app in registry() {
         let workload = (app.build)(Scale::Test, 7);
         let reference = run(
@@ -55,6 +56,7 @@ fn check_profile(base: DeviceProfile) {
         );
         for (engine, workers) in [
             (ExecEngine::Bytecode, 1),
+            (ExecEngine::Bytecode, 2),
             (ExecEngine::Bytecode, 4),
             (ExecEngine::TreeWalk, 4),
         ] {
@@ -64,8 +66,21 @@ fn check_profile(base: DeviceProfile) {
             );
             let setting = format!("{engine:?} x{workers} on {}", base.name);
             assert_bit_identical(app.spec.name, &setting, &reference, &got);
+            if (engine, workers) == (ExecEngine::Bytecode, 1) {
+                fused += usize::from(got.stats.fusions_hit > 0);
+            }
         }
+        apps += 1;
     }
+    // Fusable pairs (mul+add, load+cast, cmp+branch, bin+store) are
+    // ubiquitous in these kernels, and a program is fused when compiled:
+    // a device's first pass over an app already dispatches
+    // superinstructions, on most apps and not only a lucky one.
+    assert!(
+        fused * 2 >= apps,
+        "fusion engaged on only {fused}/{apps} apps on {}",
+        base.name
+    );
 }
 
 #[test]

@@ -40,7 +40,7 @@ fn no_app_leaves_the_typed_strips_and_a_mixed_tag_kernel_does() {
                 .map(|v| (&v.program, &v.pipeline, v.label.as_str()));
             let mut ran = 0;
             for (program, pipeline, label) in std::iter::once(exact).chain(variants) {
-                let mut device = Device::new(profile.clone().with_engine(ExecEngine::Bytecode));
+                let mut device = Device::new(profile.clone());
                 match pipeline.execute(&mut device, program) {
                     Ok(run) => {
                         assert!(run.stats.ops_dispatched > 0);
@@ -63,7 +63,7 @@ fn no_app_leaves_the_typed_strips_and_a_mixed_tag_kernel_does() {
         }
 
         for app in iter_registry() {
-            let device = Device::new(profile.clone().with_engine(ExecEngine::Bytecode));
+            let device = Device::new(profile.clone());
             let mut job = app
                 .instantiate(Scale::Test, device)
                 .expect("every preset schedule is admitted");

@@ -35,8 +35,9 @@ usage:
   paraprox inspect <app> --rungs [--scale paper|test]
       Parse CUDA-flavored kernel source and report the data-parallel
       patterns Paraprox detects in each kernel. --bytecode additionally
-      prints the register-machine bytecode the virtual device compiles the
-      named kernel (prefix match) into; --effects prints each kernel's
+      prints the register-machine bytecode the virtual device runs for the
+      named kernel (prefix match), fused superinstructions inline with their
+      constituent ops, and how many there are; --effects prints each kernel's
       side-effect summary (loads/stores/atomics/barriers) next to the
       pattern report; --partition prints each kernel's buffer-criticality
       partition (critical vs tolerant, with witness chains). With

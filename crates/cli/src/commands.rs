@@ -1052,20 +1052,11 @@ fn inspect(
             profile.name
         );
         print!("{}", compiled.disassemble());
-        let fused = compiled.fuse_all();
-        let supers = fused.superinstructions();
-        if supers.is_empty() {
-            println!("\nno fusable op pairs in this kernel");
-        } else {
-            println!(
-                "\nfused superinstructions ({} of {} ops fusable; each line shows its constituent ops):",
-                supers.len(),
-                compiled.op_count()
-            );
-            for line in &supers {
-                println!("{line}");
-            }
-        }
+        println!(
+            "\n{} superinstructions: each fused line shows both constituent ops; \
+             the `~` op after it is padding that keeps jump targets in place",
+            compiled.superinstruction_count()
+        );
     }
     Ok(())
 }

@@ -3,16 +3,17 @@
 //! [`compile_kernel`] lowers a [`Kernel`] and every device function it
 //! (transitively) calls into one flat instruction stream over numbered
 //! virtual registers: control flow becomes resolved jumps, locals and
-//! parameters become pre-resolved register/bank slots, and constant
-//! subexpressions are folded at compile time. The executor ([`execute`])
-//! runs the stream against a preallocated register file of lane vectors
-//! that is reused across statements, blocks, and launches — no `Box<Expr>`
-//! chasing and almost no per-expression allocation.
+//! parameters become pre-resolved register/bank slots, constant
+//! subexpressions are folded, and adjacent op pairs are fused into
+//! superinstructions ([`fuse_pairs`]), all at compile time. The executor
+//! ([`execute`]) runs the stream against a preallocated register file of
+//! lane vectors that is reused across statements, blocks, and launches —
+//! no `Box<Expr>` chasing and almost no per-expression allocation.
 //!
 //! # Oracle contract
 //!
 //! The bytecode engine must be **bit-identical** to the tree-walking
-//! interpreter in `exec.rs`: same buffer contents, same simulated cycle
+//! interpreter in `oracle.rs`: same buffer contents, same simulated cycle
 //! counts, same cache statistics, and the same runtime error on invalid
 //! programs. Every op therefore charges exactly what the corresponding
 //! tree-walker step charges, in an order that preserves all observable
@@ -44,7 +45,7 @@
 //! bank: per-block read-only rows holding literals, scalar kernel
 //! arguments, and thread-coordinate specials.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 use paraprox_ir::{
     AtomicOp, BinOp, CmpOp, EvalError, Expr, Func, FuncId, Kernel, LoopCond, LoopStep, MemRef,
@@ -126,7 +127,7 @@ struct FuncMeta {
 /// (`skip*`/`exit`/`head`) are absolute pcs resolved at compile time.
 ///
 /// The `Fused*` variants are superinstructions produced by
-/// [`CompiledKernel::fuse`]: one dispatch executes both constituent ops
+/// [`fuse_pairs`]: one dispatch executes both constituent ops
 /// back to back with the exact charges, lane loops, and error order of
 /// the unfused pair, then advances the pc by two (the second op stays in
 /// the stream as unreachable padding so absolute jump targets survive).
@@ -312,6 +313,18 @@ enum Op {
     },
 }
 
+impl Op {
+    fn is_fused(&self) -> bool {
+        matches!(
+            self,
+            Op::FusedBinBin { .. }
+                | Op::FusedCmpIf { .. }
+                | Op::FusedLoadCast { .. }
+                | Op::FusedBinStore { .. }
+        )
+    }
+}
+
 /// A kernel compiled to bytecode, shareable read-only across pool workers
 /// (the device wraps it in an `Arc`). Independent of grid/block geometry:
 /// one compilation serves every launch shape.
@@ -322,12 +335,6 @@ pub struct CompiledKernel {
     frame: FrameMeta,
     funcs: Vec<FuncMeta>,
     name: String,
-    /// Per-pc flag: the op at pc and its successor form a fusable pair
-    /// (the executor profiles dynamic execution counts at exactly these
-    /// pcs; see [`CompiledKernel::fuse`]).
-    candidates: Vec<bool>,
-    /// True for artifacts produced by [`CompiledKernel::fuse`].
-    fused: bool,
 }
 
 impl CompiledKernel {
@@ -337,17 +344,18 @@ impl CompiledKernel {
         self.ops.len()
     }
 
-    /// Human-readable disassembly: bank contents, then one line per op
-    /// with opcode, registers, and resolved jump targets. Function entry
-    /// points are marked inline.
+    /// Human-readable disassembly of the stream the device executes: bank
+    /// contents, then one line per op with opcode, registers, and resolved
+    /// jump targets. A superinstruction's line shows both constituent
+    /// ops; the padding op after it is marked `~`. Function entry points
+    /// are marked inline.
     pub fn disassemble(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "kernel `{}`{}: {} ops, regs={} masks={} locals={}",
+            "kernel `{}`: {} ops, regs={} masks={} locals={}",
             self.name,
-            if self.fused { " (fused)" } else { "" },
             self.ops.len(),
             self.frame.regs,
             self.frame.masks,
@@ -375,7 +383,9 @@ impl CompiledKernel {
                     );
                 }
             }
-            let _ = writeln!(s, "  {pc:>5}  {}", self.render_op(op));
+            let pad = pc > 0 && self.ops[pc - 1].is_fused();
+            let mark = if pad { "~ " } else { "" };
+            let _ = writeln!(s, "  {pc:>5}  {mark}{}", self.render_op(op));
         }
         s
     }
@@ -581,61 +591,9 @@ impl CompiledKernel {
         }
     }
 
-    /// Fuse every profiled pair whose dynamic execution count is non-zero
-    /// into a superinstruction, producing a new artifact that shares no
-    /// mutable state with `self`. The second op of each fused pair stays
-    /// in the stream as unreachable padding (the fused handler advances
-    /// the pc by two), so every absolute jump target stays valid.
-    pub(crate) fn fuse(&self, counts: &[u64]) -> CompiledKernel {
-        let mut ops = self.ops.clone();
-        let mut pc = 0;
-        while pc + 1 < ops.len() {
-            if self.candidates[pc] && counts.get(pc).copied().unwrap_or(0) > 0 {
-                if let Some(fused) = fuse_pair(&ops[pc], &ops[pc + 1]) {
-                    ops[pc] = fused;
-                    pc += 2;
-                    continue;
-                }
-            }
-            pc += 1;
-        }
-        let n = ops.len();
-        CompiledKernel {
-            ops,
-            bank: self.bank.clone(),
-            frame: self.frame,
-            funcs: self.funcs.clone(),
-            name: self.name.clone(),
-            candidates: vec![false; n],
-            fused: true,
-        }
-    }
-
-    /// Fuse every statically fusable pair, ignoring profile counts. Used
-    /// by the CLI disassembler to show what the profile-guided pass *can*
-    /// produce without running the kernel.
-    pub fn fuse_all(&self) -> CompiledKernel {
-        let ones = vec![1u64; self.ops.len()];
-        self.fuse(&ones)
-    }
-
-    /// The fused superinstructions of this artifact, one rendered line per
-    /// fused op showing both constituent operations.
-    pub fn superinstructions(&self) -> Vec<String> {
-        self.ops
-            .iter()
-            .enumerate()
-            .filter(|(_, op)| {
-                matches!(
-                    op,
-                    Op::FusedBinBin { .. }
-                        | Op::FusedCmpIf { .. }
-                        | Op::FusedLoadCast { .. }
-                        | Op::FusedBinStore { .. }
-                )
-            })
-            .map(|(pc, op)| format!("{pc:>5}  {}", self.render_op(op)))
-            .collect()
+    /// Number of fused superinstructions in the stream.
+    pub fn superinstruction_count(&self) -> usize {
+        self.ops.iter().filter(|op| op.is_fused()).count()
     }
 }
 
@@ -720,12 +678,18 @@ fn fuse_pair(op1: &Op, op2: &Op) -> Option<Op> {
     }
 }
 
-/// Compute the per-pc fusion-candidate flags for a freshly compiled
-/// stream: pc is a candidate when `(ops[pc], ops[pc+1])` fuse statically
-/// and pc+1 is not a jump target (nothing may enter the middle of a
+/// Fuse every statically fusable pair of a freshly compiled stream, left
+/// to right: `(ops[pc], ops[pc+1])` fuses when the shapes line up and pc+1
+/// is not a jump target (nothing may enter the middle of a
 /// superinstruction: branch/loop targets, call-return resume points, and
-/// function entries all disqualify the pair).
-fn fusion_candidates(ops: &[Op], funcs: &[FuncMeta]) -> Vec<bool> {
+/// function entries all disqualify the pair). The fused op replaces the
+/// first; the second stays in place as unreachable padding (the fused
+/// handler advances the pc by two), so every absolute jump target holds.
+///
+/// Fusing a pair that never runs is safe: pc+1 is reachable only by
+/// falling through from pc, and the fused handler performs both ops'
+/// charges, lane loops and errors in their unfused order.
+fn fuse_pairs(ops: &mut [Op], funcs: &[FuncMeta]) {
     let mut is_target = vec![false; ops.len() + 1];
     for f in funcs {
         is_target[f.entry] = true;
@@ -744,15 +708,19 @@ fn fusion_candidates(ops: &[Op], funcs: &[FuncMeta]) -> Vec<bool> {
             | Op::Live { exit, .. } => is_target[*exit as usize] = true,
             Op::ForStep { head, .. } => is_target[*head as usize] = true,
             Op::Call { .. } => is_target[pc + 1] = true,
-            Op::FusedCmpIf { skip_t, .. } => is_target[*skip_t as usize] = true,
             _ => {}
         }
     }
-    let mut cand = vec![false; ops.len()];
-    for pc in 0..ops.len().saturating_sub(1) {
-        cand[pc] = !is_target[pc + 1] && fuse_pair(&ops[pc], &ops[pc + 1]).is_some();
+    let mut pc = 0;
+    while pc + 1 < ops.len() {
+        match fuse_pair(&ops[pc], &ops[pc + 1]).filter(|_| !is_target[pc + 1]) {
+            Some(fused) => {
+                ops[pc] = fused;
+                pc += 2;
+            }
+            None => pc += 1,
+        }
     }
-    cand
 }
 
 // ---------------------------------------------------------------------------
@@ -901,15 +869,13 @@ pub fn compile_kernel(
         c.funcs[i].frame = ffr.into_meta();
         i += 1;
     }
-    let candidates = fusion_candidates(&c.ops, &c.funcs);
+    fuse_pairs(&mut c.ops, &c.funcs);
     CompiledKernel {
         ops: c.ops,
         bank: c.bank,
         frame,
         funcs: c.funcs,
         name: kernel.name.clone(),
-        candidates,
-        fused: false,
     }
 }
 
@@ -1995,16 +1961,11 @@ fn fill_bank(ctx: &ExecCtx<'_>, prog: &CompiledKernel, s: &mut BcScratch) -> Res
 }
 
 /// Execute one block of `prog` against `ctx`. Charges and memory traffic
-/// are bit-identical to `ExecCtx::run_block` over the original AST.
-///
-/// When `counts` is present (the device's profiling launch), the executor
-/// bumps the dynamic execution counter of every fusion-candidate pc it
-/// dispatches; the device fuses the hot pairs afterwards.
+/// are bit-identical to the tree-walking oracle over the original AST.
 pub(crate) fn execute(
     ctx: &mut ExecCtx<'_>,
     prog: &CompiledKernel,
     s: &mut BcScratch,
-    counts: Option<&[AtomicU64]>,
 ) -> Result<(), EvalError> {
     let lanes = ctx.lanes;
     fill_bank(ctx, prog, s)?;
@@ -2036,11 +1997,6 @@ pub(crate) fn execute(
 
     loop {
         ctx.stats.ops_dispatched += 1;
-        if let Some(c) = counts {
-            if prog.candidates[pc] {
-                c[pc].fetch_add(1, Ordering::Relaxed);
-            }
-        }
         match &prog.ops[pc] {
             Op::Unary { m, op, dst, a } => {
                 exec_unary(ctx, s, reg_base, mask_base, *m, *op, *dst, *a)?;
@@ -2635,6 +2591,138 @@ mod tests {
             ),
             "expected a trap:\n{}",
             compiled.disassemble()
+        );
+    }
+
+    /// The four fusable shapes as `(first, second)` over registers from
+    /// `r`, all under mask slot 0.
+    fn shapes(r: u16) -> [(Op, Op); 4] {
+        let (m, mem) = (0, MemRef::Param(0));
+        #[rustfmt::skip]
+        let shapes = [
+            (Op::Binary { m, op: BinOp::Mul, dst: r, a: r + 1, b: r + 2 },
+             Op::Binary { m, op: BinOp::Add, dst: r + 3, a: r, b: r + 1 }),
+            (Op::Cmp { m, op: CmpOp::Lt, dst: r, a: r + 1, b: r + 2 },
+             Op::IfSplit { m, cond: r, t: 1, f: 2, skip_t: 0 }),
+            (Op::Load { m, mem, idx: r + 1, dst: r },
+             Op::Cast { m, ty: Ty::F32, dst: r + 3, a: r }),
+            (Op::Binary { m, op: BinOp::Add, dst: r, a: r + 1, b: r + 2 },
+             Op::Store { m, mem, idx: r + 1, val: r }),
+        ];
+        shapes
+    }
+
+    #[test]
+    fn fusion_never_spans_a_jump_target() {
+        // Every op that jumps, by the pc it jumps to.
+        #[rustfmt::skip]
+        let jumps: [fn(u32) -> Op; 9] = [
+            |p| Op::IfSplit { m: 0, cond: 0, t: 1, f: 2, skip_t: p },
+            |p| Op::IfElse { f: 2, skip: p },
+            |p| Op::SelSplit { m: 0, cond: 0, t: 1, f: 2, dst: 0, skip_t: p },
+            |p| Op::SelElse { f: 2, skip: p },
+            |p| Op::ForPrep { m: 0, ml: 3, func: false, exit: p },
+            |p| Op::ForTest { ml: 3, local: 0, var: 0, cmp: CmpOp::Lt, bound: 0, exit: p },
+            |p| Op::ForPrune { ml: 3, exit: p },
+            |p| Op::ForStep { ml: 3, local: 0, var: 0, op: BinOp::Add, amount: 0, head: p },
+            |p| Op::Live { base: 0, live: 3, exit: p },
+        ];
+        let mut ops = vec![Op::Halt];
+        let (mut funcs, mut jumpers, mut want) = (Vec::new(), Vec::new(), Vec::new());
+        for (first, second) in shapes(8) {
+            // Each shape once per way in: free-standing, entered at its
+            // first op from a call's resume point, and with its second op
+            // entered by each jump and as a function entry.
+            for target in 0..jumps.len() + 3 {
+                if target == 1 {
+                    let args = Box::new([]);
+                    ops.push(Op::Call {
+                        m: 0,
+                        func: 0,
+                        args,
+                        dst: 4,
+                    });
+                }
+                let pc = ops.len();
+                ops.extend([first.clone(), second.clone(), Op::Halt]);
+                let entry = pc as u32 + 1;
+                match target {
+                    0 | 1 => {}
+                    2 => funcs.push(FuncMeta {
+                        name: "f".into(),
+                        entry: entry as usize,
+                        frame: FrameMeta::default(),
+                        param_tys: Box::new([]),
+                    }),
+                    j => jumpers.push(jumps[j - 3](entry)),
+                }
+                want.push((pc, target < 2));
+            }
+        }
+        ops.extend(jumpers);
+        let before = ops.clone();
+        fuse_pairs(&mut ops, &funcs);
+        for (pc, fuses) in want {
+            assert_eq!(
+                ops[pc].is_fused(),
+                fuses,
+                "pc {pc}: {:?} then {:?}",
+                before[pc],
+                before[pc + 1]
+            );
+            // The second op stays in place, fused or not.
+            assert_eq!(
+                format!("{:?}", ops[pc + 1]),
+                format!("{:?}", before[pc + 1])
+            );
+        }
+        assert_eq!(
+            ops.iter().filter(|op| op.is_fused()).count(),
+            4 * 2,
+            "only the free-standing and call-resumed shapes fuse"
+        );
+    }
+
+    /// `out[gid] = f(v) * 2 + v; out[gid] = v * 2` in a loop behind
+    /// `if v < 3`, where `v = float(ints[gid])` and `f(x) = x * x + x`:
+    /// each shape sits away from any jump target (the first multiply
+    /// right at the call's resume point), and `compile_kernel` fuses all
+    /// four.
+    #[test]
+    fn compile_kernel_fuses_each_shape() {
+        use paraprox_ir::{FuncBuilder, KernelBuilder, MemSpace};
+        let mut p = Program::new();
+        let mut fb = FuncBuilder::new("f", Ty::F32);
+        let x = fb.scalar("x", Ty::F32);
+        fb.ret(x.clone() * x.clone() + x);
+        let f = p.add_func(fb.finish());
+        let mut kb = KernelBuilder::new("shapes");
+        let ints = kb.buffer("ints", Ty::I32, MemSpace::Global);
+        let out = kb.buffer("out", Ty::F32, MemSpace::Global);
+        let gid = kb.let_("gid", KernelBuilder::global_id_x());
+        let v = kb.let_("v", kb.load(ints, gid.clone()).cast(Ty::F32));
+        kb.if_(v.clone().lt(Expr::f32(3.0)), |kb| {
+            kb.for_up("i", Expr::i32(0), Expr::i32(4), Expr::i32(1), |kb, _| {
+                let call = Expr::Call {
+                    func: f,
+                    args: vec![v.clone()],
+                };
+                kb.store(out, gid.clone(), call * Expr::f32(2.0) + v.clone());
+                kb.store(out, gid.clone(), v.clone() * Expr::f32(2.0));
+            });
+        });
+        let kid = p.add_kernel(kb.finish());
+        let compiled = compile_kernel(&p, p.kernel(kid), &profile());
+        let has = |shape: fn(&Op) -> bool| compiled.ops.iter().any(shape);
+        let dis = compiled.disassemble();
+        assert!(has(|op| matches!(op, Op::FusedBinBin { .. })), "{dis}");
+        assert!(has(|op| matches!(op, Op::FusedCmpIf { .. })), "{dis}");
+        assert!(has(|op| matches!(op, Op::FusedLoadCast { .. })), "{dis}");
+        assert!(has(|op| matches!(op, Op::FusedBinStore { .. })), "{dis}");
+        // The disassembly marks each superinstruction's padding op.
+        assert_eq!(
+            dis.matches("  ~ ").count(),
+            compiled.superinstruction_count()
         );
     }
 }

@@ -3,7 +3,6 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use paraprox_ir::{Func, Kernel, KernelId, MemSpace, Program, Scalar, Ty};
@@ -12,7 +11,7 @@ use crate::bytecode::{self, CompiledKernel};
 use crate::cache::Cache;
 use crate::error::LaunchError;
 use crate::exec::{self, Launch};
-use crate::profile::{DeviceProfile, ExecEngine, ProfileError};
+use crate::profile::{DeviceProfile, ProfileError};
 use crate::stats::LaunchStats;
 
 /// A two-dimensional grid or block shape.
@@ -122,41 +121,14 @@ impl Clone for BufferStorage {
 const PROGRAM_CACHE_CAP: usize = 1024;
 
 /// One verified entry of the compiled-program cache: the structural key
-/// (kernel plus every function of its program, cloned at insert time), the
-/// shared compiled artifact, the per-pc dynamic execution counters the
-/// profiling launch fills, and — once a profiled launch has completed —
-/// the fused superinstruction artifact every later launch runs.
+/// (kernel plus every function of its program, cloned at insert time) and
+/// the shared compiled artifact, superinstructions included, that every
+/// launch of the entry runs.
 #[derive(Debug)]
 struct CacheEntry {
     kernel: Kernel,
     funcs: Vec<Func>,
     compiled: Arc<CompiledKernel>,
-    /// Dynamic execution count per pc, bumped (for fusion-candidate pcs
-    /// only) during the first launch of this entry.
-    counts: Arc<Vec<AtomicU64>>,
-    /// Profile-guided fused artifact, built after the first successful
-    /// launch. `None` until then.
-    fused: Option<Arc<CompiledKernel>>,
-}
-
-/// One cache entry borrowed out for a single launch: the artifacts plus
-/// the `(key, idx)` handle needed to store a freshly fused artifact back
-/// after the profiling launch completes.
-#[derive(Clone)]
-pub(crate) struct ProgramHandle {
-    key: u64,
-    idx: usize,
-    pub(crate) compiled: Arc<CompiledKernel>,
-    pub(crate) counts: Arc<Vec<AtomicU64>>,
-    pub(crate) fused: Option<Arc<CompiledKernel>>,
-}
-
-impl ProgramHandle {
-    /// Stable identity of the cache entry this handle points at, used to
-    /// deduplicate post-launch fusion across the segments of a dispatch.
-    fn entry_id(&self) -> (u64, usize) {
-        (self.key, self.idx)
-    }
 }
 
 /// One validated launch handed to [`Device::dispatch`]: everything of an
@@ -168,8 +140,8 @@ pub(crate) struct PreparedLaunch<'a> {
     pub grid: Dim2,
     pub block: Dim2,
     pub args: &'a [ArgValue],
-    /// From [`Device::program_handle`].
-    pub handle: Option<ProgramHandle>,
+    /// From [`Device::compiled`].
+    pub compiled: Arc<CompiledKernel>,
     /// Bit-error rate of [`MemSpace::Approx`] loads for this launch.
     pub approx_rate: f64,
     /// Buffer arena indices the launch declares input-overwritten.
@@ -202,7 +174,7 @@ impl ProgramCache {
         program: &Program,
         kernel: &Kernel,
         profile: &DeviceProfile,
-    ) -> ProgramHandle {
+    ) -> Arc<CompiledKernel> {
         let mut h = DefaultHasher::new();
         kernel.hash(&mut h);
         for (_, f) in program.funcs() {
@@ -210,59 +182,28 @@ impl ProgramCache {
         }
         let key = h.finish();
         if let Some(list) = self.entries.get(&key) {
-            for (idx, e) in list.iter().enumerate() {
+            for e in list {
                 if e.kernel == *kernel
                     && e.funcs.len() == program.func_count()
                     && program.funcs().all(|(id, f)| e.funcs[id.0] == *f)
                 {
-                    return ProgramHandle {
-                        key,
-                        idx,
-                        compiled: Arc::clone(&e.compiled),
-                        counts: Arc::clone(&e.counts),
-                        fused: e.fused.as_ref().map(Arc::clone),
-                    };
+                    return Arc::clone(&e.compiled);
                 }
             }
         }
         let compiled = Arc::new(bytecode::compile_kernel(program, kernel, profile));
-        let counts: Arc<Vec<AtomicU64>> = Arc::new(
-            (0..compiled.op_count())
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-        );
         self.compiles += 1;
         if self.len >= PROGRAM_CACHE_CAP {
             self.entries.clear();
             self.len = 0;
         }
-        let list = self.entries.entry(key).or_default();
-        list.push(CacheEntry {
+        self.entries.entry(key).or_default().push(CacheEntry {
             kernel: kernel.clone(),
             funcs: program.funcs().map(|(_, f)| f.clone()).collect(),
             compiled: Arc::clone(&compiled),
-            counts: Arc::clone(&counts),
-            fused: None,
         });
-        let idx = list.len() - 1;
         self.len += 1;
-        ProgramHandle {
-            key,
-            idx,
-            compiled,
-            counts,
-            fused: None,
-        }
-    }
-
-    /// Attach the fused artifact produced after a profiling launch. The
-    /// `(key, idx)` handle is stable for the duration of one launch call
-    /// (entries are only removed by the wholesale cap clear, which cannot
-    /// run mid-launch); the defensive lookups cover the theoretical miss.
-    fn store_fused(&mut self, key: u64, idx: usize, fused: Arc<CompiledKernel>) {
-        if let Some(e) = self.entries.get_mut(&key).and_then(|l| l.get_mut(idx)) {
-            e.fused = Some(fused);
-        }
+        compiled
     }
 }
 
@@ -279,9 +220,6 @@ pub struct Device {
     /// When set, intra-block store *application order* is permuted
     /// per-block (see [`Device::set_schedule_seed`]).
     pub(crate) schedule_seed: Option<u64>,
-    /// Profile-guided superinstruction fusion for the bytecode engine
-    /// (default on; disabled by [`Device::set_fusion`]).
-    pub(crate) fusion: bool,
     /// Per-worker buffer images, retained across launches so a serving
     /// loop reuses the allocations instead of cloning the arena per
     /// launch (see [`Device::pooled_images`]).
@@ -335,7 +273,6 @@ impl Device {
             constant_cache,
             programs: ProgramCache::default(),
             schedule_seed: None,
-            fusion: true,
             image_pool: Vec::new(),
             approx_rate: 0.0,
             approx_seed: 0,
@@ -371,15 +308,6 @@ impl Device {
     /// patterns; the default is 0.
     pub fn set_approx_seed(&mut self, seed: u64) {
         self.approx_seed = seed;
-    }
-
-    /// Enable or disable profile-guided superinstruction fusion for the
-    /// bytecode engine (on by default). Fusion never changes results:
-    /// fused and unfused execution are bit-identical in buffers,
-    /// simulated cycles, and cache statistics
-    /// (`vgpu/tests/fusion.rs`).
-    pub fn set_fusion(&mut self, on: bool) {
-        self.fusion = on;
     }
 
     /// Number of per-worker buffer images currently pooled. Parallel
@@ -722,7 +650,7 @@ impl Device {
             grid,
             block,
             args,
-            handle: self.program_handle(program, k),
+            compiled: self.compiled(program, k),
             approx_rate: self.approx_rate,
             overwritten: &overwritten,
             l1: self.l1.clone(),
@@ -738,67 +666,39 @@ impl Device {
 
     /// Execute validated launches as one fused dispatch over the worker
     /// pool — the only way a kernel runs on this device; a plain launch
-    /// is a dispatch of one. Picks each launch's artifact: the fused one
-    /// when available, otherwise the base artifact — profiling pair
-    /// frequencies on the way when this is the entry's first
-    /// (fusion-enabled) launch.
-    ///
-    /// After a successful profiling launch, the hot pairs are fused and
-    /// the artifact cached; every later launch of that entry dispatches
-    /// the superinstructions. Errored dispatches skip fusing (their
-    /// counts may cover only a prefix of execution). The atomic counts
-    /// are worker-count independent: the *set* of executed pcs is
-    /// deterministic, and fusion only asks which counts are non-zero.
+    /// is a dispatch of one.
     pub(crate) fn dispatch(
         &mut self,
         launches: Vec<PreparedLaunch<'_>>,
     ) -> Result<Vec<exec::SegmentOutcome>, LaunchError> {
-        let mut profiled: Vec<ProgramHandle> = Vec::new();
         let segments = launches
             .into_iter()
-            .map(|p| {
-                let (compiled, profile_counts) = match p.handle {
-                    None => (None, None),
-                    Some(h) if !self.fusion => (Some(h.compiled), None),
-                    Some(ProgramHandle { fused: Some(f), .. }) => (Some(f), None),
-                    Some(h) => {
-                        if !profiled.iter().any(|q| q.entry_id() == h.entry_id()) {
-                            profiled.push(h.clone());
-                        }
-                        (Some(h.compiled), Some(h.counts))
-                    }
-                };
-                exec::FusedSegment {
-                    launch: Launch {
-                        profile: &self.profile,
-                        program: p.program,
-                        kernel: p.kernel,
-                        args: p.args,
-                        grid: p.grid,
-                        block: p.block,
-                        compiled,
-                        schedule_seed: self.schedule_seed,
-                        profile_counts,
-                        approx_threshold: exec::approx_threshold(p.approx_rate),
-                        approx_seed: self.approx_seed,
-                        overwritten: p.overwritten,
-                    },
-                    l1: p.l1,
-                    constant_cache: p.constant_cache,
-                }
+            .map(|p| exec::FusedSegment {
+                launch: Launch {
+                    profile: &self.profile,
+                    #[cfg(any(test, feature = "oracle"))]
+                    program: p.program,
+                    kernel: p.kernel,
+                    args: p.args,
+                    grid: p.grid,
+                    block: p.block,
+                    compiled: p.compiled,
+                    schedule_seed: self.schedule_seed,
+                    approx_threshold: exec::approx_threshold(p.approx_rate),
+                    approx_seed: self.approx_seed,
+                    overwritten: p.overwritten,
+                },
+                l1: p.l1,
+                constant_cache: p.constant_cache,
             })
             .collect();
-        let outcomes = exec::run_fused(
+        exec::run_fused(
             segments,
             self.workers,
             &mut self.buffers,
             &mut self.image_pool,
             &self.refresh,
-        )?;
-        for h in &profiled {
-            self.store_fused_from_counts(h);
-        }
-        Ok(outcomes)
+        )
     }
 
     /// Validate a launch shape and argument list against a kernel's
@@ -881,25 +781,9 @@ impl Device {
     }
 
     /// Look up (or compile) the bytecode artifact for `kernel` of
-    /// `program` under the profile's engine. `None` means the
-    /// tree-walking engine is active.
-    pub(crate) fn program_handle(
-        &mut self,
-        program: &Program,
-        k: &Kernel,
-    ) -> Option<ProgramHandle> {
-        match self.profile.engine {
-            ExecEngine::Bytecode => Some(self.programs.get_or_compile(program, k, &self.profile)),
-            ExecEngine::TreeWalk => None,
-        }
-    }
-
-    /// Build the fused superinstruction artifact from a handle's filled
-    /// profiling counters and store it on the cache entry.
-    pub(crate) fn store_fused_from_counts(&mut self, h: &ProgramHandle) {
-        let snapshot: Vec<u64> = h.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-        let fused = Arc::new(h.compiled.fuse(&snapshot));
-        self.programs.store_fused(h.key, h.idx, fused);
+    /// `program`.
+    pub(crate) fn compiled(&mut self, program: &Program, k: &Kernel) -> Arc<CompiledKernel> {
+        self.programs.get_or_compile(program, k, &self.profile)
     }
 }
 

@@ -49,10 +49,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use paraprox_ir::{
-    BinOp, CmpOp, EvalError, Expr, Func, Kernel, LoopCond, LoopStep, MemRef, MemSpace, Program,
-    Scalar, Special, Stmt, Ty,
-};
+use paraprox_ir::{BinOp, EvalError, Kernel, MemRef, MemSpace, Scalar, Ty};
 
 use crate::cache::Cache;
 use crate::device::{ArgValue, BufferStorage, Dim2};
@@ -70,9 +67,6 @@ pub(crate) const ITERATION_BUDGET: u64 = 1 << 33;
 
 /// Divergence masks are per-warp `u64` bitsets, shared by both engines.
 pub(crate) type Mask = LaneMask;
-
-/// Lane-indexed values; entries for inactive lanes hold an arbitrary filler.
-pub(crate) type Lanes = Vec<Scalar>;
 
 pub(crate) const FILLER: Scalar = Scalar::I32(0);
 
@@ -105,13 +99,6 @@ pub(crate) trait LaneGet {
     /// The row's bit strip when every active lane has type `tag`.
     fn strip_of(&self, _tag: u8, _mask: &Mask) -> Option<&[u32]> {
         None
-    }
-}
-
-impl LaneGet for Vec<Scalar> {
-    #[inline(always)]
-    fn lane(&self, i: usize) -> Scalar {
-        self[i]
     }
 }
 
@@ -160,18 +147,6 @@ pub(crate) trait LaneSet {
     }
 }
 
-impl LaneSet for Vec<Scalar> {
-    fn fill_filler(&mut self, lanes: usize) {
-        self.clear();
-        self.resize(lanes, FILLER);
-    }
-
-    #[inline(always)]
-    fn set_lane(&mut self, i: usize, v: Scalar) {
-        self[i] = v;
-    }
-}
-
 impl LaneSet for crate::soa::RegRow {
     fn fill_filler(&mut self, lanes: usize) {
         self.reset_filler(lanes);
@@ -189,51 +164,6 @@ impl LaneSet for crate::soa::RegRow {
     #[inline]
     fn begin_strip(&mut self, tag: u8, mask: &Mask) -> Option<&mut [u32]> {
         Some(crate::soa::RegRow::begin_strip(self, tag, mask))
-    }
-}
-
-/// Reusable lane vectors: the interpreter churns through short-lived
-/// per-statement vectors, so each worker keeps a small free list instead
-/// of hitting the allocator per expression. (Masks are packed bitsets now
-/// — one or two words for typical block sizes — and no longer pooled.)
-#[derive(Default)]
-pub(crate) struct ScratchPool {
-    lanes: Vec<Lanes>,
-}
-
-/// Cap on pooled vectors; beyond this they are simply dropped.
-const SCRATCH_POOL_CAP: usize = 64;
-
-impl ScratchPool {
-    fn take_lanes(&mut self, n: usize, fill: Scalar) -> Lanes {
-        match self.lanes.pop() {
-            Some(mut v) => {
-                v.clear();
-                v.resize(n, fill);
-                v
-            }
-            None => vec![fill; n],
-        }
-    }
-
-    /// Take a recycled vector initialized as a copy of `src` — one
-    /// recycle-plus-memcpy, instead of filling with a placeholder and
-    /// overwriting every slot.
-    fn take_lanes_from(&mut self, src: &[Scalar]) -> Lanes {
-        match self.lanes.pop() {
-            Some(mut v) => {
-                v.clear();
-                v.extend_from_slice(src);
-                v
-            }
-            None => src.to_vec(),
-        }
-    }
-
-    fn put_lanes(&mut self, v: Lanes) {
-        if self.lanes.len() < SCRATCH_POOL_CAP {
-            self.lanes.push(v);
-        }
     }
 }
 
@@ -280,58 +210,24 @@ fn replay_writes(buffers: &mut [BufferStorage], log: &[LoggedWrite]) -> Result<(
     Ok(())
 }
 
-enum FrameArgs<'v> {
-    /// Kernel frame: scalar arguments come from the launch's `ArgValue`s.
-    Kernel,
-    /// Function frame: per-lane argument vectors.
-    Func(&'v [Lanes]),
-}
-
-struct Frame<'v> {
-    args: FrameArgs<'v>,
-    locals: Vec<Option<Lanes>>,
-    /// Set only for function frames: lanes that have executed `Return`,
-    /// plus their values.
-    returned: Option<(Mask, Lanes)>,
-}
-
-impl<'v> Frame<'v> {
-    fn for_kernel(local_count: usize) -> Frame<'static> {
-        Frame {
-            args: FrameArgs::Kernel,
-            locals: vec![None; local_count],
-            returned: None,
-        }
-    }
-
-    fn for_func(args: &'v [Lanes], local_count: usize, lanes: usize) -> Frame<'v> {
-        Frame {
-            args: FrameArgs::Func(args),
-            locals: vec![None; local_count],
-            returned: Some((LaneMask::empty(lanes), vec![FILLER; lanes])),
-        }
-    }
-}
-
 /// Launch-wide immutable state shared by every worker.
 pub(crate) struct Launch<'a> {
     pub profile: &'a DeviceProfile,
-    pub program: &'a Program,
+    /// Where the tree-walking oracle resolves calls; the bytecode has
+    /// them compiled in.
+    #[cfg(any(test, feature = "oracle"))]
+    pub program: &'a paraprox_ir::Program,
     pub kernel: &'a Kernel,
     pub args: &'a [ArgValue],
     pub grid: Dim2,
     pub block: Dim2,
-    /// Compiled bytecode for the kernel; `None` selects the tree-walking
-    /// oracle. Shared read-only by all workers.
-    pub compiled: Option<Arc<crate::bytecode::CompiledKernel>>,
+    /// The kernel compiled to bytecode, superinstructions included: the
+    /// one artifact every launch of it runs. Shared read-only by all
+    /// workers.
+    pub compiled: Arc<crate::bytecode::CompiledKernel>,
     /// Seed for per-block store-application-order permutation (None =
     /// canonical lane order).
     pub schedule_seed: Option<u64>,
-    /// Per-pc dynamic execution counters for the profile-guided fusion
-    /// pass (bytecode engine only; indexed like `compiled`'s op stream).
-    /// Atomic so concurrent pool workers can bump them racelessly — the
-    /// summed counts are deterministic for any worker count.
-    pub profile_counts: Option<Arc<Vec<AtomicU64>>>,
     /// Bit-flip probability for [`MemSpace::Approx`] loads, pre-scaled to
     /// a `u64` threshold (`rate * 2^64`, saturating); 0 disables
     /// injection entirely. See [`approx_threshold`].
@@ -481,7 +377,6 @@ impl MemScratch {
 struct Worker<'a> {
     buffers: &'a mut Vec<BufferStorage>,
     log: Vec<LoggedWrite>,
-    scratch: ScratchPool,
     bc: crate::bytecode::BcScratch,
     mem: MemScratch,
 }
@@ -491,7 +386,6 @@ impl<'a> Worker<'a> {
         Worker {
             buffers,
             log: Vec::new(),
-            scratch: ScratchPool::default(),
             bc: crate::bytecode::BcScratch::default(),
             mem: MemScratch::new(profile),
         }
@@ -515,7 +409,6 @@ impl<'a> Worker<'a> {
             self.buffers,
             isolate.then_some(&mut self.log),
             &seg.iterations,
-            &mut self.scratch,
             &mut self.bc,
             &mut self.mem,
         );
@@ -780,15 +673,14 @@ fn flip_bit(bits: u32, tag: u8, bit: u32) -> u32 {
 }
 
 /// Run a single block to completion and return its stats; its final
-/// caches are left in `mem`.
-#[allow(clippy::too_many_arguments)]
+/// caches are left in `mem`. The tree-walking oracle, present only in
+/// test builds, runs instead of the bytecode when the profile selects it.
 fn exec_block(
     launch: &Launch<'_>,
     block_id: usize,
     buffers: &mut Vec<BufferStorage>,
     log: Option<&mut Vec<LoggedWrite>>,
     iterations: &AtomicU64,
-    scratch: &mut ScratchPool,
     bc: &mut crate::bytecode::BcScratch,
     mem: &mut MemScratch,
 ) -> Result<LaunchStats, EvalError> {
@@ -796,8 +688,6 @@ fn exec_block(
     mem.begin_block(launch, block_id, lanes);
     let mut ctx = ExecCtx {
         profile: launch.profile,
-        program: launch.program,
-        kernel: launch.kernel,
         args: launch.args,
         grid: launch.grid,
         block: launch.block,
@@ -809,7 +699,6 @@ fn exec_block(
         block_x: (block_id % launch.grid.x) as i32,
         block_y: (block_id / launch.grid.x) as i32,
         iterations,
-        scratch,
         approx_threshold: launch.approx_threshold,
         approx_rng: launch.approx_seed
             ^ (block_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
@@ -818,24 +707,17 @@ fn exec_block(
     ctx.stats.blocks = 1;
     ctx.stats.warps = lanes.div_ceil(ctx.profile.warp_width) as u64;
     ctx.stats.overhead_cycles = ctx.profile.block_overhead;
-    match &launch.compiled {
-        Some(prog) => {
-            let counts = launch.profile_counts.as_ref().map(|c| &c[..]);
-            crate::bytecode::execute(&mut ctx, prog, bc, counts)?
-        }
-        None => {
-            let mask = LaneMask::full(lanes);
-            let mut frame = Frame::for_kernel(ctx.kernel.locals.len());
-            ctx.run_block(&launch.kernel.body, &mask, &mut frame)?;
-        }
+    #[cfg(any(test, feature = "oracle"))]
+    if launch.profile.engine == crate::oracle::ExecEngine::TreeWalk {
+        crate::oracle::run_kernel(&mut ctx, launch.program, launch.kernel)?;
+        return Ok(ctx.stats);
     }
+    crate::bytecode::execute(&mut ctx, &launch.compiled, bc)?;
     Ok(ctx.stats)
 }
 
 pub(crate) struct ExecCtx<'a> {
     pub(crate) profile: &'a DeviceProfile,
-    pub(crate) program: &'a Program,
-    pub(crate) kernel: &'a Kernel,
     pub(crate) args: &'a [ArgValue],
     pub(crate) grid: Dim2,
     pub(crate) block: Dim2,
@@ -852,7 +734,6 @@ pub(crate) struct ExecCtx<'a> {
     pub(crate) block_y: i32,
     /// Launch-wide loop-iteration budget, shared across workers.
     pub(crate) iterations: &'a AtomicU64,
-    pub(crate) scratch: &'a mut ScratchPool,
     /// Flip threshold for [`MemSpace::Approx`] loads (0 = off); see
     /// [`approx_threshold`].
     pub(crate) approx_threshold: u64,
@@ -877,446 +758,6 @@ impl ExecCtx<'_> {
         let warps = self.warp_count(mask);
         self.stats.compute_cycles += lat * warps;
         self.stats.instructions += warps;
-    }
-
-    // ---- expression evaluation ----------------------------------------
-
-    fn eval(&mut self, e: &Expr, mask: &Mask, frame: &mut Frame<'_>) -> Result<Lanes, EvalError> {
-        match e {
-            Expr::Const(v) => Ok(self.scratch.take_lanes(self.lanes, *v)),
-            Expr::Var(v) => {
-                let lanes = frame.locals[v.index()]
-                    .as_ref()
-                    .ok_or(EvalError::UninitializedVar(v.0))?;
-                Ok(self.scratch.take_lanes_from(lanes))
-            }
-            Expr::Param(i) => match &frame.args {
-                FrameArgs::Kernel => match self.args.get(*i) {
-                    Some(ArgValue::Scalar(s)) => Ok(self.scratch.take_lanes(self.lanes, *s)),
-                    Some(ArgValue::Buffer(_)) => {
-                        Err(EvalError::NotPure("buffer parameter read as a scalar"))
-                    }
-                    None => Err(EvalError::ArityMismatch {
-                        expected: *i + 1,
-                        found: self.args.len(),
-                    }),
-                },
-                FrameArgs::Func(args) => match args.get(*i) {
-                    Some(arg) => Ok(self.scratch.take_lanes_from(arg)),
-                    None => Err(EvalError::ArityMismatch {
-                        expected: *i + 1,
-                        found: 0,
-                    }),
-                },
-            },
-            Expr::Special(s) => {
-                if matches!(frame.args, FrameArgs::Func(_)) {
-                    return Err(EvalError::NotPure("thread special"));
-                }
-                let bx = self.block_x;
-                let by = self.block_y;
-                let bdx = self.block.x as i32;
-                let bdy = self.block.y as i32;
-                let gdx = self.grid.x as i32;
-                let gdy = self.grid.y as i32;
-                let mut out = self.scratch.take_lanes(self.lanes, FILLER);
-                for (lane, slot) in out.iter_mut().enumerate() {
-                    let tx = (lane % self.block.x) as i32;
-                    let ty = (lane / self.block.x) as i32;
-                    *slot = Scalar::I32(match s {
-                        Special::ThreadIdX => tx,
-                        Special::ThreadIdY => ty,
-                        Special::BlockIdX => bx,
-                        Special::BlockIdY => by,
-                        Special::BlockDimX => bdx,
-                        Special::BlockDimY => bdy,
-                        Special::GridDimX => gdx,
-                        Special::GridDimY => gdy,
-                    });
-                }
-                Ok(out)
-            }
-            Expr::Unary(op, a) => {
-                let va = self.eval(a, mask, frame)?;
-                self.charge_compute(self.profile.unop_lat(*op), mask);
-                let mut out = self.scratch.take_lanes(self.lanes, FILLER);
-                if mask.all() {
-                    for lane in 0..self.lanes {
-                        out[lane] = op.apply(va[lane])?;
-                    }
-                } else {
-                    for lane in mask.iter_set() {
-                        out[lane] = op.apply(va[lane])?;
-                    }
-                }
-                self.scratch.put_lanes(va);
-                Ok(out)
-            }
-            Expr::Binary(op, a, b) => {
-                let va = self.eval(a, mask, frame)?;
-                let vb = self.eval(b, mask, frame)?;
-                let float = mask
-                    .iter_set()
-                    .next()
-                    .map(|l| va[l].ty() == Ty::F32)
-                    .unwrap_or(false);
-                self.charge_compute(self.profile.binop_lat(*op, float), mask);
-                let mut out = self.scratch.take_lanes(self.lanes, FILLER);
-                if mask.all() {
-                    for lane in 0..self.lanes {
-                        out[lane] = op.apply(va[lane], vb[lane])?;
-                    }
-                } else {
-                    for lane in mask.iter_set() {
-                        out[lane] = op.apply(va[lane], vb[lane])?;
-                    }
-                }
-                self.scratch.put_lanes(va);
-                self.scratch.put_lanes(vb);
-                Ok(out)
-            }
-            Expr::Cmp(op, a, b) => {
-                let va = self.eval(a, mask, frame)?;
-                let vb = self.eval(b, mask, frame)?;
-                self.charge_compute(self.profile.alu_lat, mask);
-                let mut out = self.scratch.take_lanes(self.lanes, FILLER);
-                if mask.all() {
-                    for lane in 0..self.lanes {
-                        out[lane] = op.apply(va[lane], vb[lane])?;
-                    }
-                } else {
-                    for lane in mask.iter_set() {
-                        out[lane] = op.apply(va[lane], vb[lane])?;
-                    }
-                }
-                self.scratch.put_lanes(va);
-                self.scratch.put_lanes(vb);
-                Ok(out)
-            }
-            Expr::Select {
-                cond,
-                if_true,
-                if_false,
-            } => {
-                let c = self.eval(cond, mask, frame)?;
-                self.charge_compute(self.profile.alu_lat, mask);
-                let mut t_mask = LaneMask::empty(self.lanes);
-                let mut f_mask = LaneMask::empty(self.lanes);
-                for lane in mask.iter_set() {
-                    if c[lane].as_bool()? {
-                        t_mask.set(lane, true);
-                    } else {
-                        f_mask.set(lane, true);
-                    }
-                }
-                self.scratch.put_lanes(c);
-                let mut out = self.scratch.take_lanes(self.lanes, FILLER);
-                if t_mask.any() {
-                    let tv = self.eval(if_true, &t_mask, frame)?;
-                    for lane in t_mask.iter_set() {
-                        out[lane] = tv[lane];
-                    }
-                    self.scratch.put_lanes(tv);
-                }
-                if f_mask.any() {
-                    let fv = self.eval(if_false, &f_mask, frame)?;
-                    for lane in f_mask.iter_set() {
-                        out[lane] = fv[lane];
-                    }
-                    self.scratch.put_lanes(fv);
-                }
-                Ok(out)
-            }
-            Expr::Cast(ty, a) => {
-                let va = self.eval(a, mask, frame)?;
-                self.charge_compute(self.profile.alu_lat, mask);
-                let mut out = self.scratch.take_lanes(self.lanes, FILLER);
-                if mask.all() {
-                    for lane in 0..self.lanes {
-                        out[lane] = va[lane].cast(*ty);
-                    }
-                } else {
-                    for lane in mask.iter_set() {
-                        out[lane] = va[lane].cast(*ty);
-                    }
-                }
-                self.scratch.put_lanes(va);
-                Ok(out)
-            }
-            Expr::Load { mem, index } => {
-                let idx = self.eval(index, mask, frame)?;
-                if matches!(frame.args, FrameArgs::Func(_)) {
-                    return Err(EvalError::NotPure("load"));
-                }
-                let out = self.do_load(*mem, &idx, mask)?;
-                self.scratch.put_lanes(idx);
-                Ok(out)
-            }
-            Expr::Call { func, args } => {
-                let callee = self
-                    .program
-                    .funcs()
-                    .find(|(id, _)| id == func)
-                    .map(|(_, f)| f)
-                    .ok_or(EvalError::UnknownFunc(func.0))?;
-                let mut arg_lanes = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_lanes.push(self.eval(a, mask, frame)?);
-                }
-                let out = self.call_func(callee, &arg_lanes, mask)?;
-                for v in arg_lanes {
-                    self.scratch.put_lanes(v);
-                }
-                Ok(out)
-            }
-        }
-    }
-
-    fn call_func(&mut self, func: &Func, args: &[Lanes], mask: &Mask) -> Result<Lanes, EvalError> {
-        if args.len() != func.params.len() {
-            return Err(EvalError::ArityMismatch {
-                expected: func.params.len(),
-                found: args.len(),
-            });
-        }
-        for (arg, param) in args.iter().zip(&func.params) {
-            for lane in mask.iter_set() {
-                if arg[lane].ty() != param.ty() {
-                    return Err(EvalError::TypeMismatch {
-                        expected: param.ty(),
-                        found: arg[lane].ty(),
-                    });
-                }
-            }
-        }
-        // Call overhead (argument setup / jump).
-        self.charge_compute(self.profile.alu_lat, mask);
-        let mut frame = Frame::for_func(args, func.locals.len(), self.lanes);
-        self.run_block(&func.body, mask, &mut frame)?;
-        let (returned, values) = frame.returned.expect("function frame has returned set");
-        for lane in mask.iter_set() {
-            if !returned.get(lane) {
-                return Err(EvalError::MissingReturn(func.name.clone()));
-            }
-        }
-        Ok(values)
-    }
-
-    // ---- statements ----------------------------------------------------
-
-    fn run_block(
-        &mut self,
-        stmts: &[Stmt],
-        mask: &Mask,
-        frame: &mut Frame<'_>,
-    ) -> Result<(), EvalError> {
-        if frame.returned.is_none() {
-            // Kernel frames never return, so the live mask is the incoming
-            // mask for every statement — no per-statement bookkeeping.
-            if !mask.any() {
-                return Ok(());
-            }
-            for stmt in stmts {
-                self.run_stmt(stmt, mask, frame)?;
-            }
-            return Ok(());
-        }
-        let mut live = LaneMask::empty(self.lanes);
-        for stmt in stmts {
-            let (returned, _) = frame.returned.as_ref().expect("checked above");
-            live.copy_from(mask);
-            live.and_not_assign(returned);
-            if !live.any() {
-                break;
-            }
-            self.run_stmt(stmt, &live, frame)?;
-        }
-        Ok(())
-    }
-
-    fn run_stmt(
-        &mut self,
-        stmt: &Stmt,
-        mask: &Mask,
-        frame: &mut Frame<'_>,
-    ) -> Result<(), EvalError> {
-        match stmt {
-            Stmt::Let { var, init } | Stmt::Assign { var, value: init } => {
-                let v = self.eval(init, mask, frame)?;
-                match &mut frame.locals[var.index()] {
-                    Some(existing) => {
-                        if mask.all() {
-                            existing.copy_from_slice(&v);
-                        } else {
-                            for lane in mask.iter_set() {
-                                existing[lane] = v[lane];
-                            }
-                        }
-                        self.scratch.put_lanes(v);
-                    }
-                    slot @ None => *slot = Some(v),
-                }
-                Ok(())
-            }
-            Stmt::Store { mem, index, value } => {
-                if matches!(frame.args, FrameArgs::Func(_)) {
-                    return Err(EvalError::NotPure("store"));
-                }
-                let idx = self.eval(index, mask, frame)?;
-                let val = self.eval(value, mask, frame)?;
-                let result = self.do_store(*mem, &idx, &val, mask);
-                self.scratch.put_lanes(idx);
-                self.scratch.put_lanes(val);
-                result
-            }
-            Stmt::Atomic {
-                op,
-                mem,
-                index,
-                value,
-            } => {
-                if matches!(frame.args, FrameArgs::Func(_)) {
-                    return Err(EvalError::NotPure("atomic"));
-                }
-                let idx = self.eval(index, mask, frame)?;
-                let val = self.eval(value, mask, frame)?;
-                let result = self.do_atomic(*op, *mem, &idx, &val, mask);
-                self.scratch.put_lanes(idx);
-                self.scratch.put_lanes(val);
-                result
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-            } => {
-                let c = self.eval(cond, mask, frame)?;
-                self.charge_compute(self.profile.alu_lat, mask); // branch
-                let mut t_mask = LaneMask::empty(self.lanes);
-                let mut f_mask = LaneMask::empty(self.lanes);
-                for lane in mask.iter_set() {
-                    if c[lane].as_bool()? {
-                        t_mask.set(lane, true);
-                    } else {
-                        f_mask.set(lane, true);
-                    }
-                }
-                self.scratch.put_lanes(c);
-                if t_mask.any() {
-                    self.run_block(then_body, &t_mask, frame)?;
-                }
-                if f_mask.any() {
-                    self.run_block(else_body, &f_mask, frame)?;
-                }
-                Ok(())
-            }
-            Stmt::For {
-                var,
-                init,
-                cond,
-                step,
-                body,
-            } => {
-                let init_v = self.eval(init, mask, frame)?;
-                match &mut frame.locals[var.index()] {
-                    Some(existing) => {
-                        for lane in mask.iter_set() {
-                            existing[lane] = init_v[lane];
-                        }
-                        self.scratch.put_lanes(init_v);
-                    }
-                    slot @ None => *slot = Some(init_v),
-                }
-                let cmp_op = match cond {
-                    LoopCond::Lt(_) => CmpOp::Lt,
-                    LoopCond::Le(_) => CmpOp::Le,
-                    LoopCond::Gt(_) => CmpOp::Gt,
-                    LoopCond::Ge(_) => CmpOp::Ge,
-                };
-                let step_op = match step {
-                    LoopStep::Add(_) => BinOp::Add,
-                    LoopStep::Sub(_) => BinOp::Sub,
-                    LoopStep::Mul(_) => BinOp::Mul,
-                    LoopStep::Shl(_) => BinOp::Shl,
-                    LoopStep::Shr(_) => BinOp::Shr,
-                };
-                let mut loop_mask = mask.clone();
-                if let Some((returned, _)) = &frame.returned {
-                    loop_mask.and_not_assign(returned);
-                }
-                loop {
-                    if !loop_mask.any() {
-                        break;
-                    }
-                    // Evaluate the continuation condition for lanes still in
-                    // the loop.
-                    let bound = self.eval(cond.bound(), &loop_mask, frame)?;
-                    self.charge_compute(self.profile.alu_lat, &loop_mask); // cmp+branch
-                    let current = frame.locals[var.index()]
-                        .as_ref()
-                        .ok_or(EvalError::UninitializedVar(var.0))?;
-                    let mut next_mask = LaneMask::empty(self.lanes);
-                    for lane in loop_mask.iter_set() {
-                        if cmp_op.apply(current[lane], bound[lane])?.as_bool()? {
-                            next_mask.set(lane, true);
-                        }
-                    }
-                    self.scratch.put_lanes(bound);
-                    loop_mask = next_mask;
-                    if !loop_mask.any() {
-                        break;
-                    }
-                    // The iteration budget is launch-wide: one shared
-                    // counter across all workers, so runaway loops are
-                    // bounded per launch rather than per block.
-                    let used = self.iterations.fetch_add(1, Ordering::Relaxed) + 1;
-                    if used > ITERATION_BUDGET {
-                        return Err(EvalError::IterationLimit);
-                    }
-                    self.run_block(body, &loop_mask, frame)?;
-                    // Lanes that returned inside the body leave the loop.
-                    if let Some((returned, _)) = &frame.returned {
-                        loop_mask.and_not_assign(returned);
-                    }
-                    if !loop_mask.any() {
-                        break;
-                    }
-                    let amount = self.eval(step.amount(), &loop_mask, frame)?;
-                    self.charge_compute(self.profile.alu_lat, &loop_mask); // update
-                    let current = frame.locals[var.index()]
-                        .as_mut()
-                        .ok_or(EvalError::UninitializedVar(var.0))?;
-                    for lane in loop_mask.iter_set() {
-                        current[lane] = step_op.apply(current[lane], amount[lane])?;
-                    }
-                    self.scratch.put_lanes(amount);
-                }
-                Ok(())
-            }
-            Stmt::Sync => {
-                if matches!(frame.args, FrameArgs::Func(_)) {
-                    return Err(EvalError::NotPure("sync"));
-                }
-                if mask.all() {
-                    Ok(())
-                } else {
-                    Err(EvalError::DivergentBarrier)
-                }
-            }
-            Stmt::Return(e) => {
-                if frame.returned.is_none() {
-                    return Err(EvalError::NotPure("return in kernel body"));
-                }
-                let v = self.eval(e, mask, frame)?;
-                let (returned, values) = frame.returned.as_mut().expect("checked above");
-                for lane in mask.iter_set() {
-                    returned.set(lane, true);
-                    values[lane] = v[lane];
-                }
-                self.scratch.put_lanes(v);
-                Ok(())
-            }
-        }
     }
 
     // ---- memory --------------------------------------------------------
@@ -1364,13 +805,6 @@ impl ExecCtx<'_> {
                 found: other.ty(),
             }),
         }
-    }
-
-    fn do_load(&mut self, mem: MemRef, idx: &Lanes, mask: &Mask) -> Result<Lanes, EvalError> {
-        // Empty: `do_load_into` sizes and fills it.
-        let mut out = self.scratch.take_lanes(0, FILLER);
-        self.do_load_into(mem, idx, mask, &mut out)?;
-        Ok(out)
     }
 
     /// Perform a load into `out`: active lanes receive the loaded values,

@@ -111,21 +111,21 @@ fn execute_fused_inner(
             .collect();
         // Validate every participating launch before any of them runs.
         // Consecutive jobs over the same program and kernel (the common
-        // batch shape) reuse the previous handle instead of re-hashing
+        // batch shape) reuse the previous artifact instead of re-hashing
         // the kernel in the program cache.
         let mut launches: Vec<PreparedLaunch<'_>> = Vec::with_capacity(staged.len());
         for (ji, lp, args) in &staged {
             let job = &jobs[*ji];
             let kernel = job.program.kernel(lp.kernel);
             device.validate_launch(kernel, lp.grid, lp.block, args)?;
-            let handle = match launches.last() {
+            let compiled = match launches.last() {
                 Some(prev)
                     if std::ptr::eq(prev.program, job.program)
                         && std::ptr::eq(prev.kernel, kernel) =>
                 {
-                    prev.handle.clone()
+                    std::sync::Arc::clone(&prev.compiled)
                 }
-                _ => device.program_handle(job.program, kernel),
+                _ => device.compiled(job.program, kernel),
             };
             launches.push(PreparedLaunch {
                 program: job.program,
@@ -133,7 +133,7 @@ fn execute_fused_inner(
                 grid: lp.grid,
                 block: lp.block,
                 args,
-                handle,
+                compiled,
                 approx_rate: job.approx_rate,
                 overwritten: &[],
                 l1: caches[*ji].0.clone(),

@@ -18,13 +18,14 @@
 //! environment variable); results, simulated cycles, and cache statistics
 //! are bit-identical for every worker count.
 //!
-//! Two execution engines are available (see [`ExecEngine`] and
-//! [`DeviceProfile::with_engine`]): the default *bytecode* engine
-//! compiles each kernel once to a register-machine instruction stream
-//! (cached per device, shared across launches and pool workers), and the
-//! *tree-walking* engine interprets the AST directly and serves as the
-//! reference oracle. Both produce bit-identical results, simulated cycles,
-//! and cache statistics; only host wall-clock time differs.
+//! Kernels run on one engine: each kernel is compiled once to a
+//! register-machine instruction stream, with adjacent op pairs fused into
+//! superinstructions at compile time, and cached per device (shared across
+//! launches and pool workers). The tree-walking interpreter that serves
+//! as the engine's reference oracle is compiled only into test builds,
+//! behind the dev-only `oracle` feature (`ExecEngine`,
+//! `DeviceProfile::with_engine`); the two produce bit-identical results,
+//! simulated cycles, and cache statistics.
 //!
 //! Executing a kernel yields both its *results* (buffer contents) and its
 //! *cost* ([`LaunchStats`], in device cycles). All speedups reported by the
@@ -72,6 +73,8 @@ mod error;
 mod exec;
 mod fused;
 mod mask;
+#[cfg(any(test, feature = "oracle"))]
+mod oracle;
 mod plan;
 mod pool;
 mod profile;
@@ -83,6 +86,8 @@ pub use cache::{Cache, CacheConfig};
 pub use device::{ArgValue, BufferId, Device, Dim2};
 pub use error::LaunchError;
 pub use fused::{execute_fused, FusedJob};
+#[cfg(any(test, feature = "oracle"))]
+pub use oracle::ExecEngine;
 pub use plan::{BufferInit, BufferSpec, LaunchPlan, Pipeline, PipelineRun, PlanArg};
-pub use profile::{DeviceKind, DeviceProfile, ExecEngine, ProfileError};
+pub use profile::{DeviceKind, DeviceProfile, ProfileError};
 pub use stats::LaunchStats;

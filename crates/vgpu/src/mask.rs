@@ -89,6 +89,7 @@ pub(crate) fn pack_word(live: u64, n: usize, keep: impl Fn(usize) -> bool) -> u6
 
 impl LaneMask {
     /// All `lanes` lanes active.
+    #[cfg(any(test, feature = "oracle"))]
     pub fn full(lanes: usize) -> LaneMask {
         let n = lanes.div_ceil(WORD);
         let mut words = vec![u64::MAX; n];
@@ -99,6 +100,7 @@ impl LaneMask {
     }
 
     /// No lanes active.
+    #[cfg(any(test, feature = "oracle"))]
     pub fn empty(lanes: usize) -> LaneMask {
         LaneMask {
             lanes,

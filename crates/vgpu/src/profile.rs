@@ -17,22 +17,6 @@ pub enum DeviceKind {
     Cpu,
 }
 
-/// Which interpreter executes kernel launches.
-///
-/// Both engines are required to produce bit-identical buffers, simulated
-/// cycles, and cache statistics; the choice only affects host wall-clock
-/// time. The tree-walker is kept as the reference oracle for differential
-/// testing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ExecEngine {
-    /// Compile each kernel once to register-machine bytecode and execute
-    /// the flat instruction stream (the default, fastest engine).
-    #[default]
-    Bytecode,
-    /// Walk the `Expr`/`Stmt` AST directly (the reference oracle).
-    TreeWalk,
-}
-
 /// Why a [`DeviceProfile`] cannot be simulated (see
 /// [`DeviceProfile::validate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,11 +154,12 @@ pub struct DeviceProfile {
     /// bit-identical for every setting — this only affects wall-clock time,
     /// never simulated cycles.
     pub parallelism: usize,
-    /// Which interpreter executes launches (bytecode by default; the
-    /// tree-walking oracle for differential testing, selected with
-    /// [`DeviceProfile::with_engine`]). Results are bit-identical for
-    /// either engine (`apps/tests/engine_equivalence.rs`).
-    pub engine: ExecEngine,
+    /// Which interpreter executes launches: bytecode by default, the
+    /// tree-walking oracle for differential testing. Results are
+    /// bit-identical for either engine (`apps/tests/engine_equivalence.rs`).
+    /// Exists only under the dev-only `oracle` feature.
+    #[cfg(any(test, feature = "oracle"))]
+    pub engine: crate::oracle::ExecEngine,
 }
 
 impl DeviceProfile {
@@ -206,7 +191,8 @@ impl DeviceProfile {
             cache: CacheConfig::gpu_l1_16k(),
             shared_mem_bytes: 48 * 1024,
             parallelism: 0,
-            engine: ExecEngine::default(),
+            #[cfg(any(test, feature = "oracle"))]
+            engine: Default::default(),
         }
     }
 
@@ -238,7 +224,8 @@ impl DeviceProfile {
             cache: CacheConfig::cpu_l1_256k(),
             shared_mem_bytes: 256 * 1024,
             parallelism: 0,
-            engine: ExecEngine::default(),
+            #[cfg(any(test, feature = "oracle"))]
+            engine: Default::default(),
         }
     }
 
@@ -263,12 +250,6 @@ impl DeviceProfile {
     /// available cores, `1` = serial).
     pub fn with_parallelism(mut self, workers: usize) -> DeviceProfile {
         self.parallelism = workers;
-        self
-    }
-
-    /// Return the profile with its execution-engine knob set.
-    pub fn with_engine(mut self, engine: ExecEngine) -> DeviceProfile {
-        self.engine = engine;
         self
     }
 

@@ -58,8 +58,8 @@ pub struct LaunchStats {
     /// superinstruction counts once). Zero on the tree-walking engine.
     /// Engine-dependent host-side diagnostic: excluded from equality.
     pub ops_dispatched: u64,
-    /// Fused superinstructions executed. Zero on the tree-walking engine
-    /// and on unfused bytecode; excluded from equality.
+    /// Fused superinstructions executed. Zero on the tree-walking engine;
+    /// excluded from equality.
     pub fusions_hit: u64,
     /// ALU and control ops of the bytecode engine that left their typed
     /// strip loop for the per-lane `Scalar` path: the error cases and rows
@@ -89,7 +89,7 @@ pub struct LaunchStats {
 /// Equality covers every *simulated* counter; `wall_nanos`, `workers`,
 /// `ops_dispatched`, `fusions_hit`, `lane_fallback_ops`, `mem_fallback_ops`,
 /// `approx_loads`, and `bit_flips` are diagnostics (the middle four depend
-/// on the engine and fusion state, the last two on buffer placement, not on
+/// on the engine, the last two on buffer placement, not on
 /// the simulated machine) and deliberately ignored, so stats from runs at
 /// different parallelism levels or engines compare equal iff the
 /// simulation agreed.

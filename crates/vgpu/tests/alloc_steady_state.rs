@@ -22,7 +22,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use paraprox_ir::{Expr, KernelBuilder, KernelId, MemSpace, Program, Scalar, Ty};
-use paraprox_vgpu::{ArgValue, Device, DeviceProfile, Dim2, ExecEngine};
+use paraprox_vgpu::{ArgValue, Device, DeviceProfile, Dim2};
 
 struct Counting;
 
@@ -102,9 +102,7 @@ fn second_launch_allocations(
     divergent: bool,
 ) -> u64 {
     let (program, kid) = stencil_program();
-    let profile = DeviceProfile::gtx560()
-        .with_engine(ExecEngine::Bytecode)
-        .with_parallelism(workers);
+    let profile = DeviceProfile::gtx560().with_parallelism(workers);
     let mut d = Device::new(profile);
     let n = blocks * lanes;
     let data: Vec<f32> = (0..n).map(|i| (i % 17) as f32).collect();
@@ -207,9 +205,7 @@ fn residual_program(lanes: usize) -> (Program, KernelId) {
 fn residual_allocations(blocks: usize, fallback: bool, divergent: bool) -> u64 {
     let lanes = 64;
     let (program, kid) = residual_program(lanes);
-    let profile = DeviceProfile::gtx560()
-        .with_engine(ExecEngine::Bytecode)
-        .with_parallelism(1);
+    let profile = DeviceProfile::gtx560().with_parallelism(1);
     let mut d = Device::new(profile);
     let n = blocks * lanes;
     let field = |k: usize| (0..n).map(|i| ((i * k) % 23) as f32).collect::<Vec<_>>();

@@ -421,7 +421,7 @@ fn division_by_zero_error_matches_tree_walker() {
 #[test]
 fn kernel_compiles_once_across_geometries_and_program_clones() {
     let (program, kid) = divergence_program();
-    let mut d = Device::new(DeviceProfile::gtx560().with_engine(ExecEngine::Bytecode));
+    let mut d = Device::new(DeviceProfile::gtx560());
     let n = 4 * 32;
     let input = d.alloc_f32(MemSpace::Global, &mixed_inputs(n));
     let output = d.alloc_f32(MemSpace::Global, &vec![0.0; n]);
@@ -466,7 +466,7 @@ fn structurally_different_kernels_each_compile_once() {
     };
     let (p2, k2) = build(2.0);
     let (p3, k3) = build(3.0);
-    let mut d = Device::new(DeviceProfile::gtx560().with_engine(ExecEngine::Bytecode));
+    let mut d = Device::new(DeviceProfile::gtx560());
     let buf = d.alloc_f32(MemSpace::Global, &[1.0; 32]);
     let args = [ArgValue::Buffer(buf)];
 
@@ -511,7 +511,7 @@ fn changing_a_called_func_recompiles_the_kernel() {
     // so the cache must key on the functions as well.
     let (p1, k1) = build(1.0);
     let (p2, k2) = build(2.0);
-    let mut d = Device::new(DeviceProfile::gtx560().with_engine(ExecEngine::Bytecode));
+    let mut d = Device::new(DeviceProfile::gtx560());
     let buf = d.alloc_f32(MemSpace::Global, &[0.0; 32]);
     let args = [ArgValue::Buffer(buf)];
     d.launch(&p1, k1, Dim2::linear(1), Dim2::linear(32), &args)
@@ -520,24 +520,6 @@ fn changing_a_called_func_recompiles_the_kernel() {
         .unwrap();
     assert_eq!(d.compile_count(), 2);
     assert_eq!(d.read_f32(buf).unwrap(), vec![3.0; 32]);
-}
-
-#[test]
-fn tree_walk_engine_never_compiles() {
-    let (program, kid) = divergence_program();
-    let mut d = Device::new(DeviceProfile::gtx560().with_engine(ExecEngine::TreeWalk));
-    let n = 4 * 32;
-    let input = d.alloc_f32(MemSpace::Global, &mixed_inputs(n));
-    let output = d.alloc_f32(MemSpace::Global, &vec![0.0; n]);
-    d.launch(
-        &program,
-        kid,
-        Dim2::linear(4),
-        Dim2::linear(32),
-        &[ArgValue::Buffer(input), ArgValue::Buffer(output)],
-    )
-    .unwrap();
-    assert_eq!(d.compile_count(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -946,9 +928,9 @@ fn approx_buffers_count_and_flip_the_same_on_both_paths() {
 // (a) a ragged last block, (b) per-lane trip counts and (c) a nested `if`
 // inside a loop inside a device function with early `return`, on a block
 // wide enough for several mask words with a ragged tail. Each is launched
-// twice per device (the second launch runs the fused program when fusion
-// is on) under both engines, 1/2/4 workers, canonical and permuted store
-// order, fused and unfused, and compared with the single-worker tree-walk.
+// twice per device (the second launch runs the cached program) under both
+// engines, 1/2/4 workers, canonical and permuted store order, and compared
+// with the single-worker tree-walk.
 
 /// Two launches' outcomes, each on freshly allocated buffers.
 type TwoLaunches = Vec<(Vec<Vec<u32>>, Result<LaunchStats, LaunchError>)>;
@@ -957,7 +939,6 @@ type TwoLaunches = Vec<(Vec<Vec<u32>>, Result<LaunchStats, LaunchError>)>;
 fn launch_twice(
     profile: DeviceProfile,
     seed: Option<u64>,
-    fusion: bool,
     program: &Program,
     kid: KernelId,
     grid: Dim2,
@@ -969,7 +950,6 @@ fn launch_twice(
     let bytecode = profile.engine == ExecEngine::Bytecode;
     let mut d = Device::new(profile);
     d.set_schedule_seed(seed);
-    d.set_fusion(fusion);
     (0..2)
         .map(|_| {
             let ids: Vec<_> = buffers
@@ -1011,9 +991,9 @@ fn scalar_bits(s: Scalar) -> u32 {
     }
 }
 
-/// Assert that both engines × 1/2/4 workers × fused and unfused reproduce
-/// the single-worker tree-walk run on both launches, in canonical and in
-/// permuted store order. Returns the canonical reference per profile.
+/// Assert that both engines × 1/2/4 workers reproduce the single-worker
+/// tree-walk run on both launches, in canonical and in permuted store
+/// order. Returns the canonical reference per profile.
 fn assert_masked_agree(
     program: &Program,
     kid: KernelId,
@@ -1026,11 +1006,10 @@ fn assert_masked_agree(
     let mut references = Vec::new();
     for base in profiles() {
         for seed in [None, Some(0x5EED_0DD5)] {
-            let run = |engine, workers, fusion| {
+            let run = |engine, workers| {
                 launch_twice(
                     base.clone().with_engine(engine).with_parallelism(workers),
                     seed,
-                    fusion,
                     program,
                     kid,
                     grid,
@@ -1040,7 +1019,7 @@ fn assert_masked_agree(
                     falls_back,
                 )
             };
-            let reference = run(ExecEngine::TreeWalk, 1, true);
+            let reference = run(ExecEngine::TreeWalk, 1);
             assert_eq!(
                 reference[0], reference[1],
                 "launches differ on {}",
@@ -1048,14 +1027,12 @@ fn assert_masked_agree(
             );
             for engine in [ExecEngine::TreeWalk, ExecEngine::Bytecode] {
                 for workers in [1, 2, 4] {
-                    for fusion in [true, false] {
-                        assert_eq!(
-                            run(engine, workers, fusion),
-                            reference,
-                            "{engine:?} x{workers} fusion {fusion} seed {seed:?} diverged on {}",
-                            base.name
-                        );
-                    }
+                    assert_eq!(
+                        run(engine, workers),
+                        reference,
+                        "{engine:?} x{workers} seed {seed:?} diverged on {}",
+                        base.name
+                    );
                 }
             }
             if seed.is_none() {
@@ -1722,7 +1699,7 @@ fn mem_fallbacks(
     approx_rate: f64,
     seed: Option<u64>,
 ) -> u64 {
-    let profile = DeviceProfile::gtx560().with_engine(ExecEngine::Bytecode);
+    let profile = DeviceProfile::gtx560();
     let (_, result) = run_mem(
         profile,
         seed,

@@ -1,14 +1,13 @@
-//! Fused-vs-unfused differential tests for the bytecode engine.
+//! Superinstruction fusion against the tree-walking oracle.
 //!
-//! Profile-guided superinstruction fusion rewrites hot op pairs into
-//! single fused ops after the first launch of a cached program. These
-//! tests force fusion off via [`Device::set_fusion`] and assert that
-//! fused and unfused execution are bit-identical — buffers, simulated
-//! cycles, and cache statistics — on divergence-heavy fixtures, across
-//! worker counts 1/2/4 and several store-schedule seeds, and that both
-//! match the tree-walking oracle. The `fusions_hit` / `ops_dispatched`
-//! diagnostics are probed directly: fusion must actually engage on the
-//! second launch when enabled and stay at zero when disabled.
+//! `compile_kernel` fuses every statically fusable op pair, so every
+//! launch of a program, the first included, dispatches superinstructions.
+//! These tests assert that the fused stream is bit-identical to the
+//! oracle (buffers, simulated cycles, cache statistics) on a
+//! divergence-heavy and a racy fixture, across worker counts 1/2/4 and
+//! five store-schedule seeds. The `fusions_hit` / `ops_dispatched`
+//! diagnostics are probed directly: fusion engages on the first launch
+//! and the second launch dispatches the same stream.
 
 use paraprox_ir::{Expr, KernelBuilder, KernelId, MemSpace, Program, Ty};
 use paraprox_vgpu::{Device, DeviceProfile, Dim2, ExecEngine, LaunchStats};
@@ -62,20 +61,19 @@ fn divergent_program() -> (Program, KernelId) {
     (program, kid)
 }
 
-fn bytecode_device(workers: usize, seed: Option<u64>, fusion: bool) -> Device {
+fn device(engine: ExecEngine, workers: usize, seed: Option<u64>) -> Device {
     let mut d = Device::new(
         DeviceProfile::gtx560()
-            .with_engine(ExecEngine::Bytecode)
+            .with_engine(engine)
             .with_parallelism(workers),
     );
     d.set_schedule_seed(seed);
-    d.set_fusion(fusion);
     d
 }
 
-/// Launch the divergent kernel twice on one device (launch 1 profiles,
-/// launch 2 runs fused when fusion is on); return both outputs as bits
-/// plus both stats.
+/// Launch the divergent kernel twice on one device (launch 1 compiles,
+/// launch 2 runs the cached program); return both outputs as bits plus
+/// both stats.
 fn run_divergent(device: &mut Device) -> (Vec<Vec<u32>>, Vec<LaunchStats>) {
     let (program, kid) = divergent_program();
     let data: Vec<f32> = (0..128).map(|i| (i as f32 - 61.0) * 0.37).collect();
@@ -127,86 +125,49 @@ fn run_racy(device: &mut Device) -> (Vec<Vec<i32>>, Vec<LaunchStats>) {
     (outs, stats)
 }
 
-#[test]
-fn fused_matches_unfused_and_oracle_across_workers_and_seeds() {
-    // Tree-walk oracle reference (fusion setting is irrelevant there).
-    let mut oracle = Device::new(DeviceProfile::gtx560().with_engine(ExecEngine::TreeWalk));
-    oracle.set_schedule_seed(None);
-    let (oracle_outs, oracle_stats) = run_divergent(&mut oracle);
+const SEEDS: [Option<u64>; 5] = [None, Some(1), Some(2), Some(3), Some(4)];
 
-    for workers in [1usize, 2, 4] {
-        for seed in [None, Some(1u64), Some(2), Some(3), Some(4)] {
-            let (fused_outs, fused_stats) =
-                run_divergent(&mut bytecode_device(workers, seed, true));
-            let (plain_outs, plain_stats) =
-                run_divergent(&mut bytecode_device(workers, seed, false));
-            assert_eq!(
-                fused_outs, plain_outs,
-                "workers={workers} seed={seed:?}: fused and unfused buffers diverged"
-            );
-            assert_eq!(
-                fused_stats, plain_stats,
-                "workers={workers} seed={seed:?}: fused and unfused stats diverged"
-            );
-            // The divergent kernel is race-free, so every configuration
-            // must also match the serial tree-walk oracle bit for bit.
-            assert_eq!(fused_outs, oracle_outs, "workers={workers} seed={seed:?}");
-            assert_eq!(fused_stats[1], oracle_stats[1]);
-            // Fusion must actually engage on the second launch (the first
-            // one profiles), and never when disabled.
-            assert_eq!(
-                fused_stats[0].fusions_hit, 0,
-                "first launch profiles unfused"
-            );
+#[test]
+fn fused_matches_oracle_across_workers_and_seeds() {
+    for seed in SEEDS {
+        let (oracle_outs, oracle_stats) = run_divergent(&mut device(ExecEngine::TreeWalk, 1, seed));
+        for workers in [1usize, 2, 4] {
+            let (outs, stats) = run_divergent(&mut device(ExecEngine::Bytecode, workers, seed));
+            assert_eq!(outs, oracle_outs, "workers={workers} seed={seed:?}");
+            assert_eq!(stats, oracle_stats, "workers={workers} seed={seed:?}");
+            // Superinstructions are part of the compiled program: the
+            // first launch already dispatches them, and the cached program
+            // the second launch runs is the same stream.
             assert!(
-                fused_stats[1].fusions_hit > 0,
-                "workers={workers} seed={seed:?}: second launch should dispatch superinstructions"
+                stats[0].fusions_hit > 0,
+                "workers={workers} seed={seed:?}: the first launch should dispatch superinstructions"
             );
-            assert!(plain_stats.iter().all(|s| s.fusions_hit == 0));
-            assert!(fused_stats.iter().all(|s| s.ops_dispatched > 0));
-            // Fusing shrinks the dispatch count without changing the
-            // simulated instruction count (stats equality above).
-            assert!(fused_stats[1].ops_dispatched < plain_stats[1].ops_dispatched);
+            assert_eq!(stats[0].ops_dispatched, stats[1].ops_dispatched);
+            assert_eq!(stats[0].fusions_hit, stats[1].fusions_hit);
         }
     }
 }
 
 #[test]
-fn racy_kernel_race_winner_is_fusion_invariant() {
+fn racy_kernel_race_winner_matches_oracle() {
     // The racy fixture's output depends on the store schedule; fusion
     // must not perturb which lane wins under any seed or worker count.
-    for workers in [1usize, 2, 4] {
-        for seed in [None, Some(1u64), Some(2), Some(3), Some(4)] {
-            let (fused_outs, fused_stats) = run_racy(&mut bytecode_device(workers, seed, true));
-            let (plain_outs, plain_stats) = run_racy(&mut bytecode_device(workers, seed, false));
+    for seed in SEEDS {
+        let (oracle_outs, oracle_stats) = run_racy(&mut device(ExecEngine::TreeWalk, 1, seed));
+        for workers in [1usize, 2, 4] {
+            let (outs, stats) = run_racy(&mut device(ExecEngine::Bytecode, workers, seed));
             assert_eq!(
-                fused_outs, plain_outs,
-                "workers={workers} seed={seed:?}: fusion changed the race winner"
+                outs, oracle_outs,
+                "workers={workers} seed={seed:?}: the race winner differs from the oracle's"
             );
-            assert_eq!(fused_stats, plain_stats);
+            assert_eq!(stats, oracle_stats);
         }
     }
 }
 
 #[test]
 fn tree_walker_reports_zero_dispatches() {
-    let mut device = Device::new(DeviceProfile::gtx560().with_engine(ExecEngine::TreeWalk));
-    let (_, stats) = run_divergent(&mut device);
+    let (_, stats) = run_divergent(&mut device(ExecEngine::TreeWalk, 1, None));
     assert!(stats.iter().all(|s| s.ops_dispatched == 0));
     assert!(stats.iter().all(|s| s.fusions_hit == 0));
-}
-
-#[test]
-fn set_fusion_reenables_profiling_for_cached_programs() {
-    // Disabling fusion skips profiling entirely; re-enabling it on the
-    // same device lets the *same cache entry* profile and fuse, because
-    // the profile counts live on the entry rather than the launch.
-    let mut device = bytecode_device(1, None, false);
-    let (_, stats_off) = run_divergent(&mut device);
-    assert!(stats_off.iter().all(|s| s.fusions_hit == 0));
-    device.set_fusion(true);
-    let (_, stats_on) = run_divergent(&mut device);
-    // Launch 1 after re-enabling profiles; launch 2 runs fused.
-    assert_eq!(stats_on[0].fusions_hit, 0);
-    assert!(stats_on[1].fusions_hit > 0);
 }

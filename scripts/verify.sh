@@ -3,17 +3,18 @@
 #   1. check_lint_fixtures.sh (every error-severity lint has fixtures)
 #   2. check_docs.sh (every file, bin, workload and subcommand the docs cite exists)
 #   3. eval_func guard (the pure evaluator is named only by tests)
-#   4. cargo fmt --check
-#   5. cargo build --release
-#   6. cargo test -q (tier-1, root package)
-#   7. cargo test --workspace -q (every invariant is asserted here)
-#   8. cargo clippy --workspace --all-targets -D warnings
-#   9. the 14 experiment bins of scripts/run_all_experiments.sh regenerate
+#   4. oracle guard (no shipped binary builds the tree-walking oracle)
+#   5. cargo fmt --check
+#   6. cargo build --release
+#   7. cargo test -q (tier-1, root package)
+#   8. cargo test --workspace -q (every invariant is asserted here)
+#   9. cargo clippy --workspace --all-targets -D warnings
+#  10. the 14 experiment bins of scripts/run_all_experiments.sh regenerate
 #      results/*.txt byte-identically (~5 s)
-#  10. paraprox-cli analyze --json on all 13 apps
-#  11. paraprox-cli inspect --schedule on every preset of both iterative apps
-#  12. paraprox-cli serve on both profiles (drift, back-off, re-promotion)
-#  13. paraprox-benchmark smokes: iter_converge, kernel_exec, serve_open_drift
+#  11. paraprox-cli analyze --json on all 13 apps
+#  12. paraprox-cli inspect --schedule on every preset of both iterative apps
+#  13. paraprox-cli serve on both profiles (drift, back-off, re-promotion)
+#  14. paraprox-benchmark smokes: iter_converge, kernel_exec, serve_open_drift
 #      (the only place a host timing is taken; none is gated here)
 # Everything runs offline (the workspace has no external dependencies),
 # so this works in sandboxed CI.
@@ -45,6 +46,18 @@ for f in $(find crates/*/src -name '*.rs' | sort); do
   fi
 done
 [ "$guard" -eq 0 ]
+
+echo "==> oracle guard (the tree-walking oracle is built for tests, never for a shipped binary)"
+# The AST interpreter lives behind paraprox-vgpu's dev-only `oracle`
+# feature, which only [dev-dependencies] enable. Neither shipped binary
+# may pull it in through a normal or build dependency.
+for pkg in paraprox-cli paraprox-benchmark; do
+  if cargo tree -q --offline -e normal,build,features -p "$pkg" |
+    grep -F 'paraprox-vgpu feature "oracle"' >&2; then
+    echo "FAIL: $pkg builds paraprox-vgpu with the oracle feature (line above)" >&2
+    exit 1
+  fi
+done
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
