@@ -212,7 +212,7 @@ pub fn approximate_scan(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paraprox_vgpu::{BufferSpec, Device, DeviceProfile, Dim2, LaunchPlan};
+    use paraprox_vgpu::{BufferInit, BufferSpec, Device, DeviceProfile, Dim2, LaunchPlan};
 
     /// Build the canonical three-phase scan pipeline over `n` elements in
     /// subarrays of `b`. Returns (program, pipeline, phase1 kernel id).
@@ -305,7 +305,7 @@ mod tests {
             .expect("canonical scan matches");
 
         let mut pipeline = Pipeline::default();
-        let input_b = pipeline.add_buffer(BufferSpec::f32("input", data));
+        let input_b = pipeline.add_buffer(BufferSpec::global("input", BufferInit::F32(data)));
         let partial_b = pipeline.add_buffer(BufferSpec::zeroed_f32("partial", n));
         let sums_b = pipeline.add_buffer(BufferSpec::zeroed_f32("sums", g));
         let sums_scan_b = pipeline.add_buffer(BufferSpec::zeroed_f32("sums_scan", g));

@@ -6,7 +6,7 @@
 //! bit tuning assigns them zero quantization bits.
 
 use paraprox::{Metric, Workload};
-use paraprox_ir::{MemSpace, Scalar, Ty};
+use paraprox_ir::Scalar;
 use paraprox_vgpu::{BufferInit, BufferSpec, Dim2, LaunchPlan, Pipeline, PlanArg};
 
 use crate::inputs;
@@ -30,13 +30,16 @@ const BLOCK: usize = 64;
 /// frontend, as the original system consumes CUDA through Clang). `Cnd()`
 /// is deliberately below the Eq. (1) memoization threshold; the two body
 /// functions are far above it, and their `R`/`V` arguments are constants —
-/// the setup of the paper's Figure 4.
+/// the setup of the paper's Figure 4. The three constants spelled
+/// `-(c)` are negations the device charges on every evaluation (a bare
+/// `-c` is a free negative literal); the recorded cycle counts and
+/// figures include those charges.
 pub const SOURCE: &str = r#"
 __device__ float cnd(float d) {
     float k = 1.0f / (1.0f + 0.2316419f * fabsf(d));
-    float poly = k * (0.31938153f + k * (-0.356563782f + k * (1.781477937f
-        + k * (-1.821255978f + k * 1.330274429f))));
-    float w = 0.39894228f * expf(-0.5f * d * d) * poly;
+    float poly = k * (0.31938153f + k * (-(0.356563782f) + k * (1.781477937f
+        + k * (-(1.821255978f) + k * 1.330274429f))));
+    float w = 0.39894228f * expf(-(0.5f) * d * d) * poly;
     return d >= 0.0f ? 1.0f - w : w;
 }
 
@@ -102,10 +105,10 @@ pub fn gen_inputs(scale: Scale, seed: u64) -> Vec<BufferInit> {
     ]
 }
 
-/// Build the workload (parsing [`SOURCE`] through the language frontend).
+/// Build the workload (lowering [`SOURCE`] through the language frontend).
 pub fn build(scale: Scale, seed: u64) -> Workload {
     let n = sizes(scale);
-    let program = paraprox_lang::parse_program(SOURCE).expect("embedded source is valid");
+    let program = crate::lower(SOURCE);
     let call_f = program.func_by_name("bs_call").expect("declared");
     let put_f = program.func_by_name("bs_put").expect("declared");
     let kernel = program.kernel_by_name("black_scholes").expect("declared");
@@ -114,12 +117,7 @@ pub fn build(scale: Scale, seed: u64) -> Workload {
     let mut pipeline = Pipeline::default();
     let mut slots = Vec::new();
     for (name, init) in ["price", "strike", "years"].iter().zip(data) {
-        slots.push(pipeline.add_buffer(BufferSpec {
-            name: (*name).to_string(),
-            ty: Ty::F32,
-            space: MemSpace::Global,
-            init,
-        }));
+        slots.push(pipeline.add_buffer(BufferSpec::global(name, init)));
     }
     let call_b = pipeline.add_buffer(BufferSpec::zeroed_f32("call", n));
     let put_b = pipeline.add_buffer(BufferSpec::zeroed_f32("put", n));

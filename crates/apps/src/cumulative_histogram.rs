@@ -4,7 +4,7 @@
 //! cascading-error study) targets.
 
 use paraprox::{Metric, Workload};
-use paraprox_ir::{MemSpace, Scalar, Ty};
+use paraprox_ir::Scalar;
 use paraprox_vgpu::{BufferInit, BufferSpec, Dim2, LaunchPlan, Pipeline, PlanArg};
 
 use crate::inputs;
@@ -96,22 +96,20 @@ pub fn gen_inputs(scale: Scale, seed: u64) -> Vec<BufferInit> {
     vec![BufferInit::F32(freqs)]
 }
 
-/// Build the workload (parsing [`SOURCE`] through the language frontend).
+/// Build the workload (lowering [`SOURCE`] through the language frontend).
 pub fn build(scale: Scale, seed: u64) -> Workload {
     let n = bin_count(scale);
     let g = n / SUBARRAY;
-    let program = paraprox_lang::parse_program(SOURCE).expect("embedded source is valid");
+    let program = crate::lower(SOURCE);
     let phase1 = program.kernel_by_name("scan_phase1").expect("declared");
     let phase2 = program.kernel_by_name("scan_phase2").expect("declared");
     let phase3 = program.kernel_by_name("scan_phase3").expect("declared");
 
     let mut pipeline = Pipeline::default();
-    let input_b = pipeline.add_buffer(BufferSpec {
-        name: "freqs".to_string(),
-        ty: Ty::F32,
-        space: MemSpace::Global,
-        init: gen_inputs(scale, seed).remove(0),
-    });
+    let input_b = pipeline.add_buffer(BufferSpec::global(
+        "freqs",
+        gen_inputs(scale, seed).remove(0),
+    ));
     let partial_b = pipeline.add_buffer(BufferSpec::zeroed_f32("partial", n));
     let sums_b = pipeline.add_buffer(BufferSpec::zeroed_f32("sums", g));
     let sums_scan_b = pipeline.add_buffer(BufferSpec::zeroed_f32("sums_scan", g));

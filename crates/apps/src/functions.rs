@@ -5,7 +5,7 @@
 //! lookup schemes apply.
 
 use paraprox::{Metric, Workload};
-use paraprox_ir::{Expr, FuncBuilder, FuncId, KernelBuilder, MemSpace, Program, Scalar, Ty};
+use paraprox_ir::Scalar;
 use paraprox_vgpu::{BufferInit, BufferSpec, Dim2, LaunchPlan, Pipeline, PlanArg};
 
 use crate::inputs;
@@ -86,49 +86,64 @@ impl CaseStudy {
         }
     }
 
-    fn build_func(self, program: &mut Program) -> FuncId {
-        let mut fb = FuncBuilder::new(self.name(), Ty::F32);
-        let x = fb.scalar("x", Ty::F32);
-        match self {
-            CaseStudy::Credit => {
-                let ratio = 25.0f32;
-                let growth = fb.let_("growth", (Expr::f32(1.0) + x.clone()).pow(Expr::f32(30.0)));
-                let inner = fb.let_(
-                    "inner",
-                    Expr::f32(1.0) + Expr::f32(ratio) * (Expr::f32(1.0) - growth),
-                );
-                fb.ret(Expr::f32(-1.0 / 30.0) * inner.log() / (Expr::f32(1.0) + x.clone()).log());
-            }
-            CaseStudy::Gompertz => {
-                let e = fb.let_("e", (Expr::f32(-0.4) * x).exp());
-                fb.ret((Expr::f32(1.0) - e.clone()) * (Expr::f32(-2.0) * e).exp());
-            }
-            CaseStudy::LogGamma => {
-                let z = x;
-                let z3 = fb.let_("z3", z.clone() * z.clone() * z.clone());
-                fb.ret(
-                    (z.clone() - Expr::f32(0.5)) * z.clone().log() - z.clone()
-                        + Expr::f32(0.918_938_5)
-                        + Expr::f32(1.0) / (Expr::f32(12.0) * z)
-                        - Expr::f32(1.0) / (Expr::f32(360.0) * z3),
-                );
-            }
-            CaseStudy::Bass => {
-                // Written exactly as Eq. (5), with the coefficient computed
-                // in-body — the division is part of the function's cost.
-                let (p, q, m) = (0.03f32, 0.38f32, 100.0f32);
-                let e = fb.let_("e", (Expr::f32(-(p + q)) * x).exp());
-                let coef = fb.let_(
-                    "coef",
-                    Expr::f32(m) * (Expr::f32(p + q) * Expr::f32(p + q)) / Expr::f32(p),
-                );
-                let denom = fb.let_("denom", Expr::f32(1.0) + Expr::f32(q / p) * e.clone());
-                fb.ret(coef * e / (denom.clone() * denom));
-            }
-        }
-        program.add_func(fb.finish())
+    /// The case study's kernel source: the function, then the map kernel
+    /// `map_<name>` that applies it to every input element.
+    pub fn source(self) -> String {
+        let function = match self {
+            CaseStudy::Credit => CREDIT,
+            CaseStudy::Gompertz => GOMPERTZ,
+            CaseStudy::LogGamma => LOG_GAMMA,
+            CaseStudy::Bass => BASS,
+        };
+        function.to_string() + &crate::instantiate(MAP_KERNEL, &[("NAME", self.name().to_string())])
     }
 }
+
+/// Eq. (2) with `b0/p` = 25; -0.033333335 is -1/30 in `f32`.
+const CREDIT: &str = r#"
+__device__ float Credit(float x) {
+    float growth = powf(1.0f + x, 30.0f);
+    float inner = 1.0f + 25.0f * (1.0f - growth);
+    return -0.033333335f * logf(inner) / logf(1.0f + x);
+}
+"#;
+
+/// Eq. (3) with b = 0.4 and η = 2.
+const GOMPERTZ: &str = r#"
+__device__ float Gompertz(float x) {
+    float e = expf(-0.4f * x);
+    return (1.0f - e) * expf(-2.0f * e);
+}
+"#;
+
+/// Eq. (4); 0.9189385 is ln(2π)/2.
+const LOG_GAMMA: &str = r#"
+__device__ float lgamma(float x) {
+    float z3 = x * x * x;
+    return (x - 0.5f) * logf(x) - x + 0.9189385f + 1.0f / (12.0f * x) - 1.0f / (360.0f * z3);
+}
+"#;
+
+/// Eq. (5) with p = 0.03, q = 0.38 and m = 100, written exactly as the
+/// equation: the coefficient is computed in-body, so its division is part
+/// of the function's cost (0.41 is p + q, 12.666667 is q/p in `f32`).
+const BASS: &str = r#"
+__device__ float Bass(float x) {
+    float e = expf(-0.41f * x);
+    float coef = 100.0f * (0.41f * 0.41f) / 0.03f;
+    float denom = 1.0f + 12.666667f * e;
+    return coef * e / (denom * denom);
+}
+"#;
+
+/// The map kernel around a case-study function `$NAME`.
+const MAP_KERNEL: &str = r#"
+__global__ void map_$NAME(float* input, float* output) {
+    int gid = blockIdx.x * blockDim.x + threadIdx.x;
+    float x = input[gid];
+    output[gid] = $NAME(x);
+}
+"#;
 
 fn sizes(scale: Scale) -> usize {
     match scale {
@@ -148,31 +163,17 @@ pub fn gen_inputs(which: CaseStudy, scale: Scale, seed: u64) -> Vec<BufferInit> 
 /// Build a map workload for one case study.
 pub fn build(which: CaseStudy, scale: Scale, seed: u64) -> Workload {
     let n = sizes(scale);
-    let mut program = Program::new();
-    let func = which.build_func(&mut program);
-
-    let mut kb = KernelBuilder::new(&format!("map_{}", which.name()));
-    let input = kb.buffer("input", Ty::F32, MemSpace::Global);
-    let output = kb.buffer("output", Ty::F32, MemSpace::Global);
-    let gid = kb.let_("gid", KernelBuilder::global_id_x());
-    let x = kb.let_("x", kb.load(input, gid.clone()));
-    kb.store(
-        output,
-        gid,
-        Expr::Call {
-            func,
-            args: vec![x],
-        },
-    );
-    let kernel = program.add_kernel(kb.finish());
+    let program = crate::lower(&which.source());
+    let func = program.func_by_name(which.name()).expect("declared");
+    let kernel = program
+        .kernel_by_name(&format!("map_{}", which.name()))
+        .expect("declared");
 
     let mut pipeline = Pipeline::default();
-    let in_b = pipeline.add_buffer(BufferSpec {
-        name: "input".to_string(),
-        ty: Ty::F32,
-        space: MemSpace::Global,
-        init: gen_inputs(which, scale, seed).remove(0),
-    });
+    let in_b = pipeline.add_buffer(BufferSpec::global(
+        "input",
+        gen_inputs(which, scale, seed).remove(0),
+    ));
     let out_b = pipeline.add_buffer(BufferSpec::zeroed_f32("output", n));
     pipeline.launches.push(LaunchPlan {
         kernel,

@@ -2,7 +2,7 @@
 //! relative error). Loop-based tile with weights in constant memory.
 
 use paraprox::{Metric, Workload};
-use paraprox_ir::{Expr, KernelBuilder, MemSpace, Program, Scalar, Ty};
+use paraprox_ir::{MemSpace, Scalar};
 use paraprox_vgpu::{BufferInit, BufferSpec, Dim2, LaunchPlan, Pipeline, PlanArg};
 
 use crate::inputs;
@@ -52,61 +52,40 @@ pub fn gen_inputs(scale: Scale, seed: u64) -> Vec<BufferInit> {
     vec![BufferInit::F32(inputs::smooth_image(&mut r, w, h))]
 }
 
-/// Build the workload.
+/// The application's kernel source: a looped 3×3 tile whose weights
+/// ([`WEIGHTS`]) sit in constant memory.
+pub const SOURCE: &str = r#"
+__global__ void gaussian3x3(float* img, __constant__ float* coef, float* out, int w, int h) {
+    int x = blockIdx.x * blockDim.x + threadIdx.x;
+    int y = blockIdx.y * blockDim.y + threadIdx.y;
+    int center = y * w + x;
+    if (x > 0 && x < w - 1 && y > 0 && y < h - 1) {
+        float acc = 0.0f;
+        for (int i = 0; i < 3; i++) {
+            for (int j = 0; j < 3; j++) {
+                acc += img[(y + i - 1) * w + x + j - 1] * coef[i * 3 + j];
+            }
+        }
+        out[center] = acc;
+    } else {
+        float vb = img[center];
+        out[center] = vb;
+    }
+}
+"#;
+
+/// Build the workload (lowering [`SOURCE`] through the language frontend).
 pub fn build(scale: Scale, seed: u64) -> Workload {
     let (w, h) = dims(scale);
-    let mut program = Program::new();
-
-    let mut kb = KernelBuilder::new("gaussian3x3");
-    let img = kb.buffer("img", Ty::F32, MemSpace::Global);
-    let coef = kb.buffer("coef", Ty::F32, MemSpace::Constant);
-    let out = kb.buffer("out", Ty::F32, MemSpace::Global);
-    let width = kb.scalar("w", Ty::I32);
-    let height = kb.scalar("h", Ty::I32);
-    let x = kb.let_("x", KernelBuilder::global_id_x());
-    let y = kb.let_("y", KernelBuilder::global_id_y());
-    let center = kb.let_("center", y.clone() * width.clone() + x.clone());
-    let interior = x.clone().gt(Expr::i32(0))
-        & x.clone().lt(width.clone() - Expr::i32(1))
-        & y.clone().gt(Expr::i32(0))
-        & y.clone().lt(height.clone() - Expr::i32(1));
-    kb.if_else(
-        interior,
-        |kb| {
-            let acc = kb.let_mut("acc", Ty::F32, Expr::f32(0.0));
-            kb.for_up("i", Expr::i32(0), Expr::i32(3), Expr::i32(1), |kb, i| {
-                kb.for_up("j", Expr::i32(0), Expr::i32(3), Expr::i32(1), |kb, j| {
-                    let idx = (y.clone() + i.clone() - Expr::i32(1)) * width.clone()
-                        + x.clone()
-                        + j.clone()
-                        - Expr::i32(1);
-                    let v = kb.load(img, idx);
-                    let wgt = kb.load(coef, i * Expr::i32(3) + j);
-                    kb.assign(acc, Expr::Var(acc) + v * wgt);
-                });
-            });
-            kb.store(out, center.clone(), Expr::Var(acc));
-        },
-        |kb| {
-            let v = kb.let_("vb", kb.load(img, center.clone()));
-            kb.store(out, center.clone(), v);
-        },
-    );
-    let kernel = program.add_kernel(kb.finish());
+    let program = crate::lower(SOURCE);
+    let kernel = program.kernel_by_name("gaussian3x3").expect("declared");
 
     let mut pipeline = Pipeline::default();
-    let img_b = pipeline.add_buffer(BufferSpec {
-        name: "img".to_string(),
-        ty: Ty::F32,
-        space: MemSpace::Global,
-        init: gen_inputs(scale, seed).remove(0),
-    });
-    let coef_b = pipeline.add_buffer(BufferSpec {
-        name: "coef".to_string(),
-        ty: Ty::F32,
-        space: MemSpace::Constant,
-        init: BufferInit::F32(WEIGHTS.to_vec()),
-    });
+    let img_b = pipeline.add_buffer(BufferSpec::global("img", gen_inputs(scale, seed).remove(0)));
+    let coef_b = pipeline.add_buffer(
+        BufferSpec::global("coef", BufferInit::F32(WEIGHTS.to_vec()))
+            .with_space(MemSpace::Constant),
+    );
     let out_b = pipeline.add_buffer(BufferSpec::zeroed_f32("out", w * h));
     pipeline.launches.push(LaunchPlan {
         kernel,

@@ -3,7 +3,7 @@
 //! (value·weight and weight), exercising the grouped reduction rewrite.
 
 use paraprox::{Metric, Workload};
-use paraprox_ir::{Expr, KernelBuilder, MemSpace, Program, Scalar, Ty};
+use paraprox_ir::Scalar;
 use paraprox_vgpu::{BufferInit, BufferSpec, Dim2, LaunchPlan, Pipeline, PlanArg};
 
 use crate::inputs;
@@ -49,61 +49,41 @@ pub fn gen_inputs(scale: Scale, seed: u64) -> Vec<BufferInit> {
     vec![BufferInit::F32(inputs::smooth_image(&mut r, w, h))]
 }
 
-/// Build the workload.
+/// The application's kernel source; 0.00125 is [`INV2SIGMA2`].
+pub const SOURCE: &str = r#"
+__global__ void denoise5x5(float* img, float* out, int w, int h) {
+    int x = blockIdx.x * blockDim.x + threadIdx.x;
+    int y = blockIdx.y * blockDim.y + threadIdx.y;
+    int center_idx = y * w + x;
+    if (x > 1 && x < w - 2 && y > 1 && y < h - 2) {
+        float center = img[center_idx];
+        float vsum = 0.0f;
+        float wsum = 0.0f;
+        for (int i = 0; i < 5; i++) {
+            for (int j = 0; j < 5; j++) {
+                float v = img[(y + i - 2) * w + x + j - 2];
+                float d = v - center;
+                float wgt = expf(-(d * d) * 0.00125f);
+                vsum += v * wgt;
+                wsum += wgt;
+            }
+        }
+        out[center_idx] = vsum / wsum;
+    } else {
+        float vb = img[center_idx];
+        out[center_idx] = vb;
+    }
+}
+"#;
+
+/// Build the workload (lowering [`SOURCE`] through the language frontend).
 pub fn build(scale: Scale, seed: u64) -> Workload {
     let (w, h) = dims(scale);
-    let mut program = Program::new();
-
-    let mut kb = KernelBuilder::new("denoise5x5");
-    let img = kb.buffer("img", Ty::F32, MemSpace::Global);
-    let out = kb.buffer("out", Ty::F32, MemSpace::Global);
-    let width = kb.scalar("w", Ty::I32);
-    let height = kb.scalar("h", Ty::I32);
-    let x = kb.let_("x", KernelBuilder::global_id_x());
-    let y = kb.let_("y", KernelBuilder::global_id_y());
-    let center_idx = kb.let_("center_idx", y.clone() * width.clone() + x.clone());
-    let interior = x.clone().gt(Expr::i32(1))
-        & x.clone().lt(width.clone() - Expr::i32(2))
-        & y.clone().gt(Expr::i32(1))
-        & y.clone().lt(height.clone() - Expr::i32(2));
-    kb.if_else(
-        interior,
-        |kb| {
-            let center = kb.let_("center", kb.load(img, center_idx.clone()));
-            let vsum = kb.let_mut("vsum", Ty::F32, Expr::f32(0.0));
-            let wsum = kb.let_mut("wsum", Ty::F32, Expr::f32(0.0));
-            kb.for_up("i", Expr::i32(0), Expr::i32(5), Expr::i32(1), |kb, i| {
-                kb.for_up("j", Expr::i32(0), Expr::i32(5), Expr::i32(1), |kb, j| {
-                    let idx = (y.clone() + i.clone() - Expr::i32(2)) * width.clone()
-                        + x.clone()
-                        + j.clone()
-                        - Expr::i32(2);
-                    let v = kb.let_("v", kb.load(img, idx));
-                    let d = kb.let_("d", v.clone() - center.clone());
-                    let wgt = kb.let_(
-                        "wgt",
-                        (-(d.clone() * d.clone()) * Expr::f32(INV2SIGMA2)).exp(),
-                    );
-                    kb.assign(vsum, Expr::Var(vsum) + v * wgt.clone());
-                    kb.assign(wsum, Expr::Var(wsum) + wgt);
-                });
-            });
-            kb.store(out, center_idx.clone(), Expr::Var(vsum) / Expr::Var(wsum));
-        },
-        |kb| {
-            let v = kb.let_("vb", kb.load(img, center_idx.clone()));
-            kb.store(out, center_idx.clone(), v);
-        },
-    );
-    let kernel = program.add_kernel(kb.finish());
+    let program = crate::lower(SOURCE);
+    let kernel = program.kernel_by_name("denoise5x5").expect("declared");
 
     let mut pipeline = Pipeline::default();
-    let img_b = pipeline.add_buffer(BufferSpec {
-        name: "img".to_string(),
-        ty: Ty::F32,
-        space: MemSpace::Global,
-        init: gen_inputs(scale, seed).remove(0),
-    });
+    let img_b = pipeline.add_buffer(BufferSpec::global("img", gen_inputs(scale, seed).remove(0)));
     let out_b = pipeline.add_buffer(BufferSpec::zeroed_f32("out", w * h));
     pipeline.launches.push(LaunchPlan {
         kernel,

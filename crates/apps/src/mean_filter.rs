@@ -3,7 +3,7 @@
 //! so there is no reduction loop: only the stencil optimization applies.
 
 use paraprox::{Metric, Workload};
-use paraprox_ir::{MemSpace, Scalar, Ty};
+use paraprox_ir::Scalar;
 use paraprox_vgpu::{BufferInit, BufferSpec, Dim2, LaunchPlan, Pipeline, PlanArg};
 
 use crate::inputs;
@@ -61,19 +61,14 @@ pub fn gen_inputs(scale: Scale, seed: u64) -> Vec<BufferInit> {
     vec![BufferInit::F32(inputs::smooth_image(&mut r, w, h))]
 }
 
-/// Build the workload (parsing [`SOURCE`] through the language frontend).
+/// Build the workload (lowering [`SOURCE`] through the language frontend).
 pub fn build(scale: Scale, seed: u64) -> Workload {
     let (w, h) = dims(scale);
-    let program = paraprox_lang::parse_program(SOURCE).expect("embedded source is valid");
+    let program = crate::lower(SOURCE);
     let kernel = program.kernel_by_name("mean3x3").expect("declared");
 
     let mut pipeline = Pipeline::default();
-    let img_b = pipeline.add_buffer(BufferSpec {
-        name: "img".to_string(),
-        ty: Ty::F32,
-        space: MemSpace::Global,
-        init: gen_inputs(scale, seed).remove(0),
-    });
+    let img_b = pipeline.add_buffer(BufferSpec::global("img", gen_inputs(scale, seed).remove(0)));
     let out_b = pipeline.add_buffer(BufferSpec::zeroed_f32("out", w * h));
     pipeline.launches.push(LaunchPlan {
         kernel,

@@ -38,7 +38,7 @@ fn tiny_map_workload() -> Workload {
     let n = 1024usize;
     let data: Vec<f32> = (0..n).map(|i| 0.5 + i as f32 * 0.1).collect();
     let mut pipeline = Pipeline::default();
-    let in_b = pipeline.add_buffer(BufferSpec::f32("in", data.clone()));
+    let in_b = pipeline.add_buffer(BufferSpec::global("in", BufferInit::F32(data.clone())));
     let out_b = pipeline.add_buffer(BufferSpec::zeroed_f32("out", n));
     pipeline.launches.push(LaunchPlan {
         kernel,

@@ -192,16 +192,6 @@ impl KernelBuilder {
         Expr::Special(Special::BlockDimY)
     }
 
-    /// `gridDim.x` as an expression.
-    pub fn grid_dim_x() -> Expr {
-        Expr::Special(Special::GridDimX)
-    }
-
-    /// `gridDim.y` as an expression.
-    pub fn grid_dim_y() -> Expr {
-        Expr::Special(Special::GridDimY)
-    }
-
     /// `blockIdx.x * blockDim.x + threadIdx.x` — the canonical 1-D global
     /// thread index.
     pub fn global_id_x() -> Expr {
@@ -265,11 +255,6 @@ impl KernelBuilder {
     /// Block-wide barrier.
     pub fn sync(&mut self) {
         self.body.push(Stmt::Sync);
-    }
-
-    /// Append a raw statement (escape hatch for rewriters).
-    pub fn push_stmt(&mut self, stmt: Stmt) {
-        self.body.push(stmt);
     }
 
     /// Structured conditional with only a then-arm.

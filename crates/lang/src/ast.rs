@@ -120,8 +120,8 @@ pub enum Stmt {
         /// Loop body.
         body: Vec<Stmt>,
     },
-    /// `__syncthreads();`
-    Sync,
+    /// `__syncthreads();`, at its position.
+    Sync(Pos),
     /// `return expr;`
     Return(SpannedExpr),
 }

@@ -31,50 +31,66 @@ const PUNCTS: &[&str] = &[
     "*", "/", "%", "<", ">", "=", "!", "&", "|", "^", "~",
 ];
 
-/// Tokenize `source`.
+/// Move the position past byte `b` of the source: a newline starts a
+/// line, and the first byte of every other character is one column.
+fn step(b: u8, line: &mut u32, col: &mut u32) {
+    if b == b'\n' {
+        *line += 1;
+        *col = 1;
+    } else if b & 0xC0 != 0x80 {
+        *col += 1;
+    }
+}
+
+/// Tokenize `source`, returning the tokens and the position just past its
+/// last character (where an unexpected end of input is reported).
+///
+/// Tokens are ASCII, so the scan runs over bytes; a non-ASCII character is
+/// whitespace, part of a comment, or an error.
 ///
 /// # Errors
 ///
 /// Fails on unknown characters or malformed numeric literals.
-pub fn lex(source: &str) -> Result<Vec<Token>, LangError> {
-    let bytes: Vec<char> = source.chars().collect();
+pub fn lex(source: &str) -> Result<(Vec<Token>, Pos), LangError> {
+    let bytes = source.as_bytes();
     let mut out = Vec::new();
     let mut i = 0usize;
     let mut line = 1u32;
     let mut col = 1u32;
-    let advance = |c: char, line: &mut u32, col: &mut u32| {
-        if c == '\n' {
-            *line += 1;
-            *col = 1;
-        } else {
-            *col += 1;
-        }
-    };
     while i < bytes.len() {
-        let c = bytes[i];
+        let b = bytes[i];
         let pos = Pos { line, col };
+        if !b.is_ascii() {
+            let c = source[i..].chars().next().expect("`i` is a char boundary");
+            if !c.is_whitespace() {
+                return Err(LangError::new(pos, format!("unexpected character `{c}`")));
+            }
+            col += 1;
+            i += c.len_utf8();
+            continue;
+        }
         // Whitespace.
-        if c.is_whitespace() {
-            advance(c, &mut line, &mut col);
+        if (b as char).is_whitespace() {
+            step(b, &mut line, &mut col);
             i += 1;
             continue;
         }
         // Comments.
-        if c == '/' && i + 1 < bytes.len() && bytes[i + 1] == '/' {
-            while i < bytes.len() && bytes[i] != '\n' {
-                advance(bytes[i], &mut line, &mut col);
+        if bytes[i..].starts_with(b"//") {
+            while i < bytes.len() && bytes[i] != b'\n' {
+                step(bytes[i], &mut line, &mut col);
                 i += 1;
             }
             continue;
         }
-        if c == '/' && i + 1 < bytes.len() && bytes[i + 1] == '*' {
+        if bytes[i..].starts_with(b"/*") {
             i += 2;
             col += 2;
-            while i + 1 < bytes.len() && !(bytes[i] == '*' && bytes[i + 1] == '/') {
-                advance(bytes[i], &mut line, &mut col);
+            while i < bytes.len() && !bytes[i..].starts_with(b"*/") {
+                step(bytes[i], &mut line, &mut col);
                 i += 1;
             }
-            if i + 1 >= bytes.len() {
+            if i >= bytes.len() {
                 return Err(LangError::new(pos, "unterminated block comment"));
             }
             i += 2;
@@ -82,96 +98,74 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LangError> {
             continue;
         }
         // Identifiers / keywords.
-        if c.is_ascii_alphabetic() || c == '_' {
+        if b.is_ascii_alphabetic() || b == b'_' {
             let start = i;
-            while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == '_') {
-                advance(bytes[i], &mut line, &mut col);
+            while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                 i += 1;
             }
-            let text: String = bytes[start..i].iter().collect();
+            col += (i - start) as u32;
             out.push(Token {
-                tok: Tok::Ident(text),
+                tok: Tok::Ident(source[start..i].to_string()),
                 pos,
             });
             continue;
         }
         // Numbers.
-        if c.is_ascii_digit() {
+        if b.is_ascii_digit() {
             let start = i;
             let mut is_float = false;
             while i < bytes.len()
                 && (bytes[i].is_ascii_digit()
-                    || bytes[i] == '.'
-                    || bytes[i] == 'e'
-                    || bytes[i] == 'E'
-                    || ((bytes[i] == '+' || bytes[i] == '-') && matches!(bytes[i - 1], 'e' | 'E')))
+                    || matches!(bytes[i], b'.' | b'e' | b'E')
+                    || (matches!(bytes[i], b'+' | b'-') && matches!(bytes[i - 1], b'e' | b'E')))
             {
-                if bytes[i] == '.' || bytes[i] == 'e' || bytes[i] == 'E' {
-                    is_float = true;
-                }
-                advance(bytes[i], &mut line, &mut col);
+                is_float |= matches!(bytes[i], b'.' | b'e' | b'E');
                 i += 1;
             }
-            let mut text: String = bytes[start..i].iter().collect();
+            let mut text = source[start..i].to_string();
             // Optional `f` suffix marks a float.
-            if i < bytes.len() && (bytes[i] == 'f' || bytes[i] == 'F') {
+            if i < bytes.len() && matches!(bytes[i], b'f' | b'F') {
                 is_float = true;
-                advance(bytes[i], &mut line, &mut col);
                 i += 1;
             }
             // Optional `u` suffix is accepted and ignored (uint literal).
-            if !is_float && i < bytes.len() && (bytes[i] == 'u' || bytes[i] == 'U') {
-                advance(bytes[i], &mut line, &mut col);
+            if !is_float && i < bytes.len() && matches!(bytes[i], b'u' | b'U') {
                 i += 1;
             }
-            if is_float {
+            col += (i - start) as u32;
+            let tok = if is_float {
                 if text.ends_with('.') {
                     text.push('0');
                 }
-                let value: f32 = text
-                    .parse()
-                    .map_err(|_| LangError::new(pos, format!("bad float literal `{text}`")))?;
-                out.push(Token {
-                    tok: Tok::Float(value),
-                    pos,
-                });
+                Tok::Float(
+                    text.parse()
+                        .map_err(|_| LangError::new(pos, format!("bad float literal `{text}`")))?,
+                )
             } else {
-                let value: i64 = text
-                    .parse()
-                    .map_err(|_| LangError::new(pos, format!("bad integer literal `{text}`")))?;
-                out.push(Token {
-                    tok: Tok::Int(value),
-                    pos,
-                });
-            }
+                Tok::Int(
+                    text.parse().map_err(|_| {
+                        LangError::new(pos, format!("bad integer literal `{text}`"))
+                    })?,
+                )
+            };
+            out.push(Token { tok, pos });
             continue;
         }
         // Punctuation.
-        let rest: String = bytes[i..(i + 3).min(bytes.len())].iter().collect();
-        let mut matched = None;
-        for p in PUNCTS {
-            if rest.starts_with(p) {
-                matched = Some(*p);
-                break;
-            }
-        }
-        match matched {
-            Some(p) => {
-                out.push(Token {
-                    tok: Tok::Punct(p),
-                    pos,
-                });
-                for _ in 0..p.len() {
-                    advance(bytes[i], &mut line, &mut col);
-                    i += 1;
-                }
-            }
-            None => {
-                return Err(LangError::new(pos, format!("unexpected character `{c}`")));
-            }
-        }
+        let Some(p) = PUNCTS.iter().find(|p| bytes[i..].starts_with(p.as_bytes())) else {
+            return Err(LangError::new(
+                pos,
+                format!("unexpected character `{}`", b as char),
+            ));
+        };
+        out.push(Token {
+            tok: Tok::Punct(p),
+            pos,
+        });
+        i += p.len();
+        col += p.len() as u32;
     }
-    Ok(out)
+    Ok((out, Pos { line, col }))
 }
 
 #[cfg(test)]
@@ -179,7 +173,7 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<Tok> {
-        lex(src).unwrap().into_iter().map(|t| t.tok).collect()
+        lex(src).unwrap().0.into_iter().map(|t| t.tok).collect()
     }
 
     #[test]
@@ -242,9 +236,10 @@ mod tests {
 
     #[test]
     fn positions_track_lines() {
-        let toks = lex("a\n  b").unwrap();
+        let (toks, end) = lex("a\n  b").unwrap();
         assert_eq!(toks[0].pos, Pos { line: 1, col: 1 });
         assert_eq!(toks[1].pos, Pos { line: 2, col: 3 });
+        assert_eq!(end, Pos { line: 2, col: 4 });
     }
 
     #[test]

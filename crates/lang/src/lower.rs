@@ -556,10 +556,10 @@ impl Lowerer<'_> {
                 });
                 Ok(())
             }
-            Stmt::Sync => {
+            Stmt::Sync(pos) => {
                 if !self.in_kernel {
                     return Err(LangError::new(
-                        Pos { line: 0, col: 0 },
+                        *pos,
                         "__syncthreads() is not allowed in __device__ functions",
                     ));
                 }

@@ -104,3 +104,16 @@ fn error_positions_point_into_the_source() {
     assert_eq!(err.pos.line, 2);
     assert!(err.pos.col >= 11, "col = {}", err.pos.col);
 }
+
+#[test]
+fn errors_point_into_the_text_at_the_end_of_input_too() {
+    // An unexpected end is reported just past the last character.
+    let err = parse_program("__global__ void k(float* a) {\n    a[0] = 1.0f;").unwrap_err();
+    assert_eq!((err.pos.line, err.pos.col), (2, 17), "{err}");
+    // A lowering error without an expression carries its statement's
+    // position.
+    let err =
+        parse_program("__device__ float f(float x) {\n    __syncthreads();\n    return x;\n}")
+            .unwrap_err();
+    assert_eq!((err.pos.line, err.pos.col), (2, 5), "{err}");
+}

@@ -1107,9 +1107,9 @@ mod tests {
         // two buffers and 4 blocks each, on 2 workers — each fresh worker
         // image copies the 4-buffer arena once.
         use crate::fused::{execute_fused, FusedJob};
-        use crate::plan::{BufferSpec, LaunchPlan, Pipeline, PlanArg};
+        use crate::plan::{BufferInit, BufferSpec, LaunchPlan, Pipeline, PlanArg};
         let mut pipeline = Pipeline::default();
-        let src = pipeline.add_buffer(BufferSpec::f32("src", vec![0.0; 64]));
+        let src = pipeline.add_buffer(BufferSpec::global("src", BufferInit::F32(vec![0.0; 64])));
         let dst = pipeline.add_buffer(BufferSpec::zeroed_f32("dst", 64));
         pipeline.launches.push(LaunchPlan {
             kernel: kid,

@@ -165,7 +165,7 @@ fn execute_fused_inner(
 mod tests {
     use super::*;
     use crate::device::Dim2;
-    use crate::plan::{BufferSpec, LaunchPlan, PlanArg};
+    use crate::plan::{BufferInit, BufferSpec, LaunchPlan, PlanArg};
     use crate::profile::DeviceProfile;
     use paraprox_ir::{KernelBuilder, KernelId, MemSpace, Scalar, Ty};
 
@@ -190,7 +190,7 @@ mod tests {
 
         let n = input.len();
         let mut p = Pipeline::default();
-        let buf = p.add_buffer(BufferSpec::f32("data", input));
+        let buf = p.add_buffer(BufferSpec::global("data", BufferInit::F32(input)));
         let plan = |kernel: KernelId, args: Vec<PlanArg>| LaunchPlan {
             kernel,
             grid: Dim2::linear(n / 16),
@@ -244,7 +244,7 @@ mod tests {
         let pipes: Vec<(Pipeline, f64)> = (0..5)
             .map(|j| {
                 let mut p = base.clone();
-                p.set_input(0, crate::plan::BufferInit::F32(inputs(j)));
+                p.set_input(0, BufferInit::F32(inputs(j)));
                 if j % 2 == 1 {
                     p.buffers[0] = p.buffers[0].clone().with_space(MemSpace::Approx);
                 }

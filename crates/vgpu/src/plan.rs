@@ -79,31 +79,22 @@ impl BufferSpec {
 
     /// A zeroed global `f32` buffer.
     pub fn zeroed_f32(name: &str, len: usize) -> BufferSpec {
-        BufferSpec {
-            name: name.to_string(),
-            ty: Ty::F32,
-            space: MemSpace::Global,
-            init: BufferInit::Zeroed(len),
-        }
+        BufferSpec::global(name, BufferInit::Zeroed(len))
     }
 
-    /// A global `f32` buffer with data.
-    pub fn f32(name: &str, data: Vec<f32>) -> BufferSpec {
+    /// A global buffer whose element type is its init's: that of the data,
+    /// or `f32` for [`BufferInit::Zeroed`].
+    pub fn global(name: &str, init: BufferInit) -> BufferSpec {
+        let ty = match init {
+            BufferInit::Zeroed(_) | BufferInit::F32(_) => Ty::F32,
+            BufferInit::I32(_) => Ty::I32,
+            BufferInit::U32(_) => Ty::U32,
+        };
         BufferSpec {
             name: name.to_string(),
-            ty: Ty::F32,
+            ty,
             space: MemSpace::Global,
-            init: BufferInit::F32(data),
-        }
-    }
-
-    /// A global `i32` buffer with data.
-    pub fn i32(name: &str, data: Vec<i32>) -> BufferSpec {
-        BufferSpec {
-            name: name.to_string(),
-            ty: Ty::I32,
-            space: MemSpace::Global,
-            init: BufferInit::I32(data),
+            init,
         }
     }
 
@@ -259,7 +250,7 @@ mod tests {
     fn pipeline_executes_launches_in_order() {
         let (program, kid) = scale_program();
         let mut p = Pipeline::default();
-        let buf = p.add_buffer(BufferSpec::f32("data", vec![1.0; 32]));
+        let buf = p.add_buffer(BufferSpec::global("data", BufferInit::F32(vec![1.0; 32])));
         // Two launches: x2 then x3 => x6 total.
         for k in [2.0f32, 3.0] {
             p.launches.push(LaunchPlan {
@@ -281,7 +272,7 @@ mod tests {
     fn set_input_changes_next_execution() {
         let (program, kid) = scale_program();
         let mut p = Pipeline::default();
-        let buf = p.add_buffer(BufferSpec::f32("data", vec![1.0; 8]));
+        let buf = p.add_buffer(BufferSpec::global("data", BufferInit::F32(vec![1.0; 8])));
         p.launches.push(LaunchPlan {
             kernel: kid,
             grid: Dim2::linear(1),

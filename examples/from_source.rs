@@ -52,7 +52,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let kernel = program.kernel_by_name("score_all")?;
     let func = program.func_by_name("score")?;
     let mut pipeline = Pipeline::default();
-    let values = pipeline.add_buffer(BufferSpec::f32("values", gen_values(0)));
+    let values = pipeline.add_buffer(BufferSpec::global("values", BufferInit::F32(gen_values(0))));
     let out = pipeline.add_buffer(BufferSpec::zeroed_f32("out", n));
     pipeline.launches.push(LaunchPlan {
         kernel,

@@ -3,18 +3,19 @@
 #   1. check_lint_fixtures.sh (every error-severity lint has fixtures)
 #   2. check_docs.sh (every file, bin, workload and subcommand the docs cite exists)
 #   3. eval_func guard (the pure evaluator is named only by tests)
-#   4. oracle guard (no shipped binary builds the tree-walking oracle)
-#   5. cargo fmt --check
-#   6. cargo build --release
-#   7. cargo test -q (tier-1, root package)
-#   8. cargo test --workspace -q (every invariant is asserted here)
-#   9. cargo clippy --workspace --all-targets -D warnings
-#  10. the 14 experiment bins of scripts/run_all_experiments.sh regenerate
+#   4. front-door guard (every app kernel is source lowered by paraprox-lang)
+#   5. oracle guard (no shipped binary builds the tree-walking oracle)
+#   6. cargo fmt --check
+#   7. cargo build --release
+#   8. cargo test -q (tier-1, root package)
+#   9. cargo test --workspace -q (every invariant is asserted here)
+#  10. cargo clippy --workspace --all-targets -D warnings
+#  11. the 14 experiment bins of scripts/run_all_experiments.sh regenerate
 #      results/*.txt byte-identically (~5 s)
-#  11. paraprox-cli analyze --json on all 13 apps
-#  12. paraprox-cli inspect --schedule on every preset of both iterative apps
-#  13. paraprox-cli serve on both profiles (drift, back-off, re-promotion)
-#  14. paraprox-benchmark smokes: iter_converge, kernel_exec, serve_open_drift
+#  12. paraprox-cli analyze --json on all 13 apps
+#  13. paraprox-cli inspect --schedule on every preset of both iterative apps
+#  14. paraprox-cli serve on both profiles (drift, back-off, re-promotion)
+#  15. paraprox-benchmark smokes: iter_converge, kernel_exec, serve_open_drift
 #      (the only place a host timing is taken; none is gated here)
 # Everything runs offline (the workspace has no external dependencies),
 # so this works in sandboxed CI.
@@ -42,6 +43,18 @@ for f in $(find crates/*/src -name '*.rs' | sort); do
   [ "$f" = crates/ir/src/eval.rs ] && continue
   if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nw eval_func | grep -v ':pub use ' >&2; then
     echo "FAIL: $f names eval_func outside its tests (lines above)" >&2
+    guard=1
+  fi
+done
+[ "$guard" -eq 0 ]
+
+echo "==> front-door guard (every application kernel is kernel source, lowered by paraprox-lang)"
+# The applications are written as CUDA-flavored source, as the paper's
+# input is; building IR by hand is for tests. No crates/apps/src file may
+# name the IR builders above its first #[cfg(test)].
+for f in $(find crates/apps/src -name '*.rs' | sort); do
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nwE 'KernelBuilder|FuncBuilder' >&2; then
+    echo "FAIL: $f builds kernel IR by hand (lines above)" >&2
     guard=1
   fi
 done

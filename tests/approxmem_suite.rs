@@ -22,7 +22,7 @@ use paraprox_apps::{registry, Scale};
 use paraprox_ir::{KernelBuilder, MemSpace, Program, Ty};
 use paraprox_quality::Metric;
 use paraprox_vgpu::{
-    BufferSpec, Device, Dim2, ExecEngine, LaunchPlan, Pipeline, PipelineRun, PlanArg,
+    BufferInit, BufferSpec, Device, Dim2, ExecEngine, LaunchPlan, Pipeline, PipelineRun, PlanArg,
 };
 
 const N: usize = 64;
@@ -44,8 +44,8 @@ fn gather_workload() -> Workload {
     // A permutation of 0..N so every fetch lands in-bounds when exact.
     let indices: Vec<i32> = (0..N as i32).map(|i| (i * 7) % N as i32).collect();
     let data_init: Vec<f32> = (0..N).map(|i| i as f32 * 1.5).collect();
-    let idx_b = pipeline.add_buffer(BufferSpec::i32("idx", indices));
-    let data_b = pipeline.add_buffer(BufferSpec::f32("data", data_init));
+    let idx_b = pipeline.add_buffer(BufferSpec::global("idx", BufferInit::I32(indices)));
+    let data_b = pipeline.add_buffer(BufferSpec::global("data", BufferInit::F32(data_init)));
     let out_b = pipeline.add_buffer(BufferSpec::zeroed_f32("out", N));
     pipeline.launches.push(LaunchPlan {
         kernel,
