@@ -113,8 +113,10 @@ fn no_app_leaves_the_typed_strips_and_a_mixed_tag_kernel_does() {
                 )
                 .expect("mixed lanes are not an error");
             assert_eq!(stats.lane_fallback_ops > 0, falls_back, "{engine:?}");
-            // One load and one store in each of the two blocks.
-            let per_lane_accesses = if falls_back { 2 * 2 } else { 0 };
+            // One load and one store, dispatched once for the two blocks:
+            // they run as one block group.
+            assert_eq!(stats.groups, u64::from(falls_back), "{engine:?}");
+            let per_lane_accesses = if falls_back { 2 } else { 0 };
             assert_eq!(stats.mem_fallback_ops, per_lane_accesses, "{engine:?}");
             let want: Vec<f32> = data.iter().enumerate().map(|(i, v)| v * i as f32).collect();
             assert_eq!(device.read_f32(out).unwrap(), want);

@@ -45,14 +45,12 @@
 //! bank: per-block read-only rows holding literals, scalar kernel
 //! arguments, and thread-coordinate specials.
 
-use std::sync::atomic::Ordering;
-
 use paraprox_ir::{
     AtomicOp, BinOp, CmpOp, EvalError, Expr, Func, FuncId, Kernel, LoopCond, LoopStep, MemRef,
     Program, Scalar, Special, Stmt, Ty, UnOp,
 };
 
-use crate::exec::{ExecCtx, FILLER, ITERATION_BUDGET};
+use crate::exec::{ExecCtx, FILLER};
 use crate::mask::LaneMask;
 use crate::profile::DeviceProfile;
 use crate::soa::{
@@ -163,8 +161,9 @@ enum Op {
         lat: u64,
         count: u64,
     },
-    /// Fail with `UninitializedVar(var)` unless local `local` was written.
-    GuardInit { local: u16, var: u32 },
+    /// Fail with `UninitializedVar(var)` unless local `local` was written
+    /// (by every block with a lane in `m`).
+    GuardInit { m: u16, local: u16, var: u32 },
     /// Write `src` into local `local`: full copy on first write (the
     /// tree-walker stores the whole vector), masked copy afterwards.
     StoreLocal { m: u16, local: u16, src: u16 },
@@ -335,6 +334,58 @@ pub struct CompiledKernel {
     frame: FrameMeta,
     funcs: Vec<FuncMeta>,
     name: String,
+    /// Which buffer parameters the kernel loads, stores and updates.
+    pub(crate) access: ParamAccess,
+}
+
+/// The buffer parameters a kernel loads from, stores to, and targets with
+/// atomics (parameter indices, ascending), summarized once when it
+/// compiles. Device functions take scalar arguments only, so a walk over
+/// the kernel body — loop bounds and branch conditions included — is
+/// complete.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub(crate) struct ParamAccess {
+    pub loads: Vec<usize>,
+    pub stores: Vec<usize>,
+    pub atomics: Vec<usize>,
+}
+
+impl ParamAccess {
+    fn of(kernel: &Kernel) -> ParamAccess {
+        use paraprox_ir::{for_each_expr_in_stmts, for_each_stmt};
+        let mut access = ParamAccess::default();
+        for_each_expr_in_stmts(&kernel.body, &mut |e| {
+            if let Expr::Load {
+                mem: MemRef::Param(i),
+                ..
+            } = e
+            {
+                access.loads.push(*i);
+            }
+        });
+        for_each_stmt(&kernel.body, &mut |st| match st {
+            Stmt::Store {
+                mem: MemRef::Param(i),
+                ..
+            } => access.stores.push(*i),
+            Stmt::Atomic {
+                mem: MemRef::Param(i),
+                ..
+            } => access.atomics.push(*i),
+            _ => {}
+        });
+        for set in [&mut access.loads, &mut access.stores, &mut access.atomics] {
+            set.sort_unstable();
+            set.dedup();
+        }
+        access
+    }
+
+    /// Whether the kernel reads parameter `pi`: loads it, or updates it
+    /// atomically (a read-modify-write).
+    pub fn reads(&self, pi: usize) -> bool {
+        self.loads.contains(&pi) || self.atomics.contains(&pi)
+    }
 }
 
 impl CompiledKernel {
@@ -427,7 +478,7 @@ impl CompiledKernel {
                     r(*dst)
                 )
             }
-            Op::GuardInit { local, var } => format!("guard    r{local} (v{var})"),
+            Op::GuardInit { m, local, var } => format!("guard    m{m} r{local} (v{var})"),
             Op::StoreLocal { m, local, src } => format!("stloc    m{m} r{local} <- {}", r(*src)),
             Op::IfSplit {
                 m,
@@ -876,6 +927,7 @@ pub fn compile_kernel(
         frame,
         funcs: c.funcs,
         name: kernel.name.clone(),
+        access: ParamAccess::of(kernel),
     }
 }
 
@@ -955,6 +1007,7 @@ impl<'a> Compiler<'a> {
                 assert!(idx < fr.n_locals as usize, "local {v} out of range");
                 if !fr.init[idx] {
                     self.ops.push(Op::GuardInit {
+                        m,
                         local: idx as u16,
                         var: v.0,
                     });
@@ -1492,23 +1545,25 @@ struct CallCtx {
 }
 
 /// Per-worker executor scratch: the register-file arena, mask arena,
-/// constant-bank rows, and call stack. A worker builds one per launch and
-/// reuses it across statements and blocks: rows and masks are allocated
-/// the first time a block touches them and only refilled afterwards, so
+/// constant-bank rows, and call stack. Part of a worker's scratch, which
+/// dispatches borrow from a process-wide pool (`exec.rs`), so it is reused
+/// across statements, groups and launches: rows and masks are allocated
+/// the first time a group touches them and only refilled afterwards, so
 /// executing an op — memory ops included, see `exec.rs` — allocates
-/// nothing once the launch's first block has run. What a launch does
-/// allocate is a constant per worker plus a constant per block (its write
-/// log); `tests/alloc_steady_state.rs` pins both. Registers are
-/// structure-of-arrays [`RegRow`]s (contiguous lane-major `u32` strips)
-/// and masks are [`LaneMask`] bitsets, so ops run as typed slice loops over
-/// raw bit patterns, a mask word at a time.
-#[derive(Default)]
+/// nothing once the first group of that shape has run. What a launch does
+/// allocate is a constant plus one write log per block;
+/// `tests/alloc_steady_state.rs` pins it. Registers are structure-of-arrays
+/// [`RegRow`]s (contiguous lane-major `u32` strips) and masks are
+/// [`LaneMask`] bitsets, so ops run as typed slice loops over raw bit
+/// patterns, a mask word at a time.
+#[derive(Debug, Default)]
 pub(crate) struct BcScratch {
     /// Register rows, stacked per frame window.
     regs: Vec<RegRow>,
-    /// Runtime definite-init flag per register row (only local slots are
-    /// consulted; mirrors the tree-walker's `Option<Lanes>` locals).
-    init: Vec<bool>,
+    /// Runtime definite-init flags per register row, one bit per block of
+    /// the group (only local slots are consulted; mirrors the
+    /// tree-walker's `Option<Lanes>` locals, which each block has alone).
+    init: Vec<u64>,
     /// Mask rows, stacked per frame window.
     masks: Vec<LaneMask>,
     /// Materialized constant-bank rows, refilled per block.
@@ -1744,9 +1799,15 @@ fn exec_binary(
     b: u16,
 ) -> Result<(), EvalError> {
     // Latency class from the first active lane of the LHS, like the
-    // tree-walker.
-    let float = row(s, rb, a).first_ty(&s.masks[mb + m as usize]) == Some(Ty::F32);
-    ctx.charge_compute(ctx.profile.binop_lat(op, float), &s.masks[mb + m as usize]);
+    // tree-walker: one class for a uniform row, each block's own for a
+    // mixed one.
+    let (va, mask) = (row(s, rb, a), &s.masks[mb + m as usize]);
+    if ctx.blocks == 1 || va.uniform_tag() != TAG_MIXED {
+        let float = va.first_ty(mask) == Some(Ty::F32);
+        ctx.charge_compute(ctx.profile.binop_lat(op, float), mask);
+    } else {
+        charge_binary_per_block(ctx, op, va, mask);
+    }
     let dst_abs = rb + dst as usize;
     let mut out = std::mem::take(&mut s.regs[dst_abs]);
     let r = apply_binary(
@@ -1852,6 +1913,55 @@ fn exec_store(
     )
 }
 
+/// [`exec_binary`]'s charge for a mixed left operand in a group of several
+/// blocks: each block's latency class from its own first active lane.
+#[cold]
+#[inline(never)]
+fn charge_binary_per_block(ctx: &mut ExecCtx<'_>, op: BinOp, va: &RegRow, mask: &LaneMask) {
+    for b in 0..ctx.blocks {
+        let lanes = ctx.block_range(b);
+        let first = mask.first_set_from(lanes.start).filter(|&l| l < lanes.end);
+        let float = first.map(|l| va.ty_at(l)) == Some(Ty::F32);
+        ctx.charge_block(ctx.profile.binop_lat(op, float), mask, b);
+    }
+}
+
+/// `StoreLocal` into register `dst` from operand `src` of the frame at
+/// `base`, under mask `m` (absolute), when some blocks of the group write
+/// the local for the first time: each of them takes the source's whole
+/// row over its own lanes, the others merge their active lanes. (The lanes
+/// of a block that never wrote it are dead, so when no block had, the
+/// whole row is copied.)
+#[cold]
+#[inline(never)]
+fn store_local_first_writes(
+    ctx: &mut ExecCtx<'_>,
+    s: &mut BcScratch,
+    dst: usize,
+    (base, src): (usize, u16),
+    m: usize,
+) {
+    let have = s.init[dst];
+    let first = ctx.active_blocks(&s.masks[m]) & !have;
+    let mut out = std::mem::take(&mut s.regs[dst]);
+    let src_row = row(s, base, src);
+    if have == 0 {
+        out.copy_from(src_row);
+    } else {
+        merge_masked(
+            &mut out,
+            src_row,
+            &s.masks[m],
+            &mut ctx.stats.lane_fallback_ops,
+        );
+        for b in crate::mask::set_bits(first) {
+            out.copy_range(src_row, ctx.block_range(b));
+        }
+    }
+    s.regs[dst] = out;
+    s.init[dst] = have | first;
+}
+
 /// Split a branch mask and store the halves; returns whether the
 /// then-half is empty. The caller owns the branch charge and the jump.
 #[allow(clippy::too_many_arguments)]
@@ -1908,9 +2018,11 @@ fn step_loop(
     Ok(())
 }
 
-/// Fill the constant-bank rows for one block. Charge-free, exactly like
+/// Fill the constant-bank rows for one group. Charge-free, exactly like
 /// the tree-walker's leaf evaluations; every row is filled on all lanes
-/// (and stays uniform, so bank operands always qualify for typed loops).
+/// with one type (so bank operands always qualify for typed loops), and
+/// all but the thread coordinates — and, in a group of several blocks,
+/// the block coordinates — hold one value.
 fn fill_bank(ctx: &ExecCtx<'_>, prog: &CompiledKernel, s: &mut BcScratch) -> Result<(), EvalError> {
     use crate::device::ArgValue;
     let lanes = ctx.lanes;
@@ -1936,19 +2048,26 @@ fn fill_bank(ctx: &ExecCtx<'_>, prog: &CompiledKernel, s: &mut BcScratch) -> Res
                 }
             },
             // One value per block, except the thread coordinates: lanes
-            // are numbered row-major over the block.
+            // are numbered row-major over each block.
             BankEntry::Special(sp) => {
-                // (32-bit: the division is per lane per block.)
-                let width = ctx.block.x as u32;
+                // (32-bit: the division is per lane per group.) Blocks are
+                // whole multiples of the block width, so thread x of a
+                // lane is the lane modulo the width.
+                let (bx, by) = (ctx.block.x as u32, ctx.block.y as u32);
+                let threads = 0..lanes as u32;
+                let blocks = (0..ctx.blocks).map(|b| ctx.block_coords(b));
                 match sp {
-                    Special::ThreadIdX => {
-                        bank_row.fill_with(lanes, TAG_I32, |lane| lane as u32 % width)
+                    Special::ThreadIdX => bank_row.fill_from(TAG_I32, threads.map(|l| l % bx)),
+                    Special::ThreadIdY if ctx.blocks == 1 => {
+                        bank_row.fill_from(TAG_I32, threads.map(|l| l / bx))
                     }
-                    Special::ThreadIdY => {
-                        bank_row.fill_with(lanes, TAG_I32, |lane| lane as u32 / width)
+                    Special::ThreadIdY => bank_row.fill_from(TAG_I32, threads.map(|l| l / bx % by)),
+                    Special::BlockIdX => {
+                        bank_row.fill_blocks(TAG_I32, ctx.block_lanes, blocks.map(|c| c.0 as u32))
                     }
-                    Special::BlockIdX => bank_row.fill(lanes, Scalar::I32(ctx.block_x)),
-                    Special::BlockIdY => bank_row.fill(lanes, Scalar::I32(ctx.block_y)),
+                    Special::BlockIdY => {
+                        bank_row.fill_blocks(TAG_I32, ctx.block_lanes, blocks.map(|c| c.1 as u32))
+                    }
                     Special::BlockDimX => bank_row.fill(lanes, Scalar::I32(ctx.block.x as i32)),
                     Special::BlockDimY => bank_row.fill(lanes, Scalar::I32(ctx.block.y as i32)),
                     Special::GridDimX => bank_row.fill(lanes, Scalar::I32(ctx.grid.x as i32)),
@@ -1960,8 +2079,16 @@ fn fill_bank(ctx: &ExecCtx<'_>, prog: &CompiledKernel, s: &mut BcScratch) -> Res
     Ok(())
 }
 
-/// Execute one block of `prog` against `ctx`. Charges and memory traffic
-/// are bit-identical to the tree-walking oracle over the original AST.
+/// Whether a block with a lane in `mask` has not written the local whose
+/// init bits are `init`.
+#[inline]
+fn uninit(ctx: &ExecCtx<'_>, init: u64, mask: &LaneMask) -> bool {
+    init != ctx.all_blocks() && ctx.active_blocks(mask) & !init != 0
+}
+
+/// Execute one group of `prog` against `ctx`: its blocks as one lane row.
+/// Charges and memory traffic are bit-identical to the tree-walking oracle
+/// running each block alone over the original AST.
 pub(crate) fn execute(
     ctx: &mut ExecCtx<'_>,
     prog: &CompiledKernel,
@@ -1981,14 +2108,12 @@ pub(crate) fn execute(
         s.regs.resize_with(cur_regs, || RegRow::new(0));
     }
     if s.init.len() < cur_regs {
-        s.init.resize(cur_regs, false);
+        s.init.resize(cur_regs, 0);
     }
     if s.masks.len() < cur_masks.max(1) {
         s.masks.resize_with(cur_masks.max(1), LaneMask::default);
     }
-    for flag in &mut s.init[..prog.frame.n_locals as usize] {
-        *flag = false;
-    }
+    s.init[..prog.frame.n_locals as usize].fill(0);
     s.masks[0].reset_full(lanes);
     s.calls.clear();
     // The kernel frame runs its statements unconditionally (the all-true
@@ -2027,17 +2152,29 @@ pub(crate) fn execute(
                 ctx.stats.instructions += count * warps;
                 s.regs[reg_base + *dst as usize].fill_masked(*value, mask);
             }
-            Op::GuardInit { local, var } => {
-                if !s.init[reg_base + *local as usize] {
+            Op::GuardInit { m, local, var } => {
+                let mask = &s.masks[mask_base + *m as usize];
+                if uninit(ctx, s.init[reg_base + *local as usize], mask) {
                     return Err(EvalError::UninitializedVar(*var));
                 }
             }
             Op::StoreLocal { m, local, src } => {
                 let dst_abs = reg_base + *local as usize;
+                let mask = &s.masks[mask_base + *m as usize];
+                let have = s.init[dst_abs];
                 // Self-assignment (`x = x`) is a no-op value-wise.
                 if *src & BANK_FLAG == 0 && *src == *local {
-                    s.init[dst_abs] = true;
-                } else if !s.init[dst_abs] {
+                    s.init[dst_abs] |= ctx.active_blocks(mask);
+                } else if have == ctx.all_blocks() {
+                    let mut out = std::mem::take(&mut s.regs[dst_abs]);
+                    merge_masked(
+                        &mut out,
+                        row(s, reg_base, *src),
+                        mask,
+                        &mut ctx.stats.lane_fallback_ops,
+                    );
+                    s.regs[dst_abs] = out;
+                } else if have == 0 && (ctx.blocks == 1 || mask.all()) {
                     // First write: store the whole row, like the
                     // tree-walker moving the evaluated vector into the
                     // `None` slot (inactive lanes keep the source's
@@ -2045,16 +2182,10 @@ pub(crate) fn execute(
                     let mut out = std::mem::take(&mut s.regs[dst_abs]);
                     out.copy_from(row(s, reg_base, *src));
                     s.regs[dst_abs] = out;
-                    s.init[dst_abs] = true;
+                    s.init[dst_abs] = ctx.all_blocks();
                 } else {
-                    let mut out = std::mem::take(&mut s.regs[dst_abs]);
-                    merge_masked(
-                        &mut out,
-                        row(s, reg_base, *src),
-                        &s.masks[mask_base + *m as usize],
-                        &mut ctx.stats.lane_fallback_ops,
-                    );
-                    s.regs[dst_abs] = out;
+                    let m = mask_base + *m as usize;
+                    store_local_first_writes(ctx, s, dst_abs, (reg_base, *src), m);
                 }
             }
             Op::IfSplit {
@@ -2132,7 +2263,7 @@ pub(crate) fn execute(
             } => {
                 ctx.charge_compute(ctx.profile.alu_lat, &s.masks[mask_base + *ml as usize]);
                 let local_abs = reg_base + *local as usize;
-                if !s.init[local_abs] {
+                if uninit(ctx, s.init[local_abs], &s.masks[mask_base + *ml as usize]) {
                     return Err(EvalError::UninitializedVar(*var));
                 }
                 let mut lm = std::mem::take(&mut s.masks[mask_base + *ml as usize]);
@@ -2176,10 +2307,8 @@ pub(crate) fn execute(
                     pc = *exit as usize;
                     continue;
                 }
-                let used = ctx.iterations.fetch_add(1, Ordering::Relaxed) + 1;
-                if used > ITERATION_BUDGET {
-                    return Err(EvalError::IterationLimit);
-                }
+                // One token per block still looping.
+                ctx.tick(&s.masks[mask_base + *ml as usize])?;
             }
             Op::ForPrune { ml, exit } => {
                 let mut lm = std::mem::take(&mut s.masks[mask_base + *ml as usize]);
@@ -2201,7 +2330,7 @@ pub(crate) fn execute(
             } => {
                 ctx.charge_compute(ctx.profile.alu_lat, &s.masks[mask_base + *ml as usize]);
                 let local_abs = reg_base + *local as usize;
-                if !s.init[local_abs] {
+                if uninit(ctx, s.init[local_abs], &s.masks[mask_base + *ml as usize]) {
                     return Err(EvalError::UninitializedVar(*var));
                 }
                 let alias = *amount & BANK_FLAG == 0 && *amount == *local;
@@ -2254,7 +2383,7 @@ pub(crate) fn execute(
                 )?;
             }
             Op::Sync { m } => {
-                if !s.masks[mask_base + *m as usize].all() {
+                if !ctx.converged(&s.masks[mask_base + *m as usize]) {
                     return Err(EvalError::DivergentBarrier);
                 }
             }
@@ -2320,15 +2449,13 @@ pub(crate) fn execute(
                     s.regs.resize_with(new_rb + callee_regs, || RegRow::new(0));
                 }
                 if s.init.len() < new_rb + callee_regs {
-                    s.init.resize(new_rb + callee_regs, false);
+                    s.init.resize(new_rb + callee_regs, 0);
                 }
                 if s.masks.len() < new_mb + callee_masks.max(2) {
                     s.masks
                         .resize_with(new_mb + callee_masks.max(2), LaneMask::default);
                 }
-                for flag in &mut s.init[new_rb..new_rb + callee_locals] {
-                    *flag = false;
-                }
+                s.init[new_rb..new_rb + callee_locals].fill(0);
                 // Mask slot 0: the call mask; slot 1: returned lanes.
                 let mut cm = std::mem::take(&mut s.masks[new_mb]);
                 cm.copy_from(&s.masks[mask_base + *m as usize]);

@@ -115,6 +115,68 @@ impl Clone for BufferStorage {
     }
 }
 
+/// Lanes a block group fills: blocks narrower than [`ALONE_BLOCK_LANES`]
+/// run `GROUP_LANES / lanes` (rounded up) at a time as one row.
+pub(crate) const GROUP_LANES: usize = 256;
+
+/// Blocks this wide or wider run alone: they already pay each op's
+/// dispatch over enough lanes. (Two 128-lane blocks per row measured no
+/// faster than one, and slower on one application: EXPERIMENTS.md, "Host
+/// speed: block groups".)
+const ALONE_BLOCK_LANES: usize = 128;
+
+/// Most blocks in one group: a local's first-written state is one bit per
+/// block of a `u64`.
+pub(crate) const MAX_GROUP_BLOCKS: usize = 64;
+
+/// Blocks per group for a launch of `compiled` over `grid` blocks of
+/// `block` threads bound to `args` — the one grouping rule. More than one
+/// only for blocks narrower than [`ALONE_BLOCK_LANES`] when the launch is
+/// *group-safe*, so that running its blocks as one row cannot change what
+/// any of them observes:
+///
+/// * the block is whole warps, so no warp straddles two blocks;
+/// * the kernel has no global atomic (the accumulated value would be read
+///   across blocks);
+/// * no bound buffer is both loaded and stored — checked on the buffers,
+///   so two parameters aliasing one buffer count as one.
+///
+/// The group then spans [`GROUP_LANES`] lanes, capped by the grid; the
+/// last group of a launch may be partial.
+pub(crate) fn group_blocks(
+    profile: &DeviceProfile,
+    compiled: &CompiledKernel,
+    args: &[ArgValue],
+    grid: Dim2,
+    block: Dim2,
+) -> usize {
+    let lanes = block.count();
+    #[cfg(any(test, feature = "oracle"))]
+    if profile.engine == crate::oracle::ExecEngine::TreeWalk {
+        return 1;
+    }
+    let buffer = |pi: &usize| match args.get(*pi) {
+        Some(ArgValue::Buffer(id)) => Some(*id),
+        _ => None,
+    };
+    let access = &compiled.access;
+    let safe = lanes < ALONE_BLOCK_LANES
+        && lanes.is_multiple_of(profile.warp_width)
+        && access.atomics.is_empty()
+        && !access
+            .loads
+            .iter()
+            .filter_map(buffer)
+            .any(|id| access.stores.iter().filter_map(buffer).any(|s| s == id));
+    if !safe {
+        return 1;
+    }
+    GROUP_LANES
+        .div_ceil(lanes)
+        .min(MAX_GROUP_BLOCKS)
+        .min(grid.count())
+}
+
 /// Upper bound on cached compiled kernels; past it the cache is cleared
 /// (a backstop for pathological kernel-generating loops, far above what
 /// the tuner's candidate sweeps produce).
@@ -619,6 +681,7 @@ impl Device {
     ) -> Result<LaunchStats, LaunchError> {
         let k = program.kernel(kernel);
         self.validate_launch(k, grid, block, args)?;
+        let compiled = self.compiled(program, k);
         let mut overwritten = Vec::with_capacity(overwritten_params.len());
         for &pi in overwritten_params {
             let reject = |reason: String| {
@@ -637,7 +700,7 @@ impl Device {
             let ArgValue::Buffer(id) = args[pi] else {
                 return reject("overwritten declaration names a scalar parameter".to_string());
             };
-            if kernel_reads_param(k, pi) {
+            if compiled.access.reads(pi) {
                 return reject(format!(
                     "parameter {pi} is declared input-overwritten but the kernel reads it"
                 ));
@@ -650,7 +713,7 @@ impl Device {
             grid,
             block,
             args,
-            compiled: self.compiled(program, k),
+            compiled,
             approx_rate: self.approx_rate,
             overwritten: &overwritten,
             l1: self.l1.clone(),
@@ -682,6 +745,7 @@ impl Device {
                     args: p.args,
                     grid: p.grid,
                     block: p.block,
+                    group: group_blocks(&self.profile, &p.compiled, p.args, p.grid, p.block),
                     compiled: p.compiled,
                     schedule_seed: self.schedule_seed,
                     approx_threshold: exec::approx_threshold(p.approx_rate),
@@ -785,35 +849,6 @@ impl Device {
     pub(crate) fn compiled(&mut self, program: &Program, k: &Kernel) -> Arc<CompiledKernel> {
         self.programs.get_or_compile(program, k, &self.profile)
     }
-}
-
-/// Whether a kernel ever *reads* buffer parameter `pi`: a load from it,
-/// or an atomic targeting it (atomics read-modify-write). Device
-/// functions take scalar arguments only, so a walk over the kernel body
-/// — including loop bounds and branch conditions, which
-/// [`paraprox_ir::visit::for_each_expr_in_stmts`] covers — is complete.
-fn kernel_reads_param(k: &Kernel, pi: usize) -> bool {
-    use paraprox_ir::{for_each_expr_in_stmts, for_each_stmt, Expr, MemRef, Stmt};
-    let mut reads = false;
-    for_each_expr_in_stmts(&k.body, &mut |e| {
-        if let Expr::Load {
-            mem: MemRef::Param(i),
-            ..
-        } = e
-        {
-            reads |= *i == pi;
-        }
-    });
-    for_each_stmt(&k.body, &mut |s| {
-        if let Stmt::Atomic {
-            mem: MemRef::Param(i),
-            ..
-        } = s
-        {
-            reads |= *i == pi;
-        }
-    });
-    reads
 }
 
 #[cfg(test)]

@@ -7,46 +7,69 @@
 //! SIMT issue on real hardware — so a divergent branch pays for both arms
 //! and a warp looping for its slowest lane pays every iteration.
 //!
+//! # Block groups
+//!
+//! The interpreter's cost is mostly a fixed price per dispatched op, so
+//! small blocks run together: consecutive blocks of a launch form a *block
+//! group*, one lane row of up to [`crate::device::GROUP_LANES`] lanes that
+//! every op of the bytecode stream runs over once. A lone block is the
+//! group of one; there is no second executor. A group's blocks keep
+//! everything that makes a block a block: their own caches, shared arrays,
+//! store permutation, flip stream and write log, and every per-op decision
+//! that reads the mask — the barrier check, the loop-budget tick, the
+//! first-written state of a local, the latency class of a binary — is made
+//! per block. A block whose lanes are all inactive in an arm the others
+//! take runs that arm under an empty mask, which changes nothing it can
+//! observe. Only *group-safe* launches group (the rule is
+//! [`crate::device::group_blocks`]): no block can read what another block
+//! of its group wrote. A group that fails is
+//! reverted and its blocks re-run one at a time, so the error reported is
+//! the one the lowest failing block raises alone.
+//!
 //! # Host parallelism and determinism
 //!
 //! Thread blocks are independent in the CUDA execution model, so the
-//! interpreter executes them concurrently on host workers (a work-stealing
-//! scheduler, [`crate::pool`]). Determinism — bit-identical buffer
-//! contents, cycle counts, and cache statistics for *any* worker count,
-//! including 1 — is achieved by making every block's execution a pure
-//! function of the launch-entry state:
+//! interpreter executes groups concurrently on host workers (a
+//! work-stealing scheduler, [`crate::pool`]). Determinism — bit-identical
+//! buffer contents, cycle counts, and cache statistics for *any* worker
+//! count, including 1 — is achieved by making every block's execution a
+//! pure function of the launch-entry state:
 //!
 //! * **Caches**: each block simulates against the launch-entry L1/constant
 //!   cache state (counters reset, so per-block hit/miss deltas fold
-//!   without double counting): a worker owns one working pair and copies
-//!   the entry state into it before every block. After the launch the
-//!   device cache becomes the *last* block's final state — a deterministic
-//!   choice that keeps caches warm across launches, and the only block
-//!   whose caches are kept — with counters advanced by the summed
-//!   per-block deltas.
+//!   without double counting): a worker owns one working pair per block
+//!   of a group and copies the entry state into them before every group.
+//!   After the launch the device cache becomes the *last* block's final
+//!   state — a deterministic choice that keeps caches warm across
+//!   launches, and the only block whose caches are kept — with counters
+//!   advanced by the summed per-block deltas.
 //! * **Global memory**: each worker interprets against its own buffer
-//!   image. Global writes are logged per block (stores record the value,
-//!   atomics record the operation) and the worker's image is reverted
-//!   after every block, so each block observes exactly the launch-entry
-//!   buffer contents plus its own writes. When all blocks finish, the logs
-//!   are replayed into the device's buffers in ascending block order:
-//!   plain stores land last-block-wins (what serial execution produced)
-//!   and atomic operations are re-applied, so cross-block accumulations
-//!   (histograms, reductions) total correctly. A block reading another
-//!   block's non-atomic global writes is a data race in CUDA and is
-//!   outside this determinism contract.
-//! * **Stats**: per-block [`LaunchStats`] are folded in ascending block
-//!   order with the same `+=` the serial path uses.
+//!   image. Global writes are logged (stores record the value, atomics
+//!   record the operation) and the worker's image is reverted after every
+//!   group, so each block observes exactly the launch-entry buffer
+//!   contents plus its own writes. When all groups finish, the logs are
+//!   replayed into the device's buffers in ascending block order, each
+//!   block's in its own application order: plain stores land
+//!   last-block-wins (what serial execution produced) and atomic
+//!   operations are re-applied, so cross-block accumulations (histograms,
+//!   reductions) total correctly. A block reading another block's
+//!   non-atomic global writes is a data race in CUDA and is outside this
+//!   determinism contract.
+//! * **Stats**: every counter of [`LaunchStats`] is a sum, so a group
+//!   charges one accumulator for all its blocks, and the groups fold in
+//!   ascending block order with the same `+=` the serial path uses.
 //! * **Iteration budget**: a single shared atomic counter spans all
 //!   workers, so the per-launch [`ITERATION_BUDGET`] bounds the whole
-//!   launch, not each block.
+//!   launch, not each block. A group takes one token per block still
+//!   looping and gives its tokens back if it fails.
 //!
 //! With those rules the schedule is unobservable, so `parallelism = 1`
 //! (exactly the serial loop, no threads spawned) and `parallelism = N`
 //! produce identical results.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use paraprox_ir::{BinOp, EvalError, Kernel, MemRef, MemSpace, Scalar, Ty};
@@ -183,9 +206,11 @@ pub(crate) struct LoggedWrite {
     /// `Some` for an atomic: replay re-applies the operation against the
     /// accumulated value instead of overwriting.
     op: Option<BinOp>,
+    /// The writing block's place in its group.
+    block: u8,
 }
 
-/// Undo a block's writes on the worker's buffer image (reverse order, so
+/// Undo a group's writes on the worker's buffer image (reverse order, so
 /// overlapping writes unwind correctly).
 fn revert_writes(buffers: &mut [BufferStorage], log: &[LoggedWrite]) {
     for w in log.iter().rev() {
@@ -193,7 +218,7 @@ fn revert_writes(buffers: &mut [BufferStorage], log: &[LoggedWrite]) {
     }
 }
 
-/// Apply a block's writes to the device's buffers. Stores overwrite;
+/// Apply a log's writes to the device's buffers, in log order. Stores overwrite;
 /// atomics re-apply their operation against the accumulated value.
 fn replay_writes(buffers: &mut [BufferStorage], log: &[LoggedWrite]) -> Result<(), EvalError> {
     for w in log {
@@ -242,6 +267,9 @@ pub(crate) struct Launch<'a> {
     /// whatever bytes the pooled image already holds. Loop-carried
     /// ping-pong buffers hit this every iteration.
     pub overwritten: &'a [usize],
+    /// Blocks per group, from [`crate::device::group_blocks`]: 1 unless
+    /// the launch is group-safe.
+    pub group: usize,
 }
 
 /// Counters for the pooled worker-image refresh: how many per-buffer
@@ -302,136 +330,272 @@ pub(crate) fn approx_threshold(rate: f64) -> u64 {
     }
 }
 
-/// Everything one block finished with; folded in ascending `block` order.
+/// What one block finished with; folded in ascending `block` order. A
+/// group's blocks share one stats accumulator, which its first block
+/// carries (the others carry zeros).
 struct BlockOutcome {
     block: usize,
     stats: LaunchStats,
     /// The block's exit L1 and constant cache — kept only for the last
     /// block of a launch, whose caches become the device's.
     caches: Option<(Cache, Cache)>,
+    /// The block's writes in application order.
     log: Vec<LoggedWrite>,
 }
 
-/// One shared-memory array of a block: a typed bit strip, like
-/// [`BufferStorage`] without an address.
+/// One shared-memory array of a group: a typed bit strip of one `len`-word
+/// copy per block, like [`BufferStorage`] without an address.
+#[derive(Debug)]
 struct SharedArray {
     ty: Ty,
+    len: usize,
     data: Vec<u32>,
 }
 
-/// Per-worker state of the memory pipeline, reused across the blocks a
-/// worker executes so that no access and no block allocates for it.
+/// Per-worker state of the memory pipeline, reused across the groups (and
+/// the launches) a worker executes so that no access and no group
+/// allocates for it.
+#[derive(Debug, Default)]
 pub(crate) struct MemScratch {
-    /// Working caches, reset from the launch-entry templates per block.
-    l1: Cache,
-    constant_cache: Cache,
+    /// Working caches, one per block of the group, reset from the
+    /// launch-entry templates per group.
+    l1: Vec<Cache>,
+    constant_cache: Vec<Cache>,
     shared: Vec<SharedArray>,
-    /// `store_order[k]` is the lane whose store is applied k-th; empty
-    /// means canonical lane order. Only the *application order* of
+    /// `store_order[k]` is the lane whose store is applied k-th: each
+    /// block's lanes in its own permutation, blocks in order; empty means
+    /// canonical lane order. Only the *application order* of
     /// [`ExecCtx::do_store`] is permuted — cost accounting and atomics
     /// are order-independent.
     store_order: Vec<usize>,
+    /// Per-block flip stream state. Blocks execute their lane-loads in a
+    /// deterministic sequence (ascending lanes within each access, program
+    /// order across accesses, identical in both engines and in a group),
+    /// so advancing a block's splitmix64 state per approx lane-load yields
+    /// the same flips whatever the worker count, engine or group.
+    approx_rng: Vec<u64>,
     /// Lane-indexed element indices the per-lane path validated, for the
     /// charging pass that follows it.
     resolved: Vec<u32>,
 }
 
 impl MemScratch {
-    fn new(profile: &DeviceProfile) -> MemScratch {
-        MemScratch {
-            l1: Cache::new(profile.cache.l1),
-            constant_cache: Cache::new(profile.cache.constant),
-            shared: Vec::new(),
-            store_order: Vec::new(),
-            resolved: Vec::new(),
+    /// Have working caches for `blocks` blocks, shaped like the templates.
+    fn reserve_caches(&mut self, blocks: usize, l1: &Cache, constant_cache: &Cache) {
+        for (caches, template) in [
+            (&mut self.l1, l1),
+            (&mut self.constant_cache, constant_cache),
+        ] {
+            caches.reserve(blocks.saturating_sub(caches.len()));
+            while caches.len() < blocks {
+                caches.push(template.clone());
+            }
         }
     }
 
-    /// Set up for one block: zeroed shared arrays and the block's store
-    /// permutation (Fisher-Yates over `0..lanes`, seeded per block so
-    /// different blocks shuffle independently).
-    fn begin_block(&mut self, launch: &Launch<'_>, block_id: usize, lanes: usize) {
+    /// Set up for the group of `blocks` blocks from `first`: entry caches,
+    /// zeroed shared arrays, and each block's store permutation
+    /// (Fisher-Yates over its lanes, seeded per block so different blocks
+    /// shuffle independently) and flip stream.
+    fn begin_group(&mut self, seg: &Seg<'_>, first: usize, blocks: usize) {
+        let launch = &seg.launch;
+        self.reserve_caches(blocks, &seg.l1_template, &seg.cc_template);
+        for (caches, template) in [
+            (&mut self.l1, &seg.l1_template),
+            (&mut self.constant_cache, &seg.cc_template),
+        ] {
+            for cache in &mut caches[..blocks] {
+                cache.copy_from(template);
+            }
+        }
         let decls = &launch.kernel.shared;
         self.shared.resize_with(decls.len(), || SharedArray {
             ty: Ty::F32,
+            len: 0,
             data: Vec::new(),
         });
         for (arr, decl) in self.shared.iter_mut().zip(decls) {
             arr.ty = decl.ty;
+            arr.len = decl.len;
             arr.data.clear();
-            arr.data.resize(decl.len, 0);
+            arr.data.resize(decl.len * blocks, 0);
         }
+        let lanes = launch.block.count();
         self.store_order.clear();
         if let Some(seed) = launch.schedule_seed {
-            let mut state = seed ^ (block_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            self.store_order.extend(0..lanes);
-            for i in (1..lanes).rev() {
-                let j = (paraprox_prng::splitmix64(&mut state) % (i as u64 + 1)) as usize;
-                self.store_order.swap(i, j);
+            for b in 0..blocks {
+                let mut state = seed ^ ((first + b) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let order = &mut self.store_order;
+                let base = order.len();
+                order.extend(base..base + lanes);
+                for i in (1..lanes).rev() {
+                    let j = (paraprox_prng::splitmix64(&mut state) % (i as u64 + 1)) as usize;
+                    order.swap(base + i, base + j);
+                }
             }
         }
+        self.approx_rng.clear();
+        self.approx_rng.extend((first..first + blocks).map(|id| {
+            launch.approx_seed
+                ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                ^ 0x5851_F42D_4C95_7F2D
+        }));
     }
 }
 
-/// Per-worker mutable state, reused across the blocks a worker executes.
-struct Worker<'a> {
-    buffers: &'a mut Vec<BufferStorage>,
-    log: Vec<LoggedWrite>,
+/// One host worker's scratch: register file, memory pipeline state and
+/// the running group's write log. A dispatch takes one per worker from
+/// [`SCRATCH`] and gives them back, so a steady stream of launches
+/// allocates none of it.
+#[derive(Debug, Default)]
+struct WorkerScratch {
     bc: crate::bytecode::BcScratch,
     mem: MemScratch,
+    /// The running group's global writes, in application order.
+    log: Vec<LoggedWrite>,
+    /// The running group's writes split by block, each block's in order.
+    split: Vec<Vec<LoggedWrite>>,
+}
+
+/// Worker scratch not in use, shared by every device of the process: a
+/// dispatch borrows one per worker ([`Scratches`]), so launches reuse the
+/// allocations whichever device runs them, and an idle device holds none.
+/// A scratch holds no state that outlives a group.
+static SCRATCH: Mutex<Vec<WorkerScratch>> = Mutex::new(Vec::new());
+
+/// `n` worker scratches borrowed from [`SCRATCH`] for one dispatch and
+/// given back when it ends, however it ends.
+struct Scratches(Vec<WorkerScratch>);
+
+impl Scratches {
+    fn take(n: usize) -> Scratches {
+        let mut pool = SCRATCH.lock().unwrap_or_else(PoisonError::into_inner);
+        let keep = pool.len().saturating_sub(n);
+        let mut taken = pool.split_off(keep);
+        drop(pool);
+        taken.resize_with(n, WorkerScratch::default);
+        Scratches(taken)
+    }
+}
+
+impl Drop for Scratches {
+    fn drop(&mut self) {
+        let mut pool = SCRATCH.lock().unwrap_or_else(PoisonError::into_inner);
+        pool.append(&mut self.0);
+    }
+}
+
+/// Per-worker mutable state for one dispatch.
+struct Worker<'a> {
+    buffers: &'a mut Vec<BufferStorage>,
+    s: &'a mut WorkerScratch,
 }
 
 impl<'a> Worker<'a> {
-    fn new(buffers: &'a mut Vec<BufferStorage>, profile: &DeviceProfile) -> Worker<'a> {
-        Worker {
-            buffers,
-            log: Vec::new(),
-            bc: crate::bytecode::BcScratch::default(),
-            mem: MemScratch::new(profile),
+    /// A worker for a dispatch of `segs`. It has its working caches for
+    /// the dispatch's largest group before it takes any work, so what a
+    /// dispatch allocates does not depend on which worker ran what, or on
+    /// what an earlier dispatch left behind.
+    fn new(
+        buffers: &'a mut Vec<BufferStorage>,
+        s: &'a mut WorkerScratch,
+        segs: &[Seg<'_>],
+    ) -> Worker<'a> {
+        if let Some(seg) = segs.iter().max_by_key(|seg| seg.launch.group) {
+            s.mem
+                .reserve_caches(seg.launch.group, &seg.l1_template, &seg.cc_template);
         }
+        // Each dispatch starts its log afresh, for the same reason.
+        s.log = Vec::new();
+        Worker { buffers, s }
     }
 
-    /// Execute one block of `seg` against this worker's buffer image,
-    /// revert the image, and package the outcome. `isolate` is false only
-    /// for single-block launches, where writes may land directly.
-    fn run_block(
+    /// Execute group `group` of segment `si`, pushing one outcome per
+    /// block onto `done`: as one row when the group has several blocks,
+    /// and block by block when it has one or the row fails — so an error
+    /// is always the one the lowest failing block raises alone.
+    fn run_group(
         &mut self,
-        seg: &Seg<'_>,
-        block_id: usize,
-        isolate: bool,
-    ) -> Result<BlockOutcome, EvalError> {
+        (si, seg): (usize, &Seg<'_>),
+        group: usize,
+        done: &mut Vec<(usize, BlockOutcome)>,
+    ) -> Result<(), EvalError> {
         let launch = &seg.launch;
-        self.mem.l1.copy_from(&seg.l1_template);
-        self.mem.constant_cache.copy_from(&seg.cc_template);
-        let result = exec_block(
+        let first = group * launch.group;
+        let blocks = launch.group.min(launch.grid.count() - first);
+        if blocks > 1 && self.run_row((si, seg), first, blocks, done).is_ok() {
+            return Ok(());
+        }
+        for block in first..first + blocks {
+            self.run_row((si, seg), block, 1, done)?;
+        }
+        Ok(())
+    }
+
+    /// Execute `blocks` blocks from `first` as one row against this
+    /// worker's buffer image, revert the image, and push each block's
+    /// outcome, its writes split off the row's log in their order.
+    fn run_row(
+        &mut self,
+        (si, seg): (usize, &Seg<'_>),
+        first: usize,
+        blocks: usize,
+        done: &mut Vec<(usize, BlockOutcome)>,
+    ) -> Result<(), EvalError> {
+        let launch = &seg.launch;
+        let s = &mut *self.s;
+        s.mem.begin_group(seg, first, blocks);
+        let result = exec_group(
             launch,
-            block_id,
+            first,
+            blocks,
             self.buffers,
-            isolate.then_some(&mut self.log),
+            &mut s.log,
             &seg.iterations,
-            &mut self.bc,
-            &mut self.mem,
+            &mut s.bc,
+            &mut s.mem,
         );
-        revert_writes(self.buffers, &self.log);
-        match result {
-            Ok(stats) => {
-                let last = block_id + 1 == launch.grid.count();
-                let log = std::mem::take(&mut self.log);
-                // One allocation for the next block's log, not a doubling
-                // series: a launch's blocks write about the same amount.
-                self.log.reserve(log.len());
-                Ok(BlockOutcome {
-                    block: block_id,
-                    stats,
-                    caches: last.then(|| (self.mem.l1.clone(), self.mem.constant_cache.clone())),
-                    log,
-                })
-            }
+        revert_writes(self.buffers, &s.log);
+        let mut stats = match result {
+            Ok(stats) => stats,
             Err(e) => {
-                self.log.clear();
-                Err(e)
+                s.log.clear();
+                return Err(e);
+            }
+        };
+        s.split.resize_with(blocks, Vec::new);
+        if blocks == 1 {
+            // A lone block's log is the row's. One allocation for the next
+            // row's, not a doubling series: a launch's blocks write about
+            // the same amount.
+            s.split[0] = std::mem::take(&mut s.log);
+            s.log.reserve(s.split[0].len());
+        } else {
+            // One exactly sized log per block of the group.
+            let mut counts = [0usize; crate::device::MAX_GROUP_BLOCKS];
+            for w in &s.log {
+                counts[w.block as usize] += 1;
+            }
+            for (log, &count) in s.split.iter_mut().zip(&counts) {
+                *log = Vec::with_capacity(count);
+            }
+            for w in s.log.drain(..) {
+                s.split[w.block as usize].push(w);
             }
         }
+        for (b, log) in s.split[..blocks].iter_mut().enumerate() {
+            let last = first + b + 1 == launch.grid.count();
+            done.push((
+                si,
+                BlockOutcome {
+                    block: first + b,
+                    stats: std::mem::take(&mut stats),
+                    caches: last.then(|| (s.mem.l1[b].clone(), s.mem.constant_cache[b].clone())),
+                    log: std::mem::take(log),
+                },
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -475,7 +639,7 @@ pub(crate) struct SegmentOutcome {
 
 /// A segment as the workers see it: the launch, its entry caches with
 /// counters zeroed (so each block's counters are pure deltas), and the
-/// offset of its first block in the dispatch-wide block numbering.
+/// offset of its first group in the dispatch-wide group numbering.
 struct Seg<'a> {
     launch: Launch<'a>,
     l1_template: Cache,
@@ -486,7 +650,13 @@ struct Seg<'a> {
     iterations: AtomicU64,
 }
 
-/// Execute every block of every segment — serially or across up to
+impl Seg<'_> {
+    fn groups(&self) -> usize {
+        self.launch.grid.count().div_ceil(self.launch.group)
+    }
+}
+
+/// Execute every group of every segment — serially or across up to
 /// `workers` host workers (the device's count, resolved once by
 /// [`crate::pool::resolve_workers`]) — and fold the results
 /// deterministically. A single launch is a dispatch of one segment.
@@ -494,13 +664,13 @@ struct Seg<'a> {
 /// Every segment's buffer contents, simulated cycles, and cache
 /// statistics are bit-identical to dispatching it alone, but the host
 /// cost is paid once per *dispatch*: one scope of pooled workers, one
-/// shared work queue spanning every segment's blocks, and one image
+/// shared work queue spanning every segment's groups, and one image
 /// refresh per worker. Each block is a pure function of its segment's
 /// entry state, and folding (stats, write replay, exit caches) happens
 /// per segment in ascending `(segment, block)` order. The iteration
 /// budget stays per-segment so a runaway kernel is charged like it would
-/// be alone. On error nothing is folded: the caller's caches are never
-/// touched.
+/// be alone. On error nothing is folded: the caller's buffers and caches
+/// are never touched.
 pub(crate) fn run_fused(
     segments: Vec<FusedSegment<'_>>,
     workers: usize,
@@ -508,7 +678,6 @@ pub(crate) fn run_fused(
     image_pool: &mut Vec<Vec<BufferStorage>>,
     refresh: &RefreshCounters,
 ) -> Result<Vec<SegmentOutcome>, LaunchError> {
-    let started = Instant::now();
     let mut segs: Vec<Seg<'_>> = Vec::with_capacity(segments.len());
     let mut total = 0usize;
     for fs in segments {
@@ -521,47 +690,59 @@ pub(crate) fn run_fused(
         let entry_cc = (constant_cache.hits(), constant_cache.misses());
         l1.reset_counters();
         constant_cache.reset_counters();
-        let start = total;
-        total += launch.grid.count();
-        segs.push(Seg {
+        let seg = Seg {
             launch,
             l1_template: l1,
             cc_template: constant_cache,
             entry_l1,
             entry_cc,
-            start,
+            start: total,
             iterations: AtomicU64::new(0),
-        });
+        };
+        total += seg.groups();
+        segs.push(seg);
     }
-    let Some(first) = segs.first() else {
+    run_segments(&segs, total, workers, buffers, image_pool, refresh)
+}
+
+/// [`run_fused`] over prepared segments holding `total` groups.
+fn run_segments(
+    segs: &[Seg<'_>],
+    total: usize,
+    workers: usize,
+    buffers: &mut Vec<BufferStorage>,
+    image_pool: &mut Vec<Vec<BufferStorage>>,
+    refresh: &RefreshCounters,
+) -> Result<Vec<SegmentOutcome>, LaunchError> {
+    let started = Instant::now();
+    if segs.is_empty() {
         return Ok(Vec::new());
-    };
-    let profile = first.launch.profile;
+    }
     let workers = workers.min(total).max(1);
     let eval_err = |seg: &Seg<'_>, source: EvalError| LaunchError::Eval {
         kernel: seg.launch.kernel.name.clone(),
         source,
     };
+    let mut scratch = Scratches::take(workers);
 
-    let mut outcomes: Vec<(usize, BlockOutcome)> = Vec::with_capacity(total);
+    let blocks: usize = segs.iter().map(|s| s.launch.grid.count()).sum();
+    let mut outcomes: Vec<(usize, BlockOutcome)> = Vec::with_capacity(blocks);
     if workers == 1 {
         // Serial path: interpret directly against the device's buffers.
-        // Isolation (log + revert per block, replay below) is still
-        // applied to multi-block segments so the observable semantics are
-        // identical to the parallel path.
-        let mut worker = Worker::new(buffers, profile);
+        // Isolation (log + revert per group, replay below) is still
+        // applied so the observable semantics are identical to the
+        // parallel path.
+        let mut worker = Worker::new(buffers, &mut scratch.0[0], segs);
         for (si, seg) in segs.iter().enumerate() {
-            let blocks = seg.launch.grid.count();
-            for block_id in 0..blocks {
-                let outcome = worker
-                    .run_block(seg, block_id, blocks > 1)
+            for group in 0..seg.groups() {
+                worker
+                    .run_group((si, seg), group, &mut outcomes)
                     .map_err(|e| eval_err(seg, e))?;
-                outcomes.push((si, outcome));
             }
         }
     } else {
-        // One shared queue over every segment's blocks; a global index
-        // maps back to (segment, local block) through the start offsets.
+        // One shared queue over every segment's groups; a global index
+        // maps back to (segment, local group) through the start offsets.
         let queue = WorkQueue::new(total, workers);
         let abort = AtomicBool::new(false);
         let mut first_err: Option<(usize, usize, EvalError)> = None;
@@ -574,35 +755,34 @@ pub(crate) fn run_fused(
         }
         {
             let buffers_src: &Vec<BufferStorage> = buffers;
-            let segs_ref = &segs;
             let (queue_ref, abort_ref) = (&queue, &abort);
             std::thread::scope(|s| {
                 let handles: Vec<_> = image_pool[..workers]
                     .iter_mut()
+                    .zip(scratch.0.iter_mut())
                     .enumerate()
-                    .map(|(w, image)| {
+                    .map(|(w, (image, scratch))| {
                         s.spawn(move || {
                             // Segments touch disjoint buffers, so a buffer
                             // one of them overwrites unread is unobservable
                             // to all of them.
-                            let overwritten = |i: usize| {
-                                segs_ref.iter().any(|s| s.launch.overwritten.contains(&i))
-                            };
+                            let overwritten =
+                                |i: usize| segs.iter().any(|s| s.launch.overwritten.contains(&i));
                             refresh_image(image, buffers_src, overwritten, refresh);
-                            let mut worker = Worker::new(image, profile);
+                            let mut worker = Worker::new(image, scratch, segs);
                             let mut done = Vec::new();
                             let mut err = None;
                             while let Some(global) = queue_ref.pop(w) {
                                 if abort_ref.load(Ordering::Relaxed) {
                                     break;
                                 }
-                                let si = segs_ref.partition_point(|s| s.start <= global) - 1;
-                                let seg = &segs_ref[si];
-                                let block_id = global - seg.start;
-                                match worker.run_block(seg, block_id, true) {
-                                    Ok(outcome) => done.push((si, outcome)),
+                                let si = segs.partition_point(|s| s.start <= global) - 1;
+                                let seg = &segs[si];
+                                let group = global - seg.start;
+                                match worker.run_group((si, seg), group, &mut done) {
+                                    Ok(()) => {}
                                     Err(e) => {
-                                        err = Some((si, block_id, e));
+                                        err = Some((si, group, e));
                                         abort_ref.store(true, Ordering::Relaxed);
                                         break;
                                     }
@@ -615,14 +795,14 @@ pub(crate) fn run_fused(
                 for handle in handles {
                     let (done, err) = handle.join().expect("executor worker panicked");
                     outcomes.extend(done);
-                    if let Some((si, block_id, e)) = err {
+                    if let Some((si, group, e)) = err {
                         // Deterministic-ish selection: lowest (segment,
-                        // block) among observed failures.
+                        // group) among observed failures.
                         if first_err
                             .as_ref()
-                            .is_none_or(|(s0, b0, _)| (si, block_id) < (*s0, *b0))
+                            .is_none_or(|(s0, g0, _)| (si, group) < (*s0, *g0))
                         {
-                            first_err = Some((si, block_id, e));
+                            first_err = Some((si, group, e));
                         }
                     }
                 }
@@ -633,7 +813,7 @@ pub(crate) fn run_fused(
         }
         outcomes.sort_by_key(|(si, o)| (*si, o.block));
     }
-    debug_assert_eq!(outcomes.len(), total);
+    debug_assert_eq!(outcomes.len(), blocks);
 
     // Deterministic fold: stats and write logs in ascending (segment,
     // block) order; each segment exits with its last block's caches.
@@ -672,48 +852,55 @@ fn flip_bit(bits: u32, tag: u8, bit: u32) -> u32 {
     }
 }
 
-/// Run a single block to completion and return its stats; its final
-/// caches are left in `mem`. The tree-walking oracle, present only in
-/// test builds, runs instead of the bytecode when the profile selects it.
-fn exec_block(
+/// Run the `blocks` blocks from `first` to completion as one lane row and
+/// return their summed stats; their final caches are left in `mem`. A
+/// failed group gives its loop-budget tokens back, as its blocks re-run.
+/// The tree-walking oracle, present only in test builds, runs instead of
+/// the bytecode when the profile selects it (always one block at a time).
+#[allow(clippy::too_many_arguments)]
+fn exec_group(
     launch: &Launch<'_>,
-    block_id: usize,
+    first: usize,
+    blocks: usize,
     buffers: &mut Vec<BufferStorage>,
-    log: Option<&mut Vec<LoggedWrite>>,
+    log: &mut Vec<LoggedWrite>,
     iterations: &AtomicU64,
     bc: &mut crate::bytecode::BcScratch,
     mem: &mut MemScratch,
 ) -> Result<LaunchStats, EvalError> {
-    let lanes = launch.block.count();
-    mem.begin_block(launch, block_id, lanes);
+    let block_lanes = launch.block.count();
     let mut ctx = ExecCtx {
         profile: launch.profile,
         args: launch.args,
         grid: launch.grid,
         block: launch.block,
-        lanes,
+        lanes: block_lanes * blocks,
+        block_lanes,
+        blocks,
+        first_block: first,
         buffers,
         log,
         mem,
         stats: LaunchStats::default(),
-        block_x: (block_id % launch.grid.x) as i32,
-        block_y: (block_id / launch.grid.x) as i32,
         iterations,
+        ticks: 0,
         approx_threshold: launch.approx_threshold,
-        approx_rng: launch.approx_seed
-            ^ (block_id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ 0x5851_F42D_4C95_7F2D,
     };
-    ctx.stats.blocks = 1;
-    ctx.stats.warps = lanes.div_ceil(ctx.profile.warp_width) as u64;
-    ctx.stats.overhead_cycles = ctx.profile.block_overhead;
+    ctx.stats.blocks = blocks as u64;
+    ctx.stats.warps = (blocks * block_lanes.div_ceil(ctx.profile.warp_width)) as u64;
+    ctx.stats.overhead_cycles = blocks as u64 * ctx.profile.block_overhead;
+    ctx.stats.groups = u64::from(blocks > 1);
     #[cfg(any(test, feature = "oracle"))]
     if launch.profile.engine == crate::oracle::ExecEngine::TreeWalk {
+        debug_assert_eq!(blocks, 1, "the oracle runs one block at a time");
         crate::oracle::run_kernel(&mut ctx, launch.program, launch.kernel)?;
         return Ok(ctx.stats);
     }
-    crate::bytecode::execute(&mut ctx, &launch.compiled, bc)?;
-    Ok(ctx.stats)
+    let result = crate::bytecode::execute(&mut ctx, &launch.compiled, bc);
+    if result.is_err() && blocks > 1 {
+        iterations.fetch_sub(ctx.ticks, Ordering::Relaxed);
+    }
+    result.map(|()| ctx.stats)
 }
 
 pub(crate) struct ExecCtx<'a> {
@@ -721,31 +908,90 @@ pub(crate) struct ExecCtx<'a> {
     pub(crate) args: &'a [ArgValue],
     pub(crate) grid: Dim2,
     pub(crate) block: Dim2,
+    /// Lanes of the row: `blocks` blocks of `block_lanes` lanes, block
+    /// `b` at lanes `b * block_lanes..`.
     pub(crate) lanes: usize,
+    pub(crate) block_lanes: usize,
+    pub(crate) blocks: usize,
+    /// Launch-wide id of the row's first block.
+    pub(crate) first_block: usize,
     pub(crate) buffers: &'a mut Vec<BufferStorage>,
-    /// `Some` when the block must be isolated (multi-block launches):
-    /// every global write is recorded for revert + ordered replay.
-    pub(crate) log: Option<&'a mut Vec<LoggedWrite>>,
+    /// Every global write of the row in application order, for revert and
+    /// ordered replay; the row appends past whatever the log holds.
+    pub(crate) log: &'a mut Vec<LoggedWrite>,
     /// Block-private caches (reset from launch-entry state), shared
-    /// memory, and the store permutation.
+    /// memory, store permutations and flip streams.
     pub(crate) mem: &'a mut MemScratch,
     pub(crate) stats: LaunchStats,
-    pub(crate) block_x: i32,
-    pub(crate) block_y: i32,
     /// Launch-wide loop-iteration budget, shared across workers.
     pub(crate) iterations: &'a AtomicU64,
+    /// Budget tokens this row has taken.
+    pub(crate) ticks: u64,
     /// Flip threshold for [`MemSpace::Approx`] loads (0 = off); see
     /// [`approx_threshold`].
     pub(crate) approx_threshold: u64,
-    /// Block-private flip stream state. Blocks execute their lane-loads
-    /// in a deterministic sequence (ascending lanes within each access,
-    /// program order across accesses, identical in both engines), so
-    /// advancing this splitmix64 state per approx lane-load yields the
-    /// same flips whatever the worker count or engine.
-    pub(crate) approx_rng: u64,
 }
 
 impl ExecCtx<'_> {
+    // ---- the row's blocks ----------------------------------------------
+
+    /// Launch-wide `(blockIdx.x, blockIdx.y)` of block `b` of the row.
+    #[inline]
+    pub(crate) fn block_coords(&self, b: usize) -> (i32, i32) {
+        let id = self.first_block + b;
+        ((id % self.grid.x) as i32, (id / self.grid.x) as i32)
+    }
+
+    /// The lanes of block `b` of the row.
+    #[inline]
+    pub(crate) fn block_range(&self, b: usize) -> Range<usize> {
+        b * self.block_lanes..(b + 1) * self.block_lanes
+    }
+
+    /// One bit per block of the row, all set.
+    #[inline]
+    pub(crate) fn all_blocks(&self) -> u64 {
+        u64::MAX >> (64 - self.blocks)
+    }
+
+    /// The blocks with an active lane in `mask`, bit `b` for block `b`. A
+    /// lone block counts as active under any mask: an op it reaches runs
+    /// under a non-empty one.
+    #[inline]
+    pub(crate) fn active_blocks(&self, mask: &Mask) -> u64 {
+        if self.blocks == 1 {
+            return 1;
+        }
+        (0..self.blocks)
+            .filter(|&b| mask.range_state(self.block_range(b)).0)
+            .fold(0, |bits, b| bits | 1 << b)
+    }
+
+    /// Whether every block reaching a barrier under `mask` reaches it with
+    /// all its lanes: each block's part of the mask is full or empty.
+    #[inline]
+    pub(crate) fn converged(&self, mask: &Mask) -> bool {
+        mask.all()
+            || self.blocks > 1
+                && (0..self.blocks).all(|b| {
+                    let (any, all) = mask.range_state(self.block_range(b));
+                    !any || all
+                })
+    }
+
+    /// Take one launch-wide loop-budget token per block still looping
+    /// under `mask`.
+    #[inline]
+    pub(crate) fn tick(&mut self, mask: &Mask) -> Result<(), EvalError> {
+        let n = u64::from(self.active_blocks(mask).count_ones());
+        self.ticks += n;
+        let used = self.iterations.fetch_add(n, Ordering::Relaxed) + n;
+        if used > ITERATION_BUDGET {
+            return Err(EvalError::IterationLimit);
+        }
+        Ok(())
+    }
+
     // ---- cost charging ------------------------------------------------
 
     /// Number of warps with at least one active lane — a word-wise bitset
@@ -756,6 +1002,18 @@ impl ExecCtx<'_> {
 
     pub(crate) fn charge_compute(&mut self, lat: u64, mask: &Mask) {
         let warps = self.warp_count(mask);
+        self.stats.compute_cycles += lat * warps;
+        self.stats.instructions += warps;
+    }
+
+    /// [`ExecCtx::charge_compute`] for the warps of block `b` alone.
+    pub(crate) fn charge_block(&mut self, lat: u64, mask: &Mask, b: usize) {
+        let width = self.profile.warp_width;
+        let warps = self
+            .block_range(b)
+            .step_by(width)
+            .filter(|&start| mask.warp_bits(start, width) != 0)
+            .count() as u64;
         self.stats.compute_cycles += lat * warps;
         self.stats.instructions += warps;
     }
@@ -779,6 +1037,10 @@ impl ExecCtx<'_> {
     // lane-indexed `&[u32]` of validated element indices: a bounds-checked
     // `i32`/`u32` lane's bits *are* its index, so the strip path passes
     // the index row itself and the per-lane path a resolved copy.
+    //
+    // In a group, a shared array holds one copy per block and a lane
+    // indexes its own block's; a warp's charges go to its block's caches
+    // (warps never straddle blocks: grouped blocks are whole warps).
 
     fn resolve_buffer(&self, mem: MemRef) -> Result<usize, EvalError> {
         match mem {
@@ -841,8 +1103,13 @@ impl ExecCtx<'_> {
                     .ok_or(EvalError::UnknownFunc(sid.index()))?;
                 let tag = tag_of_ty(arr.ty);
                 let fallback = &mut self.stats.mem_fallback_ops;
+                let copies = Copies {
+                    block_lanes: self.block_lanes,
+                    stride: arr.len,
+                };
                 let indices = gather(
                     &arr.data,
+                    copies,
                     tag,
                     idx,
                     mask,
@@ -858,15 +1125,17 @@ impl ExecCtx<'_> {
                 let buf = &self.buffers[b];
                 let (space, base, tag) = (buf.space, buf.base_addr, tag_of_ty(buf.ty));
                 let approx = space == MemSpace::Approx;
-                // Injection draws from the block's flip stream once per
-                // lane-load, in lane order: per-lane by nature.
-                let (threshold, rng, flips, fallback) = (
+                // Injection draws from the lane's block's flip stream once
+                // per lane-load, in lane order: per-lane by nature.
+                let (threshold, block_lanes, rngs, flips, fallback) = (
                     self.approx_threshold,
-                    &mut self.approx_rng,
+                    self.block_lanes,
+                    &mut self.mem.approx_rng,
                     &mut self.stats.bit_flips,
                     &mut self.stats.mem_fallback_ops,
                 );
-                let inject = (approx && threshold > 0).then_some(|bits: u32| {
+                let inject = (approx && threshold > 0).then_some(|lane: usize, bits: u32| {
+                    let rng = &mut rngs[lane / block_lanes];
                     if paraprox_prng::splitmix64(rng) < threshold {
                         *flips += 1;
                         flip_bit(bits, tag, (paraprox_prng::splitmix64(rng) % 32) as u32)
@@ -874,7 +1143,13 @@ impl ExecCtx<'_> {
                         bits
                     }
                 });
-                let indices = gather(&buf.data, tag, idx, mask, out, resolved, inject, fallback)?;
+                let copies = Copies {
+                    block_lanes,
+                    stride: 0,
+                };
+                let indices = gather(
+                    &buf.data, copies, tag, idx, mask, out, resolved, inject, fallback,
+                )?;
                 if approx {
                     self.stats.approx_loads += mask.count() as u64;
                 }
@@ -910,66 +1185,75 @@ impl ExecCtx<'_> {
         miss_issue: u64,
     ) {
         let mut segments = WarpSet::new();
-        for (start, bits) in active_warps(self.profile.warp_width, self.lanes, mask) {
-            segments.fill_lines(&self.mem.l1, base, indices, start, bits);
-            let transactions = segments.as_slice().len() as u64;
-            self.stats.loads += 1;
-            self.stats.instructions += 1;
-            self.stats.load_transactions += transactions;
-            self.stats.serialized_transactions += transactions.saturating_sub(1);
-            let mut hits = 0u64;
-            for &seg in segments.as_slice() {
-                hits += u64::from(self.mem.l1.access_line(seg));
+        for (b, l1) in self.mem.l1[..self.blocks].iter_mut().enumerate() {
+            let lanes = b * self.block_lanes..(b + 1) * self.block_lanes;
+            for (start, bits) in active_warps(self.profile.warp_width, lanes, mask) {
+                segments.fill_lines(l1, base, indices, start, bits);
+                let transactions = segments.as_slice().len() as u64;
+                self.stats.loads += 1;
+                self.stats.instructions += 1;
+                self.stats.load_transactions += transactions;
+                self.stats.serialized_transactions += transactions.saturating_sub(1);
+                let mut hits = 0u64;
+                for &seg in segments.as_slice() {
+                    hits += u64::from(l1.access_line(seg));
+                }
+                let misses = transactions - hits;
+                self.stats.l1_hits += hits;
+                self.stats.l1_misses += misses;
+                // Exposed latency once (the slowest class present), plus a
+                // pipelined issue cost for every further transaction —
+                // memory-level parallelism overlaps their latencies.
+                let (base, first_issue) = if misses > 0 {
+                    (miss_lat, miss_issue)
+                } else {
+                    (self.profile.l1_hit_lat, self.profile.l1_issue)
+                };
+                let issue = hits * self.profile.l1_issue + misses * miss_issue;
+                let exposed = base / self.profile.latency_hiding.max(1);
+                self.stats.memory_cycles += exposed + issue.saturating_sub(first_issue);
             }
-            let misses = transactions - hits;
-            self.stats.l1_hits += hits;
-            self.stats.l1_misses += misses;
-            // Exposed latency once (the slowest class present), plus a
-            // pipelined issue cost for every further transaction —
-            // memory-level parallelism overlaps their latencies.
-            let (base, first_issue) = if misses > 0 {
-                (miss_lat, miss_issue)
-            } else {
-                (self.profile.l1_hit_lat, self.profile.l1_issue)
-            };
-            let issue = hits * self.profile.l1_issue + misses * miss_issue;
-            let exposed = base / self.profile.latency_hiding.max(1);
-            self.stats.memory_cycles += exposed + issue.saturating_sub(first_issue);
         }
     }
 
     fn charge_constant_load(&mut self, base: u64, indices: &[u32], mask: &Mask) {
         let mut words = WarpSet::new();
-        for (start, bits) in active_warps(self.profile.warp_width, self.lanes, mask) {
-            // The constant cache broadcasts one word per cycle: distinct
-            // word addresses within a warp serialize.
-            words.clear();
-            for lane in set_lanes(start, bits) {
-                words.insert(base + u64::from(indices[lane]) * 4);
+        for (b, cache) in self.mem.constant_cache[..self.blocks]
+            .iter_mut()
+            .enumerate()
+        {
+            let lanes = b * self.block_lanes..(b + 1) * self.block_lanes;
+            for (start, bits) in active_warps(self.profile.warp_width, lanes, mask) {
+                // The constant cache broadcasts one word per cycle: distinct
+                // word addresses within a warp serialize.
+                words.clear();
+                for lane in set_lanes(start, bits) {
+                    words.insert(base + u64::from(indices[lane]) * 4);
+                }
+                let transactions = words.as_slice().len() as u64;
+                self.stats.loads += 1;
+                self.stats.instructions += 1;
+                self.stats.load_transactions += transactions;
+                self.stats.serialized_transactions += transactions.saturating_sub(1);
+                let mut hits = 0u64;
+                for &addr in words.as_slice() {
+                    hits += u64::from(cache.access(addr));
+                }
+                let misses = transactions - hits;
+                self.stats.const_hits += hits;
+                self.stats.const_misses += misses;
+                let (base, first_issue) = if misses > 0 {
+                    (self.profile.mem_lat, self.profile.mem_issue)
+                } else {
+                    (self.profile.const_hit_lat, self.profile.const_hit_lat)
+                };
+                // The constant port broadcasts one word per cycle: every
+                // distinct word serializes at `const_hit_lat`; misses also pay
+                // the pipelined DRAM issue cost.
+                let issue = hits * self.profile.const_hit_lat + misses * self.profile.mem_issue;
+                let exposed = base / self.profile.latency_hiding.max(1);
+                self.stats.memory_cycles += exposed + issue.saturating_sub(first_issue);
             }
-            let transactions = words.as_slice().len() as u64;
-            self.stats.loads += 1;
-            self.stats.instructions += 1;
-            self.stats.load_transactions += transactions;
-            self.stats.serialized_transactions += transactions.saturating_sub(1);
-            let mut hits = 0u64;
-            for &addr in words.as_slice() {
-                hits += u64::from(self.mem.constant_cache.access(addr));
-            }
-            let misses = transactions - hits;
-            self.stats.const_hits += hits;
-            self.stats.const_misses += misses;
-            let (base, first_issue) = if misses > 0 {
-                (self.profile.mem_lat, self.profile.mem_issue)
-            } else {
-                (self.profile.const_hit_lat, self.profile.const_hit_lat)
-            };
-            // The constant port broadcasts one word per cycle: every
-            // distinct word serializes at `const_hit_lat`; misses also pay
-            // the pipelined DRAM issue cost.
-            let issue = hits * self.profile.const_hit_lat + misses * self.profile.mem_issue;
-            let exposed = base / self.profile.latency_hiding.max(1);
-            self.stats.memory_cycles += exposed + issue.saturating_sub(first_issue);
         }
     }
 
@@ -1001,15 +1285,20 @@ impl ExecCtx<'_> {
                     .shared
                     .get_mut(sid.index())
                     .ok_or(EvalError::UnknownFunc(sid.index()))?;
+                let copies = Copies {
+                    block_lanes: self.block_lanes,
+                    stride: arr.len,
+                };
                 let indices = scatter(
                     &mut arr.data,
+                    copies,
                     arr.ty,
                     idx,
                     val,
                     mask,
                     &self.mem.store_order,
                     resolved,
-                    |_, _, _| {},
+                    |_, _, _, _| {},
                     &mut self.stats.mem_fallback_ops,
                 )?;
                 charge_shared(&mut self.stats, self.profile, indices, mask);
@@ -1022,28 +1311,30 @@ impl ExecCtx<'_> {
                     return Err(EvalError::NotPure("store to constant memory"));
                 }
                 let (space, base) = (buf.space, buf.base_addr);
-                let mut log = self.log.as_deref_mut();
-                if let Some(log) = &mut log {
-                    log.reserve(mask.count());
-                }
+                let log = &mut *self.log;
+                log.reserve(mask.count());
+                let copies = Copies {
+                    block_lanes: self.block_lanes,
+                    stride: 0,
+                };
                 let indices = scatter(
                     &mut buf.data,
+                    copies,
                     buf.ty,
                     idx,
                     val,
                     mask,
                     &self.mem.store_order,
                     resolved,
-                    |i, old, bits| {
-                        if let Some(log) = &mut log {
-                            log.push(LoggedWrite {
-                                buf: b as u32,
-                                index: i as u32,
-                                old,
-                                bits,
-                                op: None,
-                            });
-                        }
+                    |block, i, old, bits| {
+                        log.push(LoggedWrite {
+                            buf: b as u32,
+                            index: i as u32,
+                            old,
+                            bits,
+                            op: None,
+                            block: block as u8,
+                        });
                     },
                     &mut self.stats.mem_fallback_ops,
                 )?;
@@ -1056,8 +1347,8 @@ impl ExecCtx<'_> {
                     self.profile.store_lat
                 };
                 let mut segments = WarpSet::new();
-                for (start, bits) in active_warps(self.profile.warp_width, self.lanes, mask) {
-                    segments.fill_lines(&self.mem.l1, base, indices, start, bits);
+                for (start, bits) in active_warps(self.profile.warp_width, 0..self.lanes, mask) {
+                    segments.fill_lines(&self.mem.l1[0], base, indices, start, bits);
                     self.stats.stores += 1;
                     self.stats.instructions += 1;
                     self.stats.memory_cycles += store_lat * segments.as_slice().len() as u64;
@@ -1077,9 +1368,16 @@ impl ExecCtx<'_> {
     ) -> Result<(), EvalError> {
         let bin = op.to_bin_op();
         let mut active = 0u64;
+        // The block of the lane, followed as the lanes ascend.
+        let (mut block, mut block_end) = (0, self.block_lanes);
         for lane in mask.iter_set() {
             active += 1;
             let i = Self::index_to_i64(idx.lane(lane))?;
+            while lane >= block_end {
+                block += 1;
+                block_end += self.block_lanes;
+            }
+            // A shared array's lane reaches its own block's copy.
             let (b, ty, data) = match mem {
                 MemRef::Shared(sid) => {
                     let arr = self
@@ -1087,7 +1385,8 @@ impl ExecCtx<'_> {
                         .shared
                         .get_mut(sid.index())
                         .ok_or(EvalError::UnknownFunc(sid.index()))?;
-                    (None, arr.ty, &mut arr.data)
+                    let len = arr.len;
+                    (None, arr.ty, &mut arr.data[block * len..][..len])
                 }
                 MemRef::Param(_) => {
                     let b = self.resolve_buffer(mem)?;
@@ -1095,7 +1394,7 @@ impl ExecCtx<'_> {
                     if buf.space == MemSpace::Constant {
                         return Err(EvalError::NotPure("atomic on constant memory"));
                     }
-                    (Some(b), buf.ty, &mut buf.data)
+                    (Some(b), buf.ty, &mut buf.data[..])
                 }
             };
             let len = data.len();
@@ -1106,13 +1405,14 @@ impl ExecCtx<'_> {
             let old = data[i as usize];
             let operand = val.lane(lane);
             data[i as usize] = encode_bits(bin.apply(decode(tag, old), operand)?);
-            if let (Some(b), Some(log)) = (b, self.log.as_mut()) {
-                log.push(LoggedWrite {
+            if let Some(b) = b {
+                self.log.push(LoggedWrite {
                     buf: b as u32,
                     index: i as u32,
                     old,
                     bits: encode_bits(operand),
                     op: Some(bin),
+                    block: block as u8,
                 });
             }
         }
@@ -1154,33 +1454,57 @@ fn strip_index(bits: u32, signed: bool, len: usize) -> Result<usize, EvalError> 
 }
 
 /// [`gather`]'s `inject` for memory that returns what was stored.
-const NO_INJECTION: Option<fn(u32) -> u32> = None;
+const NO_INJECTION: Option<fn(usize, u32) -> u32> = None;
+
+/// How the blocks of a row see an array: `block_lanes` lanes to a block,
+/// and block `b`'s copy at `data[b * stride..][..stride]` — or, with a
+/// stride of 0, all of `data`, one copy every block shares.
+#[derive(Clone, Copy)]
+struct Copies {
+    block_lanes: usize,
+    stride: usize,
+}
+
+impl Copies {
+    /// Block `b`'s copy of `data`.
+    fn of(self, data: &[u32], b: usize) -> Range<usize> {
+        match self.stride {
+            0 => 0..data.len(),
+            len => b * len..(b + 1) * len,
+        }
+    }
+}
 
 /// Load `data[idx[lane]]` (elements of type `tag`) into the active lanes
-/// of `out`, in ascending lane order; `inject`, when present, sees every
-/// loaded word and returns the word the lane receives, and keeps the
-/// access on the per-lane path. Any other access whose index row's active
-/// lanes are all `i32` or all `u32` moves raw words span by span; the rest
-/// go lane by lane and count in `fallback`. Returns the lane-indexed
-/// element indices for the charging pass: the index row's own strip, or
-/// `resolved` filled by the per-lane path.
+/// of `out`, in ascending lane order, each lane from its block's copy.
+/// `inject`, when present, sees every loaded word with its lane and
+/// returns the word the lane receives, and keeps the access on the
+/// per-lane path. Any other access whose index row's active lanes are all
+/// `i32` or all `u32` moves raw words span by span; the rest go lane by
+/// lane and count in `fallback`. Returns the lane-indexed element indices
+/// for the charging pass: the index row's own strip, or `resolved` filled
+/// by the per-lane path.
 #[allow(clippy::too_many_arguments)]
 fn gather<'i, I: LaneGet, O: LaneSet>(
     data: &[u32],
+    copies: Copies,
     tag: u8,
     idx: &'i I,
     mask: &Mask,
     out: &mut O,
     resolved: &'i mut Vec<u32>,
-    mut inject: Option<impl FnMut(u32) -> u32>,
+    mut inject: Option<impl FnMut(usize, u32) -> u32>,
     fallback: &mut u64,
 ) -> Result<&'i [u32], EvalError> {
-    let (lanes, len) = (mask.lanes(), data.len());
+    let lanes = mask.lanes();
+    let len = copies.of(data, 0).len();
     if inject.is_none() {
         if let Some((signed, ib)) = idx.index_strip(mask) {
             if let Some(ob) = out.begin_strip(tag, mask) {
                 let ib = &ib[..lanes];
-                for span in mask.spans() {
+                for (b, span) in mask.block_spans(copies.block_lanes) {
+                    let data = &data[copies.of(data, b)];
+                    let len = data.len();
                     match span {
                         Span::Run(r) => {
                             for (o, &raw) in ob[r.clone()].iter_mut().zip(&ib[r]) {
@@ -1204,9 +1528,10 @@ fn gather<'i, I: LaneGet, O: LaneSet>(
     for lane in mask.iter_set() {
         let i = lane_index(idx, lane, len)?;
         resolved[lane] = i as u32;
+        let bits = data[copies.of(data, lane / copies.block_lanes).start + i];
         let bits = match &mut inject {
-            Some(inject) => inject(data[i]),
-            None => data[i],
+            Some(inject) => inject(lane, bits),
+            None => bits,
         };
         out.set_lane(lane, decode(tag, bits));
     }
@@ -1215,36 +1540,42 @@ fn gather<'i, I: LaneGet, O: LaneSet>(
 }
 
 /// Store the active lanes of `val` to `data[idx[lane]]` (elements of type
-/// `ty`), applying lanes in `order` (empty = ascending) and reporting each
-/// write as `(index, old bits, new bits)`. In ascending order, an access
-/// whose index row is eligible as for [`gather`] and whose value row's
-/// active lanes all have type `ty` moves raw words span by span; the rest
-/// go lane by lane and count in `fallback`. A permuted order stays
-/// per-lane and counts nothing: it exists to expose races, not to be
-/// fast. Returns the lane-indexed element indices like [`gather`].
+/// `ty`, each lane in its block's copy), applying lanes in `order` (empty
+/// = ascending) and reporting each write as `(block, index, old bits, new
+/// bits)`. In ascending order, an access whose index row is
+/// eligible as for [`gather`] and whose value row's active lanes all have
+/// type `ty` moves raw words span by span; the rest go lane by lane and
+/// count in `fallback`. A permuted order stays per-lane and counts
+/// nothing: it exists to expose races, not to be fast. Returns the
+/// lane-indexed element indices like [`gather`].
 #[allow(clippy::too_many_arguments)]
 fn scatter<'i, I: LaneGet, V: LaneGet>(
     data: &mut [u32],
+    copies: Copies,
     ty: Ty,
     idx: &'i I,
     val: &V,
     mask: &Mask,
     order: &[usize],
     resolved: &'i mut Vec<u32>,
-    mut written: impl FnMut(usize, u32, u32),
+    mut written: impl FnMut(usize, usize, u32, u32),
     fallback: &mut u64,
 ) -> Result<&'i [u32], EvalError> {
-    let (lanes, len, tag) = (mask.lanes(), data.len(), tag_of_ty(ty));
+    let (lanes, tag) = (mask.lanes(), tag_of_ty(ty));
+    let len = copies.of(data, 0).len();
     if order.is_empty() {
         if let (Some((signed, ib)), Some(vb)) = (idx.index_strip(mask), val.strip_of(tag, mask)) {
             let (ib, vb) = (&ib[..lanes], &vb[..lanes]);
-            let mut put = |lane: usize| -> Result<(), EvalError> {
-                let i = strip_index(ib[lane], signed, len)?;
-                written(i, data[i], vb[lane]);
-                data[i] = vb[lane];
-                Ok(())
-            };
-            for span in mask.spans() {
+            for (b, span) in mask.block_spans(copies.block_lanes) {
+                let range = copies.of(data, b);
+                let data = &mut data[range];
+                let len = data.len();
+                let mut put = |lane: usize| -> Result<(), EvalError> {
+                    let i = strip_index(ib[lane], signed, len)?;
+                    written(b, i, data[i], vb[lane]);
+                    data[i] = vb[lane];
+                    Ok(())
+                };
                 match span {
                     Span::Run(mut r) => r.try_for_each(&mut put)?,
                     Span::Word(first, bits) => set_lanes(first, bits).try_for_each(&mut put)?,
@@ -1267,22 +1598,24 @@ fn scatter<'i, I: LaneGet, V: LaneGet>(
                 });
             }
             resolved[lane] = i as u32;
-            written(i, data[i], encode_bits(v));
-            data[i] = encode_bits(v);
+            let b = lane / copies.block_lanes;
+            let at = copies.of(data, b).start + i;
+            written(b, i, data[at], encode_bits(v));
+            data[at] = encode_bits(v);
         }
     }
     Ok(resolved)
 }
 
-/// Warps with at least one active lane, as `(first lane, lane bits)`,
+/// Warps of `lanes` with at least one active lane, as `(first lane, lane bits)`,
 /// without allocating. One shift-and-mask per warp (see
 /// [`LaneMask::warp_bits`]).
 fn active_warps(
     warp_width: usize,
-    lanes: usize,
+    lanes: Range<usize>,
     mask: &Mask,
 ) -> impl Iterator<Item = (usize, u64)> + '_ {
-    (0..lanes)
+    lanes
         .step_by(warp_width)
         .map(move |start| (start, mask.warp_bits(start, warp_width)))
         .filter(|&(_, bits)| bits != 0)
@@ -1301,7 +1634,7 @@ const BANKS: usize = 32;
 /// addresses* mapping to the same bank within the warp.
 fn charge_shared(stats: &mut LaunchStats, profile: &DeviceProfile, indices: &[u32], mask: &Mask) {
     let mut banks = BankWords::new();
-    for (start, bits) in active_warps(profile.warp_width, mask.lanes(), mask) {
+    for (start, bits) in active_warps(profile.warp_width, 0..mask.lanes(), mask) {
         let degree = banks.degree(indices, start, bits);
         stats.shared_accesses += 1;
         stats.bank_conflict_extra += degree - 1;
@@ -1446,7 +1779,7 @@ mod tests {
         distinct: bool,
     ) {
         let mut words = Vec::new();
-        for (start, bits) in active_warps(profile.warp_width, mask.lanes(), mask) {
+        for (start, bits) in active_warps(profile.warp_width, 0..mask.lanes(), mask) {
             words.clear();
             let mut per_bank = [0u64; BANKS];
             let mut degree = 1;
@@ -1552,6 +1885,115 @@ mod tests {
             }
         }
         (bad, conflicted)
+    }
+
+    /// Launch `out[gid] = 0 + 1 + … + (4 * blockIdx.x + 2)` over two
+    /// 32-lane blocks, block 1 then storing out of bounds if `fault`, with
+    /// `remaining` budget tokens left and `group` blocks per group; return
+    /// the result and the tokens taken. Block 0 takes 3 tokens, block 1
+    /// takes 7.
+    fn budget_run(group: usize, remaining: u64, fault: bool) -> (Result<(), EvalError>, u64) {
+        use paraprox_ir::{Expr, KernelBuilder, Program};
+        let mut program = Program::new();
+        let mut kb = KernelBuilder::new("budget");
+        let out = kb.buffer("out", Ty::I32, MemSpace::Global);
+        let gid = kb.let_("gid", KernelBuilder::global_id_x());
+        let acc = kb.let_mut("acc", Ty::I32, Expr::i32(0));
+        let trips = KernelBuilder::block_id_x() * Expr::i32(4) + Expr::i32(3);
+        kb.for_up("k", Expr::i32(0), trips, Expr::i32(1), |kb, k| {
+            kb.assign(acc, Expr::Var(acc) + k);
+        });
+        kb.store(out, gid.clone(), Expr::Var(acc));
+        if fault {
+            kb.if_(gid.eq_(Expr::i32(32)), |kb| {
+                kb.store(out, Expr::i32(1000), Expr::i32(1))
+            });
+        }
+        let kid = program.add_kernel(kb.finish());
+        let profile = DeviceProfile::gtx560();
+        let mut device = crate::Device::new(profile.clone());
+        let buf = device.alloc_i32(MemSpace::Global, &[0; 64]);
+        let kernel = program.kernel(kid);
+        let compiled = Arc::new(crate::bytecode::compile_kernel(&program, kernel, &profile));
+        let args = [ArgValue::Buffer(buf)];
+        let cache = |g| {
+            let mut c = Cache::new(g);
+            c.reset_counters();
+            c
+        };
+        let seg = Seg {
+            launch: Launch {
+                profile: &profile,
+                program: &program,
+                kernel,
+                args: &args,
+                grid: Dim2::linear(2),
+                block: Dim2::linear(32),
+                compiled,
+                schedule_seed: None,
+                approx_threshold: 0,
+                approx_seed: 0,
+                overwritten: &[],
+                group,
+            },
+            l1_template: cache(profile.cache.l1),
+            cc_template: cache(profile.cache.constant),
+            entry_l1: (0, 0),
+            entry_cc: (0, 0),
+            start: 0,
+            iterations: AtomicU64::new(ITERATION_BUDGET - remaining),
+        };
+        let segs = std::slice::from_ref(&seg);
+        let result = run_segments(
+            segs,
+            seg.groups(),
+            1,
+            &mut device.buffers,
+            &mut Vec::new(),
+            &RefreshCounters::default(),
+        );
+        let taken = seg.iterations.load(Ordering::Relaxed) - (ITERATION_BUDGET - remaining);
+        let result = result.map(|_| ()).map_err(|e| match e {
+            LaunchError::Eval { source, .. } => source,
+            other => panic!("unexpected {other}"),
+        });
+        if result.is_err() {
+            assert_eq!(
+                device.read_i32(buf).unwrap(),
+                vec![0; 64],
+                "a failed launch reverts"
+            );
+        }
+        (result, taken)
+    }
+
+    #[test]
+    fn a_failed_group_gives_its_budget_tokens_back() {
+        let oob = EvalError::OutOfBounds {
+            index: 1000,
+            len: 64,
+        };
+        for group in [1, 2] {
+            // A group takes a token per block still looping: ten in all.
+            assert_eq!(budget_run(group, 10, false), (Ok(()), 10), "group {group}");
+            // Ten tokens cover both blocks: the fault is block 1's store.
+            // Had the group kept its ten tokens, block 0's re-run would
+            // exhaust the budget instead.
+            assert_eq!(
+                budget_run(group, 10, true),
+                (Err(oob.clone()), 10),
+                "group {group}"
+            );
+            // Nine do not: block 1 exhausts the budget on its seventh
+            // token, grouped or alone, faulting or not.
+            for fault in [false, true] {
+                assert_eq!(
+                    budget_run(group, 9, fault),
+                    (Err(EvalError::IterationLimit), 10),
+                    "group {group}, fault {fault}"
+                );
+            }
+        }
     }
 
     #[test]

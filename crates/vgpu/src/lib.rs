@@ -15,8 +15,11 @@
 //!
 //! Independent thread blocks execute concurrently on host worker threads
 //! (see [`DeviceProfile::parallelism`] and the `PARAPROX_THREADS`
-//! environment variable); results, simulated cycles, and cache statistics
-//! are bit-identical for every worker count.
+//! environment variable), and the small blocks of a launch that cannot
+//! tell the difference run as *block groups*: one 256-lane row per op
+//! dispatch, each block keeping its own caches, shared memory and write
+//! log. Results, simulated cycles, and cache statistics are bit-identical
+//! for every worker count and grouping.
 //!
 //! Kernels run on one engine: each kernel is compiled once to a
 //! register-machine instruction stream, with adjacent op pairs fused into

@@ -233,6 +233,71 @@ impl LaneMask {
         })
     }
 
+    /// [`LaneMask::spans`] cut at every multiple of `block_lanes`, each
+    /// piece tagged with the block (`lane / block_lanes`) its lanes belong
+    /// to: a row of several blocks visits one block's active lanes at a
+    /// time, in lane order. A cut [`Span::Run`] may start inside a word.
+    #[inline]
+    pub(crate) fn block_spans(
+        &self,
+        block_lanes: usize,
+    ) -> impl Iterator<Item = (usize, Span)> + '_ {
+        let mut spans = self.spans();
+        let mut rest = None;
+        let one_block = block_lanes >= self.lanes;
+        std::iter::from_fn(move || {
+            let span = rest.take().or_else(|| spans.next())?;
+            if one_block {
+                return Some((0, span));
+            }
+            let first_lane = match &span {
+                Span::Run(r) => r.start,
+                Span::Word(first, bits) => first + bits.trailing_zeros() as usize,
+            };
+            let block = first_lane / block_lanes;
+            let end = (block + 1) * block_lanes;
+            Some(match span {
+                Span::Run(r) if r.end > end => {
+                    rest = Some(Span::Run(end..r.end));
+                    (block, Span::Run(r.start..end))
+                }
+                Span::Word(first, bits) if end - first < WORD => {
+                    let head = bits & full_word(end - first);
+                    if bits != head {
+                        rest = Some(Span::Word(first, bits & !head));
+                    }
+                    (block, Span::Word(first, head))
+                }
+                span => (block, span),
+            })
+        })
+    }
+
+    /// Whether any lane of `lanes` is active, and whether all are.
+    pub(crate) fn range_state(&self, lanes: std::ops::Range<usize>) -> (bool, bool) {
+        let (mut any, mut all) = (false, true);
+        let mut lane = lanes.start;
+        while lane < lanes.end {
+            let n = (lanes.end - lane).min(WORD - lane % WORD);
+            let bits = self.words[lane / WORD] >> (lane % WORD) & full_word(n);
+            any |= bits != 0;
+            all &= bits == full_word(n);
+            lane += n;
+        }
+        (any, all)
+    }
+
+    /// The first active lane at or after `lane`.
+    pub(crate) fn first_set_from(&self, lane: usize) -> Option<usize> {
+        let mut w = lane / WORD;
+        let mut bits = self.words.get(w)? & (u64::MAX << (lane % WORD));
+        while bits == 0 {
+            w += 1;
+            bits = *self.words.get(w)?;
+        }
+        Some(w * WORD + bits.trailing_zeros() as usize)
+    }
+
     /// Refine the mask a storage word at a time: `keep(first, n, live)`
     /// sees the word holding lanes `first..first + n` and returns the bits
     /// of `live` that stay active (see [`pack_word`]). Words with no active
@@ -529,6 +594,44 @@ mod tests {
                 Span::Run(192..256)
             ]
         );
+    }
+
+    #[test]
+    fn block_queries_match_the_per_lane_loop() {
+        for (i, m) in shaped_masks().into_iter().enumerate() {
+            let lanes = m.lanes();
+            for block in [8usize, 24, 32, 64, 96, 1000] {
+                let mut visited = Vec::new();
+                for (b, span) in m.block_spans(block) {
+                    let span_lanes: Vec<usize> = match span {
+                        Span::Run(r) => r.collect(),
+                        Span::Word(first, bits) => set_bits(bits).map(|k| first + k).collect(),
+                    };
+                    assert!(
+                        !span_lanes.is_empty(),
+                        "mask {i}, block {block}: empty span"
+                    );
+                    assert!(
+                        span_lanes.iter().all(|&l| l / block == b),
+                        "mask {i}, block {block}: span crosses block {b}"
+                    );
+                    visited.extend(span_lanes);
+                }
+                assert_eq!(
+                    visited,
+                    m.iter_set().collect::<Vec<_>>(),
+                    "mask {i}, block {block}"
+                );
+                for lo in (0..lanes).step_by(block) {
+                    let hi = (lo + block).min(lanes);
+                    let any = (lo..hi).any(|l| m.get(l));
+                    let all = (lo..hi).all(|l| m.get(l));
+                    assert_eq!(m.range_state(lo..hi), (any, all), "mask {i}, {lo}..{hi}");
+                    let first = (lo..lanes).find(|&l| m.get(l));
+                    assert_eq!(m.first_set_from(lo), first, "mask {i}, from {lo}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -200,8 +200,7 @@ impl Oracle<'_, '_> {
                 if matches!(frame.args, FrameArgs::Func(_)) {
                     return Err(EvalError::NotPure("thread special"));
                 }
-                let bx = self.ctx.block_x;
-                let by = self.ctx.block_y;
+                let (bx, by) = self.ctx.block_coords(0);
                 let bdx = self.ctx.block.x as i32;
                 let bdy = self.ctx.block.y as i32;
                 let gdx = self.ctx.grid.x as i32;

@@ -214,11 +214,27 @@ impl RegRow {
         self.uniform = tag_of(v);
     }
 
-    /// Overwrite every lane with `tag`-typed bits, `bit_of(lane)` each.
-    pub fn fill_with(&mut self, lanes: usize, tag: u8, bit_of: impl FnMut(usize) -> u32) {
+    /// Overwrite the row with `tag`-typed bits, one lane per item.
+    pub fn fill_from(&mut self, tag: u8, bits: impl IntoIterator<Item = u32>) {
         self.bits.clear();
-        self.bits.extend((0..lanes).map(bit_of));
-        self.tags.resize(lanes, 0);
+        self.bits.extend(bits);
+        self.tags.resize(self.bits.len(), 0);
+        self.uniform = tag;
+    }
+
+    /// Overwrite the row with `tag`-typed bits, one item per run of
+    /// `block_lanes` lanes.
+    pub fn fill_blocks(
+        &mut self,
+        tag: u8,
+        block_lanes: usize,
+        bits: impl IntoIterator<Item = u32>,
+    ) {
+        self.bits.clear();
+        for b in bits {
+            self.bits.extend(std::iter::repeat_n(b, block_lanes));
+        }
+        self.tags.resize(self.bits.len(), 0);
         self.uniform = tag;
     }
 
@@ -254,6 +270,25 @@ impl RegRow {
             self.uniform = TAG_MIXED;
         }
         set_active_tags(&mut self.tags, tag, mask);
+        self.normalize();
+    }
+
+    /// Overwrite the lanes `lanes` with `src`'s, values and types, active
+    /// or not; the others keep theirs. Both rows cover the same lanes.
+    pub fn copy_range(&mut self, src: &RegRow, lanes: std::ops::Range<usize>) {
+        self.bits[lanes.clone()].copy_from_slice(&src.bits[lanes.clone()]);
+        if self.uniform == src.uniform && src.uniform != TAG_MIXED {
+            return;
+        }
+        if self.uniform != TAG_MIXED {
+            self.tags.fill(self.uniform);
+            self.uniform = TAG_MIXED;
+        }
+        if src.uniform == TAG_MIXED {
+            self.tags[lanes.clone()].copy_from_slice(&src.tags[lanes]);
+        } else {
+            self.tags[lanes].fill(src.uniform);
+        }
         self.normalize();
     }
 

@@ -55,7 +55,8 @@ pub struct LaunchStats {
     /// equality).
     pub workers: u64,
     /// Bytecode ops dispatched by the interpreter inner loop (a fused
-    /// superinstruction counts once). Zero on the tree-walking engine.
+    /// superinstruction counts once, and so does an op over a block group
+    /// of several blocks). Zero on the tree-walking engine.
     /// Engine-dependent host-side diagnostic: excluded from equality.
     pub ops_dispatched: u64,
     /// Fused superinstructions executed. Zero on the tree-walking engine;
@@ -63,9 +64,10 @@ pub struct LaunchStats {
     pub fusions_hit: u64,
     /// ALU and control ops of the bytecode engine that left their typed
     /// strip loop for the per-lane `Scalar` path: the error cases and rows
-    /// whose active lanes differ in type. Zero on the tree-walking engine
-    /// and on every well-typed kernel; a host-side diagnostic excluded from
-    /// equality like `ops_dispatched`. Nothing reads it to choose a path.
+    /// whose active lanes differ in type. Counted per dispatched op, like
+    /// `ops_dispatched`. Zero on the tree-walking engine and on every
+    /// well-typed kernel; a host-side diagnostic excluded from equality like
+    /// `ops_dispatched`. Nothing reads it to choose a path.
     pub lane_fallback_ops: u64,
     /// The memory twin of `lane_fallback_ops`: loads and stores of the
     /// bytecode engine that moved their lanes one `Scalar` at a time
@@ -84,15 +86,21 @@ pub struct LaunchStats {
     /// Bit flips injected into approximate-memory loads. Always zero at
     /// error rate 0; excluded from equality like `approx_loads`.
     pub bit_flips: u64,
+    /// Block groups of two or more blocks the bytecode engine ran as one
+    /// lane row (a group that failed and re-ran block by block does not
+    /// count). Zero on the tree-walking engine and on launches that are not
+    /// group-safe; a host-side diagnostic excluded from equality like
+    /// `ops_dispatched`.
+    pub groups: u64,
 }
 
 /// Equality covers every *simulated* counter; `wall_nanos`, `workers`,
 /// `ops_dispatched`, `fusions_hit`, `lane_fallback_ops`, `mem_fallback_ops`,
-/// `approx_loads`, and `bit_flips` are diagnostics (the middle four depend
-/// on the engine, the last two on buffer placement, not on
-/// the simulated machine) and deliberately ignored, so stats from runs at
-/// different parallelism levels or engines compare equal iff the
-/// simulation agreed.
+/// `groups`, `approx_loads`, and `bit_flips` are diagnostics (the middle
+/// five depend on the engine and its block grouping, the last two on
+/// buffer placement, not on the simulated machine) and deliberately
+/// ignored, so stats from runs at different parallelism levels or engines
+/// compare equal iff the simulation agreed.
 impl PartialEq for LaunchStats {
     fn eq(&self, other: &LaunchStats) -> bool {
         self.compute_cycles == other.compute_cycles
@@ -181,6 +189,7 @@ impl LaunchStats {
         self.mem_fallback_ops += rhs.mem_fallback_ops;
         self.approx_loads += rhs.approx_loads;
         self.bit_flips += rhs.bit_flips;
+        self.groups += rhs.groups;
     }
 }
 
@@ -271,6 +280,7 @@ mod tests {
             bit_flips: 23,
             lane_fallback_ops: 24,
             mem_fallback_ops: 25,
+            groups: 26,
         };
         a += a;
         assert_eq!(a.compute_cycles, 2);
@@ -284,6 +294,7 @@ mod tests {
         assert_eq!(a.bit_flips, 46);
         assert_eq!(a.lane_fallback_ops, 48);
         assert_eq!(a.mem_fallback_ops, 50);
+        assert_eq!(a.groups, 52);
     }
 
     #[test]
@@ -300,6 +311,7 @@ mod tests {
             mem_fallback_ops: 3,
             approx_loads: 7,
             bit_flips: 1,
+            groups: 6,
             ..Default::default()
         };
         let step = LaunchStats {
@@ -311,6 +323,7 @@ mod tests {
             mem_fallback_ops: 1,
             approx_loads: 9,
             bit_flips: 4,
+            groups: 2,
             ..Default::default()
         };
         total.accumulate(&step);
@@ -323,6 +336,7 @@ mod tests {
         assert_eq!(total.mem_fallback_ops, 5);
         assert_eq!(total.approx_loads, 25);
         assert_eq!(total.bit_flips, 9);
+        assert_eq!(total.groups, 10);
         // The two accumulated stats compare equal to the original despite
         // the diagnostic drift: nothing simulated changed.
         assert_eq!(total, LaunchStats::default());
@@ -346,6 +360,7 @@ mod tests {
             mem_fallback_ops: 4,
             approx_loads: 6,
             bit_flips: 2,
+            groups: 5,
             ..Default::default()
         };
         assert_eq!(a, b);

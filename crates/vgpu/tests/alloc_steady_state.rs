@@ -10,6 +10,8 @@
 //! bit-flip injection) alike — nor when the lanes diverge: the same kernel
 //! under a ragged guard and per-lane trip counts, where every op runs
 //! under a partial mask, allocates what its converged launch allocates.
+//! Nor does it move when the blocks run as block groups: the 32-lane
+//! launches run eight blocks per group, the 256-lane ones alone.
 //! The iterative driver's residual kernel (a guarded gather, then a
 //! shared-memory halving tree whose every level stores under a partial
 //! mask) stays under the same one-worker ceiling and allocates the same
@@ -132,6 +134,8 @@ fn second_launch_allocations(
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(d.compile_count(), 1, "the second launch runs cached code");
     assert_eq!(first.loads, second.loads);
+    // 32-lane blocks run as block groups, 256-lane blocks alone.
+    assert_eq!(second.groups > 0, lanes < 128, "{lanes}-lane blocks");
     let converged_loads = (blocks * lanes.div_ceil(32)) as u64 * (2 * radius as u64 + 1);
     if divergent {
         assert!(second.loads > converged_loads, "some warps take extra taps");
@@ -236,6 +240,7 @@ fn residual_allocations(blocks: usize, fallback: bool, divergent: bool) -> u64 {
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(d.compile_count(), 1, "the second launch runs cached code");
     assert_eq!(first.shared_accesses, second.shared_accesses);
+    assert!(second.groups > 0, "64-lane blocks run as block groups");
     assert_eq!(
         (second.lane_fallback_ops, second.mem_fallback_ops),
         (0, 0),

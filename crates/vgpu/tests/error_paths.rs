@@ -269,3 +269,43 @@ fn partial_warp_blocks_work() {
         assert_eq!(*v as usize, i);
     }
 }
+
+#[test]
+fn a_failed_launch_leaves_its_buffers_untouched() {
+    // Every thread stores 7.0, then the first thread of the failing block
+    // (global id `bad`) stores out of bounds. Whatever the grid, the
+    // worker count, and the failing block, the launch reports the fault
+    // and `out` keeps its contents: a single block logs and reverts its
+    // writes like any other.
+    let mut program = Program::new();
+    let mut kb = KernelBuilder::new("store_then_fault");
+    let out = kb.buffer("out", Ty::F32, MemSpace::Global);
+    let bad = kb.scalar("bad", Ty::I32);
+    let gid = kb.let_("gid", KernelBuilder::global_id_x());
+    kb.store(out, gid.clone(), Expr::f32(7.0));
+    kb.if_(gid.eq_(bad), |kb| {
+        kb.store(out, Expr::i32(1000), Expr::f32(1.0))
+    });
+    let kid = program.add_kernel(kb.finish());
+    for workers in [1, 2] {
+        for (grid, bad) in [(1usize, 0i32), (2, 0), (2, 32)] {
+            let mut d = Device::new(DeviceProfile::gtx560().with_parallelism(workers));
+            let o = d.alloc_f32(MemSpace::Global, &vec![0.0; 32 * grid]);
+            let err = d
+                .launch(
+                    &program,
+                    kid,
+                    Dim2::linear(grid),
+                    Dim2::linear(32),
+                    &[o.into(), Scalar::I32(bad).into()],
+                )
+                .unwrap_err();
+            assert!(err.to_string().contains("out of bounds"), "{err}");
+            assert_eq!(
+                d.read_f32(o).unwrap(),
+                vec![0.0; 32 * grid],
+                "grid {grid}, global id {bad} faults, {workers} workers"
+            );
+        }
+    }
+}

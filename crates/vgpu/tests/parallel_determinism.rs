@@ -84,11 +84,13 @@ fn stencil_identical_across_worker_counts() {
 }
 
 #[test]
-fn worker_count_is_capped_by_block_count() {
-    let (_, stats) = run_stencil(8, 2);
+fn worker_count_is_capped_by_group_count() {
+    // Sixteen 32-lane blocks run as two groups of eight.
+    let (_, stats) = run_stencil(8, 16);
+    assert_eq!(stats.groups, 2);
     assert_eq!(
         stats.workers, 2,
-        "no point spawning more workers than blocks"
+        "no point spawning more workers than block groups"
     );
 }
 
