@@ -1,4 +1,15 @@
-//! Hand-rolled argument parsing (no external dependencies).
+//! Table-driven argument parsing (no external dependencies). Each
+//! subcommand is one row of [`TABLE`]: its positional and its flags, with
+//! their defaults. One loop matches argv against the row, and typed readers
+//! turn the matched strings into the option struct the command takes.
+
+use std::collections::HashMap;
+use std::fmt::Display;
+use std::ops::{Bound, RangeBounds};
+use std::str::FromStr;
+
+use paraprox::DeviceProfile;
+use paraprox_apps::Scale;
 
 /// Usage text shown on argument errors.
 pub const USAGE: &str = "\
@@ -83,536 +94,398 @@ usage:
       decision trace is identical for every shard/worker/window setting.
 ";
 
-/// Which device profile to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeviceArg {
-    /// Simulated GTX 560.
-    Gpu,
-    /// Simulated Core i7 965.
-    Cpu,
-}
+/// First seed of deployed traffic (`serve` requests, the iterative
+/// report's run), and the most training seeds `--seeds` allows: seeds
+/// `0..n` stay below it, so deployment never replays a tuning input. (Each
+/// seed costs one exact run plus one run per rung.)
+pub const SEED_BASE: u64 = 1000;
 
-/// Parsed command.
-#[derive(Debug, Clone, PartialEq)]
+/// Most `serve` shards, and most worker threads per shard: the engine
+/// spawns shards × workers threads up front.
+const MAX_SHARDS: usize = 64;
+const MAX_WORKERS: usize = 64;
+
+/// Most outstanding `serve` requests; the load generator reserves a slot
+/// for each.
+const MAX_INFLIGHT: usize = 1 << 16;
+
+/// Parsed command. Each option struct has one field per flag of its
+/// subcommand (and `app` or `file` for the positional), described in
+/// [`USAGE`].
+#[derive(Debug, PartialEq)]
 pub enum Command {
-    /// `paraprox list`
     List,
-    /// `paraprox tune <app> ...`
-    Tune {
-        /// Application name (prefix match).
-        app: String,
-        /// Device profile.
-        device: DeviceArg,
-        /// Target output quality (percent).
-        toq: f64,
-        /// Use the small test-scale inputs.
-        test_scale: bool,
-        /// Training seeds.
-        seeds: usize,
-        /// Print all variants.
-        all: bool,
-    },
-    /// `paraprox run <app> ...`
-    Run {
-        /// Application name (prefix match).
-        app: String,
-        /// Device profile.
-        device: DeviceArg,
-        /// Use the small test-scale inputs.
-        test_scale: bool,
-        /// Host worker threads (0 = all available cores).
-        threads: usize,
-        /// Serve Tolerant global buffers from approximate memory at this
-        /// bit-error rate.
-        approx_mem: Option<f64>,
-        /// Run the app as an iterative convergence loop capped at this
-        /// many iterations (0 = the app's default cap).
-        iters: Option<u32>,
-        /// Restrict the iterative sweep to one named schedule.
-        schedule: Option<String>,
-    },
-    /// `paraprox inspect <file>` (or `inspect <app> --schedule <name>`)
-    Inspect {
-        /// Path to the kernel source file (or an iterative application
-        /// name when `schedule` is set).
-        file: String,
-        /// Kernel name (prefix match) to disassemble to vGPU bytecode.
-        bytecode: Option<String>,
-        /// Print per-kernel side-effect summaries.
-        effects: bool,
-        /// Print per-kernel buffer-criticality partitions.
-        partition: bool,
-        /// Describe this preset schedule for the named iterative app and
-        /// print the safety gate's verdict.
-        schedule: Option<String>,
-        /// Iteration cap the schedule plan spans (0 = app default; only
-        /// with `schedule`).
-        iters: u32,
-        /// Print every rung of the named registry application: static
-        /// error bound vs measured quality, side by side.
-        rungs: bool,
-        /// Use the small test-scale inputs (only with `schedule` or
-        /// `rungs`).
-        test_scale: bool,
-    },
-    /// `paraprox analyze <app>`
-    Analyze {
-        /// Application name (prefix match).
-        app: String,
-        /// Use the small test-scale inputs.
-        test_scale: bool,
-        /// Emit machine-readable JSON instead of the human report.
-        json: bool,
-        /// Include the buffer-criticality partition in the report.
-        partition: bool,
-        /// Include the per-rung static error bounds in the report.
-        error_bounds: bool,
-    },
-    /// `paraprox serve ...`
-    Serve {
-        /// Application names (prefix match), the engine's tenants.
-        apps: Vec<String>,
-        /// Device profile.
-        device: DeviceArg,
-        /// Requests per tenant.
-        requests: u64,
-        /// Inject input drift starting at this request index.
-        drift_at: Option<u64>,
-        /// Length of the drift window, in requests.
-        drift_len: u64,
-        /// Gain applied to `f32` inputs inside the drift window.
-        drift_gain: f64,
-        /// Device shards (tenant affinity by id; idle shards steal).
-        shards: usize,
-        /// Worker threads per shard (0 = all available cores).
-        workers: usize,
-        /// Max requests coalesced into one fused device batch.
-        batch_window: usize,
-        /// Admission-queue capacity.
-        queue: usize,
-        /// Closed-loop outstanding-request window.
-        inflight: usize,
-        /// Watchdog check cadence (every Nth served request).
-        check_every: u64,
-        /// Clean checks required before re-promotion (0 disables).
-        promote_after: u64,
-        /// Target output quality (percent).
-        toq: f64,
-        /// Use the small test-scale inputs.
-        test_scale: bool,
-        /// Training seeds for the offline tune.
-        seeds: usize,
-    },
+    Tune(TuneOpts),
+    Run(RunOpts),
+    Inspect(InspectOpts),
+    Analyze(AnalyzeOpts),
+    Serve(ServeOpts),
 }
 
-fn parse_num<T: std::str::FromStr>(flag: &str, value: Option<&String>) -> Result<T, String> {
-    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
-    v.parse::<T>()
-        .map_err(|_| format!("bad {flag} value `{v}`"))
+/// Options of `paraprox tune <app>`.
+#[derive(Debug, PartialEq)]
+pub struct TuneOpts {
+    pub app: String,
+    pub device: DeviceProfile,
+    pub toq: f64,
+    pub scale: Scale,
+    /// Training seeds `0..seeds`.
+    pub seeds: u64,
+    pub all: bool,
 }
+
+/// Options of `paraprox run <app>`.
+#[derive(Debug, PartialEq)]
+pub struct RunOpts {
+    pub app: String,
+    pub device: DeviceProfile,
+    pub scale: Scale,
+    pub threads: usize,
+    pub approx_mem: Option<f64>,
+    /// `Some` runs the app as an iterative convergence loop.
+    pub iters: Option<u32>,
+    pub schedule: Option<String>,
+}
+
+/// Options of `paraprox inspect <file>`, `inspect <app> --schedule <name>`
+/// and `inspect <app> --rungs`.
+#[derive(Debug, PartialEq)]
+pub struct InspectOpts {
+    /// A kernel source file, or an application name with `schedule` or
+    /// `rungs`.
+    pub file: String,
+    pub bytecode: Option<String>,
+    pub effects: bool,
+    pub partition: bool,
+    pub schedule: Option<String>,
+    pub iters: u32,
+    pub rungs: bool,
+    pub scale: Scale,
+}
+
+/// Options of `paraprox analyze <app>`.
+#[derive(Debug, PartialEq)]
+pub struct AnalyzeOpts {
+    pub app: String,
+    pub scale: Scale,
+    pub json: bool,
+    pub partition: bool,
+    pub error_bounds: bool,
+}
+
+/// Options of `paraprox serve`.
+#[derive(Debug, PartialEq)]
+pub struct ServeOpts {
+    pub apps: Vec<String>,
+    pub device: DeviceProfile,
+    pub requests: u64,
+    pub drift_at: Option<u64>,
+    pub drift_len: u64,
+    pub drift_gain: f64,
+    pub shards: usize,
+    pub workers: usize,
+    pub batch_window: usize,
+    pub queue: usize,
+    pub inflight: usize,
+    pub check_every: u64,
+    pub promote_after: u64,
+    pub toq: f64,
+    pub scale: Scale,
+    /// Training seeds `0..seeds` for the offline tune.
+    pub seeds: u64,
+}
+
+/// How a flag takes its value.
+#[derive(Clone, Copy)]
+enum Arg {
+    /// Present or absent; takes no value.
+    Switch,
+    /// Takes a value; the string is the default when the flag is absent.
+    Value(&'static str),
+    /// Takes a value; absent means none.
+    Optional,
+}
+
+use Arg::{Optional, Switch, Value};
+
+/// One subcommand.
+struct Row {
+    /// The word after `paraprox`.
+    name: &'static str,
+    /// What the first word after the subcommand names (for the error when
+    /// it is missing); `None` when the subcommand takes no positional.
+    positional: Option<&'static str>,
+    flags: &'static [(&'static str, Arg)],
+    /// Reads the matched argv into the command, checking cross-flag rules.
+    build: fn(&Matches) -> Result<Command, String>,
+}
+
+/// Every subcommand and flag the CLI accepts. [`USAGE`] describes each
+/// flag of each row (a test keeps the two in step).
+#[rustfmt::skip]
+const TABLE: &[Row] = &[
+    Row { name: "list", positional: None, build: |_| Ok(Command::List), flags: &[] },
+    Row { name: "tune", positional: Some("an application name"), build: tune, flags: &[
+        ("--device", Value("gpu")), ("--toq", Value("90")), ("--scale", Value("paper")),
+        ("--seeds", Value("3")), ("--all", Switch),
+    ] },
+    Row { name: "run", positional: Some("an application name"), build: run, flags: &[
+        ("--device", Value("gpu")), ("--scale", Value("paper")), ("--threads", Value("0")),
+        ("--approx-mem", Optional), ("--iters", Optional), ("--schedule", Optional),
+    ] },
+    Row { name: "inspect", positional: Some("a source file"), build: inspect, flags: &[
+        ("--bytecode", Optional), ("--effects", Switch), ("--partition", Switch),
+        ("--schedule", Optional), ("--iters", Value("0")), ("--rungs", Switch),
+        ("--scale", Value("paper")),
+    ] },
+    Row { name: "analyze", positional: Some("an application name"), build: analyze, flags: &[
+        ("--scale", Value("paper")), ("--json", Switch), ("--partition", Switch),
+        ("--error-bounds", Switch),
+    ] },
+    Row { name: "serve", positional: None, build: serve, flags: &[
+        ("--apps", Value("blackscholes,gamma,mean")), ("--device", Value("gpu")),
+        ("--requests", Value("120")), ("--drift-at", Optional), ("--drift-len", Value("40")),
+        ("--drift-gain", Value("8")), ("--shards", Value("1")), ("--workers", Value("0")),
+        ("--batch-window", Value("8")), ("--queue", Value("64")), ("--inflight", Value("8")),
+        ("--check-every", Value("10")), ("--promote-after", Value("3")), ("--toq", Value("90")),
+        ("--scale", Value("paper")), ("--seeds", Value("3")),
+    ] },
+];
 
 /// Parse an argument vector.
 ///
 /// # Errors
 ///
-/// Returns a human-readable message on unknown commands, missing values,
-/// or malformed options.
+/// Returns a human-readable message on unknown commands or flags, missing
+/// values, malformed or out-of-range values, and conflicting flags.
 pub fn parse(argv: &[String]) -> Result<Command, String> {
-    let mut it = argv.iter();
-    match it.next().map(String::as_str) {
-        Some("list") => {
-            if it.next().is_some() {
-                return Err("`list` takes no arguments".to_string());
-            }
-            Ok(Command::List)
-        }
-        Some("tune") => {
-            let app = it
+    let mut args = argv.iter();
+    let name = args.next().ok_or("no command given")?;
+    let row = TABLE
+        .iter()
+        .find(|r| r.name == name)
+        .ok_or_else(|| format!("unknown command `{name}`"))?;
+    (row.build)(&Matches::new(row, args)?)
+}
+
+/// One subcommand's argv matched against its row: the positional, and
+/// each flag's value — the last one given, else its default (empty for a
+/// switch that was given).
+struct Matches {
+    positional: String,
+    values: HashMap<&'static str, String>,
+}
+
+impl Matches {
+    fn new(row: &'static Row, mut args: std::slice::Iter<String>) -> Result<Matches, String> {
+        let positional = match row.positional {
+            Some(what) => args
                 .next()
-                .ok_or_else(|| "`tune` needs an application name".to_string())?
-                .clone();
-            let mut device = DeviceArg::Gpu;
-            let mut toq = 90.0f64;
-            let mut test_scale = false;
-            let mut seeds = 3usize;
-            let mut all = false;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--device" => {
-                        device = match it.next().map(String::as_str) {
-                            Some("gpu") => DeviceArg::Gpu,
-                            Some("cpu") => DeviceArg::Cpu,
-                            other => {
-                                return Err(format!("--device needs `gpu` or `cpu`, got {other:?}"))
-                            }
-                        };
-                    }
-                    "--toq" => {
-                        let v = it.next().ok_or_else(|| "--toq needs a value".to_string())?;
-                        toq = v
-                            .parse::<f64>()
-                            .map_err(|_| format!("bad --toq value `{v}`"))?;
-                        if !(0.0..=100.0).contains(&toq) {
-                            return Err("--toq must be between 0 and 100".to_string());
-                        }
-                    }
-                    "--scale" => {
-                        test_scale = match it.next().map(String::as_str) {
-                            Some("paper") => false,
-                            Some("test") => true,
-                            other => {
-                                return Err(format!(
-                                    "--scale needs `paper` or `test`, got {other:?}"
-                                ))
-                            }
-                        };
-                    }
-                    "--seeds" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| "--seeds needs a value".to_string())?;
-                        seeds = v
-                            .parse::<usize>()
-                            .map_err(|_| format!("bad --seeds value `{v}`"))?;
-                        if seeds == 0 {
-                            return Err("--seeds must be at least 1".to_string());
-                        }
-                    }
-                    "--all" => all = true,
-                    other => return Err(format!("unknown option `{other}`")),
-                }
-            }
-            Ok(Command::Tune {
-                app,
-                device,
-                toq,
-                test_scale,
-                seeds,
-                all,
+                .ok_or_else(|| format!("`{}` needs {what}", row.name))?
+                .clone(),
+            None => String::new(),
+        };
+        let mut values: HashMap<_, _> = row
+            .flags
+            .iter()
+            .filter_map(|&(flag, arg_kind)| match arg_kind {
+                Value(default) => Some((flag, default.to_string())),
+                Switch | Optional => None,
             })
+            .collect();
+        while let Some(arg) = args.next() {
+            let &(flag, arg_kind) = row
+                .flags
+                .iter()
+                .find(|(f, _)| f == arg)
+                .ok_or_else(|| format!("unknown option `{arg}`"))?;
+            let value = match arg_kind {
+                Switch => String::new(),
+                Value(_) | Optional => args
+                    .next()
+                    .ok_or_else(|| format!("{flag} needs a value"))?
+                    .clone(),
+            };
+            values.insert(flag, value);
         }
-        Some("run") => {
-            let app = it
-                .next()
-                .ok_or_else(|| "`run` needs an application name".to_string())?
-                .clone();
-            let mut device = DeviceArg::Gpu;
-            let mut test_scale = false;
-            let mut threads = 0usize;
-            let mut approx_mem = None;
-            let mut iters = None;
-            let mut schedule = None;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--device" => {
-                        device = match it.next().map(String::as_str) {
-                            Some("gpu") => DeviceArg::Gpu,
-                            Some("cpu") => DeviceArg::Cpu,
-                            other => {
-                                return Err(format!("--device needs `gpu` or `cpu`, got {other:?}"))
-                            }
-                        };
-                    }
-                    "--scale" => {
-                        test_scale = match it.next().map(String::as_str) {
-                            Some("paper") => false,
-                            Some("test") => true,
-                            other => {
-                                return Err(format!(
-                                    "--scale needs `paper` or `test`, got {other:?}"
-                                ))
-                            }
-                        };
-                    }
-                    "--threads" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| "--threads needs a value".to_string())?;
-                        threads = v
-                            .parse::<usize>()
-                            .map_err(|_| format!("bad --threads value `{v}`"))?;
-                    }
-                    "--approx-mem" => {
-                        let rate: f64 = parse_num(flag, it.next())?;
-                        if !(0.0..=1.0).contains(&rate) {
-                            return Err("--approx-mem must be between 0 and 1".to_string());
-                        }
-                        approx_mem = Some(rate);
-                    }
-                    "--iters" => iters = Some(parse_num(flag, it.next())?),
-                    "--schedule" => {
-                        schedule = Some(
-                            it.next()
-                                .ok_or_else(|| "--schedule needs a name".to_string())?
-                                .clone(),
-                        );
-                    }
-                    other => return Err(format!("unknown option `{other}`")),
-                }
-            }
-            if iters.is_some() && approx_mem.is_some() {
-                return Err("--iters and --approx-mem cannot be combined".to_string());
-            }
-            if schedule.is_some() && iters.is_none() {
-                return Err("--schedule requires --iters".to_string());
-            }
-            Ok(Command::Run {
-                app,
-                device,
-                test_scale,
-                threads,
-                approx_mem,
-                iters,
-                schedule,
-            })
-        }
-        Some("inspect") => {
-            let file = it
-                .next()
-                .ok_or_else(|| "`inspect` needs a source file".to_string())?
-                .clone();
-            let mut bytecode = None;
-            let mut effects = false;
-            let mut partition = false;
-            let mut schedule = None;
-            let mut iters = 0u32;
-            let mut rungs = false;
-            let mut test_scale = false;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--bytecode" => {
-                        bytecode = Some(
-                            it.next()
-                                .ok_or_else(|| "--bytecode needs a kernel name".to_string())?
-                                .clone(),
-                        );
-                    }
-                    "--effects" => effects = true,
-                    "--partition" => partition = true,
-                    "--rungs" => rungs = true,
-                    "--schedule" => {
-                        schedule = Some(
-                            it.next()
-                                .ok_or_else(|| "--schedule needs a name".to_string())?
-                                .clone(),
-                        );
-                    }
-                    "--iters" => iters = parse_num(flag, it.next())?,
-                    "--scale" => {
-                        test_scale = match it.next().map(String::as_str) {
-                            Some("paper") => false,
-                            Some("test") => true,
-                            other => {
-                                return Err(format!(
-                                    "--scale needs `paper` or `test`, got {other:?}"
-                                ))
-                            }
-                        };
-                    }
-                    other => return Err(format!("unknown option `{other}`")),
-                }
-            }
-            if schedule.is_some() && (bytecode.is_some() || effects || partition) {
-                return Err(
-                    "--schedule inspects an iterative app; it cannot be combined with \
-                     --bytecode/--effects/--partition"
-                        .to_string(),
-                );
-            }
-            if rungs && (bytecode.is_some() || effects || partition || schedule.is_some()) {
-                return Err(
-                    "--rungs inspects a registry app; it cannot be combined with \
-                     --bytecode/--effects/--partition/--schedule"
-                        .to_string(),
-                );
-            }
-            if schedule.is_none() && iters != 0 {
-                return Err("--iters on `inspect` requires --schedule".to_string());
-            }
-            if schedule.is_none() && !rungs && test_scale {
-                return Err("--scale on `inspect` requires --schedule or --rungs".to_string());
-            }
-            Ok(Command::Inspect {
-                file,
-                bytecode,
-                effects,
-                partition,
-                schedule,
-                iters,
-                rungs,
-                test_scale,
-            })
-        }
-        Some("analyze") => {
-            let app = it
-                .next()
-                .ok_or_else(|| "`analyze` needs an application name".to_string())?
-                .clone();
-            let mut test_scale = false;
-            let mut json = false;
-            let mut partition = false;
-            let mut error_bounds = false;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--scale" => {
-                        test_scale = match it.next().map(String::as_str) {
-                            Some("paper") => false,
-                            Some("test") => true,
-                            other => {
-                                return Err(format!(
-                                    "--scale needs `paper` or `test`, got {other:?}"
-                                ))
-                            }
-                        };
-                    }
-                    "--json" => json = true,
-                    "--partition" => partition = true,
-                    "--error-bounds" => error_bounds = true,
-                    other => return Err(format!("unknown option `{other}`")),
-                }
-            }
-            Ok(Command::Analyze {
-                app,
-                test_scale,
-                json,
-                partition,
-                error_bounds,
-            })
-        }
-        Some("serve") => {
-            let mut apps = vec![
-                "blackscholes".to_string(),
-                "gamma".to_string(),
-                "mean".to_string(),
-            ];
-            let mut device = DeviceArg::Gpu;
-            let mut requests = 120u64;
-            let mut drift_at = None;
-            let mut drift_len = 40u64;
-            let mut drift_gain = 8.0f64;
-            let mut shards = 1usize;
-            let mut workers = 0usize;
-            let mut batch_window = 8usize;
-            let mut queue = 64usize;
-            let mut inflight = 8usize;
-            let mut check_every = 10u64;
-            let mut promote_after = 3u64;
-            let mut toq = 90.0f64;
-            let mut test_scale = false;
-            let mut seeds = 3usize;
-            while let Some(flag) = it.next() {
-                match flag.as_str() {
-                    "--apps" => {
-                        let v = it
-                            .next()
-                            .ok_or_else(|| "--apps needs a value".to_string())?;
-                        apps = v
-                            .split(',')
-                            .map(|s| s.trim().to_string())
-                            .filter(|s| !s.is_empty())
-                            .collect();
-                        if apps.is_empty() {
-                            return Err("--apps needs at least one name".to_string());
-                        }
-                    }
-                    "--device" => {
-                        device = match it.next().map(String::as_str) {
-                            Some("gpu") => DeviceArg::Gpu,
-                            Some("cpu") => DeviceArg::Cpu,
-                            other => {
-                                return Err(format!("--device needs `gpu` or `cpu`, got {other:?}"))
-                            }
-                        };
-                    }
-                    "--requests" => {
-                        requests = parse_num(flag, it.next())?;
-                        if requests == 0 {
-                            return Err("--requests must be at least 1".to_string());
-                        }
-                    }
-                    "--drift-at" => drift_at = Some(parse_num(flag, it.next())?),
-                    "--drift-len" => drift_len = parse_num(flag, it.next())?,
-                    "--drift-gain" => drift_gain = parse_num(flag, it.next())?,
-                    "--shards" => {
-                        shards = parse_num(flag, it.next())?;
-                        if shards == 0 {
-                            return Err("--shards must be at least 1".to_string());
-                        }
-                    }
-                    "--workers" => workers = parse_num(flag, it.next())?,
-                    "--batch-window" => {
-                        batch_window = parse_num(flag, it.next())?;
-                        if batch_window == 0 {
-                            return Err("--batch-window must be at least 1".to_string());
-                        }
-                    }
-                    "--queue" => {
-                        queue = parse_num(flag, it.next())?;
-                        if queue == 0 {
-                            return Err("--queue must be at least 1".to_string());
-                        }
-                    }
-                    "--inflight" => {
-                        inflight = parse_num(flag, it.next())?;
-                        if inflight == 0 {
-                            return Err("--inflight must be at least 1".to_string());
-                        }
-                    }
-                    "--check-every" => {
-                        check_every = parse_num(flag, it.next())?;
-                        if check_every == 0 {
-                            return Err("--check-every must be at least 1".to_string());
-                        }
-                    }
-                    "--promote-after" => promote_after = parse_num(flag, it.next())?,
-                    "--toq" => {
-                        toq = parse_num(flag, it.next())?;
-                        if !(0.0..=100.0).contains(&toq) {
-                            return Err("--toq must be between 0 and 100".to_string());
-                        }
-                    }
-                    "--scale" => {
-                        test_scale = match it.next().map(String::as_str) {
-                            Some("paper") => false,
-                            Some("test") => true,
-                            other => {
-                                return Err(format!(
-                                    "--scale needs `paper` or `test`, got {other:?}"
-                                ))
-                            }
-                        };
-                    }
-                    "--seeds" => {
-                        seeds = parse_num(flag, it.next())?;
-                        if seeds == 0 {
-                            return Err("--seeds must be at least 1".to_string());
-                        }
-                    }
-                    other => return Err(format!("unknown option `{other}`")),
-                }
-            }
-            Ok(Command::Serve {
-                apps,
-                device,
-                requests,
-                drift_at,
-                drift_len,
-                drift_gain,
-                shards,
-                workers,
-                batch_window,
-                queue,
-                inflight,
-                check_every,
-                promote_after,
-                toq,
-                test_scale,
-                seeds,
-            })
-        }
-        Some(other) => Err(format!("unknown command `{other}`")),
-        None => Err("no command given".to_string()),
+        Ok(Matches { positional, values })
     }
+
+    fn switch(&self, flag: &str) -> bool {
+        self.values.contains_key(flag)
+    }
+
+    fn owned(&self, flag: &str) -> Option<String> {
+        self.values.get(flag).cloned()
+    }
+
+    /// A numeric flag checked against `range`; `None` only for an absent
+    /// optional flag.
+    fn opt_num<T, R>(&self, flag: &str, range: R) -> Result<Option<T>, String>
+    where
+        T: FromStr + PartialOrd + Display,
+        R: RangeBounds<T>,
+    {
+        let Some(text) = self.values.get(flag) else {
+            return Ok(None);
+        };
+        let v: T = text
+            .parse()
+            .map_err(|_| format!("bad {flag} value `{text}`"))?;
+        if range.contains(&v) {
+            return Ok(Some(v));
+        }
+        Err(match (range.start_bound(), range.end_bound()) {
+            (Bound::Included(lo), Bound::Included(hi)) => {
+                format!("{flag} must be between {lo} and {hi}")
+            }
+            (Bound::Included(lo), _) => format!("{flag} must be at least {lo}"),
+            _ => format!("{flag} is out of range"),
+        })
+    }
+
+    /// A numeric flag with a default, checked against `range`.
+    fn num<T, R>(&self, flag: &str, range: R) -> Result<T, String>
+    where
+        T: FromStr + PartialOrd + Display,
+        R: RangeBounds<T>,
+    {
+        Ok(self
+            .opt_num(flag, range)?
+            .expect("a flag with a default always has a value"))
+    }
+
+    fn scale(&self) -> Result<Scale, String> {
+        match self.values["--scale"].as_str() {
+            "paper" => Ok(Scale::Paper),
+            "test" => Ok(Scale::Test),
+            other => Err(format!("--scale needs `paper` or `test`, got {other:?}")),
+        }
+    }
+
+    fn device(&self) -> Result<DeviceProfile, String> {
+        match self.values["--device"].as_str() {
+            "gpu" => Ok(DeviceProfile::gtx560()),
+            "cpu" => Ok(DeviceProfile::core_i7_965()),
+            other => Err(format!("--device needs `gpu` or `cpu`, got {other:?}")),
+        }
+    }
+}
+
+fn tune(m: &Matches) -> Result<Command, String> {
+    Ok(Command::Tune(TuneOpts {
+        app: m.positional.clone(),
+        device: m.device()?,
+        toq: m.num("--toq", 0.0..=100.0)?,
+        scale: m.scale()?,
+        seeds: m.num("--seeds", 1..=SEED_BASE)?,
+        all: m.switch("--all"),
+    }))
+}
+
+fn run(m: &Matches) -> Result<Command, String> {
+    let o = RunOpts {
+        app: m.positional.clone(),
+        device: m.device()?,
+        scale: m.scale()?,
+        threads: m.num("--threads", ..)?,
+        approx_mem: m.opt_num("--approx-mem", 0.0..=1.0)?,
+        iters: m.opt_num("--iters", ..)?,
+        schedule: m.owned("--schedule"),
+    };
+    if o.iters.is_some() && o.approx_mem.is_some() {
+        return Err("--iters and --approx-mem cannot be combined".to_string());
+    }
+    if o.schedule.is_some() && o.iters.is_none() {
+        return Err("--schedule requires --iters".to_string());
+    }
+    Ok(Command::Run(o))
+}
+
+fn inspect(m: &Matches) -> Result<Command, String> {
+    let o = InspectOpts {
+        file: m.positional.clone(),
+        bytecode: m.owned("--bytecode"),
+        effects: m.switch("--effects"),
+        partition: m.switch("--partition"),
+        schedule: m.owned("--schedule"),
+        iters: m.num("--iters", ..)?,
+        rungs: m.switch("--rungs"),
+        scale: m.scale()?,
+    };
+    const SOURCE_FLAGS: &str = "--bytecode/--effects/--partition";
+    let source_mode = o.bytecode.is_some() || o.effects || o.partition;
+    if o.schedule.is_some() && source_mode {
+        return Err(format!(
+            "--schedule inspects an iterative app; it cannot be combined with {SOURCE_FLAGS}"
+        ));
+    }
+    if o.rungs && (source_mode || o.schedule.is_some()) {
+        return Err(format!(
+            "--rungs inspects a registry app; it cannot be combined with {SOURCE_FLAGS}/--schedule"
+        ));
+    }
+    if o.schedule.is_none() && o.iters != 0 {
+        return Err("--iters on `inspect` requires --schedule".to_string());
+    }
+    if o.schedule.is_none() && !o.rungs && o.scale == Scale::Test {
+        return Err("--scale on `inspect` requires --schedule or --rungs".to_string());
+    }
+    Ok(Command::Inspect(o))
+}
+
+fn analyze(m: &Matches) -> Result<Command, String> {
+    Ok(Command::Analyze(AnalyzeOpts {
+        app: m.positional.clone(),
+        scale: m.scale()?,
+        json: m.switch("--json"),
+        partition: m.switch("--partition"),
+        error_bounds: m.switch("--error-bounds"),
+    }))
+}
+
+fn serve(m: &Matches) -> Result<Command, String> {
+    let apps: Vec<String> = m.values["--apps"]
+        .split(',')
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .collect();
+    if apps.is_empty() {
+        return Err("--apps needs at least one name".to_string());
+    }
+    let o = ServeOpts {
+        apps,
+        device: m.device()?,
+        requests: m.num("--requests", 1..)?,
+        drift_at: m.opt_num("--drift-at", ..)?,
+        drift_len: m.num("--drift-len", ..)?,
+        drift_gain: m.num("--drift-gain", ..)?,
+        shards: m.num("--shards", 1..=MAX_SHARDS)?,
+        workers: m.num("--workers", 0..=MAX_WORKERS)?,
+        batch_window: m.num("--batch-window", 1..)?,
+        queue: m.num("--queue", 1..)?,
+        inflight: m.num("--inflight", 1..=MAX_INFLIGHT)?,
+        check_every: m.num("--check-every", 1..)?,
+        promote_after: m.num("--promote-after", ..)?,
+        toq: m.num("--toq", 0.0..=100.0)?,
+        scale: m.scale()?,
+        seeds: m.num("--seeds", 1..=SEED_BASE)?,
+    };
+    // The gain scales f32 inputs.
+    if !(o.drift_gain as f32).is_finite() {
+        return Err(format!(
+            "--drift-gain must be a finite f32, got `{}`",
+            o.drift_gain
+        ));
+    }
+    let drift_end = |k| SEED_BASE.checked_add(k)?.checked_add(o.drift_len);
+    if o.drift_at.is_some_and(|k| drift_end(k).is_none()) {
+        return Err(format!(
+            "--drift-at plus --drift-len must be at most {} (requests are seeded from {SEED_BASE})",
+            u64::MAX - SEED_BASE
+        ));
+    }
+    Ok(Command::Serve(o))
 }
 
 #[cfg(test)]
@@ -621,6 +494,19 @@ mod tests {
 
     fn v(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn gpu() -> DeviceProfile {
+        DeviceProfile::gtx560()
+    }
+
+    fn cpu() -> DeviceProfile {
+        DeviceProfile::core_i7_965()
+    }
+
+    /// The error for `args`, which must be rejected.
+    fn err(args: &[&str]) -> String {
+        parse(&v(args)).expect_err("argv must be rejected")
     }
 
     #[test]
@@ -634,14 +520,14 @@ mod tests {
         let cmd = parse(&v(&["tune", "blackscholes"])).unwrap();
         assert_eq!(
             cmd,
-            Command::Tune {
+            Command::Tune(TuneOpts {
                 app: "blackscholes".into(),
-                device: DeviceArg::Gpu,
+                device: gpu(),
                 toq: 90.0,
-                test_scale: false,
+                scale: Scale::Paper,
                 seeds: 3,
                 all: false,
-            }
+            })
         );
     }
 
@@ -652,22 +538,12 @@ mod tests {
             "--all",
         ]))
         .unwrap();
-        let Command::Tune {
-            device,
-            toq,
-            test_scale,
-            seeds,
-            all,
-            ..
-        } = cmd
-        else {
-            panic!()
-        };
-        assert_eq!(device, DeviceArg::Cpu);
-        assert_eq!(toq, 95.0);
-        assert!(test_scale);
-        assert_eq!(seeds, 5);
-        assert!(all);
+        let Command::Tune(o) = cmd else { panic!() };
+        assert_eq!(o.device, cpu());
+        assert_eq!(o.toq, 95.0);
+        assert_eq!(o.scale, Scale::Test);
+        assert_eq!(o.seeds, 5);
+        assert!(o.all);
     }
 
     #[test]
@@ -686,15 +562,15 @@ mod tests {
         let cmd = parse(&v(&["run", "sobel"])).unwrap();
         assert_eq!(
             cmd,
-            Command::Run {
+            Command::Run(RunOpts {
                 app: "sobel".into(),
-                device: DeviceArg::Gpu,
-                test_scale: false,
+                device: gpu(),
+                scale: Scale::Paper,
                 threads: 0,
                 approx_mem: None,
                 iters: None,
                 schedule: None,
-            }
+            })
         );
         let cmd = parse(&v(&[
             "run",
@@ -711,15 +587,15 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Run {
+            Command::Run(RunOpts {
                 app: "sobel".into(),
-                device: DeviceArg::Cpu,
-                test_scale: true,
+                device: cpu(),
+                scale: Scale::Test,
                 threads: 4,
                 approx_mem: Some(0.001),
                 iters: None,
                 schedule: None,
-            }
+            })
         );
         assert!(parse(&v(&["run"])).is_err());
         assert!(parse(&v(&["run", "x", "--threads", "many"])).is_err());
@@ -743,22 +619,21 @@ mod tests {
         .unwrap();
         assert_eq!(
             cmd,
-            Command::Run {
+            Command::Run(RunOpts {
                 app: "jacobi".into(),
-                device: DeviceArg::Gpu,
-                test_scale: true,
+                device: gpu(),
+                scale: Scale::Test,
                 threads: 0,
                 approx_mem: None,
                 iters: Some(40),
                 schedule: Some("trend-exit".into()),
-            }
+            })
         );
         // --iters 0 means "the app's default cap", still iterative mode.
-        let Command::Run { iters, .. } = parse(&v(&["run", "jacobi", "--iters", "0"])).unwrap()
-        else {
+        let Command::Run(o) = parse(&v(&["run", "jacobi", "--iters", "0"])).unwrap() else {
             panic!()
         };
-        assert_eq!(iters, Some(0));
+        assert_eq!(o.iters, Some(0));
         assert!(parse(&v(&["run", "x", "--iters"])).is_err());
         assert!(parse(&v(&["run", "x", "--iters", "many"])).is_err());
         assert!(parse(&v(&["run", "x", "--schedule", "exact"])).is_err());
@@ -769,7 +644,7 @@ mod tests {
     fn parses_inspect() {
         assert_eq!(
             parse(&v(&["inspect", "k.cu"])).unwrap(),
-            Command::Inspect {
+            Command::Inspect(InspectOpts {
                 file: "k.cu".into(),
                 bytecode: None,
                 effects: false,
@@ -777,8 +652,8 @@ mod tests {
                 schedule: None,
                 iters: 0,
                 rungs: false,
-                test_scale: false,
-            }
+                scale: Scale::Paper,
+            })
         );
         assert_eq!(
             parse(&v(&[
@@ -790,7 +665,7 @@ mod tests {
                 "--partition"
             ]))
             .unwrap(),
-            Command::Inspect {
+            Command::Inspect(InspectOpts {
                 file: "k.cu".into(),
                 bytecode: Some("conv".into()),
                 effects: true,
@@ -798,8 +673,8 @@ mod tests {
                 schedule: None,
                 iters: 0,
                 rungs: false,
-                test_scale: false,
-            }
+                scale: Scale::Paper,
+            })
         );
         assert!(parse(&v(&["inspect"])).is_err());
         assert!(parse(&v(&["inspect", "k.cu", "--bytecode"])).is_err());
@@ -820,7 +695,7 @@ mod tests {
                 "test"
             ]))
             .unwrap(),
-            Command::Inspect {
+            Command::Inspect(InspectOpts {
                 file: "jacobi".into(),
                 bytecode: None,
                 effects: false,
@@ -828,8 +703,8 @@ mod tests {
                 schedule: Some("trend-exit".into()),
                 iters: 24,
                 rungs: false,
-                test_scale: true,
-            }
+                scale: Scale::Test,
+            })
         );
         // Schedule mode excludes the source-file flags, and the
         // schedule-only flags need --schedule.
@@ -843,13 +718,13 @@ mod tests {
     fn parses_analyze() {
         assert_eq!(
             parse(&v(&["analyze", "matmul"])).unwrap(),
-            Command::Analyze {
+            Command::Analyze(AnalyzeOpts {
                 app: "matmul".into(),
-                test_scale: false,
+                scale: Scale::Paper,
                 json: false,
                 partition: false,
                 error_bounds: false,
-            }
+            })
         );
         assert_eq!(
             parse(&v(&[
@@ -862,13 +737,13 @@ mod tests {
                 "--error-bounds"
             ]))
             .unwrap(),
-            Command::Analyze {
+            Command::Analyze(AnalyzeOpts {
                 app: "matmul".into(),
-                test_scale: true,
+                scale: Scale::Test,
                 json: true,
                 partition: true,
                 error_bounds: true,
-            }
+            })
         );
         assert!(parse(&v(&["analyze"])).is_err());
         assert!(parse(&v(&["analyze", "matmul", "--scale", "big"])).is_err());
@@ -880,9 +755,9 @@ mod tests {
         let cmd = parse(&v(&["serve"])).unwrap();
         assert_eq!(
             cmd,
-            Command::Serve {
+            Command::Serve(ServeOpts {
                 apps: vec!["blackscholes".into(), "gamma".into(), "mean".into()],
-                device: DeviceArg::Gpu,
+                device: gpu(),
                 requests: 120,
                 drift_at: None,
                 drift_len: 40,
@@ -895,9 +770,9 @@ mod tests {
                 check_every: 10,
                 promote_after: 3,
                 toq: 90.0,
-                test_scale: false,
+                scale: Scale::Paper,
                 seeds: 3,
-            }
+            })
         );
     }
 
@@ -939,43 +814,23 @@ mod tests {
             "5",
         ]))
         .unwrap();
-        let Command::Serve {
-            apps,
-            device,
-            requests,
-            drift_at,
-            drift_len,
-            drift_gain,
-            shards,
-            workers,
-            batch_window,
-            queue,
-            inflight,
-            check_every,
-            promote_after,
-            toq,
-            test_scale,
-            seeds,
-        } = cmd
-        else {
-            panic!()
-        };
-        assert_eq!(apps, vec!["hotspot".to_string(), "gaussian".to_string()]);
-        assert_eq!(device, DeviceArg::Cpu);
-        assert_eq!(requests, 60);
-        assert_eq!(drift_at, Some(20));
-        assert_eq!(drift_len, 15);
-        assert_eq!(drift_gain, 16.0);
-        assert_eq!(shards, 2);
-        assert_eq!(workers, 4);
-        assert_eq!(batch_window, 16);
-        assert_eq!(queue, 32);
-        assert_eq!(inflight, 12);
-        assert_eq!(check_every, 5);
-        assert_eq!(promote_after, 2);
-        assert_eq!(toq, 95.0);
-        assert!(test_scale);
-        assert_eq!(seeds, 5);
+        let Command::Serve(o) = cmd else { panic!() };
+        assert_eq!(o.apps, vec!["hotspot".to_string(), "gaussian".to_string()]);
+        assert_eq!(o.device, cpu());
+        assert_eq!(o.requests, 60);
+        assert_eq!(o.drift_at, Some(20));
+        assert_eq!(o.drift_len, 15);
+        assert_eq!(o.drift_gain, 16.0);
+        assert_eq!(o.shards, 2);
+        assert_eq!(o.workers, 4);
+        assert_eq!(o.batch_window, 16);
+        assert_eq!(o.queue, 32);
+        assert_eq!(o.inflight, 12);
+        assert_eq!(o.check_every, 5);
+        assert_eq!(o.promote_after, 2);
+        assert_eq!(o.toq, 95.0);
+        assert_eq!(o.scale, Scale::Test);
+        assert_eq!(o.seeds, 5);
     }
 
     #[test]
@@ -991,5 +846,95 @@ mod tests {
         assert!(parse(&v(&["serve", "--toq", "150"])).is_err());
         assert!(parse(&v(&["serve", "--drift-at"])).is_err());
         assert!(parse(&v(&["serve", "--bogus"])).is_err());
+    }
+
+    #[test]
+    fn repeated_flag_takes_its_last_value() {
+        let Command::Tune(o) = parse(&v(&[
+            "tune", "x", "--toq", "80", "--device", "cpu", "--toq", "95", "--device", "gpu",
+        ]))
+        .unwrap() else {
+            panic!()
+        };
+        assert_eq!((o.toq, o.device), (95.0, gpu()));
+        let Command::Serve(o) = parse(&v(&["serve", "--apps", "gamma", "--apps", "mean"])).unwrap()
+        else {
+            panic!()
+        };
+        assert_eq!(o.apps, vec!["mean".to_string()]);
+    }
+
+    #[test]
+    fn rejects_inputs_that_would_exhaust_the_host() {
+        // Each error names its flag; none of these may reach the commands.
+        let max = u64::MAX.to_string();
+        for sub in [&["tune", "gamma"][..], &["serve"]] {
+            for seeds in [max.as_str(), "4000000000", "1001"] {
+                let e = err(&[sub, &["--seeds", seeds]].concat());
+                assert!(e.contains("--seeds") && e.contains("1000"), "{e}");
+            }
+            assert!(parse(&v(&[sub, &["--seeds", "1000"]].concat())).is_ok());
+        }
+        for (flag, value) in [
+            ("--workers", "1000000"),
+            ("--workers", "65"),
+            ("--shards", "1000000"),
+            ("--shards", "65"),
+            ("--inflight", max.as_str()),
+            ("--drift-gain", "nan"),
+            ("--drift-gain", "inf"),
+            ("--drift-gain", "1e300"),
+        ] {
+            assert!(
+                err(&["serve", flag, value]).contains(flag),
+                "{flag} {value}"
+            );
+        }
+        assert!(parse(&v(&["serve", "--workers", "64", "--shards", "64"])).is_ok());
+    }
+
+    #[test]
+    fn rejects_a_drift_window_past_the_last_seed() {
+        let max = u64::MAX.to_string();
+        assert!(err(&["serve", "--drift-at", &max]).contains("--drift-at"));
+        // The window ends at seed 1000 + k + len, which must fit in a u64.
+        let last = (u64::MAX - SEED_BASE - 40).to_string();
+        let past = (u64::MAX - SEED_BASE - 39).to_string();
+        assert!(parse(&v(&["serve", "--drift-at", &last])).is_ok());
+        assert!(err(&["serve", "--drift-at", &past]).contains("--drift-len"));
+        assert!(err(&["serve", "--drift-at", "5", "--drift-len", &max]).contains("--drift-at"));
+    }
+
+    /// Every `--flag` in a subcommand's USAGE paragraph is in its table row,
+    /// and every flag of the row is in the paragraph.
+    #[test]
+    fn usage_documents_exactly_the_table_flags() {
+        let mut documented = Vec::new();
+        for para in USAGE.split("\n\n") {
+            let name = para
+                .lines()
+                .find_map(|l| l.trim().strip_prefix("paraprox "))
+                .and_then(|rest| rest.split_whitespace().next())
+                .expect("each USAGE paragraph starts with a synopsis");
+            let mut flags: Vec<&str> = para
+                .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+                .filter(|w| w.starts_with("--"))
+                .collect();
+            flags.sort_unstable();
+            flags.dedup();
+            let row = TABLE
+                .iter()
+                .find(|r| r.name == name)
+                .unwrap_or_else(|| panic!("USAGE documents `{name}`, which the table lacks"));
+            let mut table: Vec<&str> = row.flags.iter().map(|(f, _)| *f).collect();
+            table.sort_unstable();
+            assert_eq!(flags, table, "USAGE vs table flags of `{name}`");
+            documented.push(name);
+        }
+        let names: Vec<&str> = TABLE.iter().map(|r| r.name).collect();
+        assert_eq!(
+            documented, names,
+            "one USAGE paragraph per subcommand, in table order"
+        );
     }
 }

@@ -2,120 +2,48 @@
 
 use std::error::Error;
 
-use paraprox::{compile, latency_table_for, CompileOptions, Device, DeviceApp, DeviceProfile};
-use paraprox_apps::Scale;
+use paraprox::{
+    compile, latency_table_for, CompileError, CompileOptions, Compiled, Device, DeviceApp,
+    DeviceProfile, Workload,
+};
+use paraprox_apps::{App, IterApp, Scale};
+use paraprox_iter::ConvergenceSpec;
 use paraprox_runtime::{Toq, Tuner};
 use paraprox_serve::{drift_inputs, run_closed_loop, Engine, LoadSpec, ServeConfig};
 
-use crate::args::{Command, DeviceArg};
-
-/// Options of the `serve` subcommand (mirrors [`Command::Serve`]).
-struct ServeOpts {
-    apps: Vec<String>,
-    device: DeviceArg,
-    requests: u64,
-    drift_at: Option<u64>,
-    drift_len: u64,
-    drift_gain: f64,
-    shards: usize,
-    workers: usize,
-    batch_window: usize,
-    queue: usize,
-    inflight: usize,
-    check_every: u64,
-    promote_after: u64,
-    toq: f64,
-    test_scale: bool,
-    seeds: usize,
-}
+use crate::args::{AnalyzeOpts, Command, InspectOpts, RunOpts, ServeOpts, TuneOpts, SEED_BASE};
 
 pub fn run(cmd: Command) -> Result<(), Box<dyn Error>> {
     match cmd {
         Command::List => list(),
-        Command::Tune {
-            app,
-            device,
-            toq,
-            test_scale,
-            seeds,
-            all,
-        } => tune(&app, device, toq, test_scale, seeds, all),
-        Command::Run {
-            app,
-            device,
-            test_scale,
-            threads,
-            approx_mem,
-            iters,
-            schedule,
-        } => match iters {
-            Some(cap) => run_iter_app(&app, device, test_scale, threads, cap, schedule.as_deref()),
-            None => run_app(&app, device, test_scale, threads, approx_mem),
+        Command::Tune(o) => tune(&o),
+        Command::Run(o) => match o.iters {
+            Some(cap) => run_iter_app(&o, cap),
+            None => run_app(&o),
         },
-        Command::Inspect {
-            file,
-            bytecode,
-            effects,
-            partition,
-            schedule,
-            iters,
-            rungs,
-            test_scale,
-        } => match (schedule, rungs) {
-            (Some(name), _) => inspect_schedule(&file, &name, iters, test_scale),
-            (None, true) => inspect_rungs(&file, test_scale),
-            (None, false) => inspect(&file, bytecode.as_deref(), effects, partition),
+        Command::Inspect(o) => match &o.schedule {
+            Some(name) => inspect_schedule(&o, name),
+            None if o.rungs => inspect_rungs(&o),
+            None => inspect(&o),
         },
-        Command::Analyze {
-            app,
-            test_scale,
-            json,
-            partition,
-            error_bounds,
-        } => analyze(&app, test_scale, json, partition, error_bounds),
-        Command::Serve {
-            apps,
-            device,
-            requests,
-            drift_at,
-            drift_len,
-            drift_gain,
-            shards,
-            workers,
-            batch_window,
-            queue,
-            inflight,
-            check_every,
-            promote_after,
-            toq,
-            test_scale,
-            seeds,
-        } => serve(ServeOpts {
-            apps,
-            device,
-            requests,
-            drift_at,
-            drift_len,
-            drift_gain,
-            shards,
-            workers,
-            batch_window,
-            queue,
-            inflight,
-            check_every,
-            promote_after,
-            toq,
-            test_scale,
-            seeds,
-        }),
+        Command::Analyze(o) => analyze(&o),
+        Command::Serve(o) => serve(&o),
     }
 }
 
-fn profile_of(device: DeviceArg) -> DeviceProfile {
-    match device {
-        DeviceArg::Gpu => DeviceProfile::gtx560(),
-        DeviceArg::Cpu => DeviceProfile::core_i7_965(),
-    }
+/// Look up a registry application by (prefix) name.
+fn find_app(name: &str) -> Result<App, String> {
+    paraprox_apps::find(name)
+        .ok_or_else(|| format!("no application matching `{name}` (try `paraprox list`)"))
+}
+
+/// Compile `workload`'s approximate variants against `profile`'s latencies.
+fn compile_for(workload: &Workload, profile: &DeviceProfile) -> Result<Compiled, CompileError> {
+    compile(
+        workload,
+        &latency_table_for(profile),
+        &CompileOptions::default(),
+    )
 }
 
 fn list() -> Result<(), Box<dyn Error>> {
@@ -132,40 +60,21 @@ fn list() -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn tune(
-    name: &str,
-    device: DeviceArg,
-    toq: f64,
-    test_scale: bool,
-    seeds: usize,
-    all: bool,
-) -> Result<(), Box<dyn Error>> {
-    let app = paraprox_apps::find(name)
-        .ok_or_else(|| format!("no application matching `{name}` (try `paraprox list`)"))?;
-    let scale = if test_scale {
-        Scale::Test
-    } else {
-        Scale::Paper
-    };
-    let profile = profile_of(device);
-    println!("{} on {}", app.spec.name, profile.name);
+fn tune(o: &TuneOpts) -> Result<(), Box<dyn Error>> {
+    let app = find_app(&o.app)?;
+    println!("{} on {}", app.spec.name, o.device.name);
 
-    let workload = (app.build)(scale, 0);
-    let compiled = compile(
-        &workload,
-        &latency_table_for(&profile),
-        &CompileOptions::default(),
-    )?;
+    let compiled = compile_for(&(app.build)(o.scale, 0), &o.device)?;
     println!(
         "patterns: {}; variants: {}",
         compiled.pattern_names().join("+"),
         compiled.variants.len()
     );
-    let mut device_app = DeviceApp::new(Device::new(profile), &compiled, app.input_gen(scale));
-    let toq = Toq::new(toq)?;
+    let input_gen = app.input_gen(o.scale);
+    let mut device_app = DeviceApp::new(Device::new(o.device.clone()), &compiled, input_gen);
     let tuner = Tuner {
-        toq,
-        training_seeds: (0..seeds as u64).collect(),
+        toq: Toq::new(o.toq)?,
+        training_seeds: (0..o.seeds).collect(),
     };
     let statics = device_app.static_quality().to_vec();
     let report = tuner.tune_with_static(&mut device_app, &statics)?;
@@ -174,7 +83,7 @@ fn tune(
         "variant", "quality", "speedup"
     );
     for p in &report.profiles {
-        if !all && !p.meets_toq {
+        if !o.all && !p.meets_toq {
             continue;
         }
         println!(
@@ -210,24 +119,12 @@ fn tune(
     Ok(())
 }
 
-fn run_app(
-    name: &str,
-    device: DeviceArg,
-    test_scale: bool,
-    threads: usize,
-    approx_mem: Option<f64>,
-) -> Result<(), Box<dyn Error>> {
-    let app = paraprox_apps::find(name)
-        .ok_or_else(|| format!("no application matching `{name}` (try `paraprox list`)"))?;
-    let scale = if test_scale {
-        Scale::Test
-    } else {
-        Scale::Paper
-    };
-    let profile = profile_of(device).with_parallelism(threads);
-    let mut workload = (app.build)(scale, 0);
+fn run_app(o: &RunOpts) -> Result<(), Box<dyn Error>> {
+    let app = find_app(&o.app)?;
+    let profile = o.device.clone().with_parallelism(o.threads);
+    let mut workload = (app.build)(o.scale, 0);
     let mut dev = Device::new(profile.clone());
-    if let Some(rate) = approx_mem {
+    if let Some(rate) = o.approx_mem {
         println!(
             "{} on {} (exact pipeline, approx memory at rate {rate:e})",
             app.spec.name, profile.name
@@ -258,11 +155,7 @@ fn run_app(
     let run = workload.pipeline.execute(&mut dev, &workload.program)?;
     let s = &run.stats;
 
-    let warps_per_block = if s.blocks > 0 {
-        s.warps as f64 / s.blocks as f64
-    } else {
-        0.0
-    };
+    let warps_per_block = s.warps as f64 / s.blocks.max(1) as f64;
     println!("\nlaunch report");
     println!("  blocks          {:>12}", s.blocks);
     println!("  warps           {:>12}", s.warps);
@@ -276,7 +169,7 @@ fn run_app(
         s.overhead_cycles
     );
     println!("  l1 hit rate     {:>11.1}%", s.l1_hit_rate() * 100.0);
-    if approx_mem.is_some() {
+    if o.approx_mem.is_some() {
         println!("  approx loads    {:>12}", s.approx_loads);
         println!("  bit flips       {:>12}", s.bit_flips);
     }
@@ -288,10 +181,11 @@ fn run_app(
     Ok(())
 }
 
-/// Look up an iterative app and a preset schedule by (prefix) name, with
-/// error messages that list what exists.
-fn find_iter_app(name: &str) -> Result<paraprox_apps::IterApp, String> {
-    paraprox_apps::find_iter(name).ok_or_else(|| {
+/// Look up an iterative app by (prefix) name, with its convergence spec at
+/// `scale` capped at `cap` iterations (0 keeps the app's cap). This and
+/// [`find_schedule`] list what exists when nothing matches.
+fn find_iter_app(name: &str, scale: Scale, cap: u32) -> Result<(IterApp, ConvergenceSpec), String> {
+    let app = paraprox_apps::find_iter(name).ok_or_else(|| {
         let names: Vec<&str> = paraprox_apps::iter_registry()
             .iter()
             .map(|a| a.name)
@@ -300,7 +194,12 @@ fn find_iter_app(name: &str) -> Result<paraprox_apps::IterApp, String> {
             "no iterative application matching `{name}` (available: {})",
             names.join(", ")
         )
-    })
+    })?;
+    let mut spec = (app.spec)(scale);
+    if cap > 0 {
+        spec.max_iters = cap;
+    }
+    Ok((app, spec))
 }
 
 fn find_schedule(name: &str, max_iters: u32) -> Result<paraprox_iter::IterSchedule, String> {
@@ -321,25 +220,10 @@ fn find_schedule(name: &str, max_iters: u32) -> Result<paraprox_iter::IterSchedu
 
 /// `run <app> --iters <n>`: drive the iterative loop-of-stencil-reduce
 /// job to convergence under each (or one named) schedule and compare.
-fn run_iter_app(
-    name: &str,
-    device: DeviceArg,
-    test_scale: bool,
-    threads: usize,
-    cap: u32,
-    only: Option<&str>,
-) -> Result<(), Box<dyn Error>> {
-    let app = find_iter_app(name)?;
-    let scale = if test_scale {
-        Scale::Test
-    } else {
-        Scale::Paper
-    };
-    let profile = profile_of(device).with_parallelism(threads);
-    let mut spec = (app.spec)(scale);
-    if cap > 0 {
-        spec.max_iters = cap;
-    }
+fn run_iter_app(o: &RunOpts, cap: u32) -> Result<(), Box<dyn Error>> {
+    let (app, spec) = find_iter_app(&o.app, o.scale, cap)?;
+    let scale = o.scale;
+    let profile = o.device.clone().with_parallelism(o.threads);
     let model = (app.build)(scale);
     println!(
         "{} on {} ({}x{} field, tol {:.0e} abs / {}% rel, cap {} iters)",
@@ -357,20 +241,18 @@ fn run_iter_app(
 
     let mut schedules = vec![paraprox_iter::IterSchedule::exact()];
     schedules.extend(job.schedules().iter().cloned());
-    if let Some(only) = only {
+    if let Some(only) = &o.schedule {
         let wanted = find_schedule(only, spec.max_iters)?;
         schedules.retain(|s| s.label == wanted.label || s.is_exact());
     }
 
-    // Deployment seed, past the tuner's training range.
-    let seed = 1000u64;
     println!(
         "\n{:<16} {:>6} {:>7} {:>11} {:>10} {:>9} {:>8}  outcome",
         "schedule", "iters", "checks", "residual", "cycles", "speedup", "quality"
     );
     let mut exact_out: Option<paraprox_runtime::RunOutcome> = None;
     for schedule in &schedules {
-        let out = job.run_schedule(schedule, seed)?;
+        let out = job.run_schedule(schedule, SEED_BASE)?;
         let run = job.last_run().cloned().ok_or("loop recorded no run")?;
         let (speedup, quality) = match &exact_out {
             None => (1.0, 100.0),
@@ -405,24 +287,10 @@ fn run_iter_app(
 
 /// `inspect <app> --schedule <name>`: print the schedule's plan and the
 /// safety gate's verdict under the loop's launch contexts.
-fn inspect_schedule(
-    name: &str,
-    schedule: &str,
-    cap: u32,
-    test_scale: bool,
-) -> Result<(), Box<dyn Error>> {
-    let app = find_iter_app(name)?;
-    let scale = if test_scale {
-        Scale::Test
-    } else {
-        Scale::Paper
-    };
-    let mut spec = (app.spec)(scale);
-    if cap > 0 {
-        spec.max_iters = cap;
-    }
+fn inspect_schedule(o: &InspectOpts, schedule: &str) -> Result<(), Box<dyn Error>> {
+    let (app, spec) = find_iter_app(&o.file, o.scale, o.iters)?;
     let sched = find_schedule(schedule, spec.max_iters)?;
-    let model = (app.build)(scale);
+    let model = (app.build)(o.scale);
     println!(
         "{} ({}x{} field, {} metric)\n",
         app.name, model.width, model.height, app.metric
@@ -456,7 +324,7 @@ fn inspect_schedule(
 /// `inspect <app> --rungs`: compile every auto-generated rung of a
 /// registry application and print the static error-propagation table next
 /// to the quality actually measured on the device.
-fn inspect_rungs(name: &str, test_scale: bool) -> Result<(), Box<dyn Error>> {
+fn inspect_rungs(o: &InspectOpts) -> Result<(), Box<dyn Error>> {
     use paraprox_runtime::Approximable;
 
     /// Bit-error rates for the appended approximate-memory rungs
@@ -465,20 +333,9 @@ fn inspect_rungs(name: &str, test_scale: bool) -> Result<(), Box<dyn Error>> {
     const APPROX_RATES: [f64; 2] = [1e-7, 1e-2];
     const MEASURE_SEEDS: u64 = 2;
 
-    let app = paraprox_apps::find(name)
-        .ok_or_else(|| format!("no application matching `{name}` (try `paraprox list`)"))?;
-    let scale = if test_scale {
-        Scale::Test
-    } else {
-        Scale::Paper
-    };
+    let (app, scale) = (find_app(&o.file)?, o.scale);
     let profile = DeviceProfile::gtx560();
-    let workload = (app.build)(scale, 0);
-    let compiled = compile(
-        &workload,
-        &latency_table_for(&profile),
-        &CompileOptions::default(),
-    )?;
+    let compiled = compile_for(&(app.build)(scale, 0), &profile)?;
     let mut dapp = DeviceApp::new(
         Device::new(profile.clone()),
         &compiled,
@@ -510,11 +367,7 @@ fn inspect_rungs(name: &str, test_scale: bool) -> Result<(), Box<dyn Error>> {
                 }
             }
         }
-        let bound = if s.error_bound.is_finite() {
-            format!("{:.4}", s.error_bound)
-        } else {
-            "unbounded".to_string()
-        };
+        let bound = fmt_bound(s.error_bound);
         let (measured, status) = match &failed {
             Some(e) => ("-".to_string(), format!("did not run: {e}")),
             None => (
@@ -558,12 +411,12 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// Render the partition table of one kernel, human-readable.
-fn print_partition(part: &paraprox_analysis::KernelPartition) {
-    println!("kernel `{}` partition:", part.kernel_name);
+/// Print one kernel's buffer verdicts with their witness chains, each
+/// buffer name after `label` and padded to `width`.
+fn print_verdicts(part: &paraprox_analysis::KernelPartition, label: &str, width: usize) {
     for v in &part.verdicts {
         println!(
-            "  {:<20} {:<9} ({})",
+            "  {label}{:<width$} {:<9} ({})",
             v.name,
             v.criticality.to_string(),
             v.declared
@@ -677,6 +530,15 @@ fn analyze_json_report(
     )
 }
 
+/// A static error bound as the rung tables print it.
+fn fmt_bound(bound: f64) -> String {
+    if bound.is_finite() {
+        format!("{bound:.4}")
+    } else {
+        "unbounded".to_string()
+    }
+}
+
 /// Print the per-rung static error-bound table, human-readable.
 fn print_error_bounds(statics: &[paraprox::StaticQuality]) {
     println!(
@@ -688,15 +550,10 @@ fn print_error_bounds(statics: &[paraprox::StaticQuality]) {
         "rung", "error bound", "floor", "predicted"
     );
     for s in statics {
-        let bound = if s.error_bound.is_finite() {
-            format!("{:.4}", s.error_bound)
-        } else {
-            "unbounded".to_string()
-        };
         println!(
             "{:<30} {:>12} {:>7.2}% {:>9.2}%  {}",
             s.label,
-            bound,
+            fmt_bound(s.error_bound),
             s.quality_floor,
             s.predicted_quality,
             if s.refused {
@@ -713,21 +570,9 @@ fn print_error_bounds(statics: &[paraprox::StaticQuality]) {
     }
 }
 
-fn analyze(
-    name: &str,
-    test_scale: bool,
-    json: bool,
-    partition: bool,
-    error_bounds: bool,
-) -> Result<(), Box<dyn Error>> {
-    let app = paraprox_apps::find(name)
-        .ok_or_else(|| format!("no application matching `{name}` (try `paraprox list`)"))?;
-    let scale = if test_scale {
-        Scale::Test
-    } else {
-        Scale::Paper
-    };
-    let workload = (app.build)(scale, 0);
+fn analyze(o: &AnalyzeOpts) -> Result<(), Box<dyn Error>> {
+    let app = find_app(&o.app)?;
+    let workload = (app.build)(o.scale, 0);
     let diags = paraprox::analyze_workload(&workload);
     let parts = paraprox::partition_program(&workload.program);
     let errors = diags
@@ -736,74 +581,59 @@ fn analyze(
         .count();
     // The JSON report always carries the per-rung error bounds; the human
     // report only pays for variant generation when asked.
-    let statics = if json || error_bounds {
-        let compiled = compile(
-            &workload,
-            &latency_table_for(&DeviceProfile::gtx560()),
-            &CompileOptions::default(),
-        )?;
-        compiled.static_quality
+    let statics = if o.json || o.error_bounds {
+        compile_for(&workload, &DeviceProfile::gtx560())?.static_quality
     } else {
         Vec::new()
     };
 
-    if json {
+    if o.json {
         println!(
             "{}",
             analyze_json_report(app.spec.name, &workload, &diags, &parts, &statics)
         );
-        if errors > 0 {
-            return Err(format!("static analysis found {errors} error(s)").into());
+    } else {
+        println!(
+            "{}: {} kernel(s), {} launch(es)",
+            app.spec.name,
+            workload.program.kernel_count(),
+            workload.pipeline.launches.len()
+        );
+        if o.partition {
+            for p in &parts {
+                println!("kernel `{}` partition:", p.kernel_name);
+                print_verdicts(p, "", 20);
+            }
         }
-        return Ok(());
-    }
-
-    println!(
-        "{}: {} kernel(s), {} launch(es)",
-        app.spec.name,
-        workload.program.kernel_count(),
-        workload.pipeline.launches.len()
-    );
-    if partition {
-        for p in &parts {
-            print_partition(p);
+        if o.error_bounds {
+            print_error_bounds(&statics);
+        }
+        for d in &diags {
+            println!("{d}");
+        }
+        if diags.is_empty() {
+            println!("no findings: races, bounds, dataflow, and placement lints are all clean");
+        } else {
+            println!(
+                "{} finding(s), {} error(s), {} warning(s)",
+                diags.len(),
+                errors,
+                diags.len() - errors
+            );
         }
     }
-    if error_bounds {
-        print_error_bounds(&statics);
-    }
-    if diags.is_empty() {
-        println!("no findings: races, bounds, dataflow, and placement lints are all clean");
-        return Ok(());
-    }
-    for d in &diags {
-        println!("{d}");
-    }
-    println!(
-        "{} finding(s), {} error(s), {} warning(s)",
-        diags.len(),
-        errors,
-        diags.len() - errors
-    );
     if errors > 0 {
         return Err(format!("static analysis found {errors} error(s)").into());
     }
     Ok(())
 }
 
-fn serve(o: ServeOpts) -> Result<(), Box<dyn Error>> {
-    let scale = if o.test_scale {
-        Scale::Test
-    } else {
-        Scale::Paper
-    };
-    let profile = profile_of(o.device);
+fn serve(o: &ServeOpts) -> Result<(), Box<dyn Error>> {
+    let profile = &o.device;
     let toq = Toq::new(o.toq)?;
-    // Serving seeds start well above the training seeds so deployed
-    // traffic never replays a tuning input.
     let spec = LoadSpec {
         requests: o.requests,
-        seed_base: 1000,
+        seed_base: SEED_BASE,
         inflight: o.inflight,
     };
 
@@ -823,15 +653,9 @@ fn serve(o: ServeOpts) -> Result<(), Box<dyn Error>> {
     );
     let mut tenants = Vec::new();
     for name in &o.apps {
-        let app = paraprox_apps::find(name)
-            .ok_or_else(|| format!("no application matching `{name}` (try `paraprox list`)"))?;
-        let workload = (app.build)(scale, 0);
-        let compiled = compile(
-            &workload,
-            &latency_table_for(&profile),
-            &CompileOptions::default(),
-        )?;
-        let mut input_gen = app.input_gen(scale);
+        let app = find_app(name)?;
+        let compiled = compile_for(&(app.build)(o.scale, 0), profile)?;
+        let mut input_gen = app.input_gen(o.scale);
         if let Some(k) = o.drift_at {
             input_gen = drift_inputs(
                 input_gen,
@@ -843,7 +667,7 @@ fn serve(o: ServeOpts) -> Result<(), Box<dyn Error>> {
         let mut device_app = DeviceApp::new(Device::new(profile.clone()), &compiled, input_gen);
         let tuner = Tuner {
             toq,
-            training_seeds: (0..o.seeds as u64).collect(),
+            training_seeds: (0..o.seeds).collect(),
         };
         let statics = device_app.static_quality().to_vec();
         let report = tuner.tune_with_static(&mut device_app, &statics)?;
@@ -954,12 +778,8 @@ fn serve(o: ServeOpts) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-fn inspect(
-    file: &str,
-    bytecode: Option<&str>,
-    effects: bool,
-    partition: bool,
-) -> Result<(), Box<dyn Error>> {
+fn inspect(o: &InspectOpts) -> Result<(), Box<dyn Error>> {
+    let file = &o.file;
     let source = std::fs::read_to_string(file)?;
     let program = paraprox_lang::parse_program(&source)?;
     println!(
@@ -976,25 +796,15 @@ fn inspect(
     for kp in &detected {
         let kernel = program.kernel(kp.kernel);
         println!("kernel `{}`:", kernel.name);
-        if effects {
+        if o.effects {
             println!(
                 "  effects: {}",
                 paraprox_analysis::summarize_kernel(&program, kp.kernel)
             );
         }
-        if partition {
+        if o.partition {
             let part = paraprox_analysis::partition_kernel(&program, kp.kernel);
-            for v in &part.verdicts {
-                println!(
-                    "  buffer {:<16} {:<9} ({})",
-                    v.name,
-                    v.criticality.to_string(),
-                    v.declared
-                );
-                for step in &v.witness {
-                    println!("      {step}");
-                }
-            }
+            print_verdicts(&part, "buffer ", 16);
         }
         if kp.instances.is_empty() {
             println!("  (no approximable patterns)");
@@ -1035,7 +845,7 @@ fn inspect(
             }
         }
     }
-    if let Some(name) = bytecode {
+    if let Some(name) = &o.bytecode {
         let lower = name.to_lowercase();
         let Some((_, kernel)) = program
             .kernels()

@@ -1,9 +1,12 @@
 //! `paraprox` — command-line front door to the reproduction.
 //!
 //! ```text
-//! paraprox list                         # the Table-1 application registry
-//! paraprox tune <app> [options]        # compile + tune one application
-//! paraprox inspect <file.cu>           # parse kernel source, report patterns
+//! paraprox list                    # the Table-1 application registry
+//! paraprox tune <app> [options]    # compile + tune one application
+//! paraprox run <app> [options]     # run the exact pipeline (or an iterative loop) once
+//! paraprox inspect <file.cu>       # parse kernel source, report patterns
+//! paraprox analyze <app>           # static-analysis lint suite
+//! paraprox serve [options]         # tune tenants and serve them under drift
 //! ```
 
 use std::process::ExitCode;

@@ -5,7 +5,8 @@
 #   * a `--bin <name>` is a src/bin/<name>.rs or a `name = "<name>"` in
 #     some crate manifest,
 #   * a `--workload <name>` is listed in BENCHMARK.json,
-#   * a `paraprox-cli <subcommand>` is parsed by crates/cli/src/args.rs.
+#   * a `paraprox-cli <subcommand>` is a row of the flag table in
+#     crates/cli/src/args.rs (`Row { name: "<subcommand>", ... }`).
 # Placeholders (`--bin <name>`, `--bin $b`) match none of the patterns and
 # are skipped. A doc that names a deleted file or command fails here
 # instead of misleading the next reader.
@@ -47,8 +48,8 @@ done
 
 subcommands=$(cited 'paraprox-cli( --)? [a-z][a-z-]*' 's/^paraprox-cli( --)? //')
 for sub in $subcommands; do
-    grep -q "Some(\"$sub\") =>" "$args" ||
-        stale subcommand "$sub" "$args does not parse it"
+    grep -q "^ *Row { name: \"$sub\"," "$args" ||
+        stale subcommand "$sub" "no row of the flag table in $args names it"
 done
 
 if [ "$fail" -ne 0 ]; then

@@ -14,7 +14,9 @@
 #      results/*.txt byte-identically (~5 s)
 #  12. paraprox-cli analyze --json on all 13 apps
 #  13. paraprox-cli inspect --schedule on every preset of both iterative apps
-#  14. paraprox-cli serve on both profiles (drift, back-off, re-promotion)
+#  14. paraprox-cli serve on both profiles (drift, back-off, re-promotion),
+#      list, tune, run (exact and iterative), inspect --rungs, and bad-input
+#      probes that must exit exactly 1 (no panic, no abort)
 #  15. paraprox-benchmark smokes: iter_converge, kernel_exec, serve_open_drift
 #      (the only place a host timing is taken; none is gated here)
 # Everything runs offline (the workspace has no external dependencies),
@@ -134,6 +136,40 @@ for dev in gpu cpu; do
     --requests 40 --drift-at 10 --drift-len 12 --check-every 4 --promote-after 2 \
     --shards 2 --batch-window 8
 done
+
+echo "==> paraprox-cli subcommand smokes (list, tune, run, run --iters, inspect --rungs)"
+cli="${CARGO_TARGET_DIR:-target}/release/paraprox-cli"   # built by the release build above
+"$cli" list >/dev/null
+"$cli" tune gamma --scale test --seeds 2 >/dev/null
+"$cli" run gamma --scale test >/dev/null
+"$cli" run jacobi --iters 8 --scale test --schedule trend-exit >/dev/null
+"$cli" inspect hotspot --rungs --scale test >/dev/null
+
+echo "==> paraprox-cli bad-input probes (each must exit 1: not 0, not a panic's 101, not an abort's 134)"
+# Each argv reaches the parser from outside the program; a value that
+# would size an allocation or a thread count, overflow the request seeds
+# or poison the drift gain must be refused there with usage and exit 1.
+max=18446744073709551615
+while read -r probe; do
+  status=0
+  # $probe is unquoted on purpose: each line is one whitespace-split argv.
+  "$cli" $probe >/dev/null 2>&1 || status=$?
+  if [ "$status" -ne 1 ]; then
+    echo "FAIL: \`paraprox-cli $probe\` exited $status, expected 1" >&2
+    exit 1
+  fi
+done <<EOF
+tune gamma --scale test --seeds $max
+tune gamma --scale test --seeds 4000000000
+serve --scale test --seeds $max
+serve --scale test --drift-at $max
+serve --scale test --drift-gain nan
+serve --scale test --workers 1000000
+serve --scale test --shards 1000000
+serve --scale test --inflight $max
+tune gamma --toq 150
+tune gamma --bogus
+EOF
 
 echo "==> paraprox-benchmark smokes (iter_converge, kernel_exec, serve_open_drift: outputs vs host references, simulated values repeat)"
 # The end-to-end benchmark checks every output against the apps'
