@@ -17,7 +17,7 @@
 use std::fmt;
 
 use paraprox_ir::{
-    Expr, Func, FuncId, Kernel, KernelId, LocalDecl, MemRef, Param, Program, SharedDecl, Stmt, Ty,
+    Expr, FuncId, Kernel, KernelId, LocalDecl, MemRef, Param, Program, SharedDecl, Stmt, Ty,
 };
 
 /// Side effects of a statement list, transitive through calls.
@@ -298,15 +298,6 @@ impl<'a> TyScope<'a> {
             params: &k.params,
             locals: &k.locals,
             shared: &k.shared,
-        }
-    }
-
-    /// Scope of a device function.
-    pub fn of_func(f: &'a Func) -> TyScope<'a> {
-        TyScope {
-            params: &f.params,
-            locals: &f.locals,
-            shared: &[],
         }
     }
 }

@@ -154,14 +154,6 @@ impl Compiled {
         names
     }
 
-    /// The partition verdicts for one kernel of the exact program.
-    pub fn partition_for(
-        &self,
-        kernel: paraprox_ir::KernelId,
-    ) -> Option<&paraprox_analysis::KernelPartition> {
-        self.partition.iter().find(|p| p.kernel == kernel)
-    }
-
     /// Pipeline buffer slots of the exact workload that are declared
     /// global and classified Tolerant in *every* launch they feed — the
     /// set the approximate-memory auto-placer may move. A slot passed to

@@ -186,11 +186,6 @@ impl Program {
         &mut self.kernels[id.0]
     }
 
-    /// Mutable function access.
-    pub fn func_mut(&mut self, id: FuncId) -> &mut Func {
-        &mut self.funcs[id.0]
-    }
-
     /// All functions with their ids.
     pub fn funcs(&self) -> impl Iterator<Item = (FuncId, &Func)> {
         self.funcs.iter().enumerate().map(|(i, f)| (FuncId(i), f))

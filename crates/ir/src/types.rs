@@ -108,17 +108,6 @@ impl Scalar {
         }
     }
 
-    /// Extract a `u32`, failing on any other type.
-    pub fn as_u32(self) -> Result<u32, EvalError> {
-        match self {
-            Scalar::U32(v) => Ok(v),
-            other => Err(EvalError::TypeMismatch {
-                expected: Ty::U32,
-                found: other.ty(),
-            }),
-        }
-    }
-
     /// Extract a `bool`, failing on any other type.
     pub fn as_bool(self) -> Result<bool, EvalError> {
         match self {

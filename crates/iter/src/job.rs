@@ -3,7 +3,7 @@
 
 use paraprox_approx::StencilScheme;
 use paraprox_ir::{Program, Scalar};
-use paraprox_quality::{QualityStream, Toq};
+use paraprox_quality::QualityStream;
 use paraprox_runtime::{Approximable, EngineDiagnostics, RunOutcome, RuntimeError};
 use paraprox_vgpu::{ArgValue, Device, Dim2, LaunchStats};
 
@@ -212,7 +212,7 @@ impl IterativeApp {
         let mut trend = schedule
             .predictor
             .as_ref()
-            .map(|p| QualityStream::new(Toq::new(0.0).expect("0 is a valid TOQ"), p.alpha));
+            .map(|p| QualityStream::new(p.alpha));
 
         // Baseline: one *exact* step from the initial field, measured on
         // the full grid and then discarded (`next` is rewritten by the

@@ -67,11 +67,6 @@ impl Rng {
         result
     }
 
-    /// Next raw 32-bit output (upper half of the 64-bit output).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// A uniform `f64` in `[0, 1)` with 53 random mantissa bits.
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -105,11 +100,6 @@ impl Rng {
     /// Panics on an empty range.
     pub fn random_range<T, R: SampleRange<T>>(&mut self, range: R) -> T {
         range.sample(self)
-    }
-
-    /// `true` with probability `p` (clamped to `[0, 1]`).
-    pub fn random_bool(&mut self, p: f64) -> bool {
-        self.next_f64() < p
     }
 }
 

@@ -7,8 +7,8 @@
 //! per-element error distributions (the CDF of its Figure 13), defines
 //! the [`Toq`] (target output quality) type that drives the runtime tuner,
 //! and provides [`QualityStream`] — a constant-space online estimator
-//! (running mean/variance, minimum, EWMA, violation bookkeeping) for
-//! serving engines that watch calibration checks indefinitely.
+//! (running mean, minimum, EWMA) for serving engines that watch
+//! calibration checks indefinitely.
 //!
 //! # Example
 //!

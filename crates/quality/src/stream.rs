@@ -3,36 +3,26 @@
 //! The offline tuner sees a fixed batch of training qualities; a serving
 //! engine instead observes calibration-check qualities one at a time,
 //! indefinitely. [`QualityStream`] folds that stream into constant-space
-//! estimates: running mean and variance (Welford's algorithm, numerically
-//! stable over millions of samples), the minimum, an exponentially
-//! weighted moving average that tracks drift faster than the global mean,
-//! and TOQ bookkeeping (violation count, current clean streak) that the
-//! recalibration policy keys off.
-
-use crate::toq::Toq;
+//! estimates: the running mean, the minimum, and an exponentially
+//! weighted moving average that tracks drift faster than the global mean.
+//! It only describes the stream: judging a sample against the TOQ is the
+//! deployment watchdog's job.
 
 /// Constant-space estimator over a stream of measured output qualities.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QualityStream {
-    toq: Toq,
     alpha: f64,
     count: u64,
     mean: f64,
-    m2: f64,
     min: f64,
-    last: Option<f64>,
     ewma: Option<f64>,
-    violations: u64,
-    clean_streak: u64,
 }
 
 impl QualityStream {
-    /// Create an estimator judging samples against `toq`, with EWMA
-    /// smoothing factor `alpha` in `(0, 1]` (the weight of the newest
-    /// sample; clamped into range).
-    pub fn new(toq: Toq, alpha: f64) -> QualityStream {
+    /// Create an estimator with EWMA smoothing factor `alpha` in `(0, 1]`
+    /// (the weight of the newest sample; clamped into range).
+    pub fn new(alpha: f64) -> QualityStream {
         QualityStream {
-            toq,
             alpha: if alpha.is_finite() {
                 alpha.clamp(f64::EPSILON, 1.0)
             } else {
@@ -40,39 +30,20 @@ impl QualityStream {
             },
             count: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
-            last: None,
             ewma: None,
-            violations: 0,
-            clean_streak: 0,
         }
     }
 
-    /// An estimator with the paper's default TOQ and a smoothing factor of
-    /// 0.25 (a new sample moves the EWMA a quarter of the way).
-    pub fn paper_default() -> QualityStream {
-        QualityStream::new(Toq::paper_default(), 0.25)
-    }
-
-    /// Fold one measured quality (percent) into the stream.
+    /// Fold one sample into the stream.
     pub fn observe(&mut self, quality: f64) {
         self.count += 1;
-        let delta = quality - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (quality - self.mean);
+        self.mean += (quality - self.mean) / self.count as f64;
         self.min = self.min.min(quality);
         self.ewma = Some(match self.ewma {
             Some(prev) => self.alpha * quality + (1.0 - self.alpha) * prev,
             None => quality,
         });
-        self.last = Some(quality);
-        if self.toq.is_met(quality) {
-            self.clean_streak += 1;
-        } else {
-            self.violations += 1;
-            self.clean_streak = 0;
-        }
     }
 
     /// Number of samples observed.
@@ -80,51 +51,20 @@ impl QualityStream {
         self.count
     }
 
-    /// Running mean quality, or `None` before the first sample.
+    /// Running mean, or `None` before the first sample.
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then_some(self.mean)
     }
 
-    /// Population standard deviation, or `None` before the first sample.
-    pub fn std_dev(&self) -> Option<f64> {
-        (self.count > 0).then(|| (self.m2 / self.count as f64).max(0.0).sqrt())
-    }
-
-    /// Minimum quality observed, or `None` before the first sample.
+    /// Minimum observed, or `None` before the first sample.
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
-    }
-
-    /// Most recent sample.
-    pub fn last(&self) -> Option<f64> {
-        self.last
     }
 
     /// Exponentially weighted moving average, or `None` before the first
     /// sample.
     pub fn ewma(&self) -> Option<f64> {
         self.ewma
-    }
-
-    /// Number of samples that violated the TOQ.
-    pub fn violations(&self) -> u64 {
-        self.violations
-    }
-
-    /// Length of the current run of consecutive TOQ-meeting samples.
-    pub fn clean_streak(&self) -> u64 {
-        self.clean_streak
-    }
-
-    /// The target the stream is judged against.
-    pub fn toq(&self) -> Toq {
-        self.toq
-    }
-
-    /// Whether the smoothed (EWMA) quality currently meets the TOQ.
-    /// Vacuously `true` before the first sample.
-    pub fn is_healthy(&self) -> bool {
-        self.ewma.is_none_or(|e| self.toq.is_met(e))
     }
 }
 
@@ -133,37 +73,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_stream_reports_nothing_and_is_healthy() {
-        let s = QualityStream::paper_default();
+    fn empty_stream_reports_nothing() {
+        let s = QualityStream::new(0.25);
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), None);
-        assert_eq!(s.std_dev(), None);
         assert_eq!(s.min(), None);
         assert_eq!(s.ewma(), None);
-        assert_eq!(s.last(), None);
-        assert!(s.is_healthy());
     }
 
     #[test]
-    fn welford_matches_batch_statistics() {
+    fn running_mean_matches_batch_statistics() {
         let samples = [91.5, 94.0, 88.0, 99.5, 92.25, 90.0, 85.5];
-        let mut s = QualityStream::paper_default();
+        let mut s = QualityStream::new(0.25);
         for &q in &samples {
             s.observe(q);
         }
-        let n = samples.len() as f64;
-        let mean = samples.iter().sum::<f64>() / n;
-        let var = samples.iter().map(|q| (q - mean).powi(2)).sum::<f64>() / n;
+        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
         assert!((s.mean().unwrap() - mean).abs() < 1e-12);
-        assert!((s.std_dev().unwrap() - var.sqrt()).abs() < 1e-12);
         assert_eq!(s.min(), Some(85.5));
-        assert_eq!(s.last(), Some(85.5));
         assert_eq!(s.count(), 7);
     }
 
     #[test]
     fn ewma_tracks_drift_faster_than_mean() {
-        let mut s = QualityStream::new(Toq::paper_default(), 0.5);
+        let mut s = QualityStream::new(0.5);
         for _ in 0..50 {
             s.observe(95.0);
         }
@@ -171,35 +104,16 @@ mod tests {
             s.observe(70.0);
         }
         // Four bad samples barely move the 54-sample mean but drag the
-        // EWMA below the target.
+        // EWMA down to near the new level.
         assert!(s.mean().unwrap() > 90.0);
         assert!(s.ewma().unwrap() < 75.0);
-        assert!(!s.is_healthy());
     }
 
     #[test]
-    fn violations_and_clean_streak() {
-        let mut s = QualityStream::paper_default();
-        s.observe(95.0);
-        s.observe(96.0);
-        assert_eq!(s.clean_streak(), 2);
-        assert_eq!(s.violations(), 0);
-        s.observe(80.0);
-        assert_eq!(s.clean_streak(), 0);
-        assert_eq!(s.violations(), 1);
-        s.observe(92.0);
-        assert_eq!(s.clean_streak(), 1);
-        assert_eq!(s.toq(), Toq::paper_default());
-    }
-
-    #[test]
-    fn welford_stays_stable_over_a_hundred_thousand_updates() {
-        // Catastrophic-cancellation stress: 100k samples oscillating by
-        // one part in 1e8 around 90. A naive sum-of-squares accumulator
-        // loses the variance entirely at this magnitude ratio; Welford
-        // must keep the mean exact to ~1e-9 and the (tiny) standard
-        // deviation positive, finite, and near the analytic value.
-        let mut s = QualityStream::paper_default();
+    fn running_mean_stays_stable_over_a_hundred_thousand_updates() {
+        // Cancellation stress: 100k samples oscillating by one part in
+        // 1e8 around 90. The incremental mean must stay exact to ~1e-9.
+        let mut s = QualityStream::new(0.25);
         let (lo, hi) = (90.0f64, 90.0 + 9e-7);
         for i in 0..100_000u64 {
             s.observe(if i % 2 == 0 { lo } else { hi });
@@ -210,16 +124,7 @@ mod tests {
             (mean - (lo + hi) / 2.0).abs() < 1e-9,
             "mean drifted: {mean}"
         );
-        let sd = s.std_dev().unwrap();
-        let expected_sd = (hi - lo) / 2.0;
-        assert!(sd.is_finite() && sd > 0.0);
-        assert!(
-            (sd - expected_sd).abs() < expected_sd * 1e-3,
-            "std dev {sd} vs analytic {expected_sd}"
-        );
         assert_eq!(s.min(), Some(lo));
-        assert_eq!(s.violations(), 0);
-        assert_eq!(s.clean_streak(), 100_000);
     }
 
     #[test]
@@ -230,7 +135,7 @@ mod tests {
         // being bounded (the trend estimate trails, never overshoots).
         let alpha = 0.25;
         let d = 0.001;
-        let mut s = QualityStream::new(Toq::new(0.0).unwrap(), alpha);
+        let mut s = QualityStream::new(alpha);
         let mut last_q = 0.0;
         let mut prev_ewma = f64::NEG_INFINITY;
         for t in 0..20_000u64 {
@@ -257,7 +162,7 @@ mod tests {
         // EWMA below every observed ratio would predict convergence that
         // the data does not support. Drive 10k monotonically decreasing
         // ratios and check the hull and monotonicity at every step.
-        let mut s = QualityStream::new(Toq::new(0.0).unwrap(), 0.4);
+        let mut s = QualityStream::new(0.4);
         let mut prev = f64::INFINITY;
         for t in 0..10_000u64 {
             // Decreasing from ~0.999 toward 0.5, always in (0, 1).
@@ -276,12 +181,12 @@ mod tests {
 
     #[test]
     fn alpha_is_sanitized() {
-        let mut s = QualityStream::new(Toq::paper_default(), f64::NAN);
+        let mut s = QualityStream::new(f64::NAN);
         s.observe(50.0);
         s.observe(90.0);
         // alpha fell back to 1.0: EWMA == last sample.
         assert_eq!(s.ewma(), Some(90.0));
-        let mut s = QualityStream::new(Toq::paper_default(), -3.0);
+        let mut s = QualityStream::new(-3.0);
         s.observe(50.0);
         s.observe(90.0);
         // clamped to ~0: EWMA barely moves but stays finite.

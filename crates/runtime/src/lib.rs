@@ -514,9 +514,8 @@ pub struct Deployment {
     state: WatchdogState,
 }
 
-/// Everything serving a request can change. `Copy`, so a call that fails
-/// part-way restores its entry state.
-#[derive(Debug, Clone, Copy, Default)]
+/// Everything serving a request can change.
+#[derive(Debug, Clone, Default)]
 struct WatchdogState {
     /// Index into the ladder; the last rung is always [`Rung::Exact`].
     position: usize,
@@ -525,6 +524,7 @@ struct WatchdogState {
     since_check: u64,
     checks: u64,
     violations: u64,
+    backoffs: u64,
     promotions: u64,
     clean_streak: u64,
 }
@@ -620,6 +620,11 @@ impl Deployment {
         self.state.violations
     }
 
+    /// Number of back-offs down the ladder.
+    pub fn backoffs(&self) -> u64 {
+        self.state.backoffs
+    }
+
     /// Number of re-promotions up the ladder.
     pub fn promotions(&self) -> u64 {
         self.state.promotions
@@ -650,17 +655,10 @@ impl Deployment {
         false
     }
 
-    /// Execute one invocation on the input derived from `seed`: a batch
-    /// of one through [`Deployment::invoke_batch`].
-    ///
-    /// Every `check_every`-th *served* request is a calibration check:
-    /// while serving an approximate variant, the same input is re-run
-    /// exactly and the measured quality drives back-off (on violation) or
-    /// the clean streak (toward re-promotion). While serving exact with a
-    /// non-trivial ladder and re-promotion enabled, the check instead
-    /// *shadow-probes* the next-better rung: the candidate variant runs on
-    /// the same input (the exact output is still the one served) and its
-    /// quality feeds the same clean-streak hysteresis.
+    /// Serve one request on the input derived from `seed`: a chunk of one
+    /// through [`Deployment::invoke_chunk`]. A chunk ends at the next
+    /// calibration check at the latest, so a chunk of one always serves
+    /// its seed.
     ///
     /// # Errors
     ///
@@ -671,166 +669,65 @@ impl Deployment {
         app: &mut dyn Approximable,
         seed: u64,
     ) -> Result<InvokeResult, RuntimeError> {
-        let mut results = self.invoke_batch(app, &[seed])?;
-        Ok(results.pop().expect("one seed in, one result out"))
+        let mut results = self.invoke_chunk(app, &[seed])?;
+        Ok(results.pop().expect("a chunk of one serves its seed"))
     }
 
-    /// Plan the next batch of at most `available` served requests.
+    /// Serve the next rung-stable chunk of `seeds` — the one call that
+    /// serves requests, and the only place the TOQ policy is applied.
     ///
-    /// The rung can only change at a calibration boundary, so the
-    /// requests *between* boundaries are rung-stable and can run fused:
-    /// the plan's length is `min(available, requests until the next
-    /// boundary)` and every request runs at the current rung. When the
-    /// batch ends exactly on the boundary, the plan also names the
-    /// calibration re-execution the check needs ([`Calibration`]), to run
-    /// on the boundary (last) seed.
+    /// The rung can only change at a calibration check, so the requests
+    /// up to the next check run at the current rung as one
+    /// [`Approximable::run_batch`]. Returns one result per served
+    /// request: `seeds[..results.len()]` were served, the rest lie past
+    /// the check and wait for the next call. The decision trace is
+    /// therefore the same however a stream of seeds is cut into calls.
     ///
-    /// Because the plan never crosses a boundary, committing it performs
-    /// exactly the state transitions serving its requests one at a time
-    /// would — the decision trace is independent of how many requests
-    /// were available, i.e. of batch-formation timing.
-    pub fn plan_batch(&self, available: usize) -> BatchPlan {
-        let span = self.config.check_every - self.state.since_check;
-        let len = available.min(usize::try_from(span).unwrap_or(usize::MAX));
-        let variant = self.current_variant();
-        let at_boundary = len as u64 >= span;
-        let calibration = if at_boundary && len > 0 {
-            match variant {
-                Some(_) => Some(Calibration::Exact),
-                None if self.promotion_enabled() && self.state.position > 0 => {
-                    let Rung::Variant(candidate) = self.ladder[self.state.position - 1] else {
-                        unreachable!("only the terminal rung is exact")
-                    };
-                    Some(Calibration::Probe(candidate))
-                }
-                None => None,
-            }
-        } else {
-            None
-        };
-        BatchPlan {
-            len,
-            variant,
-            calibration,
-        }
-    }
-
-    /// Commit the outcomes of an executed batch plan: advance the
-    /// invocation counters and, at a calibration boundary, drive the
-    /// back-off / clean-streak policy — the only place it is written.
-    /// Returns one [`InvokeResult`] per served request; only the boundary
-    /// (last) request can carry check fields.
+    /// Every `check_every`-th *served* request is a calibration check,
+    /// run in the same batch on the chunk's last seed. While serving an
+    /// approximate variant, the check re-runs that input exactly and the
+    /// measured quality drives back-off (on violation) or the clean
+    /// streak (toward re-promotion). While serving exact with a
+    /// non-trivial ladder and re-promotion enabled, the check instead
+    /// *shadow-probes* the next-better rung: the candidate runs on the
+    /// same input (the exact output is still the one served) and its
+    /// quality feeds the same clean-streak hysteresis.
     ///
     /// # Errors
     ///
-    /// Fails when the outcome counts do not match the plan, or when the
-    /// deployment state changed between plan and commit (the plan is
-    /// stale).
-    pub fn commit_batch(
-        &mut self,
-        app: &dyn Approximable,
-        plan: &BatchPlan,
-        served: Vec<RunOutcome>,
-        calibration: Option<RunOutcome>,
-    ) -> Result<Vec<InvokeResult>, RuntimeError> {
-        if served.len() != plan.len {
-            return Err(RuntimeError(format!(
-                "batch commit: {} outcomes for a plan of {}",
-                served.len(),
-                plan.len
-            )));
-        }
-        if plan.variant != self.current_variant() {
-            return Err(RuntimeError(
-                "batch commit: plan is stale (rung changed since planning)".to_string(),
-            ));
-        }
-        if calibration.is_some() != plan.calibration.is_some() {
-            return Err(RuntimeError(
-                "batch commit: calibration outcome does not match the plan".to_string(),
-            ));
-        }
-        if plan.len == 0 {
-            return Ok(Vec::new());
-        }
-        self.state.invocations += plan.len as u64;
-        self.state.since_check += plan.len as u64;
-        let mut results: Vec<InvokeResult> = served
-            .into_iter()
-            .map(|run| InvokeResult {
-                output: run.output,
-                cycles: run.cycles,
-                variant: plan.variant,
-                checked_quality: None,
-                backed_off: false,
-                promoted: false,
-            })
-            .collect();
-        if self.state.since_check >= self.config.check_every {
-            self.state.since_check = 0;
-            if let (Some(kind), Some(rerun)) = (plan.calibration, calibration) {
-                let last = results.last_mut().expect("plan.len > 0");
-                self.state.checks += 1;
-                // A check measures the served variant against its exact
-                // re-run; a shadow probe measures the candidate against
-                // the exact output that was served.
-                let q = match kind {
-                    Calibration::Exact => app.quality(&rerun.output, &last.output),
-                    Calibration::Probe(_) => app.quality(&last.output, &rerun.output),
-                };
-                last.checked_quality = Some(q);
-                if self.config.toq.is_met(q) {
-                    last.promoted = self.record_clean();
-                } else {
-                    self.state.violations += 1;
-                    self.state.clean_streak = 0;
-                    if kind == Calibration::Exact {
-                        // The terminal rung is Exact, so this never walks
-                        // past the end: a served variant implies
-                        // position < ladder.len() - 1.
-                        self.state.position += 1;
-                        last.backed_off = true;
-                    }
-                }
-            }
-        }
-        Ok(results)
-    }
-
-    /// Serve the next rung-stable chunk of `seeds`: plan it, execute its
-    /// runs — plus, on a check boundary, the calibration re-execution of
-    /// the boundary (last) seed — as one [`Approximable::run_batch`], and
-    /// commit. Returns one result per served request:
-    /// `seeds[..results.len()]` were served, the rest lie past the next
-    /// boundary and wait for the next call.
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution failures; nothing of a failed chunk is
-    /// committed, so the deployment is exactly as it was.
+    /// Propagates execution failures, and fails when `run_batch` returns
+    /// a different number of outcomes than runs. Nothing of a failed
+    /// chunk is committed, so the deployment is exactly as it was.
     pub fn invoke_chunk(
         &mut self,
         app: &mut dyn Approximable,
         seeds: &[u64],
     ) -> Result<Vec<InvokeResult>, RuntimeError> {
-        let plan = self.plan_batch(seeds.len());
-        let chunk = &seeds[..plan.len];
+        let until_check = self.config.check_every - self.state.since_check;
+        let chunk = &seeds[..seeds
+            .len()
+            .min(usize::try_from(until_check).unwrap_or(usize::MAX))];
+        let Some(&last) = chunk.last() else {
+            return Ok(Vec::new());
+        };
+        let at_check = chunk.len() as u64 == until_check;
+        let variant = self.current_variant();
         let mut runs: Vec<BatchRun> = chunk
             .iter()
-            .map(|&seed| BatchRun {
-                variant: plan.variant,
-                seed,
-            })
+            .map(|&seed| BatchRun { variant, seed })
             .collect();
-        if let Some(c) = &plan.calibration {
-            runs.push(BatchRun {
-                variant: match c {
-                    Calibration::Exact => None,
-                    Calibration::Probe(v) => Some(*v),
-                },
-                seed: *chunk.last().expect("plan.len > 0 with calibration"),
-            });
-        }
+        let check = match variant {
+            _ if !at_check => None,
+            Some(_) => Some(BatchRun {
+                variant: None,
+                seed: last,
+            }),
+            None => self.probe_candidate().map(|candidate| BatchRun {
+                variant: Some(candidate),
+                seed: last,
+            }),
+        };
+        runs.extend(check);
         let mut outcomes = app.run_batch(&runs)?;
         if outcomes.len() != runs.len() {
             return Err(RuntimeError(format!(
@@ -839,64 +736,60 @@ impl Deployment {
                 runs.len()
             )));
         }
-        let calibration = plan
-            .calibration
-            .is_some()
-            .then(|| outcomes.pop().expect("outcome count checked above"));
-        self.commit_batch(app, &plan, outcomes, calibration)
-    }
-
-    /// Serve `seeds`, one [`Deployment::invoke_chunk`] after another. The
-    /// returned results — and the deployment's decision trace — do not
-    /// depend on how a stream of seeds is cut into successful calls.
-    ///
-    /// # Errors
-    ///
-    /// Propagates execution failures. The call is all-or-nothing: on
-    /// error no result is returned and the deployment is restored to its
-    /// state at entry, chunks committed before the failing one included.
-    pub fn invoke_batch(
-        &mut self,
-        app: &mut dyn Approximable,
-        seeds: &[u64],
-    ) -> Result<Vec<InvokeResult>, RuntimeError> {
-        let entry = self.state;
-        let mut out = Vec::with_capacity(seeds.len());
-        while out.len() < seeds.len() {
-            match self.invoke_chunk(app, &seeds[out.len()..]) {
-                Ok(results) => out.extend(results),
-                Err(e) => {
-                    self.state = entry;
-                    return Err(e);
+        let rerun = check.map(|_| outcomes.pop().expect("outcome count checked above"));
+        let mut results: Vec<InvokeResult> = outcomes
+            .into_iter()
+            .map(|run| InvokeResult {
+                output: run.output,
+                cycles: run.cycles,
+                variant,
+                checked_quality: None,
+                backed_off: false,
+                promoted: false,
+            })
+            .collect();
+        self.state.invocations += chunk.len() as u64;
+        self.state.since_check += chunk.len() as u64;
+        if at_check {
+            self.state.since_check = 0;
+        }
+        if let Some(rerun) = rerun {
+            let served = results.last_mut().expect("a check ends a non-empty chunk");
+            self.state.checks += 1;
+            // A check measures the served variant against its exact
+            // re-run; a shadow probe measures the candidate against the
+            // exact output that was served.
+            let q = match variant {
+                Some(_) => app.quality(&rerun.output, &served.output),
+                None => app.quality(&served.output, &rerun.output),
+            };
+            served.checked_quality = Some(q);
+            if self.config.toq.is_met(q) {
+                served.promoted = self.record_clean();
+            } else {
+                self.state.violations += 1;
+                self.state.clean_streak = 0;
+                if variant.is_some() {
+                    // The terminal rung is Exact, so this never walks
+                    // past the end: a served variant implies
+                    // position < ladder.len() - 1.
+                    self.state.position += 1;
+                    self.state.backoffs += 1;
+                    served.backed_off = true;
                 }
             }
         }
-        Ok(out)
+        Ok(results)
     }
-}
 
-/// What one planned batch will execute (see [`Deployment::plan_batch`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchPlan {
-    /// Number of served requests in this batch (rung-stable by
-    /// construction).
-    pub len: usize,
-    /// The rung every request of this batch runs at (`None` = exact).
-    pub variant: Option<usize>,
-    /// Calibration re-execution the batch's final request requires, when
-    /// the batch ends on a check boundary.
-    pub calibration: Option<Calibration>,
-}
-
-/// The calibration re-execution a batch boundary needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Calibration {
-    /// Re-run the boundary input exactly (the deployment is serving a
-    /// variant; the check compares the served output against it).
-    Exact,
-    /// Shadow-probe this candidate variant on the boundary input (the
-    /// deployment is serving exact; the probe feeds re-promotion).
-    Probe(usize),
+    /// The rung a check shadow-probes while exact is served: the
+    /// next-better one, when re-promotion is enabled and there is one.
+    fn probe_candidate(&self) -> Option<usize> {
+        if !self.promotion_enabled() || self.state.position == 0 {
+            return None;
+        }
+        self.ladder[self.state.position - 1].variant()
+    }
 }
 
 #[cfg(test)]
@@ -1413,9 +1306,26 @@ mod tests {
         );
     }
 
+    /// Serve `seeds` by calling [`Deployment::invoke_chunk`] until every
+    /// seed is served, as a caller with that many requests in hand does.
+    fn serve_all(
+        deploy: &mut Deployment,
+        app: &mut dyn Approximable,
+        mut seeds: &[u64],
+    ) -> Vec<InvokeResult> {
+        let mut out = Vec::with_capacity(seeds.len());
+        while !seeds.is_empty() {
+            let results = deploy.invoke_chunk(app, seeds).unwrap();
+            assert!(!results.is_empty(), "a chunk serves at least one seed");
+            seeds = &seeds[results.len()..];
+            out.extend(results);
+        }
+        out
+    }
+
     /// Drive the same seeded stream through sequential `invoke` and
-    /// through `invoke_batch` at the given window, and assert the
-    /// results and final deployment state are identical.
+    /// through `invoke_chunk` calls offered `window` seeds at a time, and
+    /// assert the results and final deployment state are identical.
     fn assert_batch_matches_sequential(
         make_app: impl Fn() -> Mock,
         config: DeploymentConfig,
@@ -1438,14 +1348,15 @@ mod tests {
         let mut bat_app = make_app();
         let mut bat = Deployment::with_config(&report, config);
         let mut got = Vec::new();
-        for chunk in seeds.chunks(window) {
-            got.extend(bat.invoke_batch(&mut bat_app, chunk).unwrap());
+        for window_seeds in seeds.chunks(window) {
+            got.extend(serve_all(&mut bat, &mut bat_app, window_seeds));
         }
 
         assert_eq!(got, expected, "results diverged (window={window})");
         assert_eq!(bat.invocations(), seq.invocations());
         assert_eq!(bat.checks(), seq.checks());
         assert_eq!(bat.violations(), seq.violations());
+        assert_eq!(bat.backoffs(), seq.backoffs());
         assert_eq!(bat.promotions(), seq.promotions());
         assert_eq!(bat.clean_streak(), seq.clean_streak());
         assert_eq!(bat.position(), seq.position());
@@ -1514,17 +1425,6 @@ mod tests {
             check_every: 4,
             promote_after: 2,
         };
-        let state = |d: &Deployment| {
-            (
-                d.invocations(),
-                d.checks(),
-                d.violations(),
-                d.promotions(),
-                d.position(),
-                d.clean_streak(),
-                d.plan_batch(100),
-            )
-        };
         let seeds: Vec<u64> = (0..12).collect();
         // Checks fall on seeds 3, 7 and 11. One app fails serving seed 5,
         // mid-chunk; the other fails the calibration re-run of boundary
@@ -1538,23 +1438,31 @@ mod tests {
                 app.fail_exact_seed = fail_exact_seed;
                 let mut deploy = Deployment::with_config(&report, config);
                 let mut failed_calls = 0;
-                for call in seeds.chunks(window.max(1)) {
-                    let before = state(&deploy);
-                    let result = if window == 0 {
-                        deploy.invoke(&mut app, call[0]).map(|r| vec![r])
-                    } else {
-                        deploy.invoke_batch(&mut app, call)
-                    };
-                    if call.contains(&failing) {
-                        assert!(result.is_err(), "seed {failing} fails (window {window})");
-                        assert_eq!(
-                            state(&deploy),
-                            before,
-                            "failed call changed the deployment (window {window})"
-                        );
-                        failed_calls += 1;
-                    } else {
-                        assert_eq!(result.unwrap().len(), call.len());
+                for window_seeds in seeds.chunks(window.max(1)) {
+                    let mut rest = window_seeds;
+                    while !rest.is_empty() {
+                        let before = format!("{deploy:?}");
+                        let result = if window == 0 {
+                            deploy.invoke(&mut app, rest[0]).map(|r| vec![r])
+                        } else {
+                            deploy.invoke_chunk(&mut app, rest)
+                        };
+                        match result {
+                            Ok(results) => rest = &rest[results.len()..],
+                            Err(e) => {
+                                assert!(
+                                    e.0.ends_with(&format!("seed {failing}")),
+                                    "only seed {failing} fails (window {window}): {e}"
+                                );
+                                assert_eq!(
+                                    format!("{deploy:?}"),
+                                    before,
+                                    "failed chunk changed the deployment (window {window})"
+                                );
+                                failed_calls += 1;
+                                break;
+                            }
+                        }
                     }
                 }
                 assert_eq!(failed_calls, 1);
@@ -1563,43 +1471,100 @@ mod tests {
     }
 
     #[test]
-    fn plan_batch_never_crosses_a_check_boundary() {
+    fn invoke_chunk_never_crosses_a_check_boundary() {
         let mut app = Mock::new(vec![(95.0, 200)]);
         let report = Tuner::paper_default().tune(&mut app).unwrap();
         let mut deploy = Deployment::new(&report, Toq::paper_default(), 5);
-        // Fresh deployment: 5 requests until the boundary.
-        let plan = deploy.plan_batch(100);
-        assert_eq!(plan.len, 5);
-        assert_eq!(plan.variant, Some(0));
-        assert_eq!(plan.calibration, Some(Calibration::Exact));
-        // Short of the boundary: no calibration.
-        let plan = deploy.plan_batch(3);
-        assert_eq!(plan.len, 3);
-        assert_eq!(plan.calibration, None);
-        // After two served requests, only 3 remain until the boundary.
+        let offered: Vec<u64> = (0..100).collect();
+        let checked = |results: &[InvokeResult]| -> Vec<bool> {
+            results
+                .iter()
+                .map(|r| r.checked_quality.is_some())
+                .collect()
+        };
+        // Fresh deployment: 5 requests until the check, which lands on
+        // the fifth.
+        let mut probe = deploy.clone();
+        let results = probe.invoke_chunk(&mut app, &offered).unwrap();
+        assert_eq!(checked(&results), [false, false, false, false, true]);
+        assert!(results.iter().all(|r| r.variant == Some(0)));
+        assert_eq!(probe.checks(), 1);
+        // Short of the check: all 3 served, none checked.
+        let mut probe = deploy.clone();
+        let results = probe.invoke_chunk(&mut app, &offered[..3]).unwrap();
+        assert_eq!(checked(&results), [false, false, false]);
+        assert_eq!(probe.checks(), 0);
+        // After two served requests, only 3 remain until the check.
         deploy.invoke(&mut app, 0).unwrap();
         deploy.invoke(&mut app, 1).unwrap();
-        assert_eq!(deploy.plan_batch(100).len, 3);
-        assert_eq!(deploy.plan_batch(0).len, 0);
+        let mut probe = deploy.clone();
+        let results = probe.invoke_chunk(&mut app, &offered).unwrap();
+        assert_eq!(checked(&results), [false, false, true]);
+        // Nothing offered: nothing served, nothing run.
+        let (before, runs) = (format!("{deploy:?}"), app.runs);
+        assert!(deploy.invoke_chunk(&mut app, &[]).unwrap().is_empty());
+        assert_eq!((format!("{deploy:?}"), app.runs), (before, runs));
+    }
+
+    /// A [`Mock`] whose `run_batch` returns one outcome too many or one
+    /// too few.
+    struct Miscounting {
+        inner: Mock,
+        extra: bool,
+    }
+
+    impl Approximable for Miscounting {
+        fn variant_count(&self) -> usize {
+            self.inner.variant_count()
+        }
+        fn variant_label(&self, index: usize) -> String {
+            self.inner.variant_label(index)
+        }
+        fn run_exact(&mut self, seed: u64) -> Result<RunOutcome, RuntimeError> {
+            self.inner.run_exact(seed)
+        }
+        fn run_variant(&mut self, index: usize, seed: u64) -> Result<RunOutcome, RuntimeError> {
+            self.inner.run_variant(index, seed)
+        }
+        fn quality(&self, exact: &[f64], approx: &[f64]) -> f64 {
+            self.inner.quality(exact, approx)
+        }
+        fn run_batch(&mut self, runs: &[BatchRun]) -> Result<Vec<RunOutcome>, RuntimeError> {
+            let mut outcomes = self.inner.run_batch(runs)?;
+            if self.extra {
+                outcomes.push(outcomes[0].clone());
+            } else {
+                outcomes.pop();
+            }
+            Ok(outcomes)
+        }
     }
 
     #[test]
-    fn commit_batch_rejects_mismatched_outcomes() {
-        let mut app = Mock::new(vec![(95.0, 200)]);
-        let report = Tuner::paper_default().tune(&mut app).unwrap();
-        let mut deploy = Deployment::new(&report, Toq::paper_default(), 5);
-        let plan = deploy.plan_batch(2);
-        assert_eq!(plan.calibration, None);
-        // Wrong outcome count.
-        assert!(deploy.commit_batch(&app, &plan, vec![], None).is_err());
-        // Unexpected calibration outcome.
-        let run = RunOutcome {
-            output: vec![95.0],
-            cycles: 200,
-        };
-        assert!(deploy
-            .commit_batch(&app, &plan, vec![run.clone(), run.clone()], Some(run))
-            .is_err());
+    fn miscounted_run_batch_fails_the_chunk_and_leaves_the_deployment_untouched() {
+        let report = Tuner::paper_default()
+            .tune(&mut Mock::new(vec![(95.0, 200)]))
+            .unwrap();
+        for extra in [false, true] {
+            let mut app = Miscounting {
+                inner: Mock::new(vec![(95.0, 200)]),
+                extra,
+            };
+            // Two seeds stop short of the check; five end on it, so the
+            // batch carries the calibration re-run too.
+            for offered in [2u64, 5] {
+                let mut deploy = Deployment::new(&report, Toq::paper_default(), 5);
+                let before = format!("{deploy:?}");
+                let seeds: Vec<u64> = (0..offered).collect();
+                let err = deploy.invoke_chunk(&mut app, &seeds).unwrap_err();
+                assert!(err.0.starts_with("run_batch returned"), "{err}");
+                assert_eq!(
+                    format!("{deploy:?}"),
+                    before,
+                    "extra={extra}, {offered} seeds"
+                );
+            }
+        }
     }
 
     #[test]

@@ -90,8 +90,6 @@ fn record(
     let response = match outcome {
         Ok(r) => {
             core.stats.cycles += r.cycles;
-            core.stats.backoffs += u64::from(r.backed_off);
-            core.stats.promotions += u64::from(r.promoted);
             if let Some(q) = r.checked_quality {
                 core.stats.quality.observe(q);
             }

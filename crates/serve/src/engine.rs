@@ -218,10 +218,7 @@ impl EngineBuilder {
                 promote_after: self.config.promote_after,
             },
         );
-        let stats = TenantStats::new(QualityStream::new(
-            self.config.toq,
-            self.config.quality_alpha,
-        ));
+        let stats = TenantStats::new(QualityStream::new(self.config.quality_alpha));
         self.names.push(name.into());
         self.cores.push(Mutex::new(Core {
             app,
@@ -427,8 +424,8 @@ fn snapshot_core(core: &Core, name: &str, peak_depth: usize) -> TenantSnapshot {
         errors: s.errors,
         checks: d.checks(),
         violations: d.violations(),
-        backoffs: s.backoffs,
-        promotions: s.promotions,
+        backoffs: d.backoffs(),
+        promotions: d.promotions(),
         rung: d.ladder()[d.position()].to_string(),
         position: d.position(),
         seeded_position: d.seeded_position(),

@@ -41,7 +41,7 @@
 //! tenant pops up to [`ServeConfig::batch_window`] consecutive requests
 //! and serves them as one batch. The deployment splits the batch into
 //! rung-stable chunks (a chunk never crosses a calibration boundary —
-//! [`paraprox_runtime::Deployment::plan_batch`]), and device-backed
+//! [`paraprox_runtime::Deployment::invoke_chunk`]), and device-backed
 //! applications fuse each chunk into a single multi-block launch over the
 //! device's pooled worker images, amortizing per-request launch overhead.
 //!
@@ -84,4 +84,4 @@ pub use engine::{
     Engine, EngineBuilder, EngineSnapshot, Response, ServeConfig, SubmitError, TenantId, Ticket,
 };
 pub use loadgen::{run_closed_loop, LoadReport, LoadSpec, OpenLoopSpec};
-pub use stats::{percentile, TenantSnapshot, TenantStats};
+pub use stats::{percentile, TenantSnapshot};

@@ -16,19 +16,17 @@ pub fn percentile(samples: &[u64], p: f64) -> u64 {
 }
 
 /// Mutable per-tenant accounting, owned by whichever worker currently
-/// holds the tenant (so no atomics are needed).
+/// holds the tenant (so no atomics are needed). The watchdog's own
+/// counters (checks, violations, back-offs, promotions) live in the
+/// tenant's [`paraprox_runtime::Deployment`].
 #[derive(Debug)]
-pub struct TenantStats {
+pub(crate) struct TenantStats {
     /// Streaming estimate over calibration-check qualities.
     pub quality: QualityStream,
     /// Requests served (including failed ones).
     pub served: u64,
     /// Requests that failed with an execution error.
     pub errors: u64,
-    /// Back-offs taken down the ladder.
-    pub backoffs: u64,
-    /// Re-promotions up the ladder.
-    pub promotions: u64,
     /// Total simulated device cycles spent serving.
     pub cycles: u64,
     /// Dispatches: each time a worker claimed this tenant and served a
@@ -49,8 +47,6 @@ impl TenantStats {
             quality,
             served: 0,
             errors: 0,
-            backoffs: 0,
-            promotions: 0,
             cycles: 0,
             batches: 0,
             peak_batch: 0,
@@ -119,12 +115,6 @@ pub struct TenantSnapshot {
 }
 
 impl TenantSnapshot {
-    /// Back-offs plus re-promotions: how often the watchdog recalibrated
-    /// the serving rung.
-    pub fn recalibrations(&self) -> u64 {
-        self.backoffs + self.promotions
-    }
-
     /// Mean batch occupancy: requests served per dispatch (1.0 under a
     /// unit batch window, up to the window under saturation).
     pub fn mean_batch(&self) -> f64 {
@@ -194,7 +184,7 @@ mod tests {
 
     #[test]
     fn stats_start_empty() {
-        let s = TenantStats::new(QualityStream::paper_default());
+        let s = TenantStats::new(QualityStream::new(0.25));
         assert_eq!(s.served, 0);
         assert_eq!(s.quality.count(), 0);
         assert!(s.queue_ns.is_empty());

@@ -119,7 +119,7 @@ fn run_drift_stream(
             tickets[t].push(engine.submit(t, seq).unwrap());
         }
     }
-    let traces = tickets
+    let traces: Vec<Vec<Decision>> = tickets
         .into_iter()
         .map(|tenant_tickets| {
             tenant_tickets
@@ -138,7 +138,15 @@ fn run_drift_stream(
                 .collect()
         })
         .collect();
-    engine.shutdown();
+    // The snapshot reads the watchdog's counters from each deployment;
+    // they must add up to the decisions the responses carried.
+    let snapshot = engine.shutdown();
+    for (trace, tenant) in traces.iter().zip(&snapshot.tenants) {
+        let count = |f: fn(&Decision) -> bool| trace.iter().filter(|d| f(d)).count() as u64;
+        assert_eq!(tenant.checks, count(|d| d.checked_quality.is_some()));
+        assert_eq!(tenant.backoffs, count(|d| d.backed_off));
+        assert_eq!(tenant.promotions, count(|d| d.promoted));
+    }
     traces
 }
 

@@ -6,7 +6,9 @@
 #     some crate manifest,
 #   * a `--workload <name>` is listed in BENCHMARK.json,
 #   * a `paraprox-cli <subcommand>` is a row of the flag table in
-#     crates/cli/src/args.rs (`Row { name: "<subcommand>", ... }`).
+#     crates/cli/src/args.rs (`Row { name: "<subcommand>", ... }`),
+#   * a `` `Type::member` `` names a `fn member` or a `pub member:` field in
+#     some crates/*/src file.
 # Placeholders (`--bin <name>`, `--bin $b`) match none of the patterns and
 # are skipped. A doc that names a deleted file or command fails here
 # instead of misleading the next reader.
@@ -52,9 +54,17 @@ for sub in $subcommands; do
         stale subcommand "$sub" "no row of the flag table in $args names it"
 done
 
+members=$(cited '`[A-Z][A-Za-z0-9_]*::[a-z_][a-z0-9_]*' 's/^`//')
+for member in $members; do
+    name=${member#*::}
+    grep -rqE "fn $name\b|pub $name:" crates/*/src ||
+        stale member "$member" "no crates/*/src file has \`fn $name\` or \`pub $name:\`"
+done
+
 if [ "$fail" -ne 0 ]; then
     echo "check_docs: FAIL — fix the citation by deleting or correcting the prose" >&2
     exit 1
 fi
 echo "check_docs: OK ($(echo "$paths" | wc -w) paths, $(echo "$bins" | wc -w) bins," \
-    "$(echo "$workloads" | wc -w) workloads, $(echo "$subcommands" | wc -w) subcommands)"
+    "$(echo "$workloads" | wc -w) workloads, $(echo "$subcommands" | wc -w) subcommands," \
+    "$(echo "$members" | wc -w) members)"

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Full local verification, in the order it runs:
 #   1. check_lint_fixtures.sh (every error-severity lint has fixtures)
-#   2. check_docs.sh (every file, bin, workload and subcommand the docs cite exists)
+#   2. check_docs.sh (every file, bin, workload, subcommand and `Type::member` the docs cite exists)
 #   3. eval_func guard (the pure evaluator is named only by tests)
 #   4. front-door guard (every app kernel is source lowered by paraprox-lang)
 #   5. oracle guard (no shipped binary builds the tree-walking oracle)
@@ -32,7 +32,7 @@ echo "==> check_lint_fixtures (every error-severity lint has a fixture pair)"
 # error-severity lint can never ship untested in either direction.
 scripts/check_lint_fixtures.sh
 
-echo "==> check_docs (every path, bin, workload and CLI subcommand the docs cite resolves)"
+echo "==> check_docs (every path, bin, workload, CLI subcommand and Type::member the docs cite resolves)"
 scripts/check_docs.sh
 
 echo "==> eval_func guard (the pure evaluator is a test reference, not a production path)"
