@@ -127,23 +127,6 @@ impl KernelPartition {
     pub fn verdict(&self, mem: MemRef) -> Option<&BufferVerdict> {
         self.verdicts.iter().find(|v| v.mem == mem)
     }
-
-    /// Buffer parameter indices that are declared `Global` and classified
-    /// Tolerant — exactly the set the auto-placer may move to approximate
-    /// memory.
-    pub fn tolerant_global_params(&self) -> Vec<usize> {
-        self.verdicts
-            .iter()
-            .filter_map(|v| match v.mem {
-                MemRef::Param(i)
-                    if v.declared == MemSpace::Global && v.criticality == Criticality::Tolerant =>
-                {
-                    Some(i)
-                }
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 /// Interprocedural summary of one device function, in kernel-origin
@@ -1036,7 +1019,6 @@ mod tests {
         let kid = p.add_kernel(kb.finish());
         let part = partition_kernel(&p, kid);
         assert_eq!(verdict_of(&part, "tile"), Criticality::Tolerant);
-        assert_eq!(part.tolerant_global_params(), vec![0, 1]);
     }
 
     #[test]

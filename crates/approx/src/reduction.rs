@@ -10,9 +10,7 @@
 //!
 //! Loops reducing through atomic add/inc instead scale the atomic operand.
 
-use paraprox_ir::{
-    AtomicOp, BinOp, Expr, KernelId, LocalDecl, MemRef, Program, Scalar, Stmt, Ty, VarId,
-};
+use paraprox_ir::{AtomicOp, BinOp, Expr, KernelId, LocalDecl, MemRef, Program, Stmt, Ty, VarId};
 use paraprox_patterns::path::{container_mut, stmt_at};
 use paraprox_patterns::{ReductionKind, ReductionLoop};
 
@@ -287,16 +285,6 @@ pub fn approximate_reduction_group(
     Ok(out)
 }
 
-/// Convenience: the scalar value `skip` as the same type as `s`.
-pub fn skip_scalar_like(s: Scalar, skip: u32) -> Scalar {
-    match s {
-        Scalar::F32(_) => Scalar::F32(skip as f32),
-        Scalar::I32(_) => Scalar::I32(skip as i32),
-        Scalar::U32(_) => Scalar::U32(skip),
-        Scalar::Bool(_) => Scalar::Bool(skip != 0),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,13 +545,6 @@ mod tests {
         assert_ne!(reds[0].path, reds[1].path);
         assert!(approximate_reduction_group(&program, kid2, &reds, 2).is_err());
         let _ = kid;
-    }
-
-    #[test]
-    fn skip_scalar_like_types() {
-        assert_eq!(skip_scalar_like(Scalar::F32(0.0), 4), Scalar::F32(4.0));
-        assert_eq!(skip_scalar_like(Scalar::I32(0), 4), Scalar::I32(4));
-        assert_eq!(skip_scalar_like(Scalar::U32(0), 4), Scalar::U32(4));
     }
 
     #[test]

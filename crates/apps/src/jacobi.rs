@@ -66,9 +66,8 @@ __global__ void jacobi(float* cur, float* next, int w, int h) {
 }
 "#;
 
-/// Build the iterative model. The row pitch is a scalar parameter — the
-/// stencil detector needs the symbolic width term to recognize the
-/// 2-D tile, so approximation schedules can rewrite the reach.
+/// Build the iterative model. The field's width and height are scalar
+/// parameters, passed on every stencil launch.
 pub fn build(scale: Scale) -> IterModel {
     let (w, h) = dims(scale);
     let program = crate::lower(SOURCE);

@@ -54,7 +54,7 @@ usage:
       partition (critical vs tolerant, with witness chains). With
       --schedule the positional names an *iterative* application instead
       of a file: the named preset schedule's per-iteration plan is printed
-      (stencil stages, residual cadence, predictor), followed by the
+      (stencil, residual cadence, predictor), followed by the
       safety gate's verdict for it under the loop's launch contexts;
       --iters overrides the iteration cap the plan spans. With --rungs the
       positional names a registry application: every auto-generated rung

@@ -1,8 +1,7 @@
 //! The iterative job runner: one device, one pooled worker scope, many
 //! launches.
 
-use paraprox_approx::StencilScheme;
-use paraprox_ir::{Program, Scalar};
+use paraprox_ir::Scalar;
 use paraprox_quality::QualityStream;
 use paraprox_runtime::{Approximable, EngineDiagnostics, RunOutcome, RuntimeError};
 use paraprox_vgpu::{ArgValue, Device, Dim2, LaunchStats};
@@ -54,9 +53,6 @@ pub struct IterativeApp {
     model: IterModel,
     spec: ConvergenceSpec,
     schedules: Vec<IterSchedule>,
-    /// Stage-program cache: `None` is the base (exact) program; one
-    /// entry per distinct `(scheme, reach)` any admitted schedule uses.
-    programs: Vec<(Option<(StencilScheme, u32)>, Program)>,
     gen: FieldGen,
     total: LaunchStats,
     last_run: Option<IterRun>,
@@ -81,13 +77,11 @@ impl IterativeApp {
         gen: FieldGen,
     ) -> Result<IterativeApp, IterError> {
         gate_schedule(&model, &IterSchedule::exact())?;
-        let programs = vec![(None, model.program.clone())];
         Ok(IterativeApp {
             device,
             model,
             spec,
             schedules: Vec::new(),
-            programs,
             gen,
             total: LaunchStats::default(),
             last_run: None,
@@ -95,21 +89,8 @@ impl IterativeApp {
     }
 
     /// Admit one schedule as a rung, after [`gate_schedule`] vets it.
-    /// Stage programs are cached keyed by `(scheme, reach)`, so
-    /// schedules sharing a stage share the program.
     pub fn add_schedule(&mut self, schedule: IterSchedule) -> Result<(), IterError> {
-        let stages = gate_schedule(&self.model, &schedule)?;
-        // gate_schedule returns [exact, approx...] in distinct_approxes
-        // order; cache the approx stages we have not seen yet.
-        for (approx, program) in schedule
-            .distinct_approxes()
-            .into_iter()
-            .zip(stages.into_iter().skip(1))
-        {
-            if !self.programs.iter().any(|(k, _)| *k == Some(approx)) {
-                self.programs.push((Some(approx), program));
-            }
-        }
+        gate_schedule(&self.model, &schedule)?;
         self.schedules.push(schedule);
         Ok(())
     }
@@ -214,32 +195,13 @@ impl IterativeApp {
             .as_ref()
             .map(|p| QualityStream::new(p.alpha));
 
-        // Baseline: one *exact* step from the initial field, measured on
-        // the full grid and then discarded (`next` is rewritten by the
-        // first real iteration). Anchoring `tol_rel` here means every
-        // schedule — whatever its stages or check stride — chases the
-        // identical target; anchoring to a schedule's own first check
-        // would hand reach-ramped stages a smaller baseline (their step
-        // moves the field less) and so a covertly stricter tolerance.
+        // Baseline: one step from the initial field, measured on the full
+        // grid and then discarded (`next` is rewritten by the first real
+        // iteration). Anchoring `tol_rel` here means every schedule —
+        // whatever its check stride or sample — chases the identical
+        // target.
         if self.spec.max_iters > 0 {
-            let mut args = vec![ArgValue::Buffer(cur), ArgValue::Buffer(next)];
-            args.extend(
-                self.model
-                    .stencil_scalars
-                    .iter()
-                    .map(|&s| ArgValue::Scalar(s)),
-            );
-            let st = self
-                .device
-                .launch_overwriting(
-                    &self.programs[0].1,
-                    self.model.stencil,
-                    self.model.grid,
-                    self.model.block,
-                    &args,
-                    &[1],
-                )
-                .map_err(launch_err)?;
+            let st = self.stencil_launch(cur, next).map_err(launch_err)?;
             stats.accumulate(&st);
             let (rs, res) = self
                 .residual_launch(cur, next, partials, 1, 0, n)
@@ -251,36 +213,7 @@ impl IterativeApp {
         let tol = self.spec.tolerance(run.residual);
 
         for iter in 0..self.spec.max_iters {
-            let approx = schedule.approx_at(iter);
-            let program = &self
-                .programs
-                .iter()
-                .find(|(k, _)| *k == approx)
-                .ok_or_else(|| {
-                    RuntimeError(format!(
-                        "schedule `{}` was not admitted via add_schedule",
-                        schedule.label
-                    ))
-                })?
-                .1;
-            let mut args = vec![ArgValue::Buffer(cur), ArgValue::Buffer(next)];
-            args.extend(
-                self.model
-                    .stencil_scalars
-                    .iter()
-                    .map(|&s| ArgValue::Scalar(s)),
-            );
-            let st = self
-                .device
-                .launch_overwriting(
-                    program,
-                    self.model.stencil,
-                    self.model.grid,
-                    self.model.block,
-                    &args,
-                    &[1],
-                )
-                .map_err(launch_err)?;
+            let st = self.stencil_launch(cur, next).map_err(launch_err)?;
             stats.accumulate(&st);
             run.iterations = iter + 1;
 
@@ -300,23 +233,15 @@ impl IterativeApp {
                 stats.accumulate(&rs);
                 run.checks += 1;
                 run.residual = res;
-                // A residual measured under an approximate stage tracks
-                // the *approximate* map's fixed point (a degenerate
-                // rewrite could sit at its own fixed point instantly),
-                // so only exact stages may declare convergence or fire
-                // the predictor; approximate-stage checks still feed the
-                // baseline and the trend.
-                let exact_stage = approx.is_none();
                 if let (Some(trend), Some(prev)) = (trend.as_mut(), prev_res) {
                     if prev > 0.0 && run.residual.is_finite() {
                         trend.observe(run.residual / prev);
                     }
                 }
-                if exact_stage && run.residual <= tol {
+                if run.residual <= tol {
                     run.converged = true;
                     stop = true;
-                } else if let (true, Some(p), Some(trend)) =
-                    (exact_stage, schedule.predictor.as_ref(), trend.as_ref())
+                } else if let (Some(p), Some(trend)) = (schedule.predictor.as_ref(), trend.as_ref())
                 {
                     if trend.count() >= p.min_checks {
                         if let Some(ratio) = trend.ewma() {
@@ -346,12 +271,34 @@ impl IterativeApp {
         })
     }
 
+    /// One stencil step from `cur` into `next`, with `next` declared
+    /// input-overwritten.
+    fn stencil_launch(
+        &mut self,
+        cur: paraprox_vgpu::BufferId,
+        next: paraprox_vgpu::BufferId,
+    ) -> Result<LaunchStats, paraprox_vgpu::LaunchError> {
+        let mut args = vec![ArgValue::Buffer(cur), ArgValue::Buffer(next)];
+        args.extend(
+            self.model
+                .stencil_scalars
+                .iter()
+                .map(|&s| ArgValue::Scalar(s)),
+        );
+        self.device.launch_overwriting(
+            &self.model.program,
+            self.model.stencil,
+            self.model.grid,
+            self.model.block,
+            &args,
+            &[1],
+        )
+    }
+
     /// Launch the residual kernel over `count` sampled lanes and fold
     /// the block partials in ascending order (worker-invariant).
     /// Returns the launch stats and the mean `|next - cur|` over the
-    /// sample. The residual always runs from the base program: the
-    /// kernel is identical in every stage program, and a single program
-    /// keeps the device's compile cache warm.
+    /// sample.
     fn residual_launch(
         &mut self,
         cur: paraprox_vgpu::BufferId,
@@ -364,7 +311,7 @@ impl IterativeApp {
         let n = self.model.elems();
         let blocks = count / RESIDUAL_BLOCK;
         let stats = self.device.launch_overwriting(
-            &self.programs[0].1,
+            &self.model.program,
             self.model.residual,
             Dim2::linear(blocks),
             Dim2::linear(RESIDUAL_BLOCK),
@@ -420,14 +367,12 @@ impl Approximable for IterativeApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{diffusion_field, diffusion_model, diffusion_spec, reach_ramp};
+    use crate::testutil::{diffusion_field, diffusion_model, diffusion_spec};
     use paraprox_vgpu::DeviceProfile;
 
-    /// The presets approximate only the residual checks; the ladder
-    /// under test also carries a staged stencil ramp.
     fn app(workers: usize) -> IterativeApp {
         let device = Device::new(DeviceProfile::gtx560().with_parallelism(workers));
-        let mut app = IterativeApp::new(
+        IterativeApp::new(
             device,
             diffusion_model(),
             diffusion_spec(),
@@ -435,10 +380,7 @@ mod tests {
         )
         .unwrap()
         .with_presets()
-        .unwrap();
-        app.add_schedule(reach_ramp(diffusion_spec().max_iters))
-            .unwrap();
-        app
+        .unwrap()
     }
 
     #[test]
@@ -533,40 +475,6 @@ mod tests {
             trend.iterations <= exact.iterations,
             "trend {trend:?} vs exact {exact:?}"
         );
-    }
-
-    #[test]
-    fn tuner_rejects_a_rung_that_costs_more_than_exact() {
-        use paraprox_runtime::{Rung, Toq, Tuner};
-        let mut a = app(1);
-        let tuner = Tuner {
-            toq: Toq::paper_default(),
-            training_seeds: vec![1, 2],
-        };
-        let report = tuner.tune(&mut a).unwrap();
-        let ramp = report
-            .profiles
-            .iter()
-            .find(|p| p.label == "reach-ramp")
-            .unwrap();
-        assert!(ramp.meets_toq && ramp.speedup < 1.0, "{ramp:?}");
-        assert!(!report.backoff_ladder().contains(&Rung::Variant(ramp.index)));
-        assert!(report.chosen.is_some(), "a preset still wins: {report:?}");
-    }
-
-    #[test]
-    fn unadmitted_schedule_is_reported() {
-        let device = Device::new(DeviceProfile::gtx560().with_parallelism(1));
-        let mut a = IterativeApp::new(
-            device,
-            diffusion_model(),
-            diffusion_spec(),
-            Box::new(diffusion_field),
-        )
-        .unwrap();
-        let rogue = reach_ramp(a.spec().max_iters);
-        let err = a.run_schedule(&rogue, 0).unwrap_err();
-        assert!(err.0.contains("not admitted"), "{err:?}");
     }
 
     #[test]

@@ -9,16 +9,17 @@
 //! tolerance. For those, the interesting approximation knobs live on the
 //! **loop**, not on any single launch:
 //!
-//! - **Reach ramps** — run cheap reduced-reach stencil variants
-//!   ([`paraprox_approx::approximate_stencil`]) for the early iterations,
-//!   where the field is far from the fixed point anyway, and switch to the
-//!   exact kernel to polish.
 //! - **Sampled convergence checks** — evaluate the residual only every
 //!   `k`-th iteration, and on a deterministic [`paraprox_prng`]-derived
 //!   sample of the grid rather than every element.
 //! - **Residual-trend early exit** — feed measured residual decay ratios
 //!   into a [`paraprox_quality::QualityStream`] EWMA and stop as soon as
 //!   the extrapolated trend lands under tolerance.
+//!
+//! Every schedule runs the exact stencil: re-applying Paraprox's
+//! per-launch stencil rewrite inside the loop (a reduced-reach ramp for
+//! the early iterations) costs more iterations than it saves per
+//! iteration (the `reach-ramp` rung measured 0.21x).
 //!
 //! This crate makes that loop a first-class job model:
 //!
@@ -31,10 +32,10 @@
 //!   exposed as rungs through [`paraprox_runtime::Approximable`], so the
 //!   offline tuner and the serving-time TOQ back-off ladder own the knobs
 //!   exactly as they do for single-launch rewrites.
-//! - [`gate_schedule`] refuses any schedule whose stage programs fail the
-//!   static safety analyses ([`paraprox_analysis`]) under the loop's
-//!   launch contexts — including both parities of the loop-carried buffer
-//!   swap and the sampled residual launches.
+//! - [`gate_schedule`] refuses any schedule under which the model's
+//!   program fails the static safety analyses ([`paraprox_analysis`]) in
+//!   the loop's launch contexts — including both parities of the
+//!   loop-carried buffer swap and the sampled residual launches.
 //! - [`IterativeApp`] drives the loop on one [`paraprox_vgpu::Device`]:
 //!   one pooled worker scope serves every launch of every iteration, with
 //!   the swapped-in output buffer declared input-overwritten so worker
@@ -59,35 +60,29 @@ pub(crate) mod testutil;
 pub use gate::{gate_schedule, iter_launch_contexts};
 pub use job::{FieldGen, IterRun, IterativeApp};
 pub use model::{sample_params, IterModel, ModelParts, RESIDUAL_BLOCK};
-pub use schedule::{ConvergenceSpec, IterSchedule, PredictorSpec, ReachStage};
+pub use schedule::{ConvergenceSpec, IterSchedule, PredictorSpec};
 
 /// Errors from building models, gating schedules, or running the loop.
 #[derive(Debug)]
 pub enum IterError {
     /// The model is structurally unusable (bad dimensions, missing
-    /// kernels, no stencil candidate to approximate).
+    /// kernels).
     Model(String),
-    /// A stencil rewrite failed.
-    Approx(paraprox_approx::ApproxError),
-    /// The safety analyses refused a schedule: at least one stage program
-    /// produced an error-severity diagnostic under the loop's launch
-    /// contexts, or a kernel's effect summary breaks the ping-pong
-    /// contract.
+    /// The safety analyses refused a schedule: the program produced an
+    /// error-severity diagnostic under the loop's launch contexts, or a
+    /// kernel's effect summary breaks the ping-pong contract.
     Refused {
         /// Label of the refused schedule.
         label: String,
         /// Human-readable reasons (one per diagnostic).
         reasons: Vec<String>,
     },
-    /// A device launch failed while running the loop.
-    Launch(String),
 }
 
 impl std::fmt::Display for IterError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             IterError::Model(m) => write!(f, "iterative model error: {m}"),
-            IterError::Approx(e) => write!(f, "stencil rewrite failed: {e}"),
             IterError::Refused { label, reasons } => {
                 write!(f, "schedule `{label}` refused by analysis: ")?;
                 let mut first = true;
@@ -100,15 +95,8 @@ impl std::fmt::Display for IterError {
                 }
                 Ok(())
             }
-            IterError::Launch(m) => write!(f, "launch failed: {m}"),
         }
     }
 }
 
 impl std::error::Error for IterError {}
-
-impl From<paraprox_approx::ApproxError> for IterError {
-    fn from(e: paraprox_approx::ApproxError) -> IterError {
-        IterError::Approx(e)
-    }
-}

@@ -1,9 +1,7 @@
 //! The iterative job model: stencil kernel + residual reduction + launch
 //! geometry.
 
-use paraprox_approx::{approximate_stencil, StencilScheme};
 use paraprox_ir::{Expr, KernelBuilder, KernelId, MemSpace, Program, Scalar, Ty};
-use paraprox_patterns::stencil::find_stencils;
 use paraprox_prng::splitmix64;
 use paraprox_quality::Metric;
 use paraprox_vgpu::Dim2;
@@ -152,37 +150,6 @@ impl IterModel {
     /// untouched (the host only folds the launched prefix).
     pub fn partials_len(&self) -> usize {
         self.elems() / RESIDUAL_BLOCK
-    }
-
-    /// Build the program variant whose stencil kernel is rewritten with
-    /// [`paraprox_approx::approximate_stencil`] at `(scheme, reach)`.
-    /// Every stencil candidate reading the `cur` field (param 0) is
-    /// rewritten; the kernel keeps its [`KernelId`], and the residual
-    /// kernel is untouched (schedules always launch the residual from the
-    /// base program anyway).
-    ///
-    /// # Errors
-    ///
-    /// [`IterError::Model`] when the kernel has no stencil candidate on
-    /// param 0 (nothing to approximate); [`IterError::Approx`] when the
-    /// rewrite itself refuses.
-    pub fn variant(&self, scheme: StencilScheme, reach: u32) -> Result<Program, IterError> {
-        let kernel = self.program.kernel(self.stencil);
-        let candidates: Vec<_> = find_stencils(kernel)
-            .into_iter()
-            .filter(|c| c.buffer == paraprox_ir::MemRef::Param(0))
-            .collect();
-        if candidates.is_empty() {
-            return Err(IterError::Model(format!(
-                "kernel `{}` has no stencil candidate on the field buffer",
-                kernel.name
-            )));
-        }
-        let mut program = self.program.clone();
-        for c in &candidates {
-            program = approximate_stencil(&program, self.stencil, c, scheme, reach)?;
-        }
-        Ok(program)
     }
 }
 
@@ -339,16 +306,5 @@ mod tests {
         assert_eq!(sample_params(7, 3, n), sample_params(7, 3, n));
         assert_ne!(sample_params(7, 3, n), sample_params(7, 4, n));
         assert_ne!(sample_params(7, 3, n), sample_params(8, 3, n));
-    }
-
-    #[test]
-    fn variant_requires_a_stencil_candidate() {
-        // The copy kernel reads a single cell: no stencil tile, so no
-        // variant can be built.
-        let m = copy_model(64, 2).unwrap();
-        assert!(matches!(
-            m.variant(StencilScheme::Row, 1),
-            Err(IterError::Model(_))
-        ));
     }
 }

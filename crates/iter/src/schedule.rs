@@ -1,7 +1,5 @@
 //! Convergence criteria and approximation schedules for iterative jobs.
 
-use paraprox_approx::StencilScheme;
-
 /// When an iterative job is considered converged.
 ///
 /// The loop stops at iteration `t` when the measured mean-absolute
@@ -44,28 +42,13 @@ pub struct PredictorSpec {
     pub min_checks: u64,
 }
 
-/// One stage of a reach ramp: from iteration `from_iter` (inclusive)
-/// onwards, run the stencil with this approximation — `None` means the
-/// exact kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReachStage {
-    /// First iteration this stage applies to.
-    pub from_iter: u32,
-    /// `(scheme, reach)` for [`paraprox_approx::approximate_stencil`], or
-    /// `None` for the exact stencil.
-    pub approx: Option<(StencilScheme, u32)>,
-}
-
 /// A convergence-aware approximation schedule: one rung in the iterative
-/// job's tuner ladder.
+/// job's tuner ladder. Every schedule runs the exact stencil; the knobs
+/// are the loop's own — check cadence, residual sampling and early exit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IterSchedule {
     /// Rung label (shown by the tuner and the CLI).
     pub label: String,
-    /// Reach-ramp stages, in ascending `from_iter` order. The stage in
-    /// effect at iteration `t` is the last one with `from_iter <= t`;
-    /// iterations before the first stage run exact.
-    pub stages: Vec<ReachStage>,
     /// Evaluate the residual after every `check_every`-th iteration
     /// (1 = every iteration). Two checks are unconditional regardless of
     /// this stride: after iteration 0 (the baseline the relative
@@ -86,13 +69,11 @@ pub struct IterSchedule {
 }
 
 impl IterSchedule {
-    /// The exact schedule: exact stencil every iteration, full residual
-    /// every iteration, no predictor. This is the reference the tuner
+    /// The exact schedule: full residual every iteration, no predictor. This is the reference the tuner
     /// measures every other rung against.
     pub fn exact() -> IterSchedule {
         IterSchedule {
             label: "exact".to_string(),
-            stages: Vec::new(),
             check_every: 1,
             sample_log2: 0,
             predictor: None,
@@ -100,40 +81,15 @@ impl IterSchedule {
         }
     }
 
-    /// True when the schedule is semantically the exact reference: no
-    /// approximate stage, full checks every iteration, no predictor.
+    /// True when the schedule is semantically the exact reference: full
+    /// checks every iteration, no predictor.
     pub fn is_exact(&self) -> bool {
-        self.stages.iter().all(|s| s.approx.is_none())
-            && self.check_every <= 1
-            && self.sample_log2 == 0
-            && self.predictor.is_none()
-    }
-
-    /// The stencil approximation in effect at iteration `iter`.
-    pub fn approx_at(&self, iter: u32) -> Option<(StencilScheme, u32)> {
-        self.stages
-            .iter()
-            .rfind(|s| s.from_iter <= iter)
-            .and_then(|s| s.approx)
+        self.check_every <= 1 && self.sample_log2 == 0 && self.predictor.is_none()
     }
 
     /// True when the residual is evaluated after iteration `iter`.
     pub fn checks_after(&self, iter: u32) -> bool {
         (iter + 1).is_multiple_of(self.check_every.max(1))
-    }
-
-    /// Distinct stencil approximations the schedule uses, in first-use
-    /// order (the stage programs a gate must build and vet).
-    pub fn distinct_approxes(&self) -> Vec<(StencilScheme, u32)> {
-        let mut out: Vec<(StencilScheme, u32)> = Vec::new();
-        for s in &self.stages {
-            if let Some(a) = s.approx {
-                if !out.contains(&a) {
-                    out.push(a);
-                }
-            }
-        }
-        out
     }
 
     /// The preset schedule ladder for a loop capped at `max_iters`,
@@ -145,16 +101,13 @@ impl IterSchedule {
     ///   a 1/8 sample.
     /// - `trend-exit` — exact stencil, sampled checks, EWMA early exit.
     ///
-    /// No preset carries a [`ReachStage`] ramp — approximating the
-    /// stencil of a convergence loop only ever cost more iterations than
-    /// it saved per iteration — so none depends on the cap today; callers
-    /// can still stage a ramp by hand.
+    /// No preset depends on the cap: `max_iters` is kept so callers that
+    /// pass the loop's cap keep compiling.
     pub fn presets(_max_iters: u32) -> Vec<IterSchedule> {
         vec![
             IterSchedule::exact(),
             IterSchedule {
                 label: "sampled-check".to_string(),
-                stages: Vec::new(),
                 check_every: 4,
                 sample_log2: 3,
                 predictor: None,
@@ -162,7 +115,6 @@ impl IterSchedule {
             },
             IterSchedule {
                 label: "trend-exit".to_string(),
-                stages: Vec::new(),
                 check_every: 2,
                 sample_log2: 2,
                 predictor: Some(PredictorSpec {
@@ -182,26 +134,15 @@ impl IterSchedule {
             .find(|s| s.label == name)
     }
 
-    /// A human-readable per-stage plan of the schedule over `max_iters`
-    /// iterations (one line per fact), for `inspect --schedule`.
+    /// A human-readable plan of the schedule over `max_iters` iterations
+    /// (one line per fact), for `inspect --schedule`.
     pub fn describe(&self, max_iters: u32) -> String {
         let mut lines = Vec::new();
         lines.push(format!(
             "schedule `{}` over {} iterations:",
             self.label, max_iters
         ));
-        // Stencil plan, compressed into runs of identical stages.
-        let mut start = 0u32;
-        let mut cur = self.approx_at(0);
-        for t in 1..max_iters {
-            let next = self.approx_at(t);
-            if next != cur {
-                lines.push(stage_line(start, t, cur));
-                start = t;
-                cur = next;
-            }
-        }
-        lines.push(stage_line(start, max_iters, cur));
+        lines.push(format!("  iters 0..{max_iters}: stencil exact"));
         let sample = if self.sample_log2 == 0 {
             "the full grid".to_string()
         } else {
@@ -224,28 +165,15 @@ impl IterSchedule {
     }
 }
 
-fn stage_line(from: u32, to: u32, approx: Option<(StencilScheme, u32)>) -> String {
-    match approx {
-        Some((scheme, reach)) => format!(
-            "  iters {from}..{to}: stencil {}, reach {reach}",
-            scheme.label()
-        ),
-        None => format!("  iters {from}..{to}: stencil exact"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::reach_ramp;
 
     #[test]
     fn exact_is_exact() {
         let e = IterSchedule::exact();
         assert!(e.is_exact());
-        assert_eq!(e.approx_at(0), None);
         assert!(e.checks_after(0) && e.checks_after(7));
-        assert!(e.distinct_approxes().is_empty());
     }
 
     #[test]
@@ -266,29 +194,20 @@ mod tests {
     }
 
     #[test]
-    fn ramp_stages_select_by_iteration() {
-        let s = reach_ramp(40);
-        assert_eq!(s.approx_at(0), Some((StencilScheme::Row, 1)));
-        assert_eq!(s.approx_at(19), Some((StencilScheme::Row, 1)));
-        assert_eq!(s.approx_at(20), None);
-        assert_eq!(s.approx_at(39), None);
-        assert_eq!(s.distinct_approxes(), vec![(StencilScheme::Row, 1)]);
+    fn describe_states_the_loop_knobs() {
+        let s = IterSchedule::named("trend-exit", 8).unwrap();
         // check_every = 2: checks after odd iterations.
         assert!(!s.checks_after(0));
         assert!(s.checks_after(1));
         assert!(!s.checks_after(2));
-    }
-
-    #[test]
-    fn describe_compresses_stages() {
-        let s = reach_ramp(8);
         let d = s.describe(8);
-        assert!(d.contains("iters 0..4: stencil row"), "{d}");
-        assert!(d.contains("iters 4..8: stencil exact"), "{d}");
+        assert!(d.contains("iters 0..8: stencil exact"), "{d}");
         assert!(d.contains("residual: every 2"), "{d}");
+        assert!(d.contains("predictor: EWMA"), "{d}");
         let e = IterSchedule::exact().describe(4);
         assert!(e.contains("iters 0..4: stencil exact"), "{e}");
         assert!(e.contains("the full grid"), "{e}");
+        assert!(e.contains("predictor: off"), "{e}");
     }
 
     #[test]

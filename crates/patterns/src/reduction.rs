@@ -36,20 +36,6 @@ pub struct ReductionLoop {
     pub kind: ReductionKind,
 }
 
-impl ReductionLoop {
-    /// True when the skipping-rate adjustment (multiply the partial result
-    /// by N) applies — i.e. the combining operation is addition.
-    pub fn needs_adjustment(&self) -> bool {
-        matches!(
-            self.kind,
-            ReductionKind::Accumulation { op: BinOp::Add, .. }
-                | ReductionKind::Atomic {
-                    op: AtomicOp::Add | AtomicOp::Inc
-                }
-        )
-    }
-}
-
 /// Count reads of `var` in an expression.
 fn reads_of(e: &Expr, var: VarId) -> usize {
     let mut n = 0;
@@ -245,7 +231,6 @@ mod tests {
             loops[0].kind,
             ReductionKind::Accumulation { op: BinOp::Add, .. }
         ));
-        assert!(loops[0].needs_adjustment());
     }
 
     #[test]
@@ -261,7 +246,10 @@ mod tests {
         let k = kb.finish();
         let loops = find_reduction_loops(&k);
         assert_eq!(loops.len(), 1);
-        assert!(!loops[0].needs_adjustment());
+        assert!(matches!(
+            loops[0].kind,
+            ReductionKind::Accumulation { op: BinOp::Min, .. }
+        ));
     }
 
     #[test]
@@ -298,7 +286,6 @@ mod tests {
             loops[0].kind,
             ReductionKind::Atomic { op: AtomicOp::Add }
         ));
-        assert!(loops[0].needs_adjustment());
     }
 
     #[test]

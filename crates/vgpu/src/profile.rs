@@ -280,12 +280,6 @@ impl DeviceProfile {
             _ => self.alu_lat,
         }
     }
-
-    /// Convert total warp-cycles into an estimated wall-clock cycle count by
-    /// spreading work across the device's cores.
-    pub fn estimated_time_cycles(&self, total_warp_cycles: u64) -> u64 {
-        total_warp_cycles / self.sm_count as u64
-    }
 }
 
 #[cfg(test)]
@@ -361,11 +355,5 @@ mod tests {
         p.cache.l1.bytes = 0;
         assert_eq!(p.validate(), Err(ProfileError::CacheBytes { cache: "l1" }));
         assert!(!p.validate().unwrap_err().to_string().is_empty());
-    }
-
-    #[test]
-    fn time_estimate_scales_with_sms() {
-        let gpu = DeviceProfile::gtx560();
-        assert_eq!(gpu.estimated_time_cycles(700), 700 / gpu.sm_count as u64);
     }
 }

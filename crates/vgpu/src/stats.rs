@@ -152,12 +152,6 @@ impl LaunchStats {
         }
     }
 
-    /// Speedup of `self` relative to `baseline` measured in total cycles
-    /// (values > 1.0 mean `self` is faster).
-    pub fn speedup_vs(&self, baseline: &LaunchStats) -> f64 {
-        baseline.total_cycles() as f64 / self.total_cycles().max(1) as f64
-    }
-
     /// Fold another launch's counters into this one — the single
     /// aggregation rule for multi-launch jobs (pipelines, fused batches,
     /// convergence loops): every simulated counter and every diagnostic
@@ -235,14 +229,7 @@ mod tests {
             overhead_cycles: 100,
             ..Default::default()
         };
-        let b = LaunchStats {
-            compute_cycles: 200,
-            memory_cycles: 200,
-            overhead_cycles: 100,
-            ..Default::default()
-        };
         assert_eq!(a.total_cycles(), 1000);
-        assert!((b.speedup_vs(&a) - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -14,8 +14,9 @@
 #      results/*.txt byte-identically (~5 s)
 #  12. paraprox-cli analyze --json on all 13 apps
 #  13. paraprox-cli inspect --schedule on every preset of both iterative apps
-#  14. paraprox-cli serve on both profiles (drift, back-off, re-promotion),
-#      list, tune, run (exact and iterative), inspect --rungs, and bad-input
+#  14. paraprox-cli serve on both profiles (drift, back-off, re-promotion;
+#      the GPU smoke runs twice and its decision tables must match), list,
+#      tune, run (exact and iterative), inspect --rungs, and bad-input
 #      probes that must exit exactly 1 (no panic, no abort)
 #  15. paraprox-benchmark smokes: iter_converge, kernel_exec, serve_open_drift
 #      (the only place a host timing is taken; none is gated here)
@@ -130,15 +131,36 @@ for app in jacobi sobel; do
   done
 done
 
-echo "==> paraprox-cli serve smoke (drift -> back-off -> re-promotion, both profiles)"
-for dev in gpu cpu; do
-  cargo run --release -q -p paraprox-cli -- serve --device "$dev" --scale test \
+cli="${CARGO_TARGET_DIR:-target}/release/paraprox-cli"   # built by the release build above
+
+echo "==> paraprox-cli serve smoke (drift -> back-off -> re-promotion, both profiles; GPU decisions repeat)"
+serve_smoke() {
+  "$cli" serve --device "$1" --scale test \
     --requests 40 --drift-at 10 --drift-len 12 --check-every 4 --promote-after 2 \
     --shards 2 --batch-window 8
-done
+}
+# The decision table (served, checks, violations, back-offs, promotions,
+# rung, start, mean quality) is the block from its `tenant  served`
+# header to the next blank line. The watchdog's decisions are
+# deterministic, so two runs must print it identically. The
+# `[tenant #seq]` event lines are not compared: their interleaving across
+# tenants follows wall-clock order. Neither is the second table (queue
+# depth, batch occupancy, latency), which follows host thread timing.
+decisions() { sed -n '/^tenant  *served /,/^$/p'; }
+first="$(serve_smoke gpu)"
+printf '%s\n' "$first"
+second="$(serve_smoke gpu)"
+if [ -z "$(decisions <<<"$first")" ]; then
+  echo "FAIL: serve printed no decision table" >&2
+  exit 1
+fi
+if ! diff <(decisions <<<"$first") <(decisions <<<"$second") >&2; then
+  echo "FAIL: two identical serve runs printed different decision tables (diff above)" >&2
+  exit 1
+fi
+serve_smoke cpu
 
 echo "==> paraprox-cli subcommand smokes (list, tune, run, run --iters, inspect --rungs)"
-cli="${CARGO_TARGET_DIR:-target}/release/paraprox-cli"   # built by the release build above
 "$cli" list >/dev/null
 "$cli" tune gamma --scale test --seeds 2 >/dev/null
 "$cli" run gamma --scale test >/dev/null

@@ -3,10 +3,9 @@
 //! execution engines, and the safety gate's refusals — shown to be
 //! justified by a dynamic race witness, not just a static lint.
 
-use paraprox_approx::StencilScheme;
 use paraprox_apps::{iter_registry, IterApp, Scale};
 use paraprox_ir::{Expr, KernelBuilder, MemSpace, Program, Ty};
-use paraprox_iter::{gate_schedule, IterError, IterModel, IterSchedule, ModelParts, ReachStage};
+use paraprox_iter::{gate_schedule, IterError, IterModel, IterSchedule, ModelParts};
 use paraprox_quality::Metric;
 use paraprox_runtime::Approximable;
 use paraprox_vgpu::{ArgValue, Device, DeviceProfile, Dim2, ExecEngine};
@@ -60,40 +59,14 @@ fn exact_loop_bit_identical_across_workers_and_engines() {
     }
 }
 
-/// A staged stencil ramp, which no preset carries: the row-snapped
-/// reach-1 stencil for the first half of the budget, exact after.
-fn reach_ramp(max_iters: u32) -> IterSchedule {
-    IterSchedule {
-        label: "reach-ramp".to_string(),
-        stages: vec![
-            ReachStage {
-                from_iter: 0,
-                approx: Some((StencilScheme::Row, 1)),
-            },
-            ReachStage {
-                from_iter: (max_iters / 2).max(1),
-                approx: None,
-            },
-        ],
-        check_every: 2,
-        sample_log2: 1,
-        predictor: None,
-        seed: 0x17E4,
-    }
-}
-
-/// Approximate schedules — the presets and a staged stencil ramp — are
-/// bit-identical for a fixed `(seed, schedule)` at any worker count and
+/// The approximate presets are bit-identical for a fixed `(seed, schedule)` at any worker count and
 /// engine: the sampled residual checks draw their permutation host-side
 /// from the schedule seed, never from execution order.
 #[test]
 fn approx_schedules_worker_invariant_for_fixed_seed_and_schedule() {
     for app in iter_registry() {
         let cap = (app.spec)(Scale::Test).max_iters;
-        for schedule in IterSchedule::presets(cap)
-            .into_iter()
-            .chain([reach_ramp(cap)])
-        {
+        for schedule in IterSchedule::presets(cap) {
             if schedule.is_exact() {
                 continue;
             }
