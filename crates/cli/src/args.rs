@@ -27,8 +27,7 @@ usage:
                [--approx-mem <rate>] [--iters <n>] [--schedule <name>]
       Execute an application's exact pipeline once and print the launch
       report: blocks, warps, occupancy, host workers, and wall-clock time.
-      --threads 0 (the default) uses every available core; the
-      PARAPROX_THREADS environment variable overrides the flag. Results are
+      --threads 0 (the default) uses every available core. Results are
       bit-identical for every thread count. --approx-mem re-places every
       Tolerant global buffer (per the criticality partition) in the
       approximate memory space and injects bit flips at the given error

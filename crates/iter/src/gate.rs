@@ -8,8 +8,7 @@
 //! - **Both parities of the loop-carried swap.** The ping-pong alternates
 //!   which buffer is `cur` and which is `next`; the effect summary must
 //!   show the stencil never reads param 1 or writes param 0, otherwise
-//!   the swap (and the input-overwritten refresh skip it enables) is
-//!   unsound.
+//!   the swap is unsound.
 //! - **Full and sampled residual launches**: the residual kernel is
 //!   checked under the full-grid context and under a representative
 //!   sampled context (fewer blocks, affine permutation scalars).

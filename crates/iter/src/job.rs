@@ -43,11 +43,7 @@ pub struct IterRun {
 ///
 /// Every launch of every iteration of every run goes through the same
 /// [`Device`], so one worker pool and one set of per-worker buffer
-/// images serve the whole job. The ping-pong output buffer and the
-/// residual partials buffer are declared input-overwritten on each
-/// launch, which lets pooled images skip their refresh copies (the
-/// `launch_overwriting` contract re-verifies this statically every
-/// launch — the gate is not trusted at run time).
+/// images serve the whole job.
 pub struct IterativeApp {
     device: Device,
     model: IterModel,
@@ -271,8 +267,7 @@ impl IterativeApp {
         })
     }
 
-    /// One stencil step from `cur` into `next`, with `next` declared
-    /// input-overwritten.
+    /// One stencil step from `cur` into `next`.
     fn stencil_launch(
         &mut self,
         cur: paraprox_vgpu::BufferId,
@@ -285,13 +280,12 @@ impl IterativeApp {
                 .iter()
                 .map(|&s| ArgValue::Scalar(s)),
         );
-        self.device.launch_overwriting(
+        self.device.launch(
             &self.model.program,
             self.model.stencil,
             self.model.grid,
             self.model.block,
             &args,
-            &[1],
         )
     }
 
@@ -310,7 +304,7 @@ impl IterativeApp {
     ) -> Result<(LaunchStats, f64), paraprox_vgpu::LaunchError> {
         let n = self.model.elems();
         let blocks = count / RESIDUAL_BLOCK;
-        let stats = self.device.launch_overwriting(
+        let stats = self.device.launch(
             &self.model.program,
             self.model.residual,
             Dim2::linear(blocks),
@@ -324,7 +318,6 @@ impl IterativeApp {
                 ArgValue::Scalar(Scalar::I32(n as i32 - 1)),
                 ArgValue::Scalar(Scalar::I32(count as i32)),
             ],
-            &[2],
         )?;
         let sums = self.device.read_f32(partials)?;
         let total: f64 = sums[..blocks].iter().map(|&v| f64::from(v)).sum();
@@ -408,19 +401,29 @@ mod tests {
         let workers = 2;
         let mut a = app(workers);
         a.run_exact(7).unwrap();
-        // Every launch after the first declares exactly one of the
-        // three arena buffers (ping-pong output or residual partials)
-        // input-overwritten, so each worker image skips one copy per
-        // launch; the first launch clones the whole arena.
+        // The arena holds three buffers: `cur`, `next` and the residual
+        // partials. The first launch, a stencil step, clones all three
+        // into each fresh image. Each later stencil step reads `cur`
+        // only, so it copies one and skips two (its unread output and the
+        // unbound partials); each residual reads `cur` and `next`, so it
+        // copies two and skips its unread partials.
         let info = a.last_run().unwrap();
-        // checks already counts the baseline residual; +1 for the
-        // baseline's discarded stencil step.
-        let launches = u64::from(info.iterations + info.checks + 1);
+        // The baseline's stencil step is the first launch, so the later
+        // ones are one per iteration; checks counts every residual,
+        // the baseline's included.
+        let later_stencils = u64::from(info.iterations);
+        let residuals = u64::from(info.checks);
         let d = a.device_mut();
         let workers = workers as u64;
         assert!(d.pooled_images() > 0);
-        assert_eq!(d.image_refresh_skips(), workers * (launches - 1));
-        assert_eq!(d.image_refresh_copies(), workers * (3 + 2 * (launches - 1)));
+        assert_eq!(
+            d.image_refresh_skips(),
+            workers * (2 * later_stencils + residuals)
+        );
+        assert_eq!(
+            d.image_refresh_copies(),
+            workers * (3 + later_stencils + 2 * residuals)
+        );
     }
 
     #[test]

@@ -37,9 +37,9 @@
 //!   the loop's launch contexts — including both parities of the
 //!   loop-carried buffer swap and the sampled residual launches.
 //! - [`IterativeApp`] drives the loop on one [`paraprox_vgpu::Device`]:
-//!   one pooled worker scope serves every launch of every iteration, with
-//!   the swapped-in output buffer declared input-overwritten so worker
-//!   images skip its refresh copy.
+//!   one pooled worker scope serves every launch of every iteration, and
+//!   worker images skip the refresh copy of the swapped-in output buffer,
+//!   which the stencil never reads.
 //!
 //! Determinism contract (asserted by the workspace `iter_suite`): exact
 //! schedules are bit-identical across worker counts and engines;

@@ -19,8 +19,7 @@ pub const RESIDUAL_BLOCK: usize = 64;
 /// - The stencil kernel's parameters are `[cur, next, scalars...]`:
 ///   it reads the `cur` field (param 0), writes the stepped field into
 ///   `next` (param 1), and never does the reverse. The loop ping-pongs
-///   the two buffers, so `next` is declared input-overwritten on every
-///   launch ([`paraprox_vgpu::Device::launch_overwriting`]).
+///   the two buffers.
 /// - The residual kernel (built by [`IterModel::new`]) has parameters
 ///   `[cur, next, partials, mul, off, mask, count]` and writes one
 ///   partial sum of `|next - cur|` per block; the host folds the partials

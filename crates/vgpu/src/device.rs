@@ -206,8 +206,6 @@ pub(crate) struct PreparedLaunch<'a> {
     pub compiled: Arc<CompiledKernel>,
     /// Bit-error rate of [`MemSpace::Approx`] loads for this launch.
     pub approx_rate: f64,
-    /// Buffer arena indices the launch declares input-overwritten.
-    pub overwritten: &'a [usize],
     pub l1: Cache,
     pub constant_cache: Cache,
 }
@@ -296,8 +294,8 @@ pub struct Device {
     /// Worker-image refresh accounting (see
     /// [`Device::image_refresh_copies`]).
     refresh: exec::RefreshCounters,
-    /// Host workers per dispatch, resolved once from `PARAPROX_THREADS`
-    /// and [`DeviceProfile::parallelism`] when the device is created.
+    /// Host workers per dispatch, resolved once from
+    /// [`DeviceProfile::parallelism`] when the device is created.
     workers: usize,
 }
 
@@ -326,7 +324,10 @@ impl Device {
         profile.validate()?;
         let l1 = Cache::new(profile.cache.l1);
         let constant_cache = Cache::new(profile.cache.constant);
-        let workers = crate::pool::resolve_workers(profile.parallelism);
+        let workers = match profile.parallelism {
+            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            n => n,
+        };
         Ok(Device {
             profile,
             buffers: Vec::new(),
@@ -376,17 +377,10 @@ impl Device {
     /// launches clone the buffer arena once per host worker; the device
     /// keeps those images and refreshes them in place on the next launch,
     /// so back-to-back requests (a tuning sweep, a serving loop) pay the
-    /// copy but not the allocation. The pool deliberately survives
-    /// [`Device::reclaim_buffers`]; call [`Device::clear_image_pool`] to
-    /// release the memory.
+    /// copy but not the allocation. The pool lives as long as the
+    /// device; it deliberately survives [`Device::reclaim_buffers`].
     pub fn pooled_images(&self) -> usize {
         self.image_pool.len()
-    }
-
-    /// Drop the pooled per-worker buffer images (roughly one arena copy
-    /// per host worker). The next parallel launch re-creates them.
-    pub fn clear_image_pool(&mut self) {
-        self.image_pool.clear();
     }
 
     /// Permute the order in which the lanes of a block apply their stores
@@ -634,7 +628,25 @@ impl Device {
         block: Dim2,
         args: &[ArgValue],
     ) -> Result<LaunchStats, LaunchError> {
-        self.launch_overwriting(program, kernel, grid, block, args, &[])
+        let k = program.kernel(kernel);
+        self.validate_launch(k, grid, block, args)?;
+        let launch = PreparedLaunch {
+            program,
+            kernel: k,
+            grid,
+            block,
+            args,
+            compiled: self.compiled(program, k),
+            approx_rate: self.approx_rate,
+            l1: self.l1.clone(),
+            constant_cache: self.constant_cache.clone(),
+        };
+        let outcome = self
+            .dispatch(vec![launch])?
+            .pop()
+            .expect("one launch in, one outcome out");
+        (self.l1, self.constant_cache) = (outcome.l1, outcome.constant_cache);
+        Ok(outcome.stats)
     }
 
     /// Per-buffer data copies performed while refreshing pooled worker
@@ -649,82 +661,13 @@ impl Device {
     }
 
     /// Per-buffer data copies *skipped* during pooled worker-image
-    /// refresh because the launch declared the buffer input-overwritten
-    /// (see [`Device::launch_overwriting`]), cumulative.
+    /// refresh because no launch of the dispatch reads the buffer (it is
+    /// unbound, or bound only to parameters the kernel stores to),
+    /// cumulative.
     pub fn image_refresh_skips(&self) -> u64 {
         self.refresh
             .skips
             .load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// [`Device::launch`], plus a declaration that the buffers bound to
-    /// the parameter indices in `overwritten_params` are
-    /// *input-overwritten*: the kernel writes them without ever reading
-    /// them, so their pre-launch contents are unobservable. Repeated
-    /// launches of the same compiled program (a convergence loop's
-    /// ping-pong buffers, a serving loop's output buffers) then skip the
-    /// redundant per-worker image copy for those buffers.
-    ///
-    /// The declaration is *verified*, not trusted: a parameter whose
-    /// buffer the kernel loads from — or targets with an atomic, which
-    /// reads — is rejected with [`LaunchError::ArgMismatch`], as is an
-    /// index that is out of range or names a scalar parameter. Results
-    /// are always bit-identical to [`Device::launch`].
-    pub fn launch_overwriting(
-        &mut self,
-        program: &Program,
-        kernel: KernelId,
-        grid: Dim2,
-        block: Dim2,
-        args: &[ArgValue],
-        overwritten_params: &[usize],
-    ) -> Result<LaunchStats, LaunchError> {
-        let k = program.kernel(kernel);
-        self.validate_launch(k, grid, block, args)?;
-        let compiled = self.compiled(program, k);
-        let mut overwritten = Vec::with_capacity(overwritten_params.len());
-        for &pi in overwritten_params {
-            let reject = |reason: String| {
-                Err(LaunchError::ArgMismatch {
-                    kernel: k.name.clone(),
-                    index: pi,
-                    reason,
-                })
-            };
-            if pi >= k.params.len() {
-                return reject(format!(
-                    "overwritten declaration names parameter {pi} of a {}-parameter kernel",
-                    k.params.len()
-                ));
-            }
-            let ArgValue::Buffer(id) = args[pi] else {
-                return reject("overwritten declaration names a scalar parameter".to_string());
-            };
-            if compiled.access.reads(pi) {
-                return reject(format!(
-                    "parameter {pi} is declared input-overwritten but the kernel reads it"
-                ));
-            }
-            overwritten.push(id.0);
-        }
-        let launch = PreparedLaunch {
-            program,
-            kernel: k,
-            grid,
-            block,
-            args,
-            compiled,
-            approx_rate: self.approx_rate,
-            overwritten: &overwritten,
-            l1: self.l1.clone(),
-            constant_cache: self.constant_cache.clone(),
-        };
-        let outcome = self
-            .dispatch(vec![launch])?
-            .pop()
-            .expect("one launch in, one outcome out");
-        (self.l1, self.constant_cache) = (outcome.l1, outcome.constant_cache);
-        Ok(outcome.stats)
     }
 
     /// Execute validated launches as one fused dispatch over the worker
@@ -750,7 +693,6 @@ impl Device {
                     schedule_seed: self.schedule_seed,
                     approx_threshold: exec::approx_threshold(p.approx_rate),
                     approx_seed: self.approx_seed,
-                    overwritten: p.overwritten,
                 },
                 l1: p.l1,
                 constant_cache: p.constant_cache,
@@ -1067,12 +1009,10 @@ mod tests {
             assert_eq!(par.read_f32(pb).unwrap(), vec![round as f32; 64]);
         }
         assert_eq!(serial.read_f32(sb).unwrap(), vec![1.0; 64]);
-        par.clear_image_pool();
-        assert_eq!(par.pooled_images(), 0);
     }
 
     #[test]
-    fn overwritten_declaration_skips_image_refresh() {
+    fn ping_pong_launches_skip_the_unread_output() {
         // Ping-pong copy kernel: reads `src`, writes `dst`, never reads
         // `dst` — the loop-carried shape a convergence loop launches every
         // iteration.
@@ -1085,40 +1025,13 @@ mod tests {
         kb.store(dst, gid, v + Expr::f32(1.0));
         let kid = program.add_kernel(kb.finish());
 
-        let mut d = Device::new(DeviceProfile::gtx560().with_parallelism(3));
-        let a = d.alloc_f32(MemSpace::Global, &[0.0; 64]);
-        let b = d.alloc_f32(MemSpace::Global, &[0.0; 64]);
-        let mut bufs = [a, b];
-        for round in 1..=4u32 {
-            let [cur, next] = bufs;
-            d.launch_overwriting(
-                &program,
-                kid,
-                Dim2::linear(4),
-                Dim2::linear(16),
-                &[cur.into(), next.into()],
-                &[1],
-            )
-            .unwrap();
-            assert_eq!(d.pooled_images(), 3, "pool must not grow past workers");
-            assert_eq!(d.read_f32(next).unwrap(), vec![round as f32; 64]);
-            bufs.swap(0, 1);
-        }
-        // First launch clones the whole arena into each of the 3 fresh
-        // images (2 buffers each); the 3 later launches skip the declared
-        // buffer and copy only the other one.
-        assert_eq!(d.image_refresh_copies(), 3 * 2 + 3 * 3);
-        assert_eq!(d.image_refresh_skips(), 3 * 3);
-
-        // The skip is metadata-only: results match a plain-launch run.
-        let mut exact = Device::new(DeviceProfile::gtx560().with_parallelism(3));
-        let ea = exact.alloc_f32(MemSpace::Global, &[0.0; 64]);
-        let eb = exact.alloc_f32(MemSpace::Global, &[0.0; 64]);
-        let mut ebufs = [ea, eb];
-        for _ in 0..4 {
-            let [cur, next] = ebufs;
-            exact
-                .launch(
+        let ping_pong = |d: &mut Device| {
+            let a = d.alloc_f32(MemSpace::Global, &[0.0; 64]);
+            let b = d.alloc_f32(MemSpace::Global, &[0.0; 64]);
+            let mut bufs = [a, b];
+            for round in 1..=4u32 {
+                let [cur, next] = bufs;
+                d.launch(
                     &program,
                     kid,
                     Dim2::linear(4),
@@ -1126,16 +1039,27 @@ mod tests {
                     &[cur.into(), next.into()],
                 )
                 .unwrap();
-            ebufs.swap(0, 1);
-        }
-        assert_eq!(exact.image_refresh_skips(), 0);
+                assert_eq!(d.read_f32(next).unwrap(), vec![round as f32; 64]);
+                bufs.swap(0, 1);
+            }
+            bufs.map(|b| d.read_f32(b).unwrap())
+        };
+        let mut d = Device::new(DeviceProfile::gtx560().with_parallelism(3));
+        let par = ping_pong(&mut d);
+        assert_eq!(d.pooled_images(), 3, "pool must not grow past workers");
+        // First launch clones the whole arena into each of the 3 fresh
+        // images (2 buffers each); the 3 later launches skip the unread
+        // output and copy only the input.
+        assert_eq!(d.image_refresh_copies(), 3 * 2 + 3 * 3);
+        assert_eq!(d.image_refresh_skips(), 3 * 3);
+
+        // The skip is metadata-only: results match a serial run, which
+        // refreshes no image at all.
+        let mut serial = Device::new(DeviceProfile::gtx560().with_parallelism(1));
+        assert_eq!(ping_pong(&mut serial), par);
         assert_eq!(
-            d.read_f32(bufs[0]).unwrap(),
-            exact.read_f32(ebufs[0]).unwrap()
-        );
-        assert_eq!(
-            d.read_f32(bufs[1]).unwrap(),
-            exact.read_f32(ebufs[1]).unwrap()
+            serial.image_refresh_copies() + serial.image_refresh_skips(),
+            0
         );
 
         // A fused batch refreshes through the same counters: two jobs of
@@ -1166,49 +1090,51 @@ mod tests {
     }
 
     #[test]
-    fn overwritten_declaration_is_verified() {
-        // In-place kernel: reads and writes the same buffer, so declaring
-        // it overwritten must be rejected; so must out-of-range and scalar
-        // parameter indices.
+    fn refresh_copies_exactly_the_buffers_a_dispatch_reads() {
         let mut program = Program::new();
-        let mut kb = KernelBuilder::new("inplace");
-        let buf = kb.buffer("b", Ty::F32, MemSpace::Global);
-        let _n = kb.scalar("n", Ty::I32);
-        let gid = kb.let_("gid", KernelBuilder::global_id_x());
-        let v = kb.let_("v", kb.load(buf, gid.clone()));
-        kb.store(buf, gid, v + Expr::f32(1.0));
-        let kid = program.add_kernel(kb.finish());
-
-        let mut d = Device::new(DeviceProfile::gtx560().with_parallelism(2));
-        let b = d.alloc_f32(MemSpace::Global, &[0.0; 32]);
-        let args = [b.into(), Scalar::I32(32).into()];
-        let shape = (Dim2::linear(1), Dim2::linear(32));
-        for bad in [&[0usize][..], &[1], &[2]] {
-            assert!(matches!(
-                d.launch_overwriting(&program, kid, shape.0, shape.1, &args, bad),
-                Err(LaunchError::ArgMismatch { .. })
-            ));
-        }
-        // An atomic target counts as a read too.
-        let mut program2 = Program::new();
-        let mut kb = KernelBuilder::new("atomic");
+        let mut kb = KernelBuilder::new("count");
         let out = kb.buffer("out", Ty::I32, MemSpace::Global);
         kb.atomic(paraprox_ir::AtomicOp::Add, out, Expr::i32(0), Expr::i32(1));
-        let kid2 = program2.add_kernel(kb.finish());
-        let o = d.alloc_i32(MemSpace::Global, &[0; 4]);
-        assert!(matches!(
-            d.launch_overwriting(
-                &program2,
-                kid2,
-                Dim2::linear(1),
-                Dim2::linear(4),
-                &[o.into()],
-                &[0]
-            ),
-            Err(LaunchError::ArgMismatch { .. })
-        ));
-        // A rejected declaration leaves the device usable.
-        d.launch(&program, kid, shape.0, shape.1, &args).unwrap();
+        let count = program.add_kernel(kb.finish());
+        let mut kb = KernelBuilder::new("set");
+        let x = kb.buffer("x", Ty::F32, MemSpace::Global);
+        let gid = kb.let_("gid", KernelBuilder::global_id_x());
+        kb.store(x, gid, Expr::f32(7.0));
+        let set = program.add_kernel(kb.finish());
+        let mut kb = KernelBuilder::new("bump");
+        let a = kb.buffer("a", Ty::F32, MemSpace::Global);
+        let b = kb.buffer("b", Ty::F32, MemSpace::Global);
+        let gid = kb.let_("gid", KernelBuilder::global_id_x());
+        let v = kb.let_("v", kb.load(a, gid.clone()));
+        kb.store(b, gid, v + Expr::f32(1.0));
+        let bump = program.add_kernel(kb.finish());
+
+        // Two 128-lane blocks run as two groups, one per worker.
+        let mut d = Device::new(DeviceProfile::gtx560().with_parallelism(2));
+        let counter = d.alloc_i32(MemSpace::Global, &[0; 4]);
+        let x = d.alloc_f32(MemSpace::Global, &[0.0; 256]);
+        let _unbound = d.alloc_f32(MemSpace::Global, &[0.0; 16]);
+        // (copies, skips) of one launch, summed over both workers.
+        let refresh = |d: &mut Device, kid, args: &[ArgValue]| {
+            let before = (d.image_refresh_copies(), d.image_refresh_skips());
+            d.launch(&program, kid, Dim2::linear(2), Dim2::linear(128), args)
+                .unwrap();
+            (
+                d.image_refresh_copies() - before.0,
+                d.image_refresh_skips() - before.1,
+            )
+        };
+        // Fresh images clone the whole arena.
+        assert_eq!(refresh(&mut d, count, &[counter.into()]), (2 * 3, 0));
+        // An atomic target counts as a read; the other two are skipped.
+        assert_eq!(refresh(&mut d, count, &[counter.into()]), (2, 2 * 2));
+        assert_eq!(d.read_i32(counter).unwrap(), vec![512, 0, 0, 0]);
+        // A store-only buffer is skipped like an unbound one.
+        assert_eq!(refresh(&mut d, set, &[x.into()]), (0, 2 * 3));
+        // One buffer behind a read and a write-only parameter is read, so
+        // the images see the 7s the last launch wrote.
+        assert_eq!(refresh(&mut d, bump, &[x.into(), x.into()]), (2, 2 * 2));
+        assert_eq!(d.read_f32(x).unwrap(), vec![8.0; 256]);
     }
 
     #[test]

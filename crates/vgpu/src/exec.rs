@@ -29,11 +29,11 @@
 //! # Host parallelism and determinism
 //!
 //! Thread blocks are independent in the CUDA execution model, so the
-//! interpreter executes groups concurrently on host workers (a
-//! work-stealing scheduler, [`crate::pool`]). Determinism — bit-identical
-//! buffer contents, cycle counts, and cache statistics for *any* worker
-//! count, including 1 — is achieved by making every block's execution a
-//! pure function of the launch-entry state:
+//! interpreter executes groups concurrently on host workers, which take
+//! them in ascending order from one shared counter. Determinism —
+//! bit-identical buffer contents, cycle counts, cache statistics and
+//! errors for *any* worker count, including 1 — is achieved by making
+//! every block's execution a pure function of the launch-entry state:
 //!
 //! * **Caches**: each block simulates against the launch-entry L1/constant
 //!   cache state (counters reset, so per-block hit/miss deltas fold
@@ -47,9 +47,12 @@
 //!   image. Global writes are logged (stores record the value, atomics
 //!   record the operation) and the worker's image is reverted after every
 //!   group, so each block observes exactly the launch-entry buffer
-//!   contents plus its own writes. When all groups finish, the logs are
-//!   replayed into the device's buffers in ascending block order, each
-//!   block's in its own application order: plain stores land
+//!   contents plus its own writes. A dispatch refreshes a worker's image
+//!   only for the buffers some segment reads (loads or updates
+//!   atomically, [`crate::CompiledKernel::access`]); a buffer nobody
+//!   reads is never observed through the image. When all groups finish,
+//!   the logs are replayed into the device's buffers in ascending block
+//!   order, each block's in its own application order: plain stores land
 //!   last-block-wins (what serial execution produced) and atomic
 //!   operations are re-applied, so cross-block accumulations (histograms,
 //!   reductions) total correctly. A block reading another block's
@@ -62,13 +65,19 @@
 //!   workers, so the per-launch [`ITERATION_BUDGET`] bounds the whole
 //!   launch, not each block. A group takes one token per block still
 //!   looping and gives its tokens back if it fails.
+//! * **Errors**: a worker checks for an earlier failure *before* it takes
+//!   a group and always runs a group it took. Groups are taken in
+//!   ascending order, so the lowest failing group is always run and its
+//!   error — the one serial execution stops at — is the one reported.
+//!   (Only the launch-wide loop budget, which bounds runaway kernels, can
+//!   run out in a different block than it would serially.)
 //!
 //! With those rules the schedule is unobservable, so `parallelism = 1`
 //! (exactly the serial loop, no threads spawned) and `parallelism = N`
 //! produce identical results.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -78,7 +87,6 @@ use crate::cache::Cache;
 use crate::device::{ArgValue, BufferStorage, Dim2};
 use crate::error::LaunchError;
 use crate::mask::{set_bits, LaneMask, Span, MAX_WARP_LANES};
-use crate::pool::WorkQueue;
 use crate::profile::DeviceProfile;
 use crate::soa::{decode, encode_bits, tag_of_ty, TAG_BOOL, TAG_I32, TAG_U32};
 use crate::stats::LaunchStats;
@@ -260,38 +268,50 @@ pub(crate) struct Launch<'a> {
     /// Seed of the deterministic flip stream; mixed with the block id so
     /// each block draws an independent, worker-count-invariant stream.
     pub approx_seed: u64,
-    /// Buffer arena indices this launch declares *input-overwritten*: the
-    /// kernel never reads them (verified by
-    /// [`crate::Device::launch_overwriting`]), so their contents at launch
-    /// entry are unobservable and the per-worker image refresh may keep
-    /// whatever bytes the pooled image already holds. Loop-carried
-    /// ping-pong buffers hit this every iteration.
-    pub overwritten: &'a [usize],
     /// Blocks per group, from [`crate::device::group_blocks`]: 1 unless
     /// the launch is group-safe.
     pub group: usize,
 }
 
 /// Counters for the pooled worker-image refresh: how many per-buffer
-/// copies were performed and how many were skipped because the launch
-/// declared the buffer input-overwritten. Atomic because the refresh runs
-/// on the pool's worker threads; the totals are deterministic for a fixed
-/// launch sequence and worker count.
+/// copies were performed and how many were skipped because no segment of
+/// the dispatch reads the buffer. Atomic because the refresh runs on the
+/// pool's worker threads; the totals are deterministic for a fixed launch
+/// sequence and worker count.
 #[derive(Debug, Default)]
 pub(crate) struct RefreshCounters {
     pub copies: AtomicU64,
     pub skips: AtomicU64,
 }
 
-/// Refresh one pooled worker image from the master arena, skipping the
-/// data copy for buffers the launch declared input-overwritten (metadata
-/// is still synchronized so addresses and spaces stay coherent). A skip
-/// is only taken when the pooled buffer already has the right type and
+/// Which arena buffers some segment of a dispatch reads: bound to a
+/// parameter its kernel loads or updates atomically. Device functions
+/// take scalars only, so the kernel's own accesses are all of them.
+fn read_buffers(segs: &[Seg<'_>], arena: usize) -> Vec<bool> {
+    let mut read = vec![false; arena];
+    for seg in segs {
+        for (pi, arg) in seg.launch.args.iter().enumerate() {
+            if let ArgValue::Buffer(id) = arg {
+                if seg.launch.compiled.access.reads(pi) {
+                    read[id.index()] = true;
+                }
+            }
+        }
+    }
+    read
+}
+
+/// Refresh one pooled worker image from the master arena, copying only
+/// the buffers in `read`. An unread buffer keeps whatever bytes the image
+/// holds: a block that stores to it logs the store and the image is
+/// reverted, so the bytes are never observed. Its metadata is still
+/// synchronized so addresses and spaces stay coherent, and the skip is
+/// only taken when the pooled buffer already has the right type and
 /// length — the first launch after an arena change always copies.
 fn refresh_image(
     image: &mut Vec<BufferStorage>,
     src: &[BufferStorage],
-    overwritten: impl Fn(usize) -> bool,
+    read: &[bool],
     counters: &RefreshCounters,
 ) {
     if image.len() != src.len() {
@@ -304,8 +324,8 @@ fn refresh_image(
     }
     let mut copies = 0u64;
     let mut skips = 0u64;
-    for (i, (dst, s)) in image.iter_mut().zip(src).enumerate() {
-        if overwritten(i) && dst.ty == s.ty && dst.data.len() == s.data.len() {
+    for ((dst, s), &read) in image.iter_mut().zip(src).zip(read) {
+        if !read && dst.ty == s.ty && dst.data.len() == s.data.len() {
             dst.space = s.space;
             dst.base_addr = s.base_addr;
             skips += 1;
@@ -657,14 +677,14 @@ impl Seg<'_> {
 }
 
 /// Execute every group of every segment — serially or across up to
-/// `workers` host workers (the device's count, resolved once by
-/// [`crate::pool::resolve_workers`]) — and fold the results
-/// deterministically. A single launch is a dispatch of one segment.
+/// `workers` host workers (the device's count, resolved once when it is
+/// created) — and fold the results deterministically. A single launch is
+/// a dispatch of one segment.
 ///
 /// Every segment's buffer contents, simulated cycles, and cache
 /// statistics are bit-identical to dispatching it alone, but the host
 /// cost is paid once per *dispatch*: one scope of pooled workers, one
-/// shared work queue spanning every segment's groups, and one image
+/// shared group counter spanning every segment's groups, and one image
 /// refresh per worker. Each block is a pure function of its segment's
 /// entry state, and folding (stats, write replay, exit caches) happens
 /// per segment in ascending `(segment, block)` order. The iteration
@@ -741,11 +761,12 @@ fn run_segments(
             }
         }
     } else {
-        // One shared queue over every segment's groups; a global index
-        // maps back to (segment, local group) through the start offsets.
-        let queue = WorkQueue::new(total, workers);
+        // One counter over every segment's groups; a global index maps
+        // back to (segment, local group) through the start offsets.
+        let next = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
         let mut first_err: Option<(usize, usize, EvalError)> = None;
+        let read = read_buffers(segs, buffers.len());
         // Per-worker buffer images come from the device's pool: a repeated
         // dispatch (tuning sweep, serving loop) refreshes the retained
         // images in place — `BufferStorage::clone_from` reuses the heap
@@ -755,37 +776,33 @@ fn run_segments(
         }
         {
             let buffers_src: &Vec<BufferStorage> = buffers;
-            let (queue_ref, abort_ref) = (&queue, &abort);
+            let (next, abort, read) = (&next, &abort, &read);
             std::thread::scope(|s| {
                 let handles: Vec<_> = image_pool[..workers]
                     .iter_mut()
                     .zip(scratch.0.iter_mut())
-                    .enumerate()
-                    .map(|(w, (image, scratch))| {
+                    .map(|(image, scratch)| {
                         s.spawn(move || {
-                            // Segments touch disjoint buffers, so a buffer
-                            // one of them overwrites unread is unobservable
-                            // to all of them.
-                            let overwritten =
-                                |i: usize| segs.iter().any(|s| s.launch.overwritten.contains(&i));
-                            refresh_image(image, buffers_src, overwritten, refresh);
+                            refresh_image(image, buffers_src, read, refresh);
                             let mut worker = Worker::new(image, scratch, segs);
                             let mut done = Vec::new();
                             let mut err = None;
-                            while let Some(global) = queue_ref.pop(w) {
-                                if abort_ref.load(Ordering::Relaxed) {
+                            // Abort is checked before a group is taken, and
+                            // a taken group always runs (module doc,
+                            // "Errors"). Neither atomic publishes data:
+                            // outcomes come back through `join`.
+                            while !abort.load(Ordering::Relaxed) {
+                                let global = next.fetch_add(1, Ordering::Relaxed);
+                                if global >= total {
                                     break;
                                 }
                                 let si = segs.partition_point(|s| s.start <= global) - 1;
                                 let seg = &segs[si];
                                 let group = global - seg.start;
-                                match worker.run_group((si, seg), group, &mut done) {
-                                    Ok(()) => {}
-                                    Err(e) => {
-                                        err = Some((si, group, e));
-                                        abort_ref.store(true, Ordering::Relaxed);
-                                        break;
-                                    }
+                                if let Err(e) = worker.run_group((si, seg), group, &mut done) {
+                                    err = Some((si, group, e));
+                                    abort.store(true, Ordering::Relaxed);
+                                    break;
                                 }
                             }
                             (done, err)
@@ -796,8 +813,8 @@ fn run_segments(
                     let (done, err) = handle.join().expect("executor worker panicked");
                     outcomes.extend(done);
                     if let Some((si, group, e)) = err {
-                        // Deterministic-ish selection: lowest (segment,
-                        // group) among observed failures.
+                        // The lowest (segment, group) among the observed
+                        // failures: the serial path's error.
                         if first_err
                             .as_ref()
                             .is_none_or(|(s0, g0, _)| (si, group) < (*s0, *g0))
@@ -1933,7 +1950,6 @@ mod tests {
                 schedule_seed: None,
                 approx_threshold: 0,
                 approx_seed: 0,
-                overwritten: &[],
                 group,
             },
             l1_template: cache(profile.cache.l1),

@@ -135,7 +135,6 @@ fn execute_fused_inner(
                 args,
                 compiled,
                 approx_rate: job.approx_rate,
-                overwritten: &[],
                 l1: caches[*ji].0.clone(),
                 constant_cache: caches[*ji].1.clone(),
             });

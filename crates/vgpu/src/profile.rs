@@ -148,9 +148,8 @@ pub struct DeviceProfile {
     /// Bytes of shared memory available per block.
     pub shared_mem_bytes: usize,
     /// Host worker threads used to execute independent blocks concurrently.
-    /// `0` means "all available cores"; `1` forces serial execution. The
-    /// `PARAPROX_THREADS` environment variable overrides this knob; both are
-    /// read once, when a [`crate::Device`] is created. Results are
+    /// `0` means "all available cores"; `1` forces serial execution. Read
+    /// once, when a [`crate::Device`] is created. Results are
     /// bit-identical for every setting — this only affects wall-clock time,
     /// never simulated cycles.
     pub parallelism: usize,

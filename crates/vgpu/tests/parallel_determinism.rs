@@ -8,9 +8,9 @@
 //! on stats is the whole cross-parallelism check.
 
 use paraprox_ir::{
-    AtomicOp, Expr, KernelBuilder, LoopCond, LoopStep, MemSpace, Program, Scalar, Ty,
+    AtomicOp, EvalError, Expr, KernelBuilder, LoopCond, LoopStep, MemSpace, Program, Scalar, Ty,
 };
-use paraprox_vgpu::{Device, DeviceProfile, Dim2, LaunchStats};
+use paraprox_vgpu::{Device, DeviceProfile, Dim2, LaunchError, LaunchStats};
 
 fn device_with_workers(workers: usize) -> Device {
     Device::new(DeviceProfile::gtx560().with_parallelism(workers))
@@ -166,30 +166,84 @@ fn back_to_back_launches_keep_cache_state_deterministic() {
     assert!(second1.l1_hits > first1.l1_hits);
 }
 
-/// Errors must surface at every worker count (an out-of-bounds store in
-/// one specific block), and the error kernel's name must be reported.
+/// The error is the serial one at every worker count. Block 0 spins while
+/// every later block stores out of bounds at its own index, so a worker
+/// that starts on a high block faults first; the lowest failing block's
+/// error must still be the one reported.
 #[test]
 fn errors_surface_at_every_worker_count() {
     let mut program = Program::new();
     let mut kb = KernelBuilder::new("oob");
     let out = kb.buffer("out", Ty::F32, MemSpace::Global);
-    let gid = kb.let_("gid", KernelBuilder::global_id_x());
-    kb.store(out, gid, Expr::f32(1.0));
+    let bid = kb.let_("bid", KernelBuilder::block_id_x());
+    kb.if_else(
+        bid.clone().eq_(Expr::i32(0)),
+        |kb| {
+            let acc = kb.let_mut("acc", Ty::F32, Expr::f32(0.0));
+            kb.for_up("k", Expr::i32(0), Expr::i32(2000), Expr::i32(1), |kb, _| {
+                kb.assign(acc, Expr::Var(acc) + Expr::f32(1.0));
+            });
+            kb.store(out, Expr::i32(0), Expr::Var(acc));
+        },
+        |kb| kb.store(out, bid * Expr::i32(1000), Expr::f32(1.0)),
+    );
     let kid = program.add_kernel(kb.finish());
-    for workers in [1usize, 2, 4] {
-        let mut d = device_with_workers(workers);
-        // 4 blocks x 32 lanes = 128 threads, but only 100 elements: the
-        // last block runs out of bounds.
-        let out = d.alloc_f32(MemSpace::Global, &vec![0.0; 100]);
-        let err = d
-            .launch(
+    let errors: Vec<_> = [1usize, 2, 4]
+        .into_iter()
+        .map(|workers| {
+            let mut d = device_with_workers(workers);
+            let out = d.alloc_f32(MemSpace::Global, &[0.0; 64]);
+            d.launch(
                 &program,
                 kid,
-                Dim2::linear(4),
-                Dim2::linear(32),
+                Dim2::linear(64),
+                Dim2::linear(128),
                 &[out.into()],
             )
-            .unwrap_err();
-        assert!(err.to_string().contains("oob"), "{workers} workers: {err}");
+            .unwrap_err()
+        })
+        .collect();
+    assert_eq!(
+        errors[0],
+        LaunchError::Eval {
+            kernel: "oob".into(),
+            source: EvalError::OutOfBounds {
+                index: 1000,
+                len: 64
+            },
+        }
+    );
+    for (workers, err) in [2, 4].iter().zip(&errors[1..]) {
+        assert_eq!(*err, errors[0], "{workers} workers");
+    }
+}
+
+/// One buffer behind a read parameter and a write-only one is read: the
+/// worker images must hold what the previous launch wrote.
+#[test]
+fn aliased_read_and_write_only_parameters_see_prior_writes() {
+    let mut program = Program::new();
+    let mut kb = KernelBuilder::new("set");
+    let x = kb.buffer("x", Ty::F32, MemSpace::Global);
+    let gid = kb.let_("gid", KernelBuilder::global_id_x());
+    kb.store(x, gid, Expr::f32(7.0));
+    let set = program.add_kernel(kb.finish());
+    let mut kb = KernelBuilder::new("bump");
+    let a = kb.buffer("a", Ty::F32, MemSpace::Global);
+    let b = kb.buffer("b", Ty::F32, MemSpace::Global);
+    let gid = kb.let_("gid", KernelBuilder::global_id_x());
+    let v = kb.let_("v", kb.load(a, gid.clone()));
+    kb.store(b, gid, v + Expr::f32(1.0));
+    let bump = program.add_kernel(kb.finish());
+    // 128-lane blocks run one per group, so every launch uses every worker.
+    let shape = (Dim2::linear(4), Dim2::linear(128));
+    for workers in [1usize, 2, 4] {
+        let mut d = device_with_workers(workers);
+        let x = d.alloc_f32(MemSpace::Global, &[0.0; 512]);
+        d.launch(&program, set, shape.0, shape.1, &[x.into()])
+            .unwrap();
+        d.launch(&program, bump, shape.0, shape.1, &[x.into(), x.into()])
+            .unwrap();
+        assert_eq!(d.read_f32(x).unwrap(), vec![8.0; 512], "{workers} workers");
     }
 }
