@@ -107,15 +107,12 @@ impl KernelPatterns {
     }
 }
 
-/// Options steering detection.
+/// Options steering detection. Detection has none today: every kernel is
+/// template-matched the same way. The type stays so callers
+/// (`paraprox::compile`, the benchmark's compile sweep) keep one stable
+/// signature should an option arrive.
 #[derive(Debug, Clone, Default)]
-pub struct DetectOptions {
-    /// Kernels the programmer marked as scan phase-I implementations
-    /// (the pragma escape hatch of paper §3.4.2). Hinted kernels are still
-    /// template-matched; the hint only reports a diagnostic when matching
-    /// fails, it cannot conjure the parameter roles.
-    pub scan_hints: Vec<KernelId>,
-}
+pub struct DetectOptions {}
 
 /// Does the kernel perform any data-dependent (indirect) memory access?
 ///
@@ -211,7 +208,7 @@ fn map_candidates(program: &Program, kernel: &Kernel, table: &LatencyTable) -> V
 pub fn detect(
     program: &Program,
     table: &LatencyTable,
-    options: &DetectOptions,
+    _options: &DetectOptions,
 ) -> Vec<KernelPatterns> {
     program
         .kernels()
@@ -223,9 +220,6 @@ pub fn detect(
             let is_scan = scan.is_some();
             if let Some(m) = scan {
                 instances.push(PatternInstance::Scan(m));
-            } else if options.scan_hints.contains(&id) {
-                // Hinted but unmatched: nothing to extract; fall through so
-                // other detectors still run.
             }
             if !is_scan {
                 for c in map_candidates(program, kernel, table) {

@@ -109,9 +109,9 @@ fn has_scan_loop(stmts: &[Stmt]) -> bool {
 /// Match phase I of the canonical data-parallel scan.
 ///
 /// Returns `None` when the kernel does not fit the template. As the paper
-/// notes (§5), template matching is sensitive to implementation variation;
-/// a programmer hint (see `DetectOptions::scan_hints` in this crate's
-/// [`crate::detect`] module) can force a kernel to be treated as a scan.
+/// notes (§5), template matching is sensitive to implementation variation:
+/// a scan written another way is not detected, and no hint overrides the
+/// template.
 pub fn match_scan(kernel: &Kernel) -> Option<ScanMatch> {
     if kernel.shared.is_empty() {
         return None;

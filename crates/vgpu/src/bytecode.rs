@@ -19,8 +19,8 @@
 //! tree-walker step charges, in an order that preserves all observable
 //! state:
 //!
-//! * memory ops delegate to the same `ExecCtx::do_*` routines, so the
-//!   (stateful, order-sensitive) cache/LRU traffic is untouched;
+//! * memory ops delegate to the same `ExecCtx::do_*` routines (`mem.rs`),
+//!   so the (stateful, order-sensitive) cache/LRU traffic is untouched;
 //! * pure compute charges are order-insensitive sums per mask, which is
 //!   what makes compile-time constant folding safe: a folded subtree's
 //!   charges are re-charged in one [`Op::FoldedConst`] at its use site
@@ -50,8 +50,9 @@ use paraprox_ir::{
     Program, Scalar, Special, Stmt, Ty, UnOp,
 };
 
-use crate::exec::{ExecCtx, FILLER};
+use crate::exec::ExecCtx;
 use crate::mask::LaneMask;
+use crate::mem::FILLER;
 use crate::profile::DeviceProfile;
 use crate::soa::{
     bin_fast_eligible, bin_needs_divisor_scan, bin_strip, cast_strip, cmp_refine, cmp_strip,
@@ -381,10 +382,10 @@ impl ParamAccess {
         access
     }
 
-    /// Whether the kernel reads parameter `pi`: loads it, or updates it
-    /// atomically (a read-modify-write).
+    /// Whether the kernel reads parameter `pi`: loads it. An atomic
+    /// update returns nothing to the kernel, so it is not a read.
     pub fn reads(&self, pi: usize) -> bool {
-        self.loads.contains(&pi) || self.atomics.contains(&pi)
+        self.loads.contains(&pi)
     }
 }
 
@@ -1549,7 +1550,7 @@ struct CallCtx {
 /// dispatches borrow from a process-wide pool (`exec.rs`), so it is reused
 /// across statements, groups and launches: rows and masks are allocated
 /// the first time a group touches them and only refilled afterwards, so
-/// executing an op — memory ops included, see `exec.rs` — allocates
+/// executing an op — memory ops included, see `mem.rs` — allocates
 /// nothing once the first group of that shape has run. What a launch does
 /// allocate is a constant plus one write log per block;
 /// `tests/alloc_steady_state.rs` pins it. Registers are structure-of-arrays
@@ -2142,14 +2143,8 @@ pub(crate) fn execute(
                 lat,
                 count,
             } => {
-                // Re-charge the folded subtree's summed compute cost. Pure
-                // compute charges are an order-insensitive per-mask sum, so
-                // charging them here (rather than op by op) is
-                // unobservable in the final stats.
                 let mask = &s.masks[mask_base + *m as usize];
-                let warps = ctx.warp_count(mask);
-                ctx.stats.compute_cycles += lat * warps;
-                ctx.stats.instructions += count * warps;
+                ctx.charge_folded(*lat, *count, mask);
                 s.regs[reg_base + *dst as usize].fill_masked(*value, mask);
             }
             Op::GuardInit { m, local, var } => {

@@ -691,7 +691,7 @@ impl Device {
                     group: group_blocks(&self.profile, &p.compiled, p.args, p.grid, p.block),
                     compiled: p.compiled,
                     schedule_seed: self.schedule_seed,
-                    approx_threshold: exec::approx_threshold(p.approx_rate),
+                    approx_threshold: crate::mem::approx_threshold(p.approx_rate),
                     approx_seed: self.approx_seed,
                 },
                 l1: p.l1,
@@ -1126,8 +1126,9 @@ mod tests {
         };
         // Fresh images clone the whole arena.
         assert_eq!(refresh(&mut d, count, &[counter.into()]), (2 * 3, 0));
-        // An atomic target counts as a read; the other two are skipped.
-        assert_eq!(refresh(&mut d, count, &[counter.into()]), (2, 2 * 2));
+        // An atomic-only target is not read: all three are skipped, and
+        // replay still totals both launches on the device's buffer.
+        assert_eq!(refresh(&mut d, count, &[counter.into()]), (0, 2 * 3));
         assert_eq!(d.read_i32(counter).unwrap(), vec![512, 0, 0, 0]);
         // A store-only buffer is skipped like an unbound one.
         assert_eq!(refresh(&mut d, set, &[x.into()]), (0, 2 * 3));
@@ -1135,6 +1136,85 @@ mod tests {
         // the images see the 7s the last launch wrote.
         assert_eq!(refresh(&mut d, bump, &[x.into(), x.into()]), (2, 2 * 2));
         assert_eq!(d.read_f32(x).unwrap(), vec![8.0; 256]);
+    }
+
+    /// An atomic updates a worker image without refreshing it: a histogram
+    /// whose bins change between two dispatches totals the same at every
+    /// worker count, and an atomic whose operand type is wrong raises the
+    /// same error at every worker count.
+    #[test]
+    fn atomic_only_targets_are_not_refreshed() {
+        use paraprox_ir::{AtomicOp, BinOp};
+        let mut program = Program::new();
+        let mut kb = KernelBuilder::new("hist");
+        let bins = kb.buffer("bins", Ty::I32, MemSpace::Global);
+        let data = kb.buffer("data", Ty::I32, MemSpace::Global);
+        let gid = kb.let_("gid", KernelBuilder::global_id_x());
+        let v = kb.let_("v", kb.load(data, gid.clone()));
+        let bin = Expr::Binary(BinOp::Rem, Box::new(v.clone()), Box::new(Expr::i32(8)));
+        kb.atomic(AtomicOp::Add, bins, bin, v + Expr::i32(1));
+        let hist = program.add_kernel(kb.finish());
+        let mut kb = KernelBuilder::new("reset");
+        let bins = kb.buffer("bins", Ty::I32, MemSpace::Global);
+        let gid = kb.let_("gid", KernelBuilder::global_id_x());
+        kb.store(bins, gid.clone(), gid * Expr::i32(7) - Expr::i32(3));
+        let reset = program.add_kernel(kb.finish());
+        // Blocks 0..2 add 1 to bin 1; block 3's lanes add a float.
+        let mut kb = KernelBuilder::new("bad");
+        let bins = kb.buffer("bins", Ty::I32, MemSpace::Global);
+        let gid = kb.let_("gid", KernelBuilder::global_id_x());
+        kb.if_else(
+            gid.lt(Expr::i32(192)),
+            |kb| kb.atomic(AtomicOp::Add, bins, Expr::i32(1), Expr::i32(1)),
+            |kb| kb.atomic(AtomicOp::Add, bins, Expr::i32(0), Expr::f32(1.0)),
+        );
+        let bad = program.add_kernel(kb.finish());
+
+        let run = |workers: usize| {
+            let mut d = Device::new(DeviceProfile::gtx560().with_parallelism(workers));
+            let bins = d.alloc_i32(MemSpace::Global, &[0; 8]);
+            let values: Vec<i32> = (0..256).map(|i| (i * 37 + 11) % 101).collect();
+            let data = d.alloc_i32(MemSpace::Global, &values);
+            let launch = |d: &mut Device, kid, block, args: &[ArgValue]| {
+                d.launch(&program, kid, Dim2::linear(4), Dim2::linear(block), args)
+            };
+            let args = [bins.into(), data.into()];
+            let first = launch(&mut d, hist, 64, &args).unwrap();
+            launch(&mut d, reset, 2, &[bins.into()]).unwrap();
+            let second = launch(&mut d, hist, 64, &args).unwrap();
+            let totals = d.read_i32(bins).unwrap();
+            let err = launch(&mut d, bad, 64, &[bins.into()]).unwrap_err();
+            assert_eq!(d.read_i32(bins).unwrap(), totals, "a failed launch reverts");
+            (
+                first,
+                second,
+                totals,
+                err.to_string(),
+                d.image_refresh_skips(),
+            )
+        };
+        let serial = run(1);
+        assert_eq!(serial.4, 0, "a serial device keeps no images");
+        for workers in [2, 4] {
+            let par = run(workers);
+            assert_eq!(par.0, serial.0, "{workers} workers, first dispatch");
+            assert_eq!(par.1, serial.1, "{workers} workers, second dispatch");
+            assert_eq!(par.2, serial.2, "{workers} workers, totals");
+            assert_eq!(par.3, serial.3, "{workers} workers, error");
+            // Every dispatch after the first skips the bins: the second
+            // histogram ran on stale images.
+            assert!(par.4 >= 3 * workers as u64, "{workers} workers skip");
+        }
+        assert!(serial.3.contains("bad"), "{}", serial.3);
+        let mut want = [0i32; 8];
+        for (i, w) in want.iter_mut().enumerate() {
+            *w = i as i32 * 7 - 3;
+        }
+        for i in 0..256 {
+            let v = (i * 37 + 11) % 101;
+            want[(v % 8) as usize] += v + 1;
+        }
+        assert_eq!(serial.2, want);
     }
 
     #[test]

@@ -30,7 +30,9 @@
 //! simulated cycles, and cache statistics.
 //!
 //! Executing a kernel yields both its *results* (buffer contents) and its
-//! *cost* ([`LaunchStats`], in device cycles). All speedups reported by the
+//! *cost* ([`LaunchStats`], in device cycles). One module, `mem`, holds the
+//! memory pipeline and the whole cost model: it decides what every op
+//! costs; `exec` dispatches blocks to host workers. All speedups reported by the
 //! reproduction are ratios of simulated cycles on the same profile, mirroring
 //! the paper's "relative to exact execution on the same architecture"
 //! baseline.
@@ -75,6 +77,7 @@ mod error;
 mod exec;
 mod fused;
 mod mask;
+mod mem;
 #[cfg(any(test, feature = "oracle"))]
 mod oracle;
 mod plan;

@@ -17,8 +17,9 @@ use paraprox_ir::{
 };
 
 use crate::device::ArgValue;
-use crate::exec::{ExecCtx, LaneGet, LaneSet, Mask, FILLER, ITERATION_BUDGET};
+use crate::exec::{ExecCtx, ITERATION_BUDGET};
 use crate::mask::LaneMask;
+use crate::mem::{LaneGet, LaneSet, FILLER};
 use crate::profile::DeviceProfile;
 
 /// Which interpreter executes kernel launches.
@@ -122,7 +123,7 @@ struct Frame<'v> {
     locals: Vec<Option<Lanes>>,
     /// Set only for function frames: lanes that have executed `Return`,
     /// plus their values.
-    returned: Option<(Mask, Lanes)>,
+    returned: Option<(LaneMask, Lanes)>,
 }
 
 impl<'v> Frame<'v> {
@@ -168,7 +169,12 @@ struct Oracle<'c, 'a> {
 }
 
 impl Oracle<'_, '_> {
-    fn eval(&mut self, e: &Expr, mask: &Mask, frame: &mut Frame<'_>) -> Result<Lanes, EvalError> {
+    fn eval(
+        &mut self,
+        e: &Expr,
+        mask: &LaneMask,
+        frame: &mut Frame<'_>,
+    ) -> Result<Lanes, EvalError> {
         match e {
             Expr::Const(v) => Ok(self.scratch.take_lanes(self.ctx.lanes, *v)),
             Expr::Var(v) => {
@@ -360,7 +366,12 @@ impl Oracle<'_, '_> {
         }
     }
 
-    fn call_func(&mut self, func: &Func, args: &[Lanes], mask: &Mask) -> Result<Lanes, EvalError> {
+    fn call_func(
+        &mut self,
+        func: &Func,
+        args: &[Lanes],
+        mask: &LaneMask,
+    ) -> Result<Lanes, EvalError> {
         if args.len() != func.params.len() {
             return Err(EvalError::ArityMismatch {
                 expected: func.params.len(),
@@ -395,7 +406,7 @@ impl Oracle<'_, '_> {
     fn run_block(
         &mut self,
         stmts: &[Stmt],
-        mask: &Mask,
+        mask: &LaneMask,
         frame: &mut Frame<'_>,
     ) -> Result<(), EvalError> {
         if frame.returned.is_none() {
@@ -425,7 +436,7 @@ impl Oracle<'_, '_> {
     fn run_stmt(
         &mut self,
         stmt: &Stmt,
-        mask: &Mask,
+        mask: &LaneMask,
         frame: &mut Frame<'_>,
     ) -> Result<(), EvalError> {
         match stmt {
@@ -609,7 +620,7 @@ impl Oracle<'_, '_> {
         }
     }
 
-    fn do_load(&mut self, mem: MemRef, idx: &Lanes, mask: &Mask) -> Result<Lanes, EvalError> {
+    fn do_load(&mut self, mem: MemRef, idx: &Lanes, mask: &LaneMask) -> Result<Lanes, EvalError> {
         // Empty: `do_load_into` sizes and fills it.
         let mut out = self.scratch.take_lanes(0, FILLER);
         self.ctx.do_load_into(mem, idx, mask, &mut out)?;

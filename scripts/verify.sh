@@ -5,20 +5,21 @@
 #   3. eval_func guard (the pure evaluator is named only by tests)
 #   4. front-door guard (every app kernel is source lowered by paraprox-lang)
 #   5. oracle guard (no shipped binary builds the tree-walking oracle)
-#   6. cargo fmt --check
-#   7. cargo build --release
-#   8. cargo test -q (tier-1, root package)
-#   9. cargo test --workspace -q (every invariant is asserted here)
-#  10. cargo clippy --workspace --all-targets -D warnings
-#  11. the 14 experiment bins of scripts/run_all_experiments.sh regenerate
+#   6. charge guard (only the cost model, crates/vgpu/src/mem.rs, charges)
+#   7. cargo fmt --check
+#   8. cargo build --release
+#   9. cargo test -q (tier-1, root package)
+#  10. cargo test --workspace -q (every invariant is asserted here)
+#  11. cargo clippy --workspace --all-targets -D warnings
+#  12. the 14 experiment bins of scripts/run_all_experiments.sh regenerate
 #      results/*.txt byte-identically (~5 s)
-#  12. paraprox-cli analyze --json on all 13 apps
-#  13. paraprox-cli inspect --schedule on every preset of both iterative apps
-#  14. paraprox-cli serve on both profiles (drift, back-off, re-promotion;
+#  13. paraprox-cli analyze --json on all 13 apps
+#  14. paraprox-cli inspect --schedule on every preset of both iterative apps
+#  15. paraprox-cli serve on both profiles (drift, back-off, re-promotion;
 #      the GPU smoke runs twice and its decision tables must match), list,
 #      tune, run (exact and iterative), inspect --rungs, and bad-input
 #      probes that must exit exactly 1 (no panic, no abort)
-#  15. paraprox-benchmark smokes: iter_converge, kernel_exec, serve_open_drift
+#  16. paraprox-benchmark smokes: iter_converge, kernel_exec, serve_open_drift
 #      (the only place a host timing is taken; none is gated here)
 # Everything runs offline (the workspace has no external dependencies),
 # so this works in sandboxed CI.
@@ -74,6 +75,21 @@ for pkg in paraprox-cli paraprox-benchmark; do
     exit 1
   fi
 done
+
+echo "==> charge guard (one module decides what every op costs)"
+# The cost model lives in crates/vgpu/src/mem.rs; stats.rs defines and sums
+# the counters. No other crates/vgpu/src file may assign to a cycle,
+# transaction, bank-conflict or L1/constant hit/miss field of LaunchStats
+# above its first #[cfg(test)].
+charged='(compute_cycles|memory_cycles|overhead_cycles|load_transactions|serialized_transactions|bank_conflict_extra|l1_hits|l1_misses|const_hits|const_misses)'
+for f in $(find crates/vgpu/src -name '*.rs' | sort); do
+  case "$f" in crates/vgpu/src/mem.rs | crates/vgpu/src/stats.rs) continue ;; esac
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -nE "\.$charged\s*([-+*/|&^]|<<|>>)?=([^=]|$)" >&2; then
+    echo "FAIL: $f charges a LaunchStats cost counter outside mem.rs (lines above)" >&2
+    guard=1
+  fi
+done
+[ "$guard" -eq 0 ]
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
